@@ -1,0 +1,33 @@
+"""Exception types shared across the package.
+
+The CLI maps these onto distinct exit codes, so library code should raise
+the most specific class that applies.
+"""
+
+
+class AdastreamError(Exception):
+    """Base class for all package errors."""
+
+
+class ArgumentError(AdastreamError, ValueError):
+    """A caller passed an invalid argument (bad range, shape, or ordering)."""
+
+
+class SchemaError(AdastreamError, ValueError):
+    """An input file does not conform to its documented schema."""
+
+
+class ConfigError(AdastreamError, ValueError):
+    """A configuration file or override is inconsistent."""
+
+
+class ContractError(AdastreamError, RuntimeError):
+    """An operation was invoked outside its stated preconditions."""
+
+
+class DivergenceError(AdastreamError, RuntimeError):
+    """Training produced a non-finite loss."""
+
+
+class ModelCorruptError(AdastreamError, RuntimeError):
+    """A model holds non-finite weights and cannot be evaluated."""

@@ -1,0 +1,81 @@
+"""Velocity feature pipeline: NDC motion magnitudes to a normalized feature.
+
+Per-frame mean motion-vector magnitudes (in normalized device coordinates)
+are converted to deg/s, smoothed with a 500 ms moving average, capped at the
+smooth-pursuit limit of 80 deg/s, and log-compressed into [0, 1].
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+from dataclasses import dataclass
+
+from .errors import ArgumentError
+
+SPEM_LIMIT_DEGPS = 80.0
+WINDOW_SECONDS = 0.5
+
+
+@dataclass(frozen=True)
+class MotionSample:
+    """Mean motion magnitude of one frame, with its timing and FOV context."""
+
+    mean_ndc_magnitude: float  # NDC units per frame; NDC spans 2 units across the FOV
+    frame_interval_s: float
+    fov_horizontal_deg: float
+
+    def __post_init__(self):
+        if self.mean_ndc_magnitude < 0:
+            raise ArgumentError("mean_ndc_magnitude must be >= 0")
+        if self.frame_interval_s <= 0:
+            raise ArgumentError("frame_interval_s must be positive")
+        if not 0 < self.fov_horizontal_deg < 180:
+            raise ArgumentError("fov_horizontal_deg must be in (0, 180)")
+
+
+def ndc_to_deg_per_sec(sample: MotionSample) -> float:
+    """Small-angle conversion of an NDC displacement rate to deg/s."""
+    return sample.mean_ndc_magnitude * (sample.fov_horizontal_deg / 2.0) \
+        / sample.frame_interval_s
+
+
+def normalize_velocity(velocity_degps: float) -> float:
+    """Log-compress a velocity into [0, 1], saturating at 80 deg/s."""
+    if velocity_degps < 0:
+        raise ArgumentError("velocity must be >= 0")
+    capped = min(velocity_degps, SPEM_LIMIT_DEGPS)
+    return math.log1p(capped) / math.log1p(SPEM_LIMIT_DEGPS)
+
+
+class VelocityEstimator:
+    """Moving average of velocity samples over the last 500 ms.
+
+    Single-writer stateful object; use one estimator per session.
+    """
+
+    def __init__(self, window_s: float = WINDOW_SECONDS):
+        if window_s <= 0:
+            raise ArgumentError("window must be positive")
+        self.window_s = window_s
+        self._samples: deque[tuple[float, float]] = deque()
+
+    def update(self, velocity_degps: float, timestamp_s: float) -> float:
+        """Add a sample and return the current windowed mean."""
+        if velocity_degps < 0:
+            raise ArgumentError("velocity must be >= 0")
+        if self._samples and timestamp_s < self._samples[-1][0]:
+            raise ArgumentError(
+                f"timestamps must be nondecreasing, got {timestamp_s} after "
+                f"{self._samples[-1][0]}")
+        cutoff = timestamp_s - self.window_s
+        while self._samples and self._samples[0][0] < cutoff:
+            self._samples.popleft()
+        self._samples.append((timestamp_s, velocity_degps))
+        return self.current_estimate
+
+    @property
+    def current_estimate(self) -> float:
+        if not self._samples:
+            return 0.0
+        return sum(v for _, v in self._samples) / len(self._samples)

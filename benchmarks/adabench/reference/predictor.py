@@ -1,0 +1,323 @@
+"""Mode classifier: a small MLP emitting class probabilities over the ladders.
+
+Architecture: 7 content/context features, two rectified hidden layers
+(64 units each by default), and a shared output layer split into two
+independent softmax heads, one over the 10 frame-rate classes and one over
+the 5 resolution classes. Training minimizes the summed cross-entropy of
+both heads with the Adam optimizer at a learning rate of 3e-3. Everything is
+plain float64 numpy, so a fixed seed reproduces weights bit for bit.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import ArgumentError, DivergenceError, ModelCorruptError, SchemaError
+from .features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, FeatureVector
+from .ladder import DEFAULT_LADDER, Ladder
+
+DEFAULT_LEARNING_RATE = 3e-3
+DEFAULT_HIDDEN_SIZES = (64, 64)
+
+
+@dataclass(frozen=True)
+class TrainingExample:
+    features: FeatureVector
+    target_f: int  # frame rate class, Hz
+    target_r: int  # resolution class, lines
+
+    def indices(self, ladder: Ladder) -> tuple[int, int]:
+        return ladder.frame_rate_index(self.target_f), ladder.height_index(self.target_r)
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    learning_rate: float = DEFAULT_LEARNING_RATE
+    epochs: int = 60
+    batch_size: int = 32
+    seed: int = 0
+    hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN_SIZES
+
+    def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ArgumentError("learning_rate must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ArgumentError("epochs and batch_size must be >= 1")
+
+
+@dataclass
+class PredictorModel:
+    """MLP weights plus the ladder that defines its two output heads."""
+
+    weights: list[np.ndarray]   # per layer, shape (fan_in, fan_out)
+    biases: list[np.ndarray]    # per layer, shape (fan_out,)
+    ladder: Ladder = DEFAULT_LADDER
+    seed: int = 0
+    feature_version: int = FEATURE_SCHEMA_VERSION
+    _validated: bool = field(default=False, repr=False)
+
+    @property
+    def head_sizes(self) -> tuple[int, int]:
+        return self.ladder.n_frame_rates, self.ladder.n_heights
+
+    @property
+    def layer_sizes(self) -> list[int]:
+        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+
+    def validate(self) -> None:
+        if self._validated:
+            return
+        n_out = self.ladder.n_frame_rates + self.ladder.n_heights
+        if self.weights[-1].shape[1] != n_out:
+            raise ModelCorruptError(
+                f"output layer emits {self.weights[-1].shape[1]} logits, "
+                f"ladder needs {n_out}")
+        for w, b in zip(self.weights, self.biases):
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise ModelCorruptError("model holds non-finite weights")
+        self._validated = True
+
+
+def new_model(seed: int = 0, hidden_sizes=DEFAULT_HIDDEN_SIZES,
+              ladder: Ladder = DEFAULT_LADDER,
+              n_features: int = len(FEATURE_NAMES)) -> PredictorModel:
+    """He-initialized model with zero biases."""
+    rng = np.random.default_rng(seed)
+    sizes = [n_features, *hidden_sizes, ladder.n_frame_rates + ladder.n_heights]
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    return PredictorModel(weights, biases, ladder, seed)
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _forward_pass(model: PredictorModel, x: np.ndarray):
+    """Returns per-layer activations plus the two head distributions."""
+    acts = [x]
+    h = x
+    n_layers = len(model.weights)
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ w + b
+        h = z if i == n_layers - 1 else np.maximum(z, 0.0)
+        acts.append(h)
+    nf = model.ladder.n_frame_rates
+    p_f = _softmax(h[..., :nf])
+    p_r = _softmax(h[..., nf:])
+    return acts, p_f, p_r
+
+
+def forward_batch(model: PredictorModel, x: np.ndarray):
+    model.validate()
+    x = np.asarray(x, dtype=float)
+    _, p_f, p_r = _forward_pass(model, x)
+    return p_f, p_r
+
+
+def forward(model: PredictorModel, features: FeatureVector):
+    """Class probabilities (frame rate head, resolution head) for one input."""
+    p_f, p_r = forward_batch(model, features.as_array()[None, :])
+    return p_f[0], p_r[0]
+
+
+def loss_and_gradients(model: PredictorModel, x: np.ndarray,
+                       yf_idx: np.ndarray, yr_idx: np.ndarray):
+    """Mean summed cross-entropy of both heads, with gradients per parameter.
+
+    Gradients are exact analytic backprop; the test suite checks them against
+    central finite differences.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    nf = model.ladder.n_frame_rates
+    acts, p_f, p_r = _forward_pass(model, x)
+
+    eps = 1e-300  # guards log(0) without disturbing the gradient
+    loss = float(-(np.log(p_f[np.arange(n), yf_idx] + eps).sum()
+                   + np.log(p_r[np.arange(n), yr_idx] + eps).sum()) / n)
+
+    d_logits = np.concatenate([p_f, p_r], axis=1)
+    d_logits[np.arange(n), yf_idx] -= 1.0
+    d_logits[np.arange(n), nf + yr_idx] -= 1.0
+    d_logits /= n
+
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    delta = d_logits
+    for i in range(len(model.weights) - 1, -1, -1):
+        grads_w[i] = acts[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (acts[i] > 0)
+    return loss, grads_w, grads_b
+
+
+def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
+                 config: TrainConfig = TrainConfig(),
+                 ladder: Ladder = DEFAULT_LADDER,
+                 loss_history: list | None = None) -> PredictorModel:
+    """Adam on minibatches; deterministic given the seed."""
+    x = np.asarray(x, dtype=float)
+    yf_idx = np.asarray(yf_idx, dtype=int)
+    yr_idx = np.asarray(yr_idx, dtype=int)
+    n = x.shape[0]
+    if n == 0:
+        raise ArgumentError("training set is empty")
+
+    model = new_model(config.seed, config.hidden_sizes, ladder, x.shape[1])
+    rng = np.random.default_rng(config.seed)
+
+    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    m_w = [np.zeros_like(w) for w in model.weights]
+    v_w = [np.zeros_like(w) for w in model.weights]
+    m_b = [np.zeros_like(b) for b in model.biases]
+    v_b = [np.zeros_like(b) for b in model.biases]
+    t = 0
+
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            loss, gw, gb = loss_and_gradients(model, x[batch],
+                                              yf_idx[batch], yr_idx[batch])
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite loss at epoch {epoch}")
+            epoch_loss += loss * len(batch)
+            t += 1
+            scale = config.learning_rate * np.sqrt(1 - beta2 ** t) / (1 - beta1 ** t)
+            for i in range(len(model.weights)):
+                m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
+                v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
+                model.weights[i] -= scale * m_w[i] / (np.sqrt(v_w[i]) + adam_eps)
+                m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
+                v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
+                model.biases[i] -= scale * m_b[i] / (np.sqrt(v_b[i]) + adam_eps)
+        if not np.all([np.all(np.isfinite(w)) for w in model.weights]):
+            raise DivergenceError(f"non-finite weights at epoch {epoch}")
+        if loss_history is not None:
+            loss_history.append(epoch_loss / n)
+    model._validated = False
+    return model
+
+
+def train(examples, config: TrainConfig = TrainConfig(),
+          ladder: Ladder = DEFAULT_LADDER,
+          loss_history: list | None = None) -> PredictorModel:
+    examples = list(examples)
+    if not examples:
+        raise ArgumentError("training set is empty")
+    x = np.stack([ex.features.as_array() for ex in examples])
+    idx = [ex.indices(ladder) for ex in examples]
+    yf = np.array([i[0] for i in idx])
+    yr = np.array([i[1] for i in idx])
+    return train_arrays(x, yf, yr, config, ladder, loss_history)
+
+
+def predict_classes(model: PredictorModel, x: np.ndarray):
+    """Argmax class values (Hz, lines) per row of features."""
+    p_f, p_r = forward_batch(model, x)
+    f = [model.ladder.frame_rates_hz[i] for i in p_f.argmax(axis=1)]
+    r = [model.ladder.heights[i] for i in p_r.argmax(axis=1)]
+    return f, r
+
+
+def save_model(model: PredictorModel, path) -> None:
+    """Serialize to JSON with a header; identical models produce identical bytes."""
+    model.validate()
+    payload = {
+        "header": {
+            "layer_sizes": model.layer_sizes,
+            "head_sizes": list(model.head_sizes),
+            "seed": model.seed,
+            "feature_schema_version": model.feature_version,
+            "frame_rates_hz": list(model.ladder.frame_rates_hz),
+            "resolution_lines": list(model.ladder.heights),
+        },
+        "weights": [w.tolist() for w in model.weights],
+        "biases": [b.tolist() for b in model.biases],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
+
+
+def load_model(path, ladder: Ladder | None = None) -> PredictorModel:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid model JSON: {exc}") from None
+    for key in ("header", "weights", "biases"):
+        if key not in payload:
+            raise SchemaError(f"{path}: missing model field {key!r}")
+    header = payload["header"]
+    if ladder is None:
+        ladder = Ladder(frame_rates_hz=tuple(header["frame_rates_hz"]),
+                        heights=tuple(header["resolution_lines"]))
+    elif (list(ladder.frame_rates_hz) != list(header["frame_rates_hz"])
+          or list(ladder.heights) != list(header["resolution_lines"])):
+        raise SchemaError(f"{path}: model was trained on a different ladder")
+    weights = [np.array(w, dtype=float) for w in payload["weights"]]
+    biases = [np.array(b, dtype=float) for b in payload["biases"]]
+    sizes = [weights[0].shape[0]] + [w.shape[1] for w in weights]
+    if sizes != header["layer_sizes"]:
+        raise SchemaError(f"{path}: layer_sizes header {header['layer_sizes']} "
+                          f"does not match weight shapes {sizes}")
+    model = PredictorModel(weights, biases, ladder,
+                           seed=int(header.get("seed", 0)),
+                           feature_version=int(header.get("feature_schema_version", 1)))
+    model.validate()
+    return model
+
+
+TRAINING_CSV_HEADER = FEATURE_NAMES + ("target_f", "target_r")
+
+
+def write_training_csv(examples, path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(TRAINING_CSV_HEADER) + "\n")
+        for ex in examples:
+            feats = ",".join(repr(float(v)) for v in ex.features.as_array())
+            fh.write(f"{feats},{ex.target_f},{ex.target_r}\n")
+
+
+def read_training_csv(path) -> list[TrainingExample]:
+    import csv
+
+    examples = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty training file") from None
+        if tuple(h.strip() for h in header) != TRAINING_CSV_HEADER:
+            expected = list(TRAINING_CSV_HEADER)
+            for i, name in enumerate(expected):
+                if i >= len(header) or header[i].strip() != name:
+                    raise SchemaError(f"{path}: bad or missing column {name!r}")
+            raise SchemaError(f"{path}: bad header {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(TRAINING_CSV_HEADER):
+                raise SchemaError(f"{path}:{lineno}: expected "
+                                  f"{len(TRAINING_CSV_HEADER)} columns")
+            try:
+                values = [float(v) for v in row[:-2]]
+                target_f = int(row[-2])
+                target_r = int(row[-1])
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
+            examples.append(TrainingExample(FeatureVector.from_array(values),
+                                            target_f, target_r))
+    return examples

@@ -1,0 +1,234 @@
+"""Perceptual quality values Q(frame rate, resolution) per clip, bitrate, and velocity.
+
+Two sources are supported: grids ingested from a CSV dataset, and a
+self-contained synthetic parametric surface. The synthetic surface is
+declared non-physical; it exists so the labeling, training, and simulation
+pipeline is testable without a measured dataset. Its shape constraints are:
+quality saturates at the reference rate and resolution, flattens near the
+maximum, and moves its best resolution below the top rung when the bitrate
+is low and motion is high.
+
+Quality-grid CSV schema (header required, UTF-8, '.' decimal separator)::
+
+    clip_id,velocity_degps,bitrate_bps,frame_rate_hz,resolution_lines,jod
+
+One row per grid cell, one complete group of rows per (clip_id, bitrate).
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ArgumentError, SchemaError
+from .ladder import DEFAULT_LADDER, Ladder, VideoMode, width_for_height
+
+# Smooth-pursuit tracking limit; velocities above this are perceptually capped.
+VELOCITY_CAP_DEGPS = 80.0
+
+JOD_MAX = 10.0
+
+GRID_CSV_HEADER = ("clip_id", "velocity_degps", "bitrate_bps",
+                   "frame_rate_hz", "resolution_lines", "jod")
+
+
+@dataclass(frozen=True)
+class SyntheticQualityParams:
+    """Constants of the synthetic quality surface.
+
+    The defaults are calibrated so that, with ``content_detail`` around 0.5,
+    the surface has its best resolution at the top rung at 4 Mbps and low
+    velocity, and below the top rung at 2 Mbps and high velocity.
+    """
+
+    alpha_temporal: float = 1.0    # JOD loss per (deg/s * s of frame-interval excess)
+    alpha_spatial: float = 2.5     # JOD loss scale for resolution below the reference
+    alpha_coding: float = 1.5      # JOD loss scale per octave of bits-per-pixel deficit
+    bpp_ref: float = 0.05          # bits/pixel above which coding loss vanishes
+    spatial_exponent: float = 0.8
+    content_detail: float = 0.5    # 0 = flat content, 1 = highly detailed
+    reference_rate_hz: int = 166   # temporal asymptote; fixed
+
+    def __post_init__(self):
+        for name in ("alpha_temporal", "alpha_spatial", "alpha_coding"):
+            if getattr(self, name) < 0:
+                raise ArgumentError(f"{name} must be >= 0")
+        if self.bpp_ref <= 0:
+            raise ArgumentError("bpp_ref must be positive")
+        if not 0.0 <= self.content_detail <= 1.0:
+            raise ArgumentError("content_detail must be in [0, 1]")
+        if self.reference_rate_hz != 166:
+            raise ArgumentError("reference_rate_hz is fixed at 166")
+
+
+@dataclass(frozen=True)
+class QualityGrid:
+    """Dense table of JOD quality indexed by (frame rate, resolution)."""
+
+    clip_id: str
+    velocity_degps: float
+    bitrate_bps: float
+    q: np.ndarray  # shape (n_frame_rates, n_heights), read-only
+    ladder: Ladder = DEFAULT_LADDER
+
+    def __post_init__(self):
+        if self.velocity_degps < 0:
+            raise ArgumentError("velocity must be >= 0")
+        if self.bitrate_bps <= 0:
+            raise ArgumentError("bitrate must be positive")
+        q = np.array(self.q, dtype=float)
+        expected = (self.ladder.n_frame_rates, self.ladder.n_heights)
+        if q.shape != expected:
+            raise ArgumentError(f"grid shape {q.shape} != expected {expected}")
+        if not np.all(np.isfinite(q)):
+            raise ArgumentError("grid contains non-finite JOD values")
+        if q.min() < 0.0 or q.max() > JOD_MAX:
+            raise ArgumentError("JOD values must lie in [0, 10]")
+        q.setflags(write=False)
+        object.__setattr__(self, "q", q)
+
+    def quality(self, mode: VideoMode) -> float:
+        fi = self.ladder.frame_rate_index(mode.frame_rate_hz)
+        hi = self.ladder.height_index(mode.height)
+        return float(self.q[fi, hi])
+
+
+def quality_value(frame_rate_hz: float, height: int, bitrate_bps: float,
+                  velocity_degps: float,
+                  params: SyntheticQualityParams = SyntheticQualityParams()) -> float:
+    """Synthetic JOD quality for an arbitrary (frame rate, height) point.
+
+    Unlike :func:`synthetic_quality` this does not require ladder membership,
+    which makes the reference-rate limit directly observable.
+    """
+    if velocity_degps < 0:
+        raise ArgumentError("velocity must be >= 0")
+    if bitrate_bps <= 0:
+        raise ArgumentError("bitrate must be positive")
+    if frame_rate_hz <= 0:
+        raise ArgumentError("frame rate must be positive")
+
+    detail = params.content_detail
+    v_eff = min(velocity_degps, VELOCITY_CAP_DEGPS)
+    loss_temporal = params.alpha_temporal * v_eff * (
+        1.0 / frame_rate_hz - 1.0 / params.reference_rate_hz)
+    loss_spatial = params.alpha_spatial * detail * (
+        1.0 - (height / 1080.0) ** params.spatial_exponent)
+    bpp = bitrate_bps / (frame_rate_hz * width_for_height(height) * height)
+    loss_coding = params.alpha_coding * max(0.0, math.log2(params.bpp_ref / bpp)) * (
+        0.5 + 0.5 * detail)
+    q = JOD_MAX - loss_temporal - loss_spatial - loss_coding
+    return min(max(q, 0.0), JOD_MAX)
+
+
+def synthetic_quality(mode: VideoMode, bitrate_bps: float, velocity_degps: float,
+                      params: SyntheticQualityParams = SyntheticQualityParams()) -> float:
+    """Synthetic JOD quality of a ladder mode. Deterministic and total."""
+    return quality_value(mode.frame_rate_hz, mode.height, bitrate_bps,
+                         velocity_degps, params)
+
+
+def make_synthetic_grid(bitrate_bps: float, velocity_degps: float,
+                        params: SyntheticQualityParams = SyntheticQualityParams(),
+                        ladder: Ladder = DEFAULT_LADDER,
+                        clip_id: str = "synthetic") -> QualityGrid:
+    """Fill a complete quality grid from the synthetic surface."""
+    q = np.empty((ladder.n_frame_rates, ladder.n_heights), dtype=float)
+    for fi, f in enumerate(ladder.frame_rates_hz):
+        for hi, h in enumerate(ladder.heights):
+            q[fi, hi] = quality_value(f, h, bitrate_bps, velocity_degps, params)
+    return QualityGrid(clip_id, velocity_degps, bitrate_bps, q, ladder)
+
+
+def load_grids(path, ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
+    """Parse a quality-grid CSV into one grid per (clip, bitrate) group.
+
+    Fails atomically: either every group in the file is complete and valid,
+    or a :class:`SchemaError` is raised and nothing is returned.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, expected header "
+                              f"{','.join(GRID_CSV_HEADER)}") from None
+        if tuple(h.strip() for h in header) != GRID_CSV_HEADER:
+            raise SchemaError(
+                f"{path}: bad header {header!r}, expected {list(GRID_CSV_HEADER)}")
+
+        # (clip_id, bitrate) -> {"velocity": v, "cells": {(f, h): jod}, "line": first line}
+        groups: dict[tuple[str, float], dict] = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(GRID_CSV_HEADER):
+                raise SchemaError(f"{path}:{lineno}: expected "
+                                  f"{len(GRID_CSV_HEADER)} columns, got {len(row)}")
+            clip_id = row[0].strip()
+            try:
+                velocity = float(row[1])
+                bitrate = float(row[2])
+                f = int(row[3])
+                h = int(row[4])
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
+            try:
+                jod = float(row[5])
+            except ValueError:
+                raise SchemaError(
+                    f"{path}:{lineno}: non-numeric jod value {row[5]!r}") from None
+            if not math.isfinite(jod) or not 0.0 <= jod <= JOD_MAX:
+                raise SchemaError(
+                    f"{path}:{lineno}: jod {jod} out of range [0, {JOD_MAX}]")
+            try:
+                ladder.frame_rate_index(f)
+                ladder.height_index(h)
+            except ArgumentError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+
+            key = (clip_id, bitrate)
+            group = groups.setdefault(key, {"velocity": velocity, "cells": {}})
+            if group["velocity"] != velocity:
+                raise SchemaError(
+                    f"{path}:{lineno}: clip {clip_id!r} at {bitrate} bps mixes "
+                    f"velocities {group['velocity']} and {velocity}")
+            if (f, h) in group["cells"]:
+                raise SchemaError(
+                    f"{path}:{lineno}: duplicate cell ({f} Hz, {h} lines) "
+                    f"for clip {clip_id!r}")
+            group["cells"][(f, h)] = jod
+
+    n_cells = ladder.n_frame_rates * ladder.n_heights
+    grids = []
+    for (clip_id, bitrate) in sorted(groups):
+        group = groups[(clip_id, bitrate)]
+        cells = group["cells"]
+        if len(cells) != n_cells:
+            missing = [(f, h) for f in ladder.frame_rates_hz
+                       for h in ladder.heights if (f, h) not in cells]
+            f, h = missing[0]
+            raise SchemaError(
+                f"{path}: incomplete grid for clip {clip_id!r} at {bitrate} bps: "
+                f"{len(cells)}/{n_cells} cells, first missing ({f} Hz, {h} lines)")
+        q = np.empty((ladder.n_frame_rates, ladder.n_heights), dtype=float)
+        for fi, f in enumerate(ladder.frame_rates_hz):
+            for hi, h in enumerate(ladder.heights):
+                q[fi, hi] = cells[(f, h)]
+        grids.append(QualityGrid(clip_id, group["velocity"], bitrate, q, ladder))
+    return grids
+
+
+def write_grids_csv(grids, path) -> None:
+    """Write grids in the canonical CSV schema, deterministically ordered."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(GRID_CSV_HEADER) + "\n")
+        for grid in grids:
+            for fi, f in enumerate(grid.ladder.frame_rates_hz):
+                for hi, h in enumerate(grid.ladder.heights):
+                    fh.write(f"{grid.clip_id},{float(grid.velocity_degps)!r},"
+                             f"{float(grid.bitrate_bps)!r},{f},{h},"
+                             f"{float(grid.q[fi, hi])!r}\n")
