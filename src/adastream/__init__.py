@@ -7,7 +7,8 @@ streaming-session simulator with GOP and I-frame semantics.
 """
 
 from .controller import (ControllerState, TransitionGraph, decide,
-                         default_transition_graph, initial_state, step, step_log)
+                         default_transition_graph, initial_state, step, step_log,
+                         step_window)
 from .errors import (AdastreamError, ArgumentError, ConfigError, ContractError,
                      DivergenceError, ModelCorruptError, SchemaError)
 from .features import FeatureVector, extract_features, normalize_bandwidth
@@ -46,5 +47,6 @@ __all__ = [
     "objective_cost", "pixels_per_second", "quality_value", "relative_error",
     "run_session", "save_model", "savings_curve", "scenario_from_json",
     "scenario_to_json", "select_efficient", "select_max_quality",
-    "selection_distribution", "step", "step_log", "synthetic_quality", "train",
+    "selection_distribution", "step", "step_log", "step_window",
+    "synthetic_quality", "train",
 ]

@@ -9,7 +9,7 @@ Recognized keys (all optional)::
       "viterbi": {
         "frame_rate_weights": [[...], ...],   # full matrix, row = from-state
         "resolution_weights": [[...], ...],
-        "decision_period_s": 2.0,
+        "decision_period_s": 2.0,             # must equal the 2 s GOP length
         "emission_floor": 1e-12
       },
       "synthetic": {
@@ -32,7 +32,7 @@ from .controller import (DECISION_PERIOD_S, EMISSION_FLOOR, TransitionGraph,
 from .errors import ArgumentError, ConfigError
 from .ladder import DEFAULT_LADDER, Ladder
 from .quality import SyntheticQualityParams
-from .simulator import IFRAME_BIT_MULTIPLIER
+from .simulator import GOP_LENGTH_S, IFRAME_BIT_MULTIPLIER
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,16 @@ def load_config(path=None) -> Config:
     _reject_unknown(viterbi, ("frame_rate_weights", "resolution_weights",
                               "decision_period_s", "emission_floor"),
                     f"{path}: viterbi")
-    period = float(viterbi.get("decision_period_s", DECISION_PERIOD_S))
-    floor = float(viterbi.get("emission_floor", EMISSION_FLOOR))
+    try:
+        period = float(viterbi.get("decision_period_s", DECISION_PERIOD_S))
+        floor = float(viterbi.get("emission_floor", EMISSION_FLOOR))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad viterbi section: {exc}") from None
+    if period != GOP_LENGTH_S:
+        raise ConfigError(
+            f"{path}: viterbi.decision_period_s is {period} s, but the "
+            f"simulator decides once per {GOP_LENGTH_S} s GOP; it must be "
+            f"{GOP_LENGTH_S}")
     default_graph = default_transition_graph(ladder, period)
     try:
         graph = TransitionGraph(

@@ -3,6 +3,9 @@
 The controller keeps log-domain path scores for the frame-rate chain and the
 resolution chain. Every rendered frame updates both chains with the
 predictor's class probabilities; a decision is emitted every 2 seconds.
+:func:`step_window` takes the frames of a whole window at once: it checks
+the probabilities and computes every frame's emission up front, then runs
+the recursion frame by frame. :func:`step` is its one-frame case.
 
 Switching is rate-limited twice over:
 
@@ -86,6 +89,13 @@ class TransitionGraph:
         object.__setattr__(self, "resolution_weights", rw)
         object.__setattr__(self, "_log_fw", _log_weights(fw))
         object.__setattr__(self, "_log_rw", _log_weights(rw))
+        # Both chains' log weights stacked into one (2, k, k) block, k the
+        # larger class count. Padding is -inf, so no path reaches a pad class.
+        k = max(n_f, n_r)
+        log_w_pair = np.full((2, k, k), -np.inf)
+        log_w_pair[0, :n_f, :n_f] = self._log_fw
+        log_w_pair[1, :n_r, :n_r] = self._log_rw
+        object.__setattr__(self, "_log_w_pair", log_w_pair)
 
 
 def default_transition_graph(ladder: Ladder = DEFAULT_LADDER,
@@ -124,12 +134,93 @@ def initial_state(graph: TransitionGraph, mode: VideoMode) -> ControllerState:
                            mode, 0.0)
 
 
-def _chain_step(scores: np.ndarray, log_w: np.ndarray, log_p: np.ndarray,
-                emission_weight: float, floor_log: float) -> np.ndarray:
-    log_p = log_p - log_p.max()          # canonical shift; argmax-invariant
-    log_p = np.maximum(log_p, floor_log)
-    new = (scores[:, None] + log_w).max(axis=0) + emission_weight * log_p
-    return new - new.max()               # keep the best path at 0 to avoid underflow
+def _max_plus(graph: TransitionGraph, score_f: np.ndarray, score_r: np.ndarray,
+              emit_f: np.ndarray, emit_r: np.ndarray):
+    """Both chains' recursion, one row of floored and weighted emissions
+    per frame. The chains run side by side in the padded pair layout of
+    ``graph._log_w_pair``; each chain's numbers are the ones it would get
+    on its own, since a pad entry is -inf and never wins a max."""
+    n_f, n_r = score_f.size, score_r.size
+    log_w = graph._log_w_pair
+    k = log_w.shape[1]
+    scores = np.full((2, k), -np.inf)
+    scores[0, :n_f] = score_f
+    scores[1, :n_r] = score_r
+    emissions = np.zeros((emit_f.shape[0], 2, k))
+    emissions[:, 0, :n_f] = emit_f
+    emissions[:, 1, :n_r] = emit_r
+    paths = np.empty((2, k, k))
+    for row in emissions:
+        np.add(scores[:, :, None], log_w, out=paths)
+        scores = np.maximum.reduce(paths, axis=1)
+        scores += row
+        # keep each chain's best path at 0 to avoid underflow
+        scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
+    return scores[0, :n_f].copy(), scores[1, :n_r].copy()
+
+
+def _weighted_emissions(log_p: np.ndarray, peak: np.ndarray, weight: float,
+                        floor_log: float) -> np.ndarray:
+    log_p = log_p - peak                 # canonical shift; argmax-invariant
+    return weight * np.maximum(log_p, floor_log)
+
+
+def _step_window_log(graph: TransitionGraph, state: ControllerState,
+                     log_probs_f, log_probs_r, dt: float) -> ControllerState:
+    """Advance both chains over a window of frames, one row of raw
+    log-emissions per frame, every frame lasting ``dt``."""
+    if dt <= 0:
+        raise ArgumentError("dt must be positive")
+    lpf = np.asarray(log_probs_f, dtype=float)
+    lpr = np.asarray(log_probs_r, dtype=float)
+    if lpf.ndim != 2 or lpf.shape[1] != graph.ladder.n_frame_rates:
+        raise ArgumentError("frame-rate emission has wrong length")
+    if lpr.ndim != 2 or lpr.shape[1] != graph.ladder.n_heights:
+        raise ArgumentError("resolution emission has wrong length")
+    if lpf.shape[0] != lpr.shape[0]:
+        raise ArgumentError("frame-rate and resolution emissions differ in "
+                            "frame count")
+    peak_f = lpf.max(axis=1, keepdims=True)
+    peak_r = lpr.max(axis=1, keepdims=True)
+    for name, peak in (("frame-rate", peak_f), ("resolution", peak_r)):
+        if not np.isfinite(peak).all():
+            raise ArgumentError(f"{name} emission needs a finite maximum")
+    weight = dt / graph.decision_period_s
+    floor_log = np.log(graph.emission_floor)
+    score_f, score_r = _max_plus(
+        graph, state.score_f, state.score_r,
+        _weighted_emissions(lpf, peak_f, weight, floor_log),
+        _weighted_emissions(lpr, peak_r, weight, floor_log))
+    elapsed = state.time_since_decision
+    for _ in range(lpf.shape[0]):
+        elapsed += dt                    # summed frame by frame, as the clock runs
+    return ControllerState(score_f, score_r, state.current_mode, elapsed)
+
+
+def step_window(graph: TransitionGraph, state: ControllerState,
+                probs_f, probs_r, dt: float) -> ControllerState:
+    """Advance both chains over a window of frames, one row of normalized
+    class probabilities per frame."""
+    probs_f = np.asarray(probs_f, dtype=float)
+    probs_r = np.asarray(probs_r, dtype=float)
+    for name, p in (("frame-rate", probs_f), ("resolution", probs_r)):
+        if (p < 0).any():
+            raise ArgumentError(f"{name} probabilities must be >= 0")
+        totals = p.sum(axis=-1)
+        off = np.abs(totals - 1.0) > 1e-3
+        if off.any():
+            raise ArgumentError(f"{name} distribution sums to "
+                                f"{totals[np.argmax(off)]:.6f}, expected 1 "
+                                "within 1e-3")
+    with np.errstate(divide="ignore"):
+        return _step_window_log(graph, state, np.log(probs_f), np.log(probs_r), dt)
+
+
+def _one_row(values, length: int, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape != (length,):
+        raise ArgumentError(f"{name} emission has wrong length")
+    return values[None, :]
 
 
 def step_log(graph: TransitionGraph, state: ControllerState,
@@ -139,38 +230,19 @@ def step_log(graph: TransitionGraph, state: ControllerState,
     No normalization is required of the inputs; adding a constant to either
     emission vector cannot change any later decision.
     """
-    if dt <= 0:
-        raise ArgumentError("dt must be positive")
-    lpf = np.asarray(log_probs_f, dtype=float)
-    lpr = np.asarray(log_probs_r, dtype=float)
-    if lpf.shape != (graph.ladder.n_frame_rates,):
-        raise ArgumentError("frame-rate emission has wrong length")
-    if lpr.shape != (graph.ladder.n_heights,):
-        raise ArgumentError("resolution emission has wrong length")
-    for name, lp in (("frame-rate", lpf), ("resolution", lpr)):
-        if not np.isfinite(lp.max()):
-            raise ArgumentError(f"{name} emission needs a finite maximum")
-    weight = dt / graph.decision_period_s
-    floor_log = np.log(graph.emission_floor)
-    score_f = _chain_step(state.score_f, graph._log_fw, lpf, weight, floor_log)
-    score_r = _chain_step(state.score_r, graph._log_rw, lpr, weight, floor_log)
-    return ControllerState(score_f, score_r, state.current_mode,
-                           state.time_since_decision + dt)
+    return _step_window_log(
+        graph, state,
+        _one_row(log_probs_f, graph.ladder.n_frame_rates, "frame-rate"),
+        _one_row(log_probs_r, graph.ladder.n_heights, "resolution"), dt)
 
 
 def step(graph: TransitionGraph, state: ControllerState,
          probs_f, probs_r, dt: float) -> ControllerState:
     """Advance both chains one frame using normalized class probabilities."""
-    probs_f = np.asarray(probs_f, dtype=float)
-    probs_r = np.asarray(probs_r, dtype=float)
-    for name, p in (("frame-rate", probs_f), ("resolution", probs_r)):
-        if np.any(p < 0):
-            raise ArgumentError(f"{name} probabilities must be >= 0")
-        if abs(float(p.sum()) - 1.0) > 1e-3:
-            raise ArgumentError(f"{name} distribution sums to {p.sum():.6f}, "
-                                "expected 1 within 1e-3")
-    with np.errstate(divide="ignore"):
-        return step_log(graph, state, np.log(probs_f), np.log(probs_r), dt)
+    return step_window(
+        graph, state,
+        _one_row(probs_f, graph.ladder.n_frame_rates, "frame-rate"),
+        _one_row(probs_r, graph.ladder.n_heights, "resolution"), dt)
 
 
 def _argmax_class(scores: np.ndarray, current: int) -> int:

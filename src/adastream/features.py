@@ -30,6 +30,9 @@ FEATURE_SCHEMA_VERSION = 1
 FEATURE_NAMES = ("mean_luma", "rms_contrast", "gradient_energy",
                  "high_freq_ratio", "edge_density", "norm_velocity",
                  "norm_bandwidth")
+# Features held to [0, 1]; the other two only need to be >= 0.
+UNIT_INTERVAL_FEATURES = ("mean_luma", "high_freq_ratio", "edge_density",
+                          "norm_velocity", "norm_bandwidth")
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,7 @@ class FeatureVector:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ArgumentError(f"{name} must be finite, got {v}")
-        for name in ("mean_luma", "high_freq_ratio", "edge_density",
-                     "norm_velocity", "norm_bandwidth"):
+        for name in UNIT_INTERVAL_FEATURES:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ArgumentError(f"{name} must be in [0, 1], got {v}")

@@ -36,8 +36,14 @@ class MotionSample:
 
 def ndc_to_deg_per_sec(sample: MotionSample) -> float:
     """Small-angle conversion of an NDC displacement rate to deg/s."""
-    return sample.mean_ndc_magnitude * (sample.fov_horizontal_deg / 2.0) \
-        / sample.frame_interval_s
+    return deg_per_sec(sample.mean_ndc_magnitude, sample.frame_interval_s,
+                       sample.fov_horizontal_deg)
+
+
+def deg_per_sec(mean_ndc_magnitude, frame_interval_s, fov_horizontal_deg):
+    """The conversion of :func:`ndc_to_deg_per_sec` on unvalidated values;
+    elementwise on arrays of magnitudes."""
+    return mean_ndc_magnitude * (fov_horizontal_deg / 2.0) / frame_interval_s
 
 
 def normalize_velocity(velocity_degps: float) -> float:
@@ -58,24 +64,28 @@ class VelocityEstimator:
         if window_s <= 0:
             raise ArgumentError("window must be positive")
         self.window_s = window_s
-        self._samples: deque[tuple[float, float]] = deque()
+        self._times: deque[float] = deque()
+        self._values: deque[float] = deque()
 
     def update(self, velocity_degps: float, timestamp_s: float) -> float:
         """Add a sample and return the current windowed mean."""
         if velocity_degps < 0:
             raise ArgumentError("velocity must be >= 0")
-        if self._samples and timestamp_s < self._samples[-1][0]:
+        times, values = self._times, self._values
+        if times and timestamp_s < times[-1]:
             raise ArgumentError(
                 f"timestamps must be nondecreasing, got {timestamp_s} after "
-                f"{self._samples[-1][0]}")
+                f"{times[-1]}")
         cutoff = timestamp_s - self.window_s
-        while self._samples and self._samples[0][0] < cutoff:
-            self._samples.popleft()
-        self._samples.append((timestamp_s, velocity_degps))
+        while times and times[0] < cutoff:
+            times.popleft()
+            values.popleft()
+        times.append(timestamp_s)
+        values.append(velocity_degps)
         return self.current_estimate
 
     @property
     def current_estimate(self) -> float:
-        if not self._samples:
+        if not self._values:
             return 0.0
-        return sum(v for _, v in self._samples) / len(self._samples)
+        return sum(self._values) / len(self._values)

@@ -8,6 +8,15 @@ at a GOP boundary, so it always coincides with one. Frame-rate changes take
 effect at decision boundaries without forcing an I-frame. No network
 transport is modeled; bandwidth acts purely as an encoder constraint.
 
+The engine works one window at a time. A window is one GOP and one decision
+period, and the mode is fixed over it, so every per-frame input of the
+window is known when it starts: the frame times, the reference record each
+frame samples, its motion in deg/s, its content row and the bandwidth in
+force. Only the 500 ms velocity average runs frame by frame. The policy
+then sees the whole window as one ``(n, 7)`` feature matrix, one row per
+frame in ``FEATURE_NAMES`` order, through ``on_window(x, dt)``, and picks
+the next window's mode in ``decide_mode``.
+
 The per-GOP bit budget is exact in deterministic mode: the I-frame receives
 a fixed multiple of the P-frame budget and the integer rounding residue goes
 to the last P-frame, so each GOP sums to target_bitrate * gop_length to the
@@ -23,16 +32,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import TransitionGraph, decide, initial_state, step
+from .controller import (DECISION_PERIOD_S, TransitionGraph, decide,
+                         initial_state, step_window)
 from .errors import ArgumentError, ConfigError, SchemaError
-from .features import FeatureVector, PATCH_SIZE, extract_features, normalize_bandwidth
+from .features import (FEATURE_NAMES, PATCH_SIZE, UNIT_INTERVAL_FEATURES,
+                       extract_features, normalize_bandwidth)
 from .labeler import DEFAULT_MARGIN_JOD, select_efficient
 from .ladder import DEFAULT_LADDER, Ladder, VideoMode, pixels_per_second
-from .motion import MotionSample, VelocityEstimator, ndc_to_deg_per_sec, normalize_velocity
-from .predictor import PredictorModel, forward
+from .motion import VelocityEstimator, deg_per_sec, normalize_velocity
+# ``forward`` is no longer called here; it stays importable from this module
+# because the benchmark tracer patches it at this call site.
+from .predictor import PredictorModel, forward, forward_batch  # noqa: F401
 from .quality import QualityGrid, SyntheticQualityParams, synthetic_quality
 
-GOP_LENGTH_S = 2.0
+# A window is one GOP and one controller decision.
+GOP_LENGTH_S = DECISION_PERIOD_S
 IFRAME_BIT_MULTIPLIER = 4
 BASELINE_BITRATE_THRESHOLD_BPS = 5_000_000.0
 MIN_REFERENCE_RATE_HZ = 120.0
@@ -57,19 +71,26 @@ class SyntheticQualitySource:
 
 class GridQualitySource:
     """Quality oracle that looks up the nearest ingested grid by bitrate and
-    velocity."""
+    velocity.
+
+    Nearest means the smallest relative bitrate distance, then among the
+    grids at that distance the smallest velocity distance, then the first
+    in list order.
+    """
 
     def __init__(self, grids):
         self.grids = list(grids)
         if not self.grids:
             raise ArgumentError("GridQualitySource needs at least one grid")
+        self._bitrates = np.array([g.bitrate_bps for g in self.grids], dtype=float)
+        self._velocities = np.array([g.velocity_degps for g in self.grids],
+                                    dtype=float)
 
     def __call__(self, mode: VideoMode, bitrate_bps: float, velocity_degps: float) -> float:
-        def distance(g: QualityGrid):
-            return (abs(g.bitrate_bps - bitrate_bps) / bitrate_bps,
-                    abs(g.velocity_degps - velocity_degps))
-        grid = min(self.grids, key=distance)
-        return grid.quality(mode)
+        bitrate_gap = np.abs(self._bitrates - bitrate_bps) / bitrate_bps
+        nearest = np.flatnonzero(bitrate_gap == bitrate_gap.min())
+        velocity_gap = np.abs(self._velocities[nearest] - velocity_degps)
+        return self.grids[int(nearest[np.argmin(velocity_gap)])].quality(mode)
 
 
 # ---------------------------------------------------------------------------
@@ -89,26 +110,31 @@ class Scenario:
     content_features: np.ndarray  # (n, 5) in CONTENT_FEATURE_KEYS order
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ArgumentError("duration must be positive")
+        if not math.isfinite(self.duration_s) or self.duration_s <= 0:
+            raise ArgumentError("duration must be positive and finite")
         if not 0 < self.fov_horizontal_deg < 180:
             raise ArgumentError("fov_horizontal_deg must be in (0, 180)")
-        if self.reference_rate_hz < MIN_REFERENCE_RATE_HZ:
+        if not MIN_REFERENCE_RATE_HZ <= self.reference_rate_hz < math.inf:
             raise ArgumentError(
-                f"reference rate must be >= {MIN_REFERENCE_RATE_HZ} Hz")
+                f"reference rate must be finite and >= {MIN_REFERENCE_RATE_HZ} Hz")
         ts = np.asarray(self.timestamps, dtype=float)
         if ts.ndim != 1 or ts.size == 0:
             raise ArgumentError("scenario needs at least one frame record")
         if ts[0] != 0.0:
             raise ArgumentError("frame records must start at t=0")
+        if not np.all(np.isfinite(ts)):
+            raise ArgumentError("frame timestamps must be finite")
         if np.any(np.diff(ts) <= 0):
             raise ArgumentError("frame timestamps must be strictly increasing")
         mags = np.asarray(self.ndc_magnitudes, dtype=float)
         feats = np.asarray(self.content_features, dtype=float)
         if mags.shape != ts.shape or feats.shape != (ts.size, 5):
             raise ArgumentError("frame arrays have inconsistent shapes")
+        if not np.all(np.isfinite(mags)):
+            raise ArgumentError("ndc magnitudes must be finite")
         if mags.min() < 0:
             raise ArgumentError("ndc magnitudes must be >= 0")
+        _check_content(feats)
         if not self.bitrate_schedule:
             raise ConfigError("bitrate schedule is empty")
         times = [t for t, _ in self.bitrate_schedule]
@@ -116,31 +142,42 @@ class Scenario:
             raise ConfigError("bitrate schedule has a gap: it must start at t=0")
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
             raise ConfigError("bitrate schedule times must be nondecreasing")
-        if any(b <= 0 for _, b in self.bitrate_schedule):
-            raise ConfigError("bitrate schedule rates must be positive")
+        if not all(0 < b < math.inf for _, b in self.bitrate_schedule):
+            raise ConfigError("bitrate schedule rates must be positive and finite")
         for arr in (ts, mags, feats):
             arr.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "ndc_magnitudes", mags)
         object.__setattr__(self, "content_features", feats)
+        object.__setattr__(self, "_schedule_starts", np.array(times, dtype=float))
 
-    def sample_index(self, t: float) -> int:
-        """Index of the latest reference record at or before time t."""
-        i = int(np.searchsorted(self.timestamps, t, side="right")) - 1
-        return max(i, 0)
+    def sample_index(self, t):
+        """Index of the latest reference record at or before time t;
+        elementwise on an array of times."""
+        return np.maximum(np.searchsorted(self.timestamps, t, side="right") - 1, 0)
+
+    def schedule_index(self, t):
+        """Index of the bitrate-schedule entry in force at time t (the last
+        one starting at or before it); elementwise on an array of times."""
+        return np.maximum(np.searchsorted(self._schedule_starts, t, side="right") - 1, 0)
 
     def bitrate_at(self, t: float) -> float:
-        rate = self.bitrate_schedule[0][1]
-        for start, bps in self.bitrate_schedule:
-            if start <= t:
-                rate = bps
-            else:
-                break
-        return rate
+        return self.bitrate_schedule[int(self.schedule_index(t))][1]
 
-    def content_at(self, t: float) -> FeatureVector:
-        row = self.content_features[self.sample_index(t)]
-        return FeatureVector(*[float(v) for v in row])
+
+def _check_content(feats: np.ndarray) -> None:
+    """Every content row must hold valid FeatureVector values, sampled or
+    not: the engine feeds the rows to the predictor unvalidated."""
+    for j, name in enumerate(CONTENT_FEATURE_KEYS):
+        column = feats[:, j]
+        if not np.all(np.isfinite(column)):
+            raise ArgumentError(f"{name} must be finite in every frame record")
+        high = 1.0 if name in UNIT_INTERVAL_FEATURES else math.inf
+        bad = (column < 0.0) | (column > high)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ArgumentError(f"{name} must be in [0, {high}], got "
+                                f"{column[i]} in frame record {i}")
 
 
 def scenario_to_json(scenario: Scenario, path) -> None:
@@ -164,15 +201,27 @@ def scenario_to_json(scenario: Scenario, path) -> None:
         fh.write("\n")
 
 
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}: expected a number, got {value!r}") from None
+
+
 def _frame_features(frame: dict, where: str) -> list[float]:
     if "features" in frame:
         feats = frame["features"]
+        if not isinstance(feats, dict):
+            raise SchemaError(f"{where}: frame features must be an object")
         missing = [k for k in CONTENT_FEATURE_KEYS if k not in feats]
         if missing:
             raise SchemaError(f"{where}: frame features missing {missing[0]!r}")
-        return [float(feats[k]) for k in CONTENT_FEATURE_KEYS]
+        return [_number(feats[k], f"{where}: {k}") for k in CONTENT_FEATURE_KEYS]
     if "patch_b64" in frame:
-        raw = base64.b64decode(frame["patch_b64"])
+        try:
+            raw = base64.b64decode(frame["patch_b64"])
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}: patch_b64 is not base64: {exc}") from None
         if len(raw) != PATCH_SIZE * PATCH_SIZE:
             raise SchemaError(f"{where}: patch must be {PATCH_SIZE}x{PATCH_SIZE} "
                               f"grayscale bytes, got {len(raw)}")
@@ -189,29 +238,42 @@ def scenario_from_json(path) -> Scenario:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid scenario JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: scenario root must be an object")
     for key in ("duration_s", "fov_horizontal_deg", "reference_rate_hz",
                 "bitrate_schedule", "frames"):
         if key not in payload:
             raise SchemaError(f"{path}: missing scenario field {key!r}")
     frames = payload["frames"]
-    if not frames:
+    if not isinstance(frames, list) or not frames:
         raise SchemaError(f"{path}: scenario has no frames")
     ts, mags, feats = [], [], []
     for i, frame in enumerate(frames):
         where = f"{path}: frame {i}"
+        if not isinstance(frame, dict):
+            raise SchemaError(f"{where}: frame must be an object")
         for key in ("timestamp", "mean_ndc_magnitude"):
             if key not in frame:
                 raise SchemaError(f"{where}: missing {key!r}")
-        ts.append(float(frame["timestamp"]))
-        mags.append(float(frame["mean_ndc_magnitude"]))
+        ts.append(_number(frame["timestamp"], f"{where}: timestamp"))
+        mags.append(_number(frame["mean_ndc_magnitude"],
+                            f"{where}: mean_ndc_magnitude"))
         feats.append(_frame_features(frame, where))
+    schedule = payload["bitrate_schedule"]
+    if not isinstance(schedule, list) or not all(
+            isinstance(entry, list) and len(entry) == 2 for entry in schedule):
+        raise SchemaError(f"{path}: bitrate_schedule must be a list of "
+                          "[start_s, bps] pairs")
     try:
         return Scenario(
-            duration_s=float(payload["duration_s"]),
-            fov_horizontal_deg=float(payload["fov_horizontal_deg"]),
-            reference_rate_hz=float(payload["reference_rate_hz"]),
-            bitrate_schedule=tuple((float(t), float(b))
-                                   for t, b in payload["bitrate_schedule"]),
+            duration_s=_number(payload["duration_s"], f"{path}: duration_s"),
+            fov_horizontal_deg=_number(payload["fov_horizontal_deg"],
+                                       f"{path}: fov_horizontal_deg"),
+            reference_rate_hz=_number(payload["reference_rate_hz"],
+                                      f"{path}: reference_rate_hz"),
+            bitrate_schedule=tuple(
+                (_number(t, f"{path}: bitrate_schedule"),
+                 _number(b, f"{path}: bitrate_schedule")) for t, b in schedule),
             timestamps=np.array(ts),
             ndc_magnitudes=np.array(mags),
             content_features=np.array(feats),
@@ -229,14 +291,6 @@ class EncoderState:
     current_mode: VideoMode
     target_bitrate_bps: float
     gop_length_s: float = GOP_LENGTH_S
-    gop_position_s: float = 0.0
-    pending_iframe: bool = False
-
-    def request_mode(self, mode: VideoMode) -> None:
-        """Queue a mode change; a resolution change forces an I-frame."""
-        if mode.height != self.current_mode.height:
-            self.pending_iframe = True
-        self.current_mode = mode
 
 
 def allocate_bits(encoder: EncoderState, frames_in_gop: int,
@@ -281,9 +335,9 @@ class PredictorControllerPolicy:
     def begin(self, mode: VideoMode) -> None:
         self.state = initial_state(self.graph, mode)
 
-    def on_frame(self, features: FeatureVector, dt: float) -> None:
-        probs_f, probs_r = forward(self.model, features)
-        self.state = step(self.graph, self.state, probs_f, probs_r, dt)
+    def on_window(self, x: np.ndarray, dt: float) -> None:
+        probs_f, probs_r = forward_batch(self.model, x)
+        self.state = step_window(self.graph, self.state, probs_f, probs_r, dt)
 
     def decide_mode(self, bitrate_bps: float, velocity_degps: float) -> VideoMode:
         mode, self.state = decide(self.graph, self.state)
@@ -307,7 +361,7 @@ class OracleQualityPolicy:
     def begin(self, mode: VideoMode) -> None:
         pass
 
-    def on_frame(self, features: FeatureVector, dt: float) -> None:
+    def on_window(self, x: np.ndarray, dt: float) -> None:
         pass
 
     def decide_mode(self, bitrate_bps: float, velocity_degps: float) -> VideoMode:
@@ -327,7 +381,7 @@ class FixedBaselinePolicy:
     def begin(self, mode: VideoMode) -> None:
         pass
 
-    def on_frame(self, features: FeatureVector, dt: float) -> None:
+    def on_window(self, x: np.ndarray, dt: float) -> None:
         pass
 
     def decide_mode(self, bitrate_bps: float, velocity_degps: float) -> VideoMode:
@@ -405,7 +459,12 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
     ladder.require_mode(initial_mode)
 
     rng = np.random.default_rng(seed) if jitter_pct > 0 else None
-    ref_interval = 1.0 / scenario.reference_rate_hz
+    # Motion of every reference record, each over one reference tick.
+    record_degps = deg_per_sec(scenario.ndc_magnitudes,
+                               1.0 / scenario.reference_rate_hz,
+                               scenario.fov_horizontal_deg)
+    schedule_bandwidth = np.array([normalize_bandwidth(bps) for _, bps
+                                   in scenario.bitrate_schedule])
     estimator = VelocityEstimator()
     encoder = EncoderState(initial_mode, scenario.bitrate_at(0.0),
                            gop_length_s=gop_length_s)
@@ -419,13 +478,14 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
     switch_f = 0
     switch_r = 0
     mode = initial_mode
+    velocity_col = FEATURE_NAMES.index("norm_velocity")
+    bandwidth_col = FEATURE_NAMES.index("norm_bandwidth")
 
     for w in range(n_windows):
         window_start = w * gop_length_s
         # The bit budget latches the schedule at the GOP boundary; mid-GOP
         # schedule changes take effect at the next GOP.
         encoder.target_bitrate_bps = scenario.bitrate_at(window_start)
-        encoder.gop_position_s = 0.0
         frames_in_gop = round(mode.frame_rate_hz * gop_length_s)
         budget = allocate_bits(encoder, frames_in_gop, iframe_multiplier)
         if rng is not None:
@@ -433,30 +493,28 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
                                 1.0 + jitter_pct / 100.0, frames_in_gop)
             budget = np.maximum(1, np.rint(budget * scale)).astype(np.int64)
         target_bits += round(encoder.target_bitrate_bps * gop_length_s)
-        encoder.pending_iframe = False
 
+        times = window_start + np.arange(frames_in_gop) / mode.frame_rate_hz
+        records = scenario.sample_index(times)
+        x = np.empty((frames_in_gop, len(FEATURE_NAMES)))
+        x[:, :len(CONTENT_FEATURE_KEYS)] = scenario.content_features[records]
+        x[:, bandwidth_col] = schedule_bandwidth[scenario.schedule_index(times)]
+        frame_times = times.tolist()
         window_quality = 0.0
-        velocity = estimator.current_estimate
-        for i in range(frames_in_gop):
-            t = window_start + i / mode.frame_rate_hz
-            rec = scenario.sample_index(t)
-            sample = MotionSample(float(scenario.ndc_magnitudes[rec]),
-                                  ref_interval, scenario.fov_horizontal_deg)
-            velocity = estimator.update(ndc_to_deg_per_sec(sample), t)
-            content = FeatureVector(*[float(v) for v in scenario.content_features[rec]])
-            fv = content.with_context(normalize_velocity(velocity),
-                                      normalize_bandwidth(scenario.bitrate_at(t)))
-            policy.on_frame(fv, 1.0 / mode.frame_rate_hz)
+        for i, (t, degps) in enumerate(zip(frame_times,
+                                           record_degps[records].tolist())):
+            velocity = estimator.update(degps, t)
+            x[i, velocity_col] = normalize_velocity(velocity)
             window_quality += quality_source(mode, encoder.target_bitrate_bps,
                                              velocity)
-            frames.append(FrameRecord(t, mode.frame_rate_hz, mode.height,
-                                      int(budget[i]), i == 0, w))
-            total_bits += int(budget[i])
-            total_pixels += mode.width * mode.height
-            encoder.gop_position_s = (i + 1) / mode.frame_rate_hz
-            if encoder.gop_position_s >= gop_length_s:
-                encoder.gop_position_s = 0.0
+        policy.on_window(x, 1.0 / mode.frame_rate_hz)
 
+        frames.extend(FrameRecord(t, mode.frame_rate_hz, mode.height, bits,
+                                  i == 0, w)
+                      for i, (t, bits) in enumerate(zip(frame_times,
+                                                        budget.tolist())))
+        total_bits += int(budget.sum())
+        total_pixels += frames_in_gop * mode.width * mode.height
         windows.append(WindowRecord(w, window_start, mode.frame_rate_hz,
                                     mode.height, window_quality / frames_in_gop,
                                     pixels_per_second(mode)))
@@ -470,8 +528,7 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
             switch_f += 1
         if new_mode.height != mode.height:
             switch_r += 1
-        encoder.request_mode(new_mode)  # resolution changes mark pending_iframe
-        mode = new_mode
+        encoder.current_mode = mode = new_mode
 
     duration = n_windows * gop_length_s
     achieved = total_bits / duration
@@ -486,7 +543,17 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
 
 def run_session(scenario: Scenario, model: PredictorModel, graph: TransitionGraph,
                 quality_source, **kwargs) -> SessionTrace:
-    """Simulate a session driven by the trained predictor and the controller."""
+    """Simulate a session driven by the trained predictor and the controller.
+
+    The controller decides once per window, so its decision period must be
+    the GOP length.
+    """
+    gop_length_s = kwargs.get("gop_length_s", GOP_LENGTH_S)
+    if graph.decision_period_s != gop_length_s:
+        raise ArgumentError(
+            f"controller decision period {graph.decision_period_s} s differs "
+            f"from the {gop_length_s} s GOP length; a window is one GOP and "
+            "one decision")
     return _run_with_policy(scenario, PredictorControllerPolicy(model, graph),
                             quality_source, ladder=graph.ladder, **kwargs)
 

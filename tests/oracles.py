@@ -1,10 +1,28 @@
-"""Independent brute-force selection oracle used to cross-check the library.
+"""Independent slow paths used to cross-check the library.
 
-Deliberately written as plain loops with explicit tie-break chains, sharing
-no code with the library's vectorized selection path.
+The brute-force selection oracle is deliberately written as plain loops with
+explicit tie-break chains, sharing no code with the library's vectorized
+selection path. The session and grid-lookup oracles keep the frame-at-a-time
+engine and the linear nearest-grid scan that the library's window engine
+and precomputed lookup replaced.
 """
 
-from adastream.ladder import DEFAULT_LADDER
+import math
+
+import numpy as np
+
+from adastream.controller import step
+from adastream.errors import ArgumentError
+from adastream.features import FeatureVector, normalize_bandwidth
+from adastream.ladder import DEFAULT_LADDER, pixels_per_second
+from adastream.motion import (MotionSample, VelocityEstimator,
+                              ndc_to_deg_per_sec, normalize_velocity)
+from adastream.predictor import forward
+from adastream.simulator import (GOP_LENGTH_S, IFRAME_BIT_MULTIPLIER,
+                                 EncoderState, FrameRecord,
+                                 PredictorControllerPolicy, SessionSummary,
+                                 SessionTrace, WindowRecord, allocate_bits,
+                                 baseline_mode)
 
 
 def _cost(f, h):
@@ -37,3 +55,116 @@ def brute_force_efficient(grid, margin):
             if best is None or key < best[0]:
                 best = (key, f, h, q)
     return best[1], best[2], best[3], q_star
+
+
+# ---------------------------------------------------------------------------
+# Session engine and grid lookup oracles
+
+
+def nearest_grid_scan(grids, bitrate_bps, velocity_degps):
+    """Linear scan: smallest relative bitrate distance, then smallest
+    velocity distance, then first in list order."""
+    def distance(g):
+        return (abs(g.bitrate_bps - bitrate_bps) / bitrate_bps,
+                abs(g.velocity_degps - velocity_degps))
+    return min(grids, key=distance)
+
+
+def _on_frame(policy, features, dt):
+    """One frame of a policy, as the per-frame engine drove it: the
+    predictor policy runs one forward pass and one controller step."""
+    if isinstance(policy, PredictorControllerPolicy):
+        probs_f, probs_r = forward(policy.model, features)
+        policy.state = step(policy.graph, policy.state, probs_f, probs_r, dt)
+
+
+def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
+                      gop_length_s=GOP_LENGTH_S,
+                      iframe_multiplier=IFRAME_BIT_MULTIPLIER,
+                      jitter_pct=0.0, seed=0, ladder=DEFAULT_LADDER):
+    """The frame-at-a-time session engine that the window engine replaced.
+
+    Every frame samples its record, builds a validated MotionSample and
+    FeatureVector, runs the policy and accounts its quality and bits. Its
+    frames, windows and summary must equal the window engine's.
+    """
+    n_windows = int(math.floor(scenario.duration_s / gop_length_s + 1e-9))
+    if n_windows < 1:
+        raise ArgumentError(
+            f"scenario of {scenario.duration_s} s is shorter than one "
+            f"{gop_length_s} s GOP")
+
+    if initial_mode is None:
+        initial_mode = baseline_mode(scenario.bitrate_at(0.0))
+    ladder.require_mode(initial_mode)
+
+    rng = np.random.default_rng(seed) if jitter_pct > 0 else None
+    ref_interval = 1.0 / scenario.reference_rate_hz
+    estimator = VelocityEstimator()
+    encoder = EncoderState(initial_mode, scenario.bitrate_at(0.0),
+                           gop_length_s=gop_length_s)
+    policy.begin(initial_mode)
+
+    frames = []
+    windows = []
+    total_bits = 0
+    target_bits = 0
+    total_pixels = 0
+    switch_f = 0
+    switch_r = 0
+    mode = initial_mode
+
+    for w in range(n_windows):
+        window_start = w * gop_length_s
+        encoder.target_bitrate_bps = scenario.bitrate_at(window_start)
+        frames_in_gop = round(mode.frame_rate_hz * gop_length_s)
+        budget = allocate_bits(encoder, frames_in_gop, iframe_multiplier)
+        if rng is not None:
+            scale = rng.uniform(1.0 - jitter_pct / 100.0,
+                                1.0 + jitter_pct / 100.0, frames_in_gop)
+            budget = np.maximum(1, np.rint(budget * scale)).astype(np.int64)
+        target_bits += round(encoder.target_bitrate_bps * gop_length_s)
+
+        window_quality = 0.0
+        velocity = estimator.current_estimate
+        for i in range(frames_in_gop):
+            t = window_start + i / mode.frame_rate_hz
+            rec = int(scenario.sample_index(t))
+            sample = MotionSample(float(scenario.ndc_magnitudes[rec]),
+                                  ref_interval, scenario.fov_horizontal_deg)
+            velocity = estimator.update(ndc_to_deg_per_sec(sample), t)
+            content = FeatureVector(*[float(v) for v in scenario.content_features[rec]])
+            fv = content.with_context(normalize_velocity(velocity),
+                                      normalize_bandwidth(scenario.bitrate_at(t)))
+            _on_frame(policy, fv, 1.0 / mode.frame_rate_hz)
+            window_quality += quality_source(mode, encoder.target_bitrate_bps,
+                                             velocity)
+            frames.append(FrameRecord(t, mode.frame_rate_hz, mode.height,
+                                      int(budget[i]), i == 0, w))
+            total_bits += int(budget[i])
+            total_pixels += mode.width * mode.height
+
+        windows.append(WindowRecord(w, window_start, mode.frame_rate_hz,
+                                    mode.height, window_quality / frames_in_gop,
+                                    pixels_per_second(mode)))
+
+        if w + 1 == n_windows:
+            break
+        boundary = (w + 1) * gop_length_s
+        new_mode = policy.decide_mode(scenario.bitrate_at(boundary), velocity)
+        ladder.require_mode(new_mode)
+        if new_mode.frame_rate_hz != mode.frame_rate_hz:
+            switch_f += 1
+        if new_mode.height != mode.height:
+            switch_r += 1
+        mode = new_mode
+
+    duration = n_windows * gop_length_s
+    achieved = total_bits / duration
+    target_avg = target_bits / duration
+    error_pct = abs(achieved - target_avg) / target_avg * 100.0
+    mean_quality = float(np.mean([win.mean_quality_jod for win in windows]))
+    summary = SessionSummary(duration, n_windows, achieved, target_avg,
+                             error_pct, total_pixels, mean_quality,
+                             switch_f, switch_r)
+    return SessionTrace(tuple(frames), tuple(windows), summary)

@@ -164,3 +164,29 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "gen-synthetic" in result.stdout
+
+
+@pytest.mark.parametrize("period", [1.0, 3.0])
+def test_decision_period_unlike_gop_is_config_error(tmp_path, period):
+    # at 3.0 the run used to die mid-session; at 1.0 it silently ignored it
+    out = gen(tmp_path, count=4)
+    model_dir = tmp_path / "model"
+    assert run(["train", "--data", out / "training.csv", "--out", model_dir,
+                "--epochs", 1]) == EXIT_OK
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"viterbi": {"decision_period_s": period}}))
+    assert run(["simulate", "--scenario", out / "scenario_000.json",
+                "--model", model_dir / "model.json", "--out", tmp_path / "sim",
+                "--config", cfg]) == EXIT_SCHEMA
+    assert not (tmp_path / "sim" / "summary.json").exists()
+
+
+def test_non_numeric_scenario_value_is_schema_error(tmp_path, capsys):
+    out = gen(tmp_path, count=2)
+    scenario = out / "scenario_000.json"
+    payload = json.loads(scenario.read_text())
+    payload["frames"][5]["timestamp"] = "abc"
+    scenario.write_text(json.dumps(payload))
+    assert run(["compare", "--scenario", scenario,
+                "--out", tmp_path / "cmp"]) == EXIT_SCHEMA
+    assert "frame 5: timestamp" in capsys.readouterr().err

@@ -46,12 +46,20 @@ def test_viterbi_override(tmp_path):
         "viterbi": {
             "frame_rate_weights": weights.tolist(),
             "resolution_weights": res.tolist(),
-            "decision_period_s": 1.0,
+            "decision_period_s": 2.0,
         }
     })
     cfg = load_config(path)
-    assert cfg.graph.decision_period_s == 1.0
+    assert cfg.graph.decision_period_s == 2.0
     assert cfg.graph.frame_rate_weights[0, 1] == 0.4
+
+
+@pytest.mark.parametrize("period", [1.0, 3.0])
+def test_decision_period_must_equal_gop_length(tmp_path, period):
+    # a window is one GOP and one decision, so the two lengths are one setting
+    path = write_config(tmp_path, {"viterbi": {"decision_period_s": period}})
+    with pytest.raises(ConfigError, match="2.0 s GOP"):
+        load_config(path)
 
 
 def test_bad_viterbi_rejected(tmp_path):

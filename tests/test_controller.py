@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adastream.controller import (ControllerState, TransitionGraph, decide,
+from adastream.controller import (ControllerState, TransitionGraph,
+                                  _step_window_log, decide,
                                   default_transition_graph, initial_state,
-                                  step, step_log)
+                                  step, step_log, step_window)
 from adastream.errors import ArgumentError, ContractError
 from adastream.ladder import DEFAULT_LADDER, VideoMode
 
@@ -225,3 +227,82 @@ def test_decision_period_override():
     mode, state = decide(g, state)
     assert mode == VideoMode(60, 720)
     assert state.time_since_decision == 0.0
+
+
+# ---------------------------------------------------------------------------
+# window kernel
+
+
+def _sparse_dirichlet(rng, n_rows, n_classes):
+    """Rows on the simplex, some with hard zeros so the emission floor bites."""
+    p = rng.dirichlet(np.full(n_classes, 0.3), n_rows)
+    p[rng.random(p.shape) < 0.2] = 0.0
+    p[p.sum(axis=1) == 0, 0] = 1.0
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def assert_same_state(a, b):
+    assert np.array_equal(a.score_f, b.score_f)
+    assert np.array_equal(a.score_r, b.score_r)
+    assert a.current_mode == b.current_mode
+    assert a.time_since_decision == b.time_since_decision
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 130),
+       rate=st.sampled_from(DEFAULT_LADDER.frame_rates_hz),
+       start=st.sampled_from(DEFAULT_LADDER.modes()),
+       elapsed=st.sampled_from([0.0, 0.3, 1.9999]))
+def test_step_window_equals_sequential_steps(seed, n_rows, rate, start, elapsed):
+    g = graph()
+    rng = np.random.default_rng(seed)
+    pf = _sparse_dirichlet(rng, n_rows, 10)
+    pr = _sparse_dirichlet(rng, n_rows, 5)
+    dt = 1.0 / rate
+    state = initial_state(g, start)
+    state = ControllerState(state.score_f, state.score_r, start, elapsed)
+    sequential = state
+    for f_row, r_row in zip(pf, pr):
+        sequential = step(g, sequential, f_row, r_row, dt)
+    assert_same_state(step_window(g, state, pf, pr, dt), sequential)
+    with np.errstate(divide="ignore"):
+        logs = _step_window_log(g, state, np.log(pf) + 2.5, np.log(pr) - 1.0, dt)
+    sequential = state
+    with np.errstate(divide="ignore"):
+        for f_row, r_row in zip(np.log(pf) + 2.5, np.log(pr) - 1.0):
+            sequential = step_log(g, sequential, f_row, r_row, dt)
+    assert_same_state(logs, sequential)
+
+
+@pytest.mark.parametrize("bad_row", [
+    ("f", np.r_[-0.1, 1.1, np.zeros(8)], "must be >= 0"),
+    ("f", np.full(10, 0.1002), "sums to"),
+    ("r", np.full(5, 0.1), "sums to"),
+    ("r", np.r_[np.nan, np.full(4, 0.25)], "finite maximum"),
+])
+def test_step_window_rejects_what_step_rejects(bad_row):
+    g = graph()
+    state = initial_state(g, VideoMode(60, 720))
+    chain, row, message = bad_row
+    pf = np.tile(UNIFORM_F, (6, 1))
+    pr = np.tile(UNIFORM_R, (6, 1))
+    (pf if chain == "f" else pr)[4] = row
+    with pytest.raises(ArgumentError, match=message):
+        step_window(g, state, pf, pr, 0.1)
+    with pytest.raises(ArgumentError, match=message):
+        step(g, state, pf[4], pr[4], 0.1)
+
+
+def test_step_window_rejects_bad_shapes_and_dt():
+    g = graph()
+    state = initial_state(g, VideoMode(60, 720))
+    pf = np.tile(UNIFORM_F, (3, 1))
+    pr = np.tile(UNIFORM_R, (3, 1))
+    with pytest.raises(ArgumentError, match="dt"):
+        step_window(g, state, pf, pr, 0.0)
+    with pytest.raises(ArgumentError, match="frame count"):
+        step_window(g, state, pf, pr[:2], 0.1)
+    with pytest.raises(ArgumentError, match="wrong length"):
+        step_window(g, state, np.full((3, 9), 1 / 9), pr, 0.1)
+    with pytest.raises(ArgumentError, match="wrong length"):
+        step(g, state, UNIFORM_F, pr, 0.1)

@@ -1,22 +1,27 @@
 import base64
+import functools
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from adastream import labeler, synth
 from adastream.controller import default_transition_graph
 from adastream.errors import ArgumentError, ConfigError, SchemaError
 from adastream.ladder import DEFAULT_LADDER, VideoMode, objective_cost
 from adastream.predictor import TrainConfig, train
-from adastream.quality import SyntheticQualityParams, make_synthetic_grid
+from adastream.quality import (QualityGrid, SyntheticQualityParams,
+                               make_synthetic_grid)
 from adastream.simulator import (EncoderState, FixedBaselinePolicy,
                                  GridQualitySource, OracleQualityPolicy,
+                                 PredictorControllerPolicy, Scenario,
                                  SyntheticQualitySource, _run_with_policy,
                                  allocate_bits, baseline_mode,
                                  compare_baselines, run_session,
                                  scenario_from_json, scenario_to_json)
 from adastream.synth import make_scenario
+from oracles import nearest_grid_scan, per_frame_session
 from test_predictor import _separable_examples
 
 SOURCE = SyntheticQualitySource()
@@ -65,12 +70,18 @@ def test_allocation_validation():
         allocate_bits(starved, 120)
 
 
-def test_resolution_change_marks_pending_iframe():
-    enc = EncoderState(VideoMode(60, 720), 2e6)
-    enc.request_mode(VideoMode(90, 720))
-    assert not enc.pending_iframe
-    enc.request_mode(VideoMode(90, 864))
-    assert enc.pending_iframe
+def test_resolution_changes_land_on_gop_opening_iframes():
+    scenario = make_scenario(
+        duration_s=16.0, seed=4,
+        velocity_degps=lambda t: 5.0 if t < 6.0 else 70.0,
+        bitrate_schedule=((0.0, 6e6), (5.3, 2e6), (11.1, 4e6)))
+    trace = oracle_session(scenario)
+    changes = [(prev, fr) for prev, fr in zip(trace.frames, trace.frames[1:])
+               if fr.height != prev.height]
+    assert changes, "the scenario must exercise a resolution change"
+    for prev, fr in changes:
+        assert fr.is_iframe
+        assert fr.gop_index == prev.gop_index + 1  # first frame of its GOP
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +139,69 @@ def test_scenario_json_patch_frames(tmp_path, rng):
     sc = scenario_from_json(path)
     assert sc.content_features.shape == (241, 5)
     assert np.all(sc.content_features[:, 0] == sc.content_features[0, 0])
+
+
+def _scenario_arrays(**overrides):
+    base = make_scenario(duration_s=2.0, seed=1)
+    fields = dict(duration_s=2.0, fov_horizontal_deg=90.0,
+                  reference_rate_hz=120.0, bitrate_schedule=((0.0, 3e6),),
+                  timestamps=base.timestamps,
+                  ndc_magnitudes=base.ndc_magnitudes.copy(),
+                  content_features=base.content_features.copy())
+    fields.update(overrides)
+    return fields
+
+
+@pytest.mark.parametrize("column, value", [
+    (0, np.nan), (1, np.inf), (0, 1.5), (3, -0.01), (4, 1.01), (1, -0.2),
+    (2, -1.0)])
+def test_scenario_rejects_bad_content_in_any_record(column, value):
+    # a 60 Hz session samples every other 120 Hz record and never record 1,
+    # so only the check at construction can see it
+    fields = _scenario_arrays()
+    fields["content_features"][1, column] = value
+    with pytest.raises(ArgumentError, match="frame record|finite"):
+        Scenario(**fields)
+
+
+def test_scenario_rejects_non_finite_values():
+    fields = _scenario_arrays()
+    fields["ndc_magnitudes"][1] = np.nan
+    with pytest.raises(ArgumentError, match="finite"):
+        Scenario(**fields)
+    with pytest.raises(ConfigError, match="finite"):
+        Scenario(**_scenario_arrays(bitrate_schedule=((0.0, 3e6), (1.0, np.inf))))
+    with pytest.raises(ConfigError):
+        Scenario(**_scenario_arrays(bitrate_schedule=((0.0, np.nan),)))
+    with pytest.raises(ArgumentError):
+        Scenario(**_scenario_arrays(duration_s=np.nan))
+    with pytest.raises(ArgumentError):
+        Scenario(**_scenario_arrays(reference_rate_hz=np.inf))
+    ts = _scenario_arrays()["timestamps"].copy()
+    ts[5] = np.nan
+    with pytest.raises(ArgumentError, match="finite"):
+        Scenario(**_scenario_arrays(timestamps=ts))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda p: p["frames"][3].__setitem__("timestamp", "abc"),
+    lambda p: p["frames"][0].__setitem__("mean_ndc_magnitude", None),
+    lambda p: p["frames"][2]["features"].__setitem__("edge_density", [0.1]),
+    lambda p: p.__setitem__("duration_s", "long"),
+    lambda p: p.__setitem__("bitrate_schedule", [[0.0, "fast"]]),
+    lambda p: p.__setitem__("bitrate_schedule", [[0.0]]),
+    lambda p: p.__setitem__("bitrate_schedule", 3e6),
+    lambda p: p.__setitem__("frames", [1, 2]),
+    lambda p: p["frames"][1].__setitem__("features", "flat"),
+])
+def test_scenario_json_non_numeric_is_schema_error(tmp_path, mutate):
+    path = tmp_path / "scenario.json"
+    scenario_to_json(make_scenario(duration_s=2.0), path)
+    payload = json.loads(path.read_text())
+    mutate(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError):
+        scenario_from_json(path)
 
 
 def test_scenario_json_schema_errors(tmp_path):
@@ -272,6 +346,19 @@ def test_fixed_policy_raster_rate_is_constant():
     assert len({w.pixels_per_second for w in trace.windows}) == 1
 
 
+def test_run_session_rejects_period_unlike_gop(rng):
+    model = train(_separable_examples(rng, n=20),
+                  TrainConfig(epochs=1, batch_size=16, seed=0))
+    scenario = session_fixture(duration_s=6.0)
+    for period in (1.0, 3.0):
+        graph = default_transition_graph(decision_period_s=period)
+        with pytest.raises(ArgumentError, match="GOP"):
+            run_session(scenario, model, graph, SOURCE)
+    graph = default_transition_graph(decision_period_s=3.0)
+    trace = run_session(scenario, model, graph, SOURCE, gop_length_s=3.0)
+    assert trace.summary.n_windows == 2
+
+
 def test_grid_quality_source():
     grids = [make_synthetic_grid(b, v, SyntheticQualityParams(),
                                  clip_id=f"g{b}{v}")
@@ -282,3 +369,122 @@ def test_grid_quality_source():
     assert source(mode, 4e6, 39.0) == grids[3].quality(mode)
     with pytest.raises(ArgumentError):
         GridQualitySource([])
+
+
+# The lookup's tie rules: bitrates and velocities are drawn from small
+# lattices, so equal relative distances (b - x and b + x), equal velocity
+# distances and duplicate (bitrate, velocity) pairs come up often.
+_GRID_POINTS = st.tuples(st.sampled_from([1e6, 2e6, 3e6, 4e6, 5e6]),
+                         st.sampled_from([0.0, 10.0, 20.0, 30.0, 40.0]))
+
+
+@functools.lru_cache(maxsize=None)
+def _surface_grid(bitrate, velocity, index):
+    return make_synthetic_grid(bitrate, velocity, clip_id=f"g{index}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=st.lists(_GRID_POINTS, min_size=1, max_size=12),
+       bitrate=st.sampled_from([1e6, 2e6, 2.5e6, 3e6, 3.5e6, 6e6]),
+       velocity=st.sampled_from([0.0, 5.0, 15.0, 20.0, 25.0, 50.0]))
+def test_grid_lookup_matches_linear_scan(points, bitrate, velocity):
+    grids = [_surface_grid(b, v, i) for i, (b, v) in enumerate(points)]
+    source = GridQualitySource(grids)
+    expected = nearest_grid_scan(grids, bitrate, velocity)
+    nearest = source.grids.index(expected)
+    for mode in (VideoMode(30, 360), VideoMode(90, 864)):
+        assert source(mode, bitrate, velocity) == expected.quality(mode)
+    # the same grid, not only an equal value: mark it and look again
+    marked = list(grids)
+    marked[nearest] = QualityGrid("marked", expected.velocity_degps,
+                                  expected.bitrate_bps,
+                                  np.full_like(expected.q, 0.5))
+    assert GridQualitySource(marked)(VideoMode(60, 720), bitrate, velocity) == 0.5
+
+
+# ---------------------------------------------------------------------------
+# window engine against the per-frame engine
+
+
+@functools.lru_cache(maxsize=None)
+def _trained_model():
+    clips = synth.sample_clips(40, 3)
+    grids = synth.grids_for_clips(clips)
+    examples = synth.training_examples(clips, labeler.label_grids(grids), 3)
+    return train(examples, TrainConfig(epochs=15, seed=3))
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_source():
+    clips = synth.sample_clips(12, 5)
+    return GridQualitySource(synth.grids_for_clips(clips))
+
+
+def _velocity_profile(kind, level, period):
+    if kind == "constant":
+        return level
+    if kind == "sweep":
+        return lambda t: level * (1.0 - abs(2.0 * ((t / period) % 1.0) - 1.0))
+    return lambda t: level if int(t / period) % 2 else 0.0  # steps
+
+
+@st.composite
+def _sessions(draw):
+    duration = draw(st.sampled_from([2.0, 3.9, 4.0, 6.5, 8.0]))
+    n_changes = draw(st.integers(0, 3))
+    change_times = sorted(draw(st.lists(
+        st.floats(0.01, duration, allow_nan=False), min_size=n_changes,
+        max_size=n_changes)))
+    rates = draw(st.lists(st.sampled_from([1e6, 2e6, 3.3e6, 4.5e6, 6e6, 8e6]),
+                          min_size=n_changes + 1, max_size=n_changes + 1))
+    schedule = tuple(zip([0.0, *change_times], rates))
+    scenario = make_scenario(
+        duration_s=duration,
+        velocity_degps=_velocity_profile(
+            draw(st.sampled_from(["constant", "sweep", "steps"])),
+            draw(st.floats(0.0, 90.0)), draw(st.floats(0.3, 5.0))),
+        content_detail=draw(st.floats(0.0, 1.0)),
+        reference_rate_hz=draw(st.sampled_from([120.0, 144.0, 240.0])),
+        bitrate_schedule=schedule, seed=draw(st.integers(0, 1000)))
+    jitter = draw(st.sampled_from([0.0, 0.0, 7.5]))
+    return scenario, jitter, draw(st.integers(0, 2**16))
+
+
+def _policy(kind, source):
+    if kind == "predictor":
+        return PredictorControllerPolicy(_trained_model(), default_transition_graph())
+    if kind == "oracle":
+        return OracleQualityPolicy(source)
+    if kind == "resolution_oracle":
+        return OracleQualityPolicy(source, frame_rates=(60,))
+    return FixedBaselinePolicy()
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(session=_sessions(),
+       policy=st.sampled_from(["predictor", "oracle", "resolution_oracle", "fixed"]),
+       source_kind=st.sampled_from(["synthetic", "grid"]))
+def test_window_engine_equals_per_frame_engine(session, policy, source_kind):
+    scenario, jitter, seed = session
+    source = SOURCE if source_kind == "synthetic" else _grid_source()
+    kwargs = dict(jitter_pct=jitter, seed=seed)
+    fast = _run_with_policy(scenario, _policy(policy, source), source, **kwargs)
+    slow = per_frame_session(scenario, _policy(policy, source), source, **kwargs)
+    assert fast.frames == slow.frames
+    assert fast.windows == slow.windows
+    assert fast.summary == slow.summary
+
+
+def test_window_engine_equals_per_frame_engine_on_acceptance_scenarios():
+    model = _trained_model()
+    graph = default_transition_graph()
+    for velocity in (0.0, 25.0, 45.0, 65.0, 80.0):
+        for schedule in (((0.0, 3e6),), ((0.0, 4e6), (4.0, 2e6))):
+            scenario = make_scenario(duration_s=8.0, velocity_degps=velocity,
+                                     bitrate_schedule=schedule, seed=7)
+            fast = run_session(scenario, model, graph, SOURCE)
+            slow = per_frame_session(scenario,
+                                     PredictorControllerPolicy(model, graph),
+                                     SOURCE)
+            assert fast == slow
