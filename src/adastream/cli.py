@@ -89,7 +89,7 @@ def cmd_label(args) -> int:
     return EXIT_OK
 
 
-def _evaluation_payload(model, examples, ladder) -> dict:
+def _evaluation_payload(model, examples) -> dict:
     x = np.stack([ex.features.as_array() for ex in examples])
     truth_f = [ex.target_f for ex in examples]
     truth_r = [ex.target_r for ex in examples]
@@ -152,30 +152,25 @@ def cmd_train(args) -> int:
     model = predictor.train(training, config, cfg.ladder, loss_history=history)
     predictor.save_model(model, out / "model.json")
 
-    payload = {"train": _evaluation_payload(model, training, cfg.ladder)[0],
+    payload = {"train": _evaluation_payload(model, training)[0],
                "final_epoch_loss": history[-1] if history else None,
                "epochs": args.epochs, "seed": args.seed}
     if holdout:
-        payload["holdout"] = _evaluation_payload(model, holdout, cfg.ladder)[0]
-    for section in ("train", "holdout"):
-        if section in payload and isinstance(payload[section], dict):
-            payload[section].pop("confusion", None)
+        payload["holdout"] = _evaluation_payload(model, holdout)[0]
     _write_json(payload, out / "metrics.json")
     print(f"train: {len(training)} rows ({len(holdout)} held out) -> {out}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config)
+    load_config(args.config)  # a bad config fails every subcommand alike
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = predictor.load_model(args.model)
     examples = predictor.read_training_csv(args.data)
     if not examples:
         raise ArgumentError(f"{args.data}: no rows to evaluate")
-    payload, pred_f, pred_r, truth_f, truth_r = _evaluation_payload(
-        model, examples, cfg.ladder)
-    payload.pop("confusion", None)
+    payload, pred_f, pred_r, truth_f, truth_r = _evaluation_payload(model, examples)
     _write_json(payload, out / "metrics.json")
     conf_f = metrics.confusion_matrix(pred_f, truth_f, model.ladder.frame_rates_hz)
     conf_r = metrics.confusion_matrix(pred_r, truth_r, model.ladder.heights)

@@ -57,6 +57,20 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown key {sorted(unknown)[0]!r}")
 
 
+def _section(raw: dict, name: str, path) -> dict:
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: {name} must be an object")
+    return section
+
+
+def _number(section: dict, key: str, default, where: str) -> float:
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    return value
+
+
 def load_config(path=None) -> Config:
     if path is None:
         return DEFAULT_CONFIG
@@ -82,7 +96,7 @@ def load_config(path=None) -> Config:
     except (ArgumentError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad ladder: {exc}") from None
 
-    viterbi = raw.get("viterbi", {})
+    viterbi = _section(raw, "viterbi", path)
     _reject_unknown(viterbi, ("frame_rate_weights", "resolution_weights",
                               "decision_period_s", "emission_floor"),
                     f"{path}: viterbi")
@@ -98,11 +112,15 @@ def load_config(path=None) -> Config:
             f"{GOP_LENGTH_S}")
     default_graph = default_transition_graph(ladder, period)
     try:
+        f_weights, r_weights = (
+            np.array(viterbi.get(key, getattr(default_graph, key)), dtype=float)
+            for key in ("frame_rate_weights", "resolution_weights"))
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric matrices
+        raise ConfigError(f"{path}: bad viterbi section: {exc}") from None
+    try:
         graph = TransitionGraph(
-            frame_rate_weights=np.array(viterbi.get(
-                "frame_rate_weights", default_graph.frame_rate_weights), dtype=float),
-            resolution_weights=np.array(viterbi.get(
-                "resolution_weights", default_graph.resolution_weights), dtype=float),
+            frame_rate_weights=f_weights,
+            resolution_weights=r_weights,
             decision_period_s=period,
             ladder=ladder,
             emission_floor=floor,
@@ -110,7 +128,7 @@ def load_config(path=None) -> Config:
     except ArgumentError as exc:
         raise ConfigError(f"{path}: bad viterbi section: {exc}") from None
 
-    synthetic = raw.get("synthetic", {})
+    synthetic = _section(raw, "synthetic", path)
     param_names = [f.name for f in fields(SyntheticQualityParams)]
     _reject_unknown(synthetic, param_names, f"{path}: synthetic")
     try:
@@ -118,11 +136,15 @@ def load_config(path=None) -> Config:
     except (ArgumentError, TypeError) as exc:
         raise ConfigError(f"{path}: bad synthetic section: {exc}") from None
 
-    simulator = raw.get("simulator", {})
-    _reject_unknown(simulator, ("iframe_bit_multiplier", "jitter_pct"),
-                    f"{path}: simulator")
-    multiplier = int(simulator.get("iframe_bit_multiplier", IFRAME_BIT_MULTIPLIER))
-    jitter = float(simulator.get("jitter_pct", 0.0))
+    simulator = _section(raw, "simulator", path)
+    where = f"{path}: simulator"
+    _reject_unknown(simulator, ("iframe_bit_multiplier", "jitter_pct"), where)
+    multiplier = _number(simulator, "iframe_bit_multiplier", IFRAME_BIT_MULTIPLIER, where)
+    jitter = float(_number(simulator, "jitter_pct", 0.0, where))
+    if not float(multiplier).is_integer():
+        raise ConfigError(f"{where}.iframe_bit_multiplier must be an integer, "
+                          f"got {multiplier!r}")
+    multiplier = int(multiplier)
     if multiplier < 1:
         raise ConfigError(f"{path}: iframe_bit_multiplier must be >= 1")
     if not 0.0 <= jitter < 100.0:

@@ -6,23 +6,24 @@ the objective f * r^2. Default margin is 0.25 JOD, a drop validated as
 barely perceptible. Tie-breaking is deterministic so labels are reproducible:
 the max-quality pick prefers lower objective cost and then lower frame rate,
 the efficient pick prefers higher quality and then lower frame rate.
+
+Selection runs on a stack of grids at once, one array pass per margin;
+selecting from a single grid is the stack of one.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ArgumentError
-from .ladder import VideoMode, objective_cost, pixels_per_second
+from .ladder import Ladder, VideoMode, objective_cost, pixels_per_second
 from .quality import QualityGrid
 
 DEFAULT_MARGIN_JOD = 0.25
-
-THREADS_ENV_VAR = "ADASTREAM_THREADS"
 
 
 @dataclass(frozen=True)
@@ -51,30 +52,100 @@ class LabeledClip:
                         / pixels_per_second(self.best_mode))
 
 
-def _grid_tables(grid: QualityGrid, frame_rates=None):
-    """Flattened (quality, cost, f, h, pps) arrays, optionally restricted
-    to a subset of frame rates."""
-    ladder = grid.ladder
-    f_arr = np.repeat(ladder.frame_rates_hz, ladder.n_heights)
-    h_arr = np.tile(ladder.heights, ladder.n_frame_rates)
-    q_arr = grid.q.reshape(-1)
+class _Selection(NamedTuple):
+    """Per grid: the max-quality mode and its quality; per margin and grid:
+    the efficient mode, its quality and the percent pixels-per-second saving
+    over the max-quality mode."""
+
+    best_f: np.ndarray     # (N,)
+    best_h: np.ndarray
+    q_star: np.ndarray
+    eff_f: np.ndarray      # (K, N)
+    eff_h: np.ndarray
+    q_eff: np.ndarray
+    savings_pct: np.ndarray
+
+
+@functools.lru_cache(maxsize=32)
+def _cell_tables(ladder: Ladder, frame_rates: tuple | None):
+    """Flat cell indices of the selectable modes in ascending (cost, frame
+    rate) order, with their cost f * r^2, f, r and pixels per second.
+    Cached, so the arrays are read-only."""
+    f = np.repeat(np.array(ladder.frame_rates_hz, dtype=np.int64), ladder.n_heights)
+    h = np.tile(np.array(ladder.heights, dtype=np.int64), ladder.n_frame_rates)
+    w = np.tile(np.array(ladder.widths, dtype=np.int64), ladder.n_frame_rates)
+    cells = np.arange(f.size)
     if frame_rates is not None:
-        allowed = set(frame_rates)
-        unknown = allowed - set(ladder.frame_rates_hz)
+        unknown = set(frame_rates) - set(ladder.frame_rates_hz)
         if unknown:
             raise ArgumentError(f"frame rates {sorted(unknown)} not on the ladder")
-        keep = np.isin(f_arr, list(allowed))
-        f_arr, h_arr, q_arr = f_arr[keep], h_arr[keep], q_arr[keep]
-    cost = f_arr.astype(np.int64) * h_arr.astype(np.int64) ** 2
-    return q_arr, cost, f_arr, h_arr
+        cells = cells[np.isin(f, frame_rates)]
+    cost = f * h * h
+    cells = cells[np.lexsort((f[cells], cost[cells]))]
+    tables = (cells, cost[cells], f[cells], h[cells], (f * w * h)[cells])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _select_stack(q: np.ndarray, ladder: Ladder, margins, frame_rates) -> _Selection:
+    """Selection over ``q`` of shape (N, n_f * n_h), every grid on ``ladder``.
+
+    With the columns in ascending (cost, frame rate) order, the first
+    maximum of a row is the max-quality mode with ties to lower cost, then
+    lower frame rate. The first feasible column has the least cost; among
+    the feasible columns of that cost the first maximum is the efficient
+    mode with ties to higher quality, then lower frame rate.
+    """
+    cells, cost, f, h, pps = _cell_tables(
+        ladder, None if frame_rates is None else tuple(sorted(set(frame_rates))))
+    q = q[:, cells]
+    rows = np.arange(len(q))
+    best = q.argmax(axis=1)
+    q_star = q[rows, best]
+    eff = np.empty((len(margins), len(q)), dtype=np.int64)
+    for j, margin in enumerate(margins):
+        feasible = (q_star[:, None] - q) <= margin
+        cheapest = cost[feasible.argmax(axis=1)]
+        eff[j] = np.where(feasible & (cost == cheapest[:, None]), q, -np.inf).argmax(axis=1)
+    return _Selection(f[best], h[best], q_star, f[eff], h[eff], q[rows, eff],
+                      100.0 * (1.0 - pps[eff] / pps[best]))
+
+
+def _select(grids, margins, frame_rates=None) -> _Selection:
+    """Margin selection over a stack of grids: per ladder, one pass for the
+    maxima and one per margin for the efficient modes."""
+    if not all(m >= 0 for m in margins):
+        raise ArgumentError("margin must be >= 0")
+    by_ladder: dict[Ladder, list[int]] = {}
+    for i, grid in enumerate(grids):
+        by_ladder.setdefault(grid.ladder, []).append(i)
+    parts = [_select_stack(np.stack([grids[i].q for i in idx]).reshape(len(idx), -1),
+                           ladder, margins, frame_rates)
+             for ladder, idx in by_ladder.items()]
+    if len(parts) == 1:
+        return parts[0]
+    # Grids on several ladders: back into input order.
+    order = np.argsort(np.concatenate(list(by_ladder.values())))
+    return _Selection(*(np.concatenate(columns, axis=-1)[..., order]
+                        for columns in zip(*parts)))
+
+
+def _labels(grids, margin_jod: float, frame_rates=None) -> list[LabeledClip]:
+    if not grids:
+        return []
+    sel = _select(grids, (margin_jod,), frame_rates)
+    return [LabeledClip(g.clip_id, g.bitrate_bps, g.velocity_degps,
+                        VideoMode(bf, bh), VideoMode(ef, eh), qs, qe, margin_jod)
+            for g, bf, bh, qs, ef, eh, qe in zip(
+                grids, sel.best_f.tolist(), sel.best_h.tolist(), sel.q_star.tolist(),
+                sel.eff_f[0].tolist(), sel.eff_h[0].tolist(), sel.q_eff[0].tolist())]
 
 
 def select_max_quality(grid: QualityGrid, *, frame_rates=None) -> tuple[VideoMode, float]:
     """Mode maximizing quality; ties go to lower objective cost, then lower f."""
-    q, cost, f_arr, h_arr = _grid_tables(grid, frame_rates)
-    order = np.lexsort((f_arr, cost, -q))
-    i = order[0]
-    return VideoMode(int(f_arr[i]), int(h_arr[i])), float(q[i])
+    sel = _select([grid], (), frame_rates)
+    return VideoMode(int(sel.best_f[0]), int(sel.best_h[0])), float(sel.q_star[0])
 
 
 def select_efficient(grid: QualityGrid, margin_jod: float = DEFAULT_MARGIN_JOD,
@@ -84,46 +155,13 @@ def select_efficient(grid: QualityGrid, margin_jod: float = DEFAULT_MARGIN_JOD,
     Among feasible modes the objective f * r^2 is minimized; ties are broken
     by higher quality, then lower frame rate.
     """
-    if margin_jod < 0:
-        raise ArgumentError("margin must be >= 0")
-    best_mode, q_star = select_max_quality(grid, frame_rates=frame_rates)
-    q, cost, f_arr, h_arr = _grid_tables(grid, frame_rates)
-    feasible = (q_star - q) <= margin_jod
-    # The maximum itself is always feasible, so the set is nonempty.
-    order = np.lexsort((f_arr[feasible], -q[feasible], cost[feasible]))
-    i = order[0]
-    fe, he, qe = f_arr[feasible][i], h_arr[feasible][i], q[feasible][i]
-    return LabeledClip(
-        clip_id=grid.clip_id,
-        bitrate_bps=grid.bitrate_bps,
-        velocity_degps=grid.velocity_degps,
-        best_mode=best_mode,
-        efficient_mode=VideoMode(int(fe), int(he)),
-        q_star=q_star,
-        q_efficient=float(qe),
-        margin_jod=margin_jod,
-    )
-
-
-def worker_count(n_items: int) -> int:
-    """Parallelism degree, capped by the ADASTREAM_THREADS env var."""
-    cap = os.environ.get(THREADS_ENV_VAR)
-    try:
-        cap = max(1, int(cap)) if cap is not None else 1
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, n_items))
+    return _labels([grid], margin_jod, frame_rates)[0]
 
 
 def label_grids(grids, margin_jod: float = DEFAULT_MARGIN_JOD) -> list[LabeledClip]:
-    """Label every grid. Grids are independent, so this may run in parallel;
-    the result order always matches the input order."""
-    grids = list(grids)
-    workers = worker_count(len(grids))
-    if workers <= 1:
-        return [select_efficient(g, margin_jod) for g in grids]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda g: select_efficient(g, margin_jod), grids))
+    """Label every grid in one stacked pass; the result order matches the
+    input order."""
+    return _labels(list(grids), margin_jod)
 
 
 def savings_curve(grids, margins) -> dict[float, dict[float, float]]:
@@ -136,23 +174,18 @@ def savings_curve(grids, margins) -> dict[float, dict[float, float]]:
     if not grids:
         raise ArgumentError("savings_curve needs at least one grid")
     margins = [float(m) for m in margins]
-    if any(m < 0 for m in margins):
+    if not all(m >= 0 for m in margins):
         raise ArgumentError("margins must be >= 0")
     if margins != sorted(margins):
         raise ArgumentError("margins must be sorted ascending")
 
-    per_bitrate: dict[float, list[QualityGrid]] = {}
-    for g in grids:
-        per_bitrate.setdefault(float(g.bitrate_bps), []).append(g)
-
-    curve: dict[float, dict[float, float]] = {}
-    for bitrate in sorted(per_bitrate):
-        rows = {}
-        for m in margins:
-            vals = [select_efficient(g, m).savings_pct for g in per_bitrate[bitrate]]
-            rows[m] = float(np.mean(vals))
-        curve[bitrate] = rows
-    return curve
+    per_bitrate: dict[float, list[int]] = {}
+    for i, g in enumerate(grids):
+        per_bitrate.setdefault(float(g.bitrate_bps), []).append(i)
+    savings = _select(grids, margins).savings_pct
+    return {bitrate: {m: float(np.mean(savings[j, per_bitrate[bitrate]]))
+                      for j, m in enumerate(margins)}
+            for bitrate in sorted(per_bitrate)}
 
 
 def velocity_band_edges(velocities) -> tuple[float, float]:

@@ -256,25 +256,50 @@ def load_model(path, ladder: Ladder | None = None) -> PredictorModel:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid model JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: model root must be an object")
     for key in ("header", "weights", "biases"):
         if key not in payload:
             raise SchemaError(f"{path}: missing model field {key!r}")
     header = payload["header"]
+    if not isinstance(header, dict):
+        raise SchemaError(f"{path}: model header must be an object")
+    for key in ("layer_sizes", "frame_rates_hz", "resolution_lines"):
+        if key not in header:
+            raise SchemaError(f"{path}: missing header field {key!r}")
+    version = header.get("feature_schema_version", FEATURE_SCHEMA_VERSION)
+    if version != FEATURE_SCHEMA_VERSION:
+        raise SchemaError(f"{path}: feature_schema_version {version!r} is not "
+                          f"the supported version {FEATURE_SCHEMA_VERSION}")
+    try:
+        model_ladder = Ladder(frame_rates_hz=tuple(header["frame_rates_hz"]),
+                              heights=tuple(header["resolution_lines"]))
+        seed = int(header.get("seed", 0))
+        weights = [np.array(w, dtype=float) for w in payload["weights"]]
+        biases = [np.array(b, dtype=float) for b in payload["biases"]]
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: bad model: {exc}") from None
     if ladder is None:
-        ladder = Ladder(frame_rates_hz=tuple(header["frame_rates_hz"]),
-                        heights=tuple(header["resolution_lines"]))
-    elif (list(ladder.frame_rates_hz) != list(header["frame_rates_hz"])
-          or list(ladder.heights) != list(header["resolution_lines"])):
+        ladder = model_ladder
+    elif (ladder.frame_rates_hz, ladder.heights) != (model_ladder.frame_rates_hz,
+                                                     model_ladder.heights):
         raise SchemaError(f"{path}: model was trained on a different ladder")
-    weights = [np.array(w, dtype=float) for w in payload["weights"]]
-    biases = [np.array(b, dtype=float) for b in payload["biases"]]
+    if not weights or len(weights) != len(biases):
+        raise SchemaError(f"{path}: {len(weights)} weight matrices and "
+                          f"{len(biases)} bias vectors")
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if w.ndim != 2 or (i and w.shape[0] != weights[i - 1].shape[1]):
+            raise SchemaError(f"{path}: weight matrix {i} of shape {w.shape} "
+                              "does not chain onto the layer before it")
+        if b.shape != (w.shape[1],):
+            raise SchemaError(f"{path}: bias vector {i} has shape {b.shape}, "
+                              f"layer {i} fans out to {w.shape[1]}")
     sizes = [weights[0].shape[0]] + [w.shape[1] for w in weights]
     if sizes != header["layer_sizes"]:
         raise SchemaError(f"{path}: layer_sizes header {header['layer_sizes']} "
                           f"does not match weight shapes {sizes}")
     model = PredictorModel(weights, biases, ladder,
-                           seed=int(header.get("seed", 0)),
-                           feature_version=int(header.get("feature_schema_version", 1)))
+                           seed=seed, feature_version=FEATURE_SCHEMA_VERSION)
     model.validate()
     return model
 

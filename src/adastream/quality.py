@@ -13,13 +13,20 @@ Quality-grid CSV schema (header required, UTF-8, '.' decimal separator)::
     clip_id,velocity_degps,bitrate_bps,frame_rate_hz,resolution_lines,jod
 
 One row per grid cell, one complete group of rows per (clip_id, bitrate).
+
+Quality sources answer in whole surfaces: ``surface(ladder, bitrate_bps,
+velocities)`` returns an ``(n, n_f, n_h)`` array, the JOD of every ladder
+cell at each of ``n`` velocities. :func:`synthetic_surface` is the synthetic
+one; the simulator's grid-backed source stacks its grids and picks the
+nearest one per velocity.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,6 +60,11 @@ class SyntheticQualityParams:
     reference_rate_hz: int = 166   # temporal asymptote; fixed
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ArgumentError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("alpha_temporal", "alpha_spatial", "alpha_coding"):
             if getattr(self, name) < 0:
                 raise ArgumentError(f"{name} must be >= 0")
@@ -131,15 +143,48 @@ def synthetic_quality(mode: VideoMode, bitrate_bps: float, velocity_degps: float
                          velocity_degps, params)
 
 
+def synthetic_surface(ladder: Ladder, bitrate_bps: float, velocities,
+                      params: SyntheticQualityParams = SyntheticQualityParams()
+                      ) -> np.ndarray:
+    """Synthetic JOD of every ladder cell at each velocity: shape
+    ``(n, n_f, n_h)``, one ``(n_f, n_h)`` slice per velocity.
+
+    Equal bit for bit to :func:`quality_value` in every cell. The power and
+    log2 terms come from ``math`` once per height and once per cell, as
+    there; numpy only adds, subtracts, multiplies and clamps, which it
+    rounds as Python does.
+    """
+    v = np.asarray(velocities, dtype=float)
+    if v.ndim != 1:
+        raise ArgumentError("velocities must be a 1-D sequence")
+    if np.any(v < 0):
+        raise ArgumentError("velocity must be >= 0")
+    if bitrate_bps <= 0:
+        raise ArgumentError("bitrate must be positive")
+
+    detail = params.content_detail
+    interval_excess = np.array([1.0 / f - 1.0 / params.reference_rate_hz
+                                for f in ladder.frame_rates_hz])
+    loss_spatial = np.array([
+        params.alpha_spatial * detail * (1.0 - (h / 1080.0) ** params.spatial_exponent)
+        for h in ladder.heights])
+    loss_coding = np.array([[
+        params.alpha_coding * max(0.0, math.log2(
+            params.bpp_ref / (bitrate_bps / (f * w * h)))) * (0.5 + 0.5 * detail)
+        for h, w in zip(ladder.heights, ladder.widths)]
+        for f in ladder.frame_rates_hz])
+    loss_temporal = (params.alpha_temporal
+                     * np.minimum(v, VELOCITY_CAP_DEGPS))[:, None] * interval_excess
+    q = JOD_MAX - loss_temporal[:, :, None] - loss_spatial - loss_coding
+    return np.minimum(np.maximum(q, 0.0), JOD_MAX)
+
+
 def make_synthetic_grid(bitrate_bps: float, velocity_degps: float,
                         params: SyntheticQualityParams = SyntheticQualityParams(),
                         ladder: Ladder = DEFAULT_LADDER,
                         clip_id: str = "synthetic") -> QualityGrid:
     """Fill a complete quality grid from the synthetic surface."""
-    q = np.empty((ladder.n_frame_rates, ladder.n_heights), dtype=float)
-    for fi, f in enumerate(ladder.frame_rates_hz):
-        for hi, h in enumerate(ladder.heights):
-            q[fi, hi] = quality_value(f, h, bitrate_bps, velocity_degps, params)
+    q = synthetic_surface(ladder, bitrate_bps, [velocity_degps], params)[0]
     return QualityGrid(clip_id, velocity_degps, bitrate_bps, q, ladder)
 
 
@@ -176,6 +221,12 @@ def load_grids(path, ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
                 h = int(row[4])
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
+            if not (math.isfinite(velocity) and velocity >= 0.0):
+                raise SchemaError(f"{path}:{lineno}: velocity {row[1]!r} must be "
+                                  "finite and >= 0")
+            if not (math.isfinite(bitrate) and bitrate > 0.0):
+                raise SchemaError(f"{path}:{lineno}: bitrate {row[2]!r} must be "
+                                  "finite and > 0")
             try:
                 jod = float(row[5])
             except ValueError:

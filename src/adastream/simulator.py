@@ -17,6 +17,13 @@ then sees the whole window as one ``(n, 7)`` feature matrix, one row per
 frame in ``FEATURE_NAMES`` order, through ``on_window(x, dt)``, and picks
 the next window's mode in ``decide_mode``.
 
+A quality source answers in surfaces: ``surface(ladder, bitrate_bps,
+velocities)`` returns the ``(n, n_f, n_h)`` JOD of every ladder cell at each
+velocity. The engine makes one call per window with the window's frame
+velocities and averages the column of the window's mode, summed in frame
+order; an oracle policy makes one call per decision with the boundary
+velocity. ``source(mode, bitrate_bps, velocity_degps)`` gives one cell.
+
 The per-GOP bit budget is exact in deterministic mode: the I-frame receives
 a fixed multiple of the P-frame budget and the integer rounding residue goes
 to the last P-frame, so each GOP sums to target_bitrate * gop_length to the
@@ -43,7 +50,8 @@ from .motion import VelocityEstimator, deg_per_sec, normalize_velocity
 # ``forward`` is no longer called here; it stays importable from this module
 # because the benchmark tracer patches it at this call site.
 from .predictor import PredictorModel, forward, forward_batch  # noqa: F401
-from .quality import QualityGrid, SyntheticQualityParams, synthetic_quality
+from .quality import (QualityGrid, SyntheticQualityParams, synthetic_quality,
+                      synthetic_surface)
 
 # A window is one GOP and one controller decision.
 GOP_LENGTH_S = DECISION_PERIOD_S
@@ -68,6 +76,9 @@ class SyntheticQualitySource:
     def __call__(self, mode: VideoMode, bitrate_bps: float, velocity_degps: float) -> float:
         return synthetic_quality(mode, bitrate_bps, velocity_degps, self.params)
 
+    def surface(self, ladder: Ladder, bitrate_bps: float, velocities) -> np.ndarray:
+        return synthetic_surface(ladder, bitrate_bps, velocities, self.params)
+
 
 class GridQualitySource:
     """Quality oracle that looks up the nearest ingested grid by bitrate and
@@ -75,22 +86,39 @@ class GridQualitySource:
 
     Nearest means the smallest relative bitrate distance, then among the
     grids at that distance the smallest velocity distance, then the first
-    in list order.
+    in list order. The grids share one ladder and are stacked into one
+    ``(N, n_f, n_h)`` array, so a surface is one lookup for all velocities.
     """
 
     def __init__(self, grids):
         self.grids = list(grids)
         if not self.grids:
             raise ArgumentError("GridQualitySource needs at least one grid")
+        self.ladder = self.grids[0].ladder
+        if any(g.ladder != self.ladder for g in self.grids):
+            raise ArgumentError("GridQualitySource needs grids on one ladder")
+        self._q = np.stack([g.q for g in self.grids])
         self._bitrates = np.array([g.bitrate_bps for g in self.grids], dtype=float)
         self._velocities = np.array([g.velocity_degps for g in self.grids],
                                     dtype=float)
 
-    def __call__(self, mode: VideoMode, bitrate_bps: float, velocity_degps: float) -> float:
+    def _nearest(self, bitrate_bps: float, velocities) -> np.ndarray:
+        """Index of the nearest grid for each velocity."""
         bitrate_gap = np.abs(self._bitrates - bitrate_bps) / bitrate_bps
         nearest = np.flatnonzero(bitrate_gap == bitrate_gap.min())
-        velocity_gap = np.abs(self._velocities[nearest] - velocity_degps)
-        return self.grids[int(nearest[np.argmin(velocity_gap)])].quality(mode)
+        velocity_gap = np.abs(self._velocities[nearest]
+                              - np.asarray(velocities, dtype=float)[:, None])
+        return nearest[np.argmin(velocity_gap, axis=1)]
+
+    def __call__(self, mode: VideoMode, bitrate_bps: float, velocity_degps: float) -> float:
+        return self.grids[int(self._nearest(bitrate_bps, [velocity_degps])[0])].quality(mode)
+
+    def surface(self, ladder: Ladder, bitrate_bps: float, velocities) -> np.ndarray:
+        q = self._q[self._nearest(bitrate_bps, velocities)]
+        if ladder != self.ladder:
+            q = q[:, [self.ladder.frame_rate_index(f) for f in ladder.frame_rates_hz]]
+            q = q[:, :, [self.ladder.height_index(h) for h in ladder.heights]]
+        return q
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +393,7 @@ class OracleQualityPolicy:
         pass
 
     def decide_mode(self, bitrate_bps: float, velocity_degps: float) -> VideoMode:
-        q = np.empty((self.ladder.n_frame_rates, self.ladder.n_heights))
-        for fi, f in enumerate(self.ladder.frame_rates_hz):
-            for hi, h in enumerate(self.ladder.heights):
-                q[fi, hi] = self.quality_source(VideoMode(f, h), bitrate_bps,
-                                                velocity_degps)
+        q = self.quality_source.surface(self.ladder, bitrate_bps, [velocity_degps])[0]
         grid = QualityGrid("session", velocity_degps, bitrate_bps, q, self.ladder)
         label = select_efficient(grid, self.margin_jod, frame_rates=self.frame_rates)
         return label.efficient_mode
@@ -500,14 +524,20 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
         x[:, :len(CONTENT_FEATURE_KEYS)] = scenario.content_features[records]
         x[:, bandwidth_col] = schedule_bandwidth[scenario.schedule_index(times)]
         frame_times = times.tolist()
-        window_quality = 0.0
+        velocities = []
         for i, (t, degps) in enumerate(zip(frame_times,
                                            record_degps[records].tolist())):
             velocity = estimator.update(degps, t)
+            velocities.append(velocity)
             x[i, velocity_col] = normalize_velocity(velocity)
-            window_quality += quality_source(mode, encoder.target_bitrate_bps,
-                                             velocity)
         policy.on_window(x, 1.0 / mode.frame_rate_hz)
+        surface = quality_source.surface(ladder, encoder.target_bitrate_bps, velocities)
+        # Summed in frame order: np.sum's pairwise order would change the
+        # last bits of the window mean.
+        window_quality = 0.0
+        for q in surface[:, ladder.frame_rate_index(mode.frame_rate_hz),
+                         ladder.height_index(mode.height)].tolist():
+            window_quality += q
 
         frames.extend(FrameRecord(t, mode.frame_rate_hz, mode.height, bits,
                                   i == 0, w)

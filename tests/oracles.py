@@ -1,10 +1,11 @@
 """Independent slow paths used to cross-check the library.
 
 The brute-force selection oracle is deliberately written as plain loops with
-explicit tie-break chains, sharing no code with the library's vectorized
-selection path. The session and grid-lookup oracles keep the frame-at-a-time
-engine and the linear nearest-grid scan that the library's window engine
-and precomputed lookup replaced.
+explicit tie-break chains, sharing no code with the library's stacked
+selection kernel; the per-grid savings curve and the cell-loop oracle policy
+build on it. The session and grid-lookup oracles keep the frame-at-a-time
+engine, with one quality-source call per frame, and the linear nearest-grid
+scan that the library's window engine and stacked lookup replaced.
 """
 
 import math
@@ -14,47 +15,88 @@ import numpy as np
 from adastream.controller import step
 from adastream.errors import ArgumentError
 from adastream.features import FeatureVector, normalize_bandwidth
-from adastream.ladder import DEFAULT_LADDER, pixels_per_second
+from adastream.ladder import DEFAULT_LADDER, VideoMode, pixels_per_second
 from adastream.motion import (MotionSample, VelocityEstimator,
                               ndc_to_deg_per_sec, normalize_velocity)
 from adastream.predictor import forward
+from adastream.quality import QualityGrid
 from adastream.simulator import (GOP_LENGTH_S, IFRAME_BIT_MULTIPLIER,
                                  EncoderState, FrameRecord,
-                                 PredictorControllerPolicy, SessionSummary,
-                                 SessionTrace, WindowRecord, allocate_bits,
-                                 baseline_mode)
+                                 OracleQualityPolicy, PredictorControllerPolicy,
+                                 SessionSummary, SessionTrace, WindowRecord,
+                                 allocate_bits, baseline_mode)
 
 
 def _cost(f, h):
     return f * h * h
 
 
-def brute_force_max_quality(grid):
+def _cells(grid, frame_rates):
+    for fi, f in enumerate(grid.ladder.frame_rates_hz):
+        if frame_rates is not None and f not in frame_rates:
+            continue
+        for hi, h in enumerate(grid.ladder.heights):
+            yield f, h, float(grid.q[fi, hi])
+
+
+def brute_force_max_quality(grid, frame_rates=None):
     """Exhaustive scan: max quality, ties to lower cost, then lower frame rate."""
     best = None
-    for fi, f in enumerate(DEFAULT_LADDER.frame_rates_hz):
-        for hi, h in enumerate(DEFAULT_LADDER.heights):
-            q = float(grid.q[fi, hi])
-            key = (-q, _cost(f, h), f)
-            if best is None or key < best[0]:
-                best = (key, f, h, q)
+    for f, h, q in _cells(grid, frame_rates):
+        key = (-q, _cost(f, h), f)
+        if best is None or key < best[0]:
+            best = (key, f, h, q)
     return best[1], best[2], best[3]
 
 
-def brute_force_efficient(grid, margin):
+def brute_force_efficient(grid, margin, frame_rates=None):
     """Exhaustive scan: min cost within margin of the max, ties to higher
     quality, then lower frame rate."""
-    _, _, q_star = brute_force_max_quality(grid)
+    _, _, q_star = brute_force_max_quality(grid, frame_rates)
     best = None
-    for fi, f in enumerate(DEFAULT_LADDER.frame_rates_hz):
-        for hi, h in enumerate(DEFAULT_LADDER.heights):
-            q = float(grid.q[fi, hi])
-            if q_star - q > margin:
-                continue
-            key = (_cost(f, h), -q, f)
-            if best is None or key < best[0]:
-                best = (key, f, h, q)
+    for f, h, q in _cells(grid, frame_rates):
+        if q_star - q > margin:
+            continue
+        key = (_cost(f, h), -q, f)
+        if best is None or key < best[0]:
+            best = (key, f, h, q)
     return best[1], best[2], best[3], q_star
+
+
+def per_grid_savings_curve(grids, margins):
+    """The savings curve as the labeler computed it before the stacked
+    kernel, one grid and one margin at a time, with brute-force selection."""
+    per_bitrate = {}
+    for g in grids:
+        per_bitrate.setdefault(float(g.bitrate_bps), []).append(g)
+    curve = {}
+    for bitrate in sorted(per_bitrate):
+        rows = {}
+        for m in margins:
+            vals = []
+            for g in per_bitrate[bitrate]:
+                bf, bh, _ = brute_force_max_quality(g)
+                ef, eh, _, _ = brute_force_efficient(g, m)
+                vals.append(100.0 * (1.0 - pixels_per_second(VideoMode(ef, eh))
+                                     / pixels_per_second(VideoMode(bf, bh))))
+            rows[float(m)] = float(np.mean(vals))
+        curve[bitrate] = rows
+    return curve
+
+
+class CellLoopOraclePolicy(OracleQualityPolicy):
+    """The oracle policy as it decided before quality surfaces: one
+    quality-source call per ladder cell, then a brute-force selection."""
+
+    def decide_mode(self, bitrate_bps, velocity_degps):
+        q = np.empty((self.ladder.n_frame_rates, self.ladder.n_heights))
+        for fi, f in enumerate(self.ladder.frame_rates_hz):
+            for hi, h in enumerate(self.ladder.heights):
+                q[fi, hi] = self.quality_source(VideoMode(f, h), bitrate_bps,
+                                                velocity_degps)
+        grid = QualityGrid("session", velocity_degps, bitrate_bps, q, self.ladder)
+        f, h, _, _ = brute_force_efficient(grid, self.margin_jod, self.frame_rates)
+        return VideoMode(f, h)
 
 
 # ---------------------------------------------------------------------------

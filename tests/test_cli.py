@@ -190,3 +190,59 @@ def test_non_numeric_scenario_value_is_schema_error(tmp_path, capsys):
     assert run(["compare", "--scenario", scenario,
                 "--out", tmp_path / "cmp"]) == EXIT_SCHEMA
     assert "frame 5: timestamp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"simulator": {"iframe_bit_multiplier": "x"}},   # was a ValueError traceback
+    {"simulator": {"iframe_bit_multiplier": 2.7}},   # was truncated to 2
+    {"simulator": {"jitter_pct": None}},             # was a TypeError traceback
+    {"viterbi": {"frame_rate_weights": [[1, 2], [3]]}},  # ragged matrix
+    {"simulator": 5},
+    {"synthetic": {"spatial_exponent": "x"}},
+], ids=["multiplier_text", "multiplier_fraction", "jitter_null",
+        "ragged_weights", "section_not_object", "exponent_text"])
+def test_malformed_config_is_config_error(tmp_path, capsys, config):
+    out = gen(tmp_path, count=2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["label", "--grids", out / "grids.csv", "--out", tmp_path / "x",
+                "--config", cfg]) == EXIT_SCHEMA
+    assert "cfg.json" in capsys.readouterr().err
+
+
+def _corrupt_model(tmp_path, mutate):
+    out = gen(tmp_path, count=4)
+    model_dir = tmp_path / "model"
+    assert run(["train", "--data", out / "training.csv", "--out", model_dir,
+                "--epochs", 1]) == EXIT_OK
+    model = model_dir / "model.json"
+    payload = json.loads(model.read_text())
+    mutate(payload)
+    model.write_text(json.dumps(payload))
+    return run(["evaluate", "--model", model, "--data", out / "training.csv",
+                "--out", tmp_path / "eval"])
+
+
+def test_short_bias_vector_is_schema_error(tmp_path, capsys):
+    # used to load, then fail in evaluate with a numpy broadcast error
+    assert _corrupt_model(tmp_path, lambda p: p["biases"][0].pop()) == EXIT_SCHEMA
+    assert "bias vector 0" in capsys.readouterr().err
+
+
+def test_unknown_feature_schema_version_is_schema_error(tmp_path, capsys):
+    def mutate(payload):
+        payload["header"]["feature_schema_version"] = 99
+    assert _corrupt_model(tmp_path, mutate) == EXIT_SCHEMA
+    assert "feature_schema_version 99" in capsys.readouterr().err
+
+
+def test_nan_grid_velocity_is_schema_error_with_line(tmp_path, capsys):
+    out = gen(tmp_path, count=2)
+    lines = (out / "grids.csv").read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[1] = "nan"
+    lines[3] = ",".join(fields)
+    (out / "grids.csv").write_text("\n".join(lines) + "\n")
+    assert run(["label", "--grids", out / "grids.csv",
+                "--out", tmp_path / "x"]) == EXIT_SCHEMA
+    assert "grids.csv:4: velocity 'nan'" in capsys.readouterr().err

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from adastream import synth
 from adastream.errors import ArgumentError
 from adastream.labeler import (DEFAULT_MARGIN_JOD, label_grids, savings_curve,
                                select_efficient, select_max_quality,
                                selection_distribution, velocity_band,
                                velocity_band_edges)
-from adastream.ladder import DEFAULT_LADDER, VideoMode, objective_cost, pixels_per_second
+from adastream.ladder import (DEFAULT_LADDER, Ladder, VideoMode, objective_cost,
+                              pixels_per_second)
 from adastream.quality import QualityGrid, SyntheticQualityParams, make_synthetic_grid
 from conftest import random_grid
-from oracles import brute_force_efficient, brute_force_max_quality
+from oracles import (brute_force_efficient, brute_force_max_quality,
+                     per_grid_savings_curve)
 
 
 def grid_from_cells(cells, fill=0.0, velocity=0.0, bitrate=2e6):
@@ -156,13 +160,80 @@ def test_higher_bitrate_shifts_selection_upward():
     assert cost_by_bitrate[4e6] > cost_by_bitrate[2e6]
 
 
-def test_label_grids_order_and_parallel(monkeypatch, rng):
+def test_label_grids_order_and_equivalence(rng):
     grids = [random_grid(rng, clip_id=f"g{i}") for i in range(12)]
-    sequential = label_grids(grids)
-    monkeypatch.setenv("ADASTREAM_THREADS", "4")
-    parallel = label_grids(grids)
-    assert sequential == parallel
-    assert [lab.clip_id for lab in sequential] == [g.clip_id for g in grids]
+    labels = label_grids(grids)
+    assert [lab.clip_id for lab in labels] == [g.clip_id for g in grids]
+    assert labels == [select_efficient(g) for g in grids]
+    assert label_grids([]) == []
+
+
+# Grid values from a small lattice so quality ties and margin edges come up
+# often; the second ladder keeps the default ladder's cost tie
+# 30 * 720^2 == 120 * 360^2.
+SMALL_LADDER = Ladder(frame_rates_hz=(30, 60, 120), heights=(360, 720, 1080))
+_JOD_LATTICE = st.sampled_from([0.0, 5.0, 7.0, 7.25, 7.5, 9.75, 10.0])
+
+
+@st.composite
+def _lattice_grid(draw, index):
+    ladder = draw(st.sampled_from([DEFAULT_LADDER, SMALL_LADDER]))
+    shape = (ladder.n_frame_rates, ladder.n_heights)
+    q = np.array(draw(st.lists(_JOD_LATTICE, min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]))).reshape(shape)
+    return QualityGrid(f"g{index}", draw(st.floats(0.0, 100.0)),
+                       draw(st.sampled_from([2e6, 3e6])), q, ladder)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids=st.integers(1, 8).flatmap(
+           lambda n: st.tuples(*(_lattice_grid(i) for i in range(n)))),
+       margins=st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.5, 2.25, 10.0]),
+                        min_size=1, max_size=4).map(sorted),
+       frame_rates=st.sampled_from([None, (60,), (30, 120)]))
+def test_stacked_selection_matches_brute_force(grids, margins, frame_rates):
+    grids = list(grids)
+    for m in margins:
+        for grid, label in zip(grids, label_grids(grids, m)):
+            f, h, q_eff, q_star = brute_force_efficient(grid, m)
+            bf, bh, _ = brute_force_max_quality(grid)
+            assert label.efficient_mode == VideoMode(f, h)
+            assert label.best_mode == VideoMode(bf, bh)
+            assert (label.q_efficient, label.q_star) == (q_eff, q_star)
+        for grid in grids:
+            label = select_efficient(grid, m, frame_rates=frame_rates)
+            f, h, q_eff, q_star = brute_force_efficient(grid, m, frame_rates)
+            assert label.efficient_mode == VideoMode(f, h)
+            assert (label.q_efficient, label.q_star) == (q_eff, q_star)
+            bf, bh, bq = brute_force_max_quality(grid, frame_rates)
+            assert select_max_quality(grid, frame_rates=frame_rates) == (
+                VideoMode(bf, bh), bq)
+    assert savings_curve(grids, margins) == per_grid_savings_curve(grids, margins)
+
+
+def test_cost_tie_goes_to_higher_quality_then_lower_frame_rate():
+    # 30 Hz at 720 lines costs exactly what 120 Hz at 360 lines costs, and
+    # both are the cheapest feasible modes
+    tied = {(30, 720): 8.0, (120, 360): 8.0, (120, 1080): 8.1}
+    label = select_efficient(grid_from_cells(tied), 0.25)
+    assert label.efficient_mode == VideoMode(30, 720)
+    tied[(120, 360)] = 8.05
+    label = select_efficient(grid_from_cells(tied), 0.25)
+    assert label.efficient_mode == VideoMode(120, 360)
+
+
+def test_savings_curve_matches_per_grid_oracle():
+    clips = synth.sample_clips(40, 11)
+    grids = synth.grids_for_clips(clips)
+    margins = [round(0.05 * i, 2) for i in range(11)]
+    assert savings_curve(grids, margins) == per_grid_savings_curve(grids, margins)
+
+
+def test_nan_margin_rejected(rng):
+    with pytest.raises(ArgumentError):
+        select_efficient(random_grid(rng), float("nan"))
+    with pytest.raises(ArgumentError):
+        savings_curve([random_grid(rng)], [float("nan")])
 
 
 def test_velocity_bands():

@@ -201,6 +201,36 @@ def test_model_file_validation(tmp_path):
         load_model(path)
 
 
+def _set(payload, keys, value):
+    *path, last = keys
+    for key in path:
+        payload = payload[key]
+    payload[last] = value
+
+
+@pytest.mark.parametrize("keys,value,message", [
+    (("biases", 1), [0.0] * 63, "bias vector 1"),
+    (("weights", 1), [[0.0] * 64] * 63, "weight matrix 1"),
+    (("weights", 0), [0.0] * 64, "weight matrix 0"),
+    (("weights", 2), [[0.0, 1.0], [2.0]], "bad model"),
+    (("biases",), [[0.0] * 64], "1 bias vectors"),
+    (("header",), [], "header must be an object"),
+    (("header", "feature_schema_version"), 2, "feature_schema_version 2"),
+    (("header", "seed"), "abc", "bad model"),
+    (("header", "frame_rates_hz"), [60, 30], "bad model"),
+])
+def test_corrupt_model_shapes_and_headers_rejected(tmp_path, keys, value, message):
+    import json
+
+    path = tmp_path / "model.json"
+    save_model(new_model(seed=0), path)
+    payload = json.loads(path.read_text())
+    _set(payload, keys, value)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError, match=message):
+        load_model(path)
+
+
 def test_model_ladder_mismatch_rejected(tmp_path):
     from adastream.ladder import Ladder
 

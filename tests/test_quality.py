@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adastream.errors import ArgumentError, SchemaError
-from adastream.ladder import DEFAULT_LADDER, VideoMode
+from adastream.ladder import DEFAULT_LADDER, Ladder, VideoMode
 from adastream.quality import (GRID_CSV_HEADER, QualityGrid,
                                SyntheticQualityParams, load_grids,
                                make_synthetic_grid, quality_value,
-                               synthetic_quality, write_grids_csv)
+                               synthetic_quality, synthetic_surface,
+                               write_grids_csv)
 
 # Hand-evaluated surface point, frozen from an independent step-by-step
 # calculation: temporal loss 40*(1/30 - 1/166) = 1.0923694779116466,
@@ -101,6 +103,45 @@ def test_quality_input_validation():
         synthetic_quality(VideoMode(60, 720), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("field", ["alpha_temporal", "spatial_exponent",
+                                   "content_detail", "bpp_ref"])
+@pytest.mark.parametrize("value", ["x", None, float("nan"), float("inf")])
+def test_params_must_be_finite_numbers(field, value):
+    with pytest.raises(ArgumentError, match=field):
+        SyntheticQualityParams(**{field: value})
+
+
+SMALL_LADDER = Ladder(frame_rates_hz=(24, 60, 144), heights=(240, 1080, 2160))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ladder=st.sampled_from([DEFAULT_LADDER, SMALL_LADDER]),
+       bitrate=st.floats(1e4, 1e8),
+       velocities=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=6),
+       alphas=st.tuples(*[st.floats(0.0, 4.0)] * 3),
+       bpp_ref=st.floats(1e-3, 0.5), exponent=st.floats(0.1, 2.0),
+       detail=st.floats(0.0, 1.0))
+def test_synthetic_surface_equals_quality_value_bit_for_bit(
+        ladder, bitrate, velocities, alphas, bpp_ref, exponent, detail):
+    params = SyntheticQualityParams(*alphas, bpp_ref=bpp_ref,
+                                    spatial_exponent=exponent, content_detail=detail)
+    expected = np.array([[[quality_value(f, h, bitrate, v, params)
+                           for h in ladder.heights]
+                          for f in ladder.frame_rates_hz] for v in velocities])
+    surface = synthetic_surface(ladder, bitrate, velocities, params)
+    assert surface.shape == (len(velocities), ladder.n_frame_rates, ladder.n_heights)
+    assert surface.tobytes() == expected.tobytes()
+
+
+def test_synthetic_surface_input_validation():
+    with pytest.raises(ArgumentError):
+        synthetic_surface(DEFAULT_LADDER, 4e6, [3.0, -1.0])
+    with pytest.raises(ArgumentError):
+        synthetic_surface(DEFAULT_LADDER, 0.0, [3.0])
+    with pytest.raises(ArgumentError):
+        synthetic_surface(DEFAULT_LADDER, 4e6, [[3.0]])
+
+
 def test_grid_invariants():
     bad = np.full((10, 5), 11.0)
     with pytest.raises(ArgumentError):
@@ -189,6 +230,19 @@ def test_duplicate_cell_rejected(tmp_path):
     path = tmp_path / "grids.csv"
     write_rows(path, rows)
     with pytest.raises(SchemaError, match="duplicate"):
+        load_grids(path)
+
+
+@pytest.mark.parametrize("column,value", [
+    (1, "nan"), (1, "-1.0"), (1, "inf"),
+    (2, "nan"), (2, "inf"), (2, "0"), (2, "-2e6")])
+def test_bad_velocity_or_bitrate_reports_line(tmp_path, column, value):
+    rows = full_group()
+    rows[2] = rows[2][:column] + (value,) + rows[2][column + 1:]
+    path = tmp_path / "grids.csv"
+    write_rows(path, rows)
+    name = "velocity" if column == 1 else "bitrate"
+    with pytest.raises(SchemaError, match=f"grids.csv:4: {name} '{value}'"):
         load_grids(path)
 
 

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from adastream import labeler, synth
 from adastream.controller import default_transition_graph
 from adastream.errors import ArgumentError, ConfigError, SchemaError
-from adastream.ladder import DEFAULT_LADDER, VideoMode, objective_cost
+from adastream.ladder import DEFAULT_LADDER, Ladder, VideoMode, objective_cost
 from adastream.predictor import TrainConfig, train
 from adastream.quality import (QualityGrid, SyntheticQualityParams,
                                make_synthetic_grid)
@@ -21,7 +21,7 @@ from adastream.simulator import (EncoderState, FixedBaselinePolicy,
                                  compare_baselines, run_session,
                                  scenario_from_json, scenario_to_json)
 from adastream.synth import make_scenario
-from oracles import nearest_grid_scan, per_frame_session
+from oracles import CellLoopOraclePolicy, nearest_grid_scan, per_frame_session
 from test_predictor import _separable_examples
 
 SOURCE = SyntheticQualitySource()
@@ -400,6 +400,37 @@ def test_grid_lookup_matches_linear_scan(points, bitrate, velocity):
                                   expected.bitrate_bps,
                                   np.full_like(expected.q, 0.5))
     assert GridQualitySource(marked)(VideoMode(60, 720), bitrate, velocity) == 0.5
+    # a surface resolves every velocity in one lookup, with the same rule
+    velocities = [0.0, 5.0, 15.0, 20.0, 25.0, 50.0, velocity]
+    surface = source.surface(DEFAULT_LADDER, bitrate, velocities)
+    assert surface.shape == (len(velocities), 10, 5)
+    for v, q in zip(velocities, surface):
+        assert np.array_equal(q, nearest_grid_scan(grids, bitrate, v).q)
+
+
+def test_grid_source_ladders():
+    sub = Ladder(frame_rates_hz=(30, 90), heights=(480, 1080))
+    grid = make_synthetic_grid(3e6, 10.0)
+    q = GridQualitySource([grid]).surface(sub, 3e6, [10.0])[0]
+    assert q.tolist() == [[grid.q[0, 1], grid.q[0, 4]], [grid.q[6, 1], grid.q[6, 4]]]
+    with pytest.raises(ArgumentError):
+        GridQualitySource([make_synthetic_grid(3e6, 10.0, ladder=sub)]).surface(
+            DEFAULT_LADDER, 3e6, [10.0])
+    with pytest.raises(ArgumentError, match="one ladder"):
+        GridQualitySource([grid, make_synthetic_grid(3e6, 10.0, ladder=sub)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(bitrate=st.floats(5e5, 1e7), velocity=st.floats(0.0, 120.0),
+       margin=st.sampled_from([0.0, 0.1, 0.25, 1.0]),
+       frame_rates=st.sampled_from([None, (60,)]),
+       source_kind=st.sampled_from(["synthetic", "grid"]))
+def test_oracle_policy_surface_equals_cell_loop(bitrate, velocity, margin,
+                                                frame_rates, source_kind):
+    source = SOURCE if source_kind == "synthetic" else _grid_source()
+    fast = OracleQualityPolicy(source, margin, frame_rates=frame_rates)
+    slow = CellLoopOraclePolicy(source, margin, frame_rates=frame_rates)
+    assert fast.decide_mode(bitrate, velocity) == slow.decide_mode(bitrate, velocity)
 
 
 # ---------------------------------------------------------------------------
@@ -450,30 +481,47 @@ def _sessions(draw):
     return scenario, jitter, draw(st.integers(0, 2**16))
 
 
-def _policy(kind, source):
+def _policy(kind, source, oracle=OracleQualityPolicy):
     if kind == "predictor":
         return PredictorControllerPolicy(_trained_model(), default_transition_graph())
     if kind == "oracle":
-        return OracleQualityPolicy(source)
+        return oracle(source)
     if kind == "resolution_oracle":
-        return OracleQualityPolicy(source, frame_rates=(60,))
+        return oracle(source, frame_rates=(60,))
     return FixedBaselinePolicy()
+
+
+POLICIES = ("predictor", "oracle", "resolution_oracle", "fixed")
+
+
+def _assert_engines_agree(scenario, policy, source, **kwargs):
+    fast = _run_with_policy(scenario, _policy(policy, source), source, **kwargs)
+    slow = per_frame_session(scenario, _policy(policy, source, CellLoopOraclePolicy),
+                             source, **kwargs)
+    assert fast.frames == slow.frames
+    assert fast.windows == slow.windows
+    assert fast.summary == slow.summary
 
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(session=_sessions(),
-       policy=st.sampled_from(["predictor", "oracle", "resolution_oracle", "fixed"]),
+       policy=st.sampled_from(POLICIES),
        source_kind=st.sampled_from(["synthetic", "grid"]))
 def test_window_engine_equals_per_frame_engine(session, policy, source_kind):
     scenario, jitter, seed = session
     source = SOURCE if source_kind == "synthetic" else _grid_source()
-    kwargs = dict(jitter_pct=jitter, seed=seed)
-    fast = _run_with_policy(scenario, _policy(policy, source), source, **kwargs)
-    slow = per_frame_session(scenario, _policy(policy, source), source, **kwargs)
-    assert fast.frames == slow.frames
-    assert fast.windows == slow.windows
-    assert fast.summary == slow.summary
+    _assert_engines_agree(scenario, policy, source, jitter_pct=jitter, seed=seed)
+
+
+@pytest.mark.parametrize("source_kind", ["synthetic", "grid"])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_window_engine_equals_per_frame_engine_every_policy(policy, source_kind):
+    scenario = make_scenario(
+        duration_s=8.0, seed=9, velocity_degps=lambda t: 70.0 * abs(np.sin(t)),
+        bitrate_schedule=((0.0, 6e6), (3.1, 2e6), (5.0, 3.5e6)))
+    source = SOURCE if source_kind == "synthetic" else _grid_source()
+    _assert_engines_agree(scenario, policy, source)
 
 
 def test_window_engine_equals_per_frame_engine_on_acceptance_scenarios():
