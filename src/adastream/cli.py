@@ -134,7 +134,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    examples = predictor.read_training_csv(args.data)
+    examples = predictor.read_training_csv(args.data, cfg.ladder)
     if not examples:
         raise ArgumentError(f"{args.data}: no training rows")
 
@@ -167,7 +167,7 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = predictor.load_model(args.model)
-    examples = predictor.read_training_csv(args.data)
+    examples = predictor.read_training_csv(args.data, model.ladder)
     if not examples:
         raise ArgumentError(f"{args.data}: no rows to evaluate")
     payload, pred_f, pred_r, truth_f, truth_r = _evaluation_payload(model, examples)

@@ -23,6 +23,7 @@ Recognized keys (all optional)::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -71,6 +72,23 @@ def _number(section: dict, key: str, default, where: str) -> float:
     return value
 
 
+def _ladder_values(raw: dict, key: str, default, path, integral: bool = True) -> tuple:
+    """A ladder list of finite numbers, integers unless ``integral`` is off."""
+    values = raw.get(key, default)
+    if not isinstance(values, (list, tuple)) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ConfigError(f"{path}: {key} must be a list of numbers, got {values!r}")
+    try:
+        numbers = [float(v) for v in values]
+    except OverflowError:
+        raise ConfigError(f"{path}: {key} holds a number out of range") from None
+    for value, number in zip(values, numbers):
+        if not math.isfinite(number) or (integral and not number.is_integer()):
+            kind = "integers" if integral else "finite numbers"
+            raise ConfigError(f"{path}: {key} must hold {kind}, got {value!r}")
+    return tuple(int(v) for v in values) if integral else tuple(numbers)
+
+
 def load_config(path=None) -> Config:
     if path is None:
         return DEFAULT_CONFIG
@@ -86,14 +104,14 @@ def load_config(path=None) -> Config:
 
     try:
         ladder = Ladder(
-            frame_rates_hz=tuple(int(f) for f in raw.get("frame_rates",
-                                                         DEFAULT_LADDER.frame_rates_hz)),
-            heights=tuple(int(r) for r in raw.get("resolutions",
-                                                  DEFAULT_LADDER.heights)),
-            bitrates_bps=tuple(float(b) for b in raw.get("bitrates",
-                                                         DEFAULT_LADDER.bitrates_bps)),
+            frame_rates_hz=_ladder_values(raw, "frame_rates",
+                                          DEFAULT_LADDER.frame_rates_hz, path),
+            heights=_ladder_values(raw, "resolutions", DEFAULT_LADDER.heights, path),
+            bitrates_bps=_ladder_values(raw, "bitrates",
+                                        DEFAULT_LADDER.bitrates_bps, path,
+                                        integral=False),
         )
-    except (ArgumentError, TypeError, ValueError) as exc:
+    except ArgumentError as exc:
         raise ConfigError(f"{path}: bad ladder: {exc}") from None
 
     viterbi = _section(raw, "viterbi", path)

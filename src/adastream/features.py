@@ -81,6 +81,13 @@ def normalize_bandwidth(bitrate_bps: float) -> float:
     return min(bitrate_bps / BANDWIDTH_CEILING_BPS, 1.0)
 
 
+# The high-frequency half of the DCT plane: every coefficient past
+# half-Nyquist along either axis.
+_HIGH_FREQ = np.zeros((PATCH_SIZE, PATCH_SIZE), dtype=bool)
+_HIGH_FREQ[PATCH_SIZE // 2:, :] = True
+_HIGH_FREQ[:, PATCH_SIZE // 2:] = True
+
+
 def extract_features(patch: np.ndarray) -> FeatureVector:
     """Content features of a 128x128 luma patch with values in [0, 1].
 
@@ -91,15 +98,27 @@ def extract_features(patch: np.ndarray) -> FeatureVector:
     if patch.shape != (PATCH_SIZE, PATCH_SIZE):
         raise ArgumentError(f"patch must be {PATCH_SIZE}x{PATCH_SIZE}, "
                             f"got shape {patch.shape}")
-    if not np.all(np.isfinite(patch)):
+    # min and max carry any NaN through.
+    low, high = patch.min(), patch.max()
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise ArgumentError("patch contains non-finite values")
-    if patch.min() < 0.0 or patch.max() > 1.0:
+    if low < 0.0 or high > 1.0:
         raise ArgumentError("patch values must be in [0, 1]")
 
     mean_luma = float(patch.mean())
     rms_contrast = float(patch.std())
 
-    gy, gx = np.gradient(patch)
+    # np.gradient at unit spacing, by slicing: central differences inside,
+    # the adjacent differences at the edges. The adjacent differences also
+    # give the edge density.
+    dx = patch[:, 1:] - patch[:, :-1]
+    dy = patch[1:] - patch[:-1]
+    gx = np.empty_like(patch)
+    gx[:, 1:-1] = (patch[:, 2:] - patch[:, :-2]) / 2.0
+    gx[:, 0], gx[:, -1] = dx[:, 0], dx[:, -1]
+    gy = np.empty_like(patch)
+    gy[1:-1] = (patch[2:] - patch[:-2]) / 2.0
+    gy[0], gy[-1] = dy[0], dy[-1]
     gradient_energy = float(np.hypot(gx, gy).mean())
 
     coeffs = dctn(patch, norm="ortho")
@@ -108,16 +127,11 @@ def extract_features(patch: np.ndarray) -> FeatureVector:
     if total <= 0.0:
         high_freq_ratio = 0.0
     else:
-        half = PATCH_SIZE // 2
-        mask = np.zeros_like(energy, dtype=bool)
-        mask[half:, :] = True
-        mask[:, half:] = True
-        high_freq_ratio = float(energy[mask].sum() / total)
+        high_freq_ratio = float(energy[_HIGH_FREQ].sum() / total)
         high_freq_ratio = min(max(high_freq_ratio, 0.0), 1.0)
 
-    dx = np.abs(np.diff(patch, axis=1))
-    dy = np.abs(np.diff(patch, axis=0))
-    edges = int((dx > EDGE_THRESHOLD).sum() + (dy > EDGE_THRESHOLD).sum())
+    edges = (np.count_nonzero(np.abs(dx) > EDGE_THRESHOLD)
+             + np.count_nonzero(np.abs(dy) > EDGE_THRESHOLD))
     edge_density = edges / (dx.size + dy.size)
 
     return FeatureVector(mean_luma, rms_contrast, gradient_energy,

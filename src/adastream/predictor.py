@@ -315,7 +315,9 @@ def write_training_csv(examples, path) -> None:
             fh.write(f"{feats},{ex.target_f},{ex.target_r}\n")
 
 
-def read_training_csv(path) -> list[TrainingExample]:
+def read_training_csv(path, ladder: Ladder = DEFAULT_LADDER) -> list[TrainingExample]:
+    """Training rows of a CSV file; every feature must be a valid
+    FeatureVector value and every target a class of ``ladder``."""
     import csv
 
     examples = []
@@ -343,6 +345,11 @@ def read_training_csv(path) -> list[TrainingExample]:
                 target_r = int(row[-1])
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
-            examples.append(TrainingExample(FeatureVector.from_array(values),
-                                            target_f, target_r))
+            try:
+                example = TrainingExample(FeatureVector.from_array(values),
+                                          target_f, target_r)
+                example.indices(ladder)
+            except ArgumentError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+            examples.append(example)
     return examples

@@ -11,11 +11,14 @@ transport is modeled; bandwidth acts purely as an encoder constraint.
 The engine works one window at a time. A window is one GOP and one decision
 period, and the mode is fixed over it, so every per-frame input of the
 window is known when it starts: the frame times, the reference record each
-frame samples, its motion in deg/s, its content row and the bandwidth in
-force. Only the 500 ms velocity average runs frame by frame. The policy
-then sees the whole window as one ``(n, 7)`` feature matrix, one row per
-frame in ``FEATURE_NAMES`` order, through ``on_window(x, dt)``, and picks
-the next window's mode in ``decide_mode``.
+frame samples and its motion in deg/s. Only the 500 ms velocity average
+runs frame by frame. The policy sees the window through
+``on_window(scenario, times, records, velocities, dt)`` and picks the next
+window's mode in ``decide_mode``. Only the predictor policy reads content:
+it builds the ``(n, 7)`` feature matrix, one row per frame in
+``FEATURE_NAMES`` order, from the records' content rows, the bandwidth in
+force and the velocities, so a patch scenario extracts features only for
+the records a predictor session reads.
 
 A quality source answers in surfaces: ``surface(ladder, bitrate_bps,
 velocities)`` returns the ``(n, n_f, n_h)`` JOD of every ladder cell at each
@@ -61,6 +64,8 @@ MIN_REFERENCE_RATE_HZ = 120.0
 
 CONTENT_FEATURE_KEYS = ("mean_luma", "rms_contrast", "gradient_energy",
                         "high_freq_ratio", "edge_density")
+_VELOCITY_COL = FEATURE_NAMES.index("norm_velocity")
+_BANDWIDTH_COL = FEATURE_NAMES.index("norm_bandwidth")
 
 
 # ---------------------------------------------------------------------------
@@ -125,27 +130,32 @@ class GridQualitySource:
 # Scenario
 
 
-@dataclass(frozen=True)
 class Scenario:
-    """Session playback input sampled on a fixed reference tick."""
+    """Session playback input sampled on a fixed reference tick.
 
-    duration_s: float
-    fov_horizontal_deg: float
-    reference_rate_hz: float
-    bitrate_schedule: tuple[tuple[float, float], ...]  # (start_time_s, bits_per_second)
-    timestamps: np.ndarray       # (n,), strictly increasing, starts at 0
-    ndc_magnitudes: np.ndarray   # (n,)
-    content_features: np.ndarray  # (n, 5) in CONTENT_FEATURE_KEYS order
+    A record's content row comes either from ``content_features`` or, for a
+    record in ``patches`` (record index -> 128x128 ``uint8`` luma patch),
+    from the features of its patch. Those are extracted on demand, once per
+    record, the first time a row is read; their rows in ``content_features``
+    are placeholders and are not checked.
+    """
 
-    def __post_init__(self):
-        if not math.isfinite(self.duration_s) or self.duration_s <= 0:
+    def __init__(self, duration_s: float, fov_horizontal_deg: float,
+                 reference_rate_hz: float,
+                 bitrate_schedule: tuple[tuple[float, float], ...],  # (start_s, bps)
+                 timestamps, ndc_magnitudes, content_features, patches=None):
+        self.duration_s = duration_s
+        self.fov_horizontal_deg = fov_horizontal_deg
+        self.reference_rate_hz = reference_rate_hz
+        self.bitrate_schedule = bitrate_schedule
+        if not math.isfinite(duration_s) or duration_s <= 0:
             raise ArgumentError("duration must be positive and finite")
-        if not 0 < self.fov_horizontal_deg < 180:
+        if not 0 < fov_horizontal_deg < 180:
             raise ArgumentError("fov_horizontal_deg must be in (0, 180)")
-        if not MIN_REFERENCE_RATE_HZ <= self.reference_rate_hz < math.inf:
+        if not MIN_REFERENCE_RATE_HZ <= reference_rate_hz < math.inf:
             raise ArgumentError(
                 f"reference rate must be finite and >= {MIN_REFERENCE_RATE_HZ} Hz")
-        ts = np.asarray(self.timestamps, dtype=float)
+        ts = np.array(timestamps, dtype=float)
         if ts.ndim != 1 or ts.size == 0:
             raise ArgumentError("scenario needs at least one frame record")
         if ts[0] != 0.0:
@@ -154,30 +164,54 @@ class Scenario:
             raise ArgumentError("frame timestamps must be finite")
         if np.any(np.diff(ts) <= 0):
             raise ArgumentError("frame timestamps must be strictly increasing")
-        mags = np.asarray(self.ndc_magnitudes, dtype=float)
-        feats = np.asarray(self.content_features, dtype=float)
-        if mags.shape != ts.shape or feats.shape != (ts.size, 5):
+        mags = np.array(ndc_magnitudes, dtype=float)
+        feats = np.array(content_features, dtype=float)
+        if mags.shape != ts.shape or feats.shape != (ts.size, len(CONTENT_FEATURE_KEYS)):
             raise ArgumentError("frame arrays have inconsistent shapes")
         if not np.all(np.isfinite(mags)):
             raise ArgumentError("ndc magnitudes must be finite")
         if mags.min() < 0:
             raise ArgumentError("ndc magnitudes must be >= 0")
-        _check_content(feats)
-        if not self.bitrate_schedule:
+        self._patches = dict(patches or {})
+        self._pending = np.zeros(ts.size, dtype=bool)  # patch rows not yet extracted
+        self._pending[list(self._patches)] = True
+        _check_content(feats, ~self._pending)
+        if not bitrate_schedule:
             raise ConfigError("bitrate schedule is empty")
-        times = [t for t, _ in self.bitrate_schedule]
+        times = [t for t, _ in bitrate_schedule]
         if times[0] != 0.0:
             raise ConfigError("bitrate schedule has a gap: it must start at t=0")
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
             raise ConfigError("bitrate schedule times must be nondecreasing")
-        if not all(0 < b < math.inf for _, b in self.bitrate_schedule):
+        if not all(0 < b < math.inf for _, b in bitrate_schedule):
             raise ConfigError("bitrate schedule rates must be positive and finite")
-        for arr in (ts, mags, feats):
+        for arr in (ts, mags):
             arr.setflags(write=False)
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "ndc_magnitudes", mags)
-        object.__setattr__(self, "content_features", feats)
-        object.__setattr__(self, "_schedule_starts", np.array(times, dtype=float))
+        self.timestamps = ts               # (n,), strictly increasing, starts at 0
+        self.ndc_magnitudes = mags         # (n,)
+        self._content = feats              # (n, 5) in CONTENT_FEATURE_KEYS order
+        self._schedule_starts = np.array(times, dtype=float)
+        self._schedule_bandwidth = np.array([normalize_bandwidth(b)
+                                             for _, b in bitrate_schedule])
+
+    def content_rows(self, records) -> np.ndarray:
+        """Content rows of the given record indices, in their order,
+        extracting the features of any patch record not read before."""
+        records = np.asarray(records, dtype=np.intp)
+        for i in np.unique(records[self._pending[records]]).tolist():
+            fv = extract_features(self._patches.pop(i) / 255.0)
+            self._content[i] = (fv.mean_luma, fv.rms_contrast, fv.gradient_energy,
+                                fv.high_freq_ratio, fv.edge_density)
+            self._pending[i] = False
+        return self._content[records]
+
+    @property
+    def content_features(self) -> np.ndarray:
+        """The full read-only ``(n, 5)`` content table."""
+        self.content_rows(np.flatnonzero(self._pending))
+        table = self._content.view()
+        table.setflags(write=False)
+        return table
 
     def sample_index(self, t):
         """Index of the latest reference record at or before time t;
@@ -192,16 +226,21 @@ class Scenario:
     def bitrate_at(self, t: float) -> float:
         return self.bitrate_schedule[int(self.schedule_index(t))][1]
 
+    def bandwidth_at(self, t):
+        """Normalized bandwidth in force at time t; elementwise on an array
+        of times."""
+        return self._schedule_bandwidth[self.schedule_index(t)]
 
-def _check_content(feats: np.ndarray) -> None:
-    """Every content row must hold valid FeatureVector values, sampled or
-    not: the engine feeds the rows to the predictor unvalidated."""
+
+def _check_content(feats: np.ndarray, given: np.ndarray) -> None:
+    """Every given content row must hold valid FeatureVector values, sampled
+    or not: the engine feeds the rows to the predictor unvalidated."""
     for j, name in enumerate(CONTENT_FEATURE_KEYS):
         column = feats[:, j]
-        if not np.all(np.isfinite(column)):
+        if not np.all(np.isfinite(column[given])):
             raise ArgumentError(f"{name} must be finite in every frame record")
         high = 1.0 if name in UNIT_INTERVAL_FEATURES else math.inf
-        bad = (column < 0.0) | (column > high)
+        bad = given & ((column < 0.0) | (column > high))
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ArgumentError(f"{name} must be in [0, {high}], got "
@@ -236,7 +275,9 @@ def _number(value, where: str) -> float:
         raise SchemaError(f"{where}: expected a number, got {value!r}") from None
 
 
-def _frame_features(frame: dict, where: str) -> list[float]:
+def _frame_content(frame: dict, where: str):
+    """A frame's content: its five feature values, or its patch as a
+    ``uint8`` array, whose features the scenario extracts on demand."""
     if "features" in frame:
         feats = frame["features"]
         if not isinstance(feats, dict):
@@ -253,10 +294,7 @@ def _frame_features(frame: dict, where: str) -> list[float]:
         if len(raw) != PATCH_SIZE * PATCH_SIZE:
             raise SchemaError(f"{where}: patch must be {PATCH_SIZE}x{PATCH_SIZE} "
                               f"grayscale bytes, got {len(raw)}")
-        patch = np.frombuffer(raw, dtype=np.uint8).reshape(PATCH_SIZE, PATCH_SIZE)
-        fv = extract_features(patch / 255.0)
-        return [fv.mean_luma, fv.rms_contrast, fv.gradient_energy,
-                fv.high_freq_ratio, fv.edge_density]
+        return np.frombuffer(raw, dtype=np.uint8).reshape(PATCH_SIZE, PATCH_SIZE)
     raise SchemaError(f"{where}: frame needs either 'features' or 'patch_b64'")
 
 
@@ -275,7 +313,7 @@ def scenario_from_json(path) -> Scenario:
     frames = payload["frames"]
     if not isinstance(frames, list) or not frames:
         raise SchemaError(f"{path}: scenario has no frames")
-    ts, mags, feats = [], [], []
+    ts, mags, feats, patches = [], [], [], {}
     for i, frame in enumerate(frames):
         where = f"{path}: frame {i}"
         if not isinstance(frame, dict):
@@ -286,14 +324,18 @@ def scenario_from_json(path) -> Scenario:
         ts.append(_number(frame["timestamp"], f"{where}: timestamp"))
         mags.append(_number(frame["mean_ndc_magnitude"],
                             f"{where}: mean_ndc_magnitude"))
-        feats.append(_frame_features(frame, where))
+        content = _frame_content(frame, where)
+        if isinstance(content, np.ndarray):
+            patches[i] = content
+            content = [math.nan] * len(CONTENT_FEATURE_KEYS)
+        feats.append(content)
     schedule = payload["bitrate_schedule"]
     if not isinstance(schedule, list) or not all(
             isinstance(entry, list) and len(entry) == 2 for entry in schedule):
         raise SchemaError(f"{path}: bitrate_schedule must be a list of "
                           "[start_s, bps] pairs")
     try:
-        return Scenario(
+        scenario = Scenario(
             duration_s=_number(payload["duration_s"], f"{path}: duration_s"),
             fov_horizontal_deg=_number(payload["fov_horizontal_deg"],
                                        f"{path}: fov_horizontal_deg"),
@@ -305,9 +347,18 @@ def scenario_from_json(path) -> Scenario:
             timestamps=np.array(ts),
             ndc_magnitudes=np.array(mags),
             content_features=np.array(feats),
+            patches=patches,
         )
     except (ArgumentError, ConfigError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
+    # Past its last record the engine holds that record's content and motion
+    # to the end; more than one reference tick of that is a gap.
+    tick = 1.0 / scenario.reference_rate_hz
+    if ts[-1] < scenario.duration_s - tick * (1.0 + 1e-9):
+        raise SchemaError(f"{path}: frame records end at {ts[-1]} s, more than "
+                          "one reference tick before duration_s "
+                          f"{scenario.duration_s} s")
+    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +414,12 @@ class PredictorControllerPolicy:
     def begin(self, mode: VideoMode) -> None:
         self.state = initial_state(self.graph, mode)
 
-    def on_window(self, x: np.ndarray, dt: float) -> None:
+    def on_window(self, scenario: Scenario, times: np.ndarray, records: np.ndarray,
+                  velocities: list[float], dt: float) -> None:
+        x = np.empty((times.size, len(FEATURE_NAMES)))
+        x[:, :len(CONTENT_FEATURE_KEYS)] = scenario.content_rows(records)
+        x[:, _BANDWIDTH_COL] = scenario.bandwidth_at(times)
+        x[:, _VELOCITY_COL] = [normalize_velocity(v) for v in velocities]
         probs_f, probs_r = forward_batch(self.model, x)
         self.state = step_window(self.graph, self.state, probs_f, probs_r, dt)
 
@@ -389,7 +445,7 @@ class OracleQualityPolicy:
     def begin(self, mode: VideoMode) -> None:
         pass
 
-    def on_window(self, x: np.ndarray, dt: float) -> None:
+    def on_window(self, scenario, times, records, velocities, dt) -> None:
         pass
 
     def decide_mode(self, bitrate_bps: float, velocity_degps: float) -> VideoMode:
@@ -405,7 +461,7 @@ class FixedBaselinePolicy:
     def begin(self, mode: VideoMode) -> None:
         pass
 
-    def on_window(self, x: np.ndarray, dt: float) -> None:
+    def on_window(self, scenario, times, records, velocities, dt) -> None:
         pass
 
     def decide_mode(self, bitrate_bps: float, velocity_degps: float) -> VideoMode:
@@ -487,8 +543,6 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
     record_degps = deg_per_sec(scenario.ndc_magnitudes,
                                1.0 / scenario.reference_rate_hz,
                                scenario.fov_horizontal_deg)
-    schedule_bandwidth = np.array([normalize_bandwidth(bps) for _, bps
-                                   in scenario.bitrate_schedule])
     estimator = VelocityEstimator()
     encoder = EncoderState(initial_mode, scenario.bitrate_at(0.0),
                            gop_length_s=gop_length_s)
@@ -502,8 +556,6 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
     switch_f = 0
     switch_r = 0
     mode = initial_mode
-    velocity_col = FEATURE_NAMES.index("norm_velocity")
-    bandwidth_col = FEATURE_NAMES.index("norm_bandwidth")
 
     for w in range(n_windows):
         window_start = w * gop_length_s
@@ -520,17 +572,12 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
 
         times = window_start + np.arange(frames_in_gop) / mode.frame_rate_hz
         records = scenario.sample_index(times)
-        x = np.empty((frames_in_gop, len(FEATURE_NAMES)))
-        x[:, :len(CONTENT_FEATURE_KEYS)] = scenario.content_features[records]
-        x[:, bandwidth_col] = schedule_bandwidth[scenario.schedule_index(times)]
         frame_times = times.tolist()
-        velocities = []
-        for i, (t, degps) in enumerate(zip(frame_times,
-                                           record_degps[records].tolist())):
-            velocity = estimator.update(degps, t)
-            velocities.append(velocity)
-            x[i, velocity_col] = normalize_velocity(velocity)
-        policy.on_window(x, 1.0 / mode.frame_rate_hz)
+        velocities = [estimator.update(degps, t) for t, degps
+                      in zip(frame_times, record_degps[records].tolist())]
+        velocity = velocities[-1]
+        policy.on_window(scenario, times, records, velocities,
+                         1.0 / mode.frame_rate_hz)
         surface = quality_source.surface(ladder, encoder.target_bitrate_bps, velocities)
         # Summed in frame order: np.sum's pairwise order would change the
         # last bits of the window mean.

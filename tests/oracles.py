@@ -5,16 +5,22 @@ explicit tie-break chains, sharing no code with the library's stacked
 selection kernel; the per-grid savings curve and the cell-loop oracle policy
 build on it. The session and grid-lookup oracles keep the frame-at-a-time
 engine, with one quality-source call per frame, and the linear nearest-grid
-scan that the library's window engine and stacked lookup replaced.
+scan that the library's window engine and stacked lookup replaced. The
+feature oracles keep the ``np.gradient`` patch kernel and the eager scenario
+reader, which extracted the features of every patch record at read time.
 """
 
+import base64
+import json
 import math
 
 import numpy as np
+from scipy.fft import dctn
 
 from adastream.controller import step
 from adastream.errors import ArgumentError
-from adastream.features import FeatureVector, normalize_bandwidth
+from adastream.features import (EDGE_THRESHOLD, PATCH_SIZE, FeatureVector,
+                                normalize_bandwidth)
 from adastream.ladder import DEFAULT_LADDER, VideoMode, pixels_per_second
 from adastream.motion import (MotionSample, VelocityEstimator,
                               ndc_to_deg_per_sec, normalize_velocity)
@@ -23,8 +29,9 @@ from adastream.quality import QualityGrid
 from adastream.simulator import (GOP_LENGTH_S, IFRAME_BIT_MULTIPLIER,
                                  EncoderState, FrameRecord,
                                  OracleQualityPolicy, PredictorControllerPolicy,
-                                 SessionSummary, SessionTrace, WindowRecord,
-                                 allocate_bits, baseline_mode)
+                                 Scenario, SessionSummary, SessionTrace, WindowRecord,
+                                 CONTENT_FEATURE_KEYS, allocate_bits,
+                                 baseline_mode)
 
 
 def _cost(f, h):
@@ -210,3 +217,70 @@ def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
                              error_pct, total_pixels, mean_quality,
                              switch_f, switch_r)
     return SessionTrace(tuple(frames), tuple(windows), summary)
+
+
+# ---------------------------------------------------------------------------
+# Patch feature and scenario reader oracles
+
+
+def reference_extract_features(patch):
+    """The patch kernel before its lean rewrite: ``np.gradient``, a
+    high-frequency mask built per call and boolean sums for the edges."""
+    patch = np.asarray(patch, dtype=float)
+    if patch.shape != (PATCH_SIZE, PATCH_SIZE):
+        raise ArgumentError(f"patch must be {PATCH_SIZE}x{PATCH_SIZE}, "
+                            f"got shape {patch.shape}")
+    if not np.all(np.isfinite(patch)):
+        raise ArgumentError("patch contains non-finite values")
+    if patch.min() < 0.0 or patch.max() > 1.0:
+        raise ArgumentError("patch values must be in [0, 1]")
+
+    mean_luma = float(patch.mean())
+    rms_contrast = float(patch.std())
+
+    gy, gx = np.gradient(patch)
+    gradient_energy = float(np.hypot(gx, gy).mean())
+
+    coeffs = dctn(patch, norm="ortho")
+    energy = coeffs * coeffs
+    total = float(energy.sum() - energy[0, 0])
+    if total <= 0.0:
+        high_freq_ratio = 0.0
+    else:
+        half = PATCH_SIZE // 2
+        mask = np.zeros_like(energy, dtype=bool)
+        mask[half:, :] = True
+        mask[:, half:] = True
+        high_freq_ratio = float(energy[mask].sum() / total)
+        high_freq_ratio = min(max(high_freq_ratio, 0.0), 1.0)
+
+    dx = np.abs(np.diff(patch, axis=1))
+    dy = np.abs(np.diff(patch, axis=0))
+    edges = int((dx > EDGE_THRESHOLD).sum() + (dy > EDGE_THRESHOLD).sum())
+    edge_density = edges / (dx.size + dy.size)
+
+    return FeatureVector(mean_luma, rms_contrast, gradient_energy,
+                         high_freq_ratio, edge_density)
+
+
+def eager_scenario_from_json(path):
+    """A valid scenario file read as before on-demand extraction: every
+    patch record's features come from the reference kernel at read time."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    ts, mags, feats = [], [], []
+    for frame in payload["frames"]:
+        ts.append(float(frame["timestamp"]))
+        mags.append(float(frame["mean_ndc_magnitude"]))
+        if "features" in frame:
+            feats.append([float(frame["features"][k]) for k in CONTENT_FEATURE_KEYS])
+        else:
+            raw = base64.b64decode(frame["patch_b64"])
+            patch = np.frombuffer(raw, dtype=np.uint8).reshape(PATCH_SIZE, PATCH_SIZE)
+            fv = reference_extract_features(patch / 255.0)
+            feats.append([fv.mean_luma, fv.rms_contrast, fv.gradient_energy,
+                          fv.high_freq_ratio, fv.edge_density])
+    return Scenario(float(payload["duration_s"]), float(payload["fov_horizontal_deg"]),
+                    float(payload["reference_rate_hz"]),
+                    tuple((float(t), float(b)) for t, b in payload["bitrate_schedule"]),
+                    np.array(ts), np.array(mags), np.array(feats))

@@ -1,10 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import adastream
 from adastream.cli import (EXIT_ARGUMENT, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main)
 
 
@@ -158,10 +161,14 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_console_entry_point(tmp_path):
+    # the subprocess imports the package the suite imports, installed or not
+    src = str(Path(adastream.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     result = subprocess.run(
         [sys.executable, "-m", "adastream.cli", "gen-synthetic",
          "--out", str(tmp_path / "out"), "--count", "2", "--seed", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "gen-synthetic" in result.stdout
 
@@ -246,3 +253,69 @@ def test_nan_grid_velocity_is_schema_error_with_line(tmp_path, capsys):
     assert run(["label", "--grids", out / "grids.csv",
                 "--out", tmp_path / "x"]) == EXIT_SCHEMA
     assert "grids.csv:4: velocity 'nan'" in capsys.readouterr().err
+
+
+def _edit_training_row(path, line, column, value):
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[column] = value
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (0, "nan", "mean_luma must be finite"),     # was exit 2, no file or line
+    (4, "1.5", "edge_density must be in"),
+    (1, "-0.2", "must be >= 0"),
+    (-1, "999", "resolution 999 lines is not on the ladder"),  # was exit 2
+    (-2, "65", "frame rate 65 Hz is not on the ladder"),
+])
+def test_bad_training_value_is_schema_error_with_line(tmp_path, capsys, column,
+                                                      value, message):
+    out = gen(tmp_path, count=4)
+    _edit_training_row(out / "training.csv", 3, column, value)
+    assert run(["train", "--data", out / "training.csv", "--out", tmp_path / "m",
+                "--epochs", 1]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "training.csv:3: " in err and message in err
+
+
+def test_evaluate_checks_targets_against_the_model_ladder(tmp_path, capsys):
+    out = gen(tmp_path, count=4)
+    assert run(["train", "--data", out / "training.csv", "--out", tmp_path / "m",
+                "--epochs", 1]) == EXIT_OK
+    _edit_training_row(out / "training.csv", 2, -1, "999")
+    assert run(["evaluate", "--model", tmp_path / "m" / "model.json", "--data",
+                out / "training.csv", "--out", tmp_path / "e"]) == EXIT_SCHEMA
+    assert "training.csv:2: resolution 999" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, message", [
+    ('{"bitrates": [NaN]}', "bitrates must hold finite numbers"),  # failed late, exit 2
+    ('{"bitrates": [2e6, Infinity]}', "bitrates must hold finite numbers"),
+    ('{"frame_rates": [30.5, 60, 90]}', "frame_rates must hold integers"),  # was 30
+    ('{"resolutions": [360, 720.25]}', "resolutions must hold integers"),
+    ('{"frame_rates": ["30", 60]}', "frame_rates must be a list of numbers"),
+    ('{"resolutions": 720}', "resolutions must be a list of numbers"),
+])
+def test_bad_ladder_value_is_config_error(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert run(["gen-synthetic", "--out", tmp_path / "gen", "--count", 2,
+                "--config", cfg]) == EXIT_SCHEMA
+    assert message in capsys.readouterr().err
+
+
+def test_scenario_ending_early_is_schema_error(tmp_path, capsys):
+    # an 8 s scenario with 10 records at 120 Hz used to compare to exit 0
+    out = gen(tmp_path, count=2)
+    scenario = out / "scenario_000.json"
+    payload = json.loads(scenario.read_text())
+    assert payload["duration_s"] == 8.0
+    payload["frames"] = payload["frames"][:10]
+    scenario.write_text(json.dumps(payload))
+    assert run(["compare", "--scenario", scenario,
+                "--out", tmp_path / "cmp"]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "scenario_000.json: frame records end at 0.075 s" in err
+    assert "duration_s 8.0 s" in err

@@ -99,3 +99,17 @@ def test_invalid_json_rejected(tmp_path):
 def test_bad_ladder_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, {"frame_rates": [60, 30]}))
+
+
+def test_ladder_values_must_be_finite_and_integral(tmp_path):
+    path = tmp_path / "config.json"
+    for text in ('{"bitrates": [NaN]}', '{"frame_rates": [30.5, 60, 90]}',
+                 '{"resolutions": [360, true]}', '{"bitrates": [1' + '0' * 400 + ']}'):
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(path)
+    cfg = load_config(write_config(tmp_path, {"frame_rates": [30.0, 60],
+                                              "resolutions": [360, 720.0]}))
+    assert cfg.ladder.frame_rates_hz == (30, 60)
+    assert cfg.ladder.heights == (360, 720)
+    assert all(type(v) is int for v in cfg.ladder.frame_rates_hz + cfg.ladder.heights)

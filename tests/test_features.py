@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adastream.errors import ArgumentError
 from adastream.features import (FEATURE_NAMES, FeatureVector, extract_features,
                                 normalize_bandwidth)
+from oracles import reference_extract_features
 
 
 def flat(value=0.5):
@@ -112,3 +114,35 @@ def test_normalize_bandwidth():
     assert normalize_bandwidth(12_000_000.0) == 1.0
     with pytest.raises(ArgumentError):
         normalize_bandwidth(-1.0)
+
+
+def _patch(kind, seed, level, period):
+    rng = np.random.default_rng(seed)
+    if kind == "float":
+        return rng.random((128, 128)) * level
+    if kind == "uint8":
+        return rng.integers(0, 256, (128, 128), dtype=np.uint8) / 255.0
+    if kind == "flat":
+        return flat(level)
+    board = (np.indices((128, 128)) // period).sum(axis=0) % 2
+    return np.where(board == 1, level, 1.0 - level)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["float", "uint8", "flat", "checkerboard"]),
+       st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.integers(1, 64))
+def test_kernel_equals_gradient_kernel_bit_for_bit(kind, seed, level, period):
+    patch = _patch(kind, seed, level, period)
+    assert (extract_features(patch).as_array().tobytes()
+            == reference_extract_features(patch).as_array().tobytes())
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"),
+    (1.5, r"\[0, 1\]"), (-0.1, r"\[0, 1\]")])
+def test_kernel_rejects_what_the_gradient_kernel_rejects(value, message):
+    bad = flat()
+    bad[7, 9] = value
+    for kernel in (extract_features, reference_extract_features):
+        with pytest.raises(ArgumentError, match=message):
+            kernel(bad)

@@ -3,7 +3,7 @@ import pytest
 
 from adastream.errors import ArgumentError, DivergenceError, ModelCorruptError, SchemaError
 from adastream.features import FeatureVector
-from adastream.ladder import DEFAULT_LADDER
+from adastream.ladder import DEFAULT_LADDER, Ladder
 from adastream.predictor import (PredictorModel, TrainConfig, TrainingExample,
                                  forward, forward_batch, load_model,
                                  loss_and_gradients, new_model, predict_classes,
@@ -258,6 +258,20 @@ def test_training_csv_schema_errors(tmp_path):
         read_training_csv(path)
     path.write_text("")
     with pytest.raises(SchemaError, match="empty"):
+        read_training_csv(path)
+
+
+def test_training_csv_checks_values_and_targets(tmp_path, rng):
+    path = tmp_path / "training.csv"
+    write_training_csv(_separable_examples(rng, n=4), path)
+    lines = path.read_text().splitlines()
+    small = Ladder(frame_rates_hz=(40, 50), heights=(480, 720))
+    with pytest.raises(SchemaError, match=r"training\.csv:2: .*not on the ladder"):
+        read_training_csv(path, small)
+    fields = lines[2].split(",")
+    fields[5] = "inf"
+    path.write_text("\n".join(lines[:2] + [",".join(fields)] + lines[3:]) + "\n")
+    with pytest.raises(SchemaError, match=r"training\.csv:3: norm_velocity must be finite"):
         read_training_csv(path)
 
 

@@ -1,16 +1,19 @@
 import base64
 import functools
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from adastream import labeler, synth
+from adastream import labeler, simulator, synth
 from adastream.controller import default_transition_graph
 from adastream.errors import ArgumentError, ConfigError, SchemaError
 from adastream.ladder import DEFAULT_LADDER, Ladder, VideoMode, objective_cost
-from adastream.predictor import TrainConfig, train
+from adastream.predictor import TrainConfig, forward, forward_batch, train
 from adastream.quality import (QualityGrid, SyntheticQualityParams,
                                make_synthetic_grid)
 from adastream.simulator import (EncoderState, FixedBaselinePolicy,
@@ -21,7 +24,9 @@ from adastream.simulator import (EncoderState, FixedBaselinePolicy,
                                  compare_baselines, run_session,
                                  scenario_from_json, scenario_to_json)
 from adastream.synth import make_scenario
-from oracles import CellLoopOraclePolicy, nearest_grid_scan, per_frame_session
+import oracles
+from oracles import (CellLoopOraclePolicy, eager_scenario_from_json,
+                     nearest_grid_scan, per_frame_session)
 from test_predictor import _separable_examples
 
 SOURCE = SyntheticQualitySource()
@@ -164,6 +169,15 @@ def test_scenario_rejects_bad_content_in_any_record(column, value):
         Scenario(**fields)
 
 
+def test_scenario_copies_its_arrays():
+    # the caller's arrays used to turn read-only
+    fields = _scenario_arrays(timestamps=np.arange(241) / 120.0)
+    scenario = Scenario(**fields)
+    for key in ("timestamps", "ndc_magnitudes", "content_features"):
+        assert fields[key].flags.writeable
+        assert not getattr(scenario, key).flags.writeable
+
+
 def test_scenario_rejects_non_finite_values():
     fields = _scenario_arrays()
     fields["ndc_magnitudes"][1] = np.nan
@@ -215,6 +229,155 @@ def test_scenario_json_schema_errors(tmp_path):
         "frames": [{"timestamp": 0.0}]}))
     with pytest.raises(SchemaError, match="mean_ndc_magnitude"):
         scenario_from_json(path)
+
+
+def _gap_payload(n_records, duration_s):
+    return {"duration_s": duration_s, "fov_horizontal_deg": 90.0,
+            "reference_rate_hz": 120.0, "bitrate_schedule": [[0.0, 3e6]],
+            "frames": [{"timestamp": i / 120.0, "mean_ndc_magnitude": 0.001,
+                        "features": {k: 0.2 for k in simulator.CONTENT_FEATURE_KEYS}}
+                       for i in range(n_records)]}
+
+
+def test_scenario_json_rejects_records_ending_before_duration(tmp_path):
+    # 10 records cover 0.075 s of 8 s; the engine used to hold the last one
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(_gap_payload(10, 8.0)))
+    with pytest.raises(SchemaError, match=r"short\.json: frame records end at "
+                       r"0\.075 s, .* duration_s 8\.0 s"):
+        scenario_from_json(path)
+    # up to one reference tick short is not a gap
+    for n_records, duration_s in ((240, 2.0), (241, 2.0), (241, 2.0 + 1 / 240)):
+        path.write_text(json.dumps(_gap_payload(n_records, duration_s)))
+        assert scenario_from_json(path).timestamps.size == n_records
+    path.write_text(json.dumps(_gap_payload(239, 2.0)))
+    with pytest.raises(SchemaError, match="reference tick"):
+        scenario_from_json(path)
+
+
+# ---------------------------------------------------------------------------
+# patch content on demand
+
+
+@functools.lru_cache(maxsize=None)
+def _patch_bank():
+    """Patches from flat to highly detailed, as base64 uint8 bytes."""
+    rng = np.random.default_rng(21)
+    y, x = np.mgrid[0:128, 0:128] / 128.0
+    bank = []
+    for detail in np.linspace(0.0, 1.0, 6):
+        waves = np.sin(2 * np.pi * (3 + 30 * detail) * x) * np.sin(
+            2 * np.pi * (2 + 20 * detail) * y)
+        patch = 0.4 + 0.2 * x + detail * (0.25 * waves + 0.3 * (rng.random((128, 128)) - 0.5))
+        raw = np.clip(np.rint(patch * 255.0), 0, 255).astype(np.uint8).tobytes()
+        bank.append(base64.b64encode(raw).decode())
+    return tuple(bank)
+
+
+def _mixed_payload(contents, speeds, duration_s):
+    """One record per 120 Hz tick; a content is a patch-bank index or a
+    feature row."""
+    frames = []
+    for i, (content, speed) in enumerate(zip(contents, speeds)):
+        frame = {"timestamp": i / 120.0,
+                 "mean_ndc_magnitude": speed / 120.0 / 45.0}
+        if isinstance(content, int):
+            frame["patch_b64"] = _patch_bank()[content]
+        else:
+            frame["features"] = dict(zip(simulator.CONTENT_FEATURE_KEYS, content))
+        frames.append(frame)
+    return {"duration_s": duration_s, "fov_horizontal_deg": 90.0,
+            "reference_rate_hz": 120.0,
+            "bitrate_schedule": [[0.0, 6e6], [1.7, 2e6], [3.1, 4e6]],
+            "frames": frames}
+
+
+_UNIT = st.floats(0.0, 1.0)
+_FEATURE_ROWS = st.tuples(_UNIT, st.floats(0.0, 3.0), st.floats(0.0, 3.0), _UNIT, _UNIT)
+
+
+@settings(max_examples=40, deadline=None)
+@given(contents=st.lists(st.one_of(st.integers(0, 5), _FEATURE_ROWS),
+                         min_size=2, max_size=16),
+       reads=st.lists(st.lists(st.integers(0, 15), max_size=12), max_size=5),
+       full_read=st.booleans())
+def test_on_demand_rows_equal_eager_table(contents, reads, full_read):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(_mixed_payload(
+            contents, [10.0] * len(contents), (len(contents) - 1) / 120.0)))
+        eager = eager_scenario_from_json(path).content_features
+        with mock.patch.object(simulator, "extract_features",
+                               wraps=simulator.extract_features) as kernel:
+            scenario = scenario_from_json(path)
+            assert kernel.call_count == 0
+            patch_records = {i for i, c in enumerate(contents) if isinstance(c, int)}
+            read = set()
+            for records in reads:
+                records = [r % len(contents) for r in records]
+                rows = scenario.content_rows(records)
+                assert rows.shape == (len(records), 5)
+                assert rows.tobytes() == eager[records].tobytes()
+                read.update(records)
+                assert kernel.call_count == len(read & patch_records)
+            if full_read:
+                table = scenario.content_features
+                assert table.tobytes() == eager.tobytes()
+                assert not table.flags.writeable
+                assert kernel.call_count == len(patch_records)
+
+
+def _session_payload():
+    """A 6 s scenario, mostly patch records, whose motion sweeps 0 to about
+    70 deg/s, so the predictor reads several frame rates."""
+    n = 6 * 120 + 1
+    contents = [(0.5, 0.1, 0.05, 0.2, 0.1) if i % 7 == 3 else (i // 40) % 6
+                for i in range(n)]
+    speeds = [70.0 * abs(np.sin(i / 120.0)) for i in range(n)]
+    return _mixed_payload(contents, speeds, 6.0)
+
+
+@pytest.fixture(scope="module")
+def session_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("patch") / "patch_session.json"
+    path.write_text(json.dumps(_session_payload()))
+    return path
+
+
+def test_patch_sessions_equal_eager_sessions(session_file):
+    eager = eager_scenario_from_json(session_file)
+    model, graph = _trained_model(), default_transition_graph()
+    assert (run_session(scenario_from_json(session_file), model, graph, SOURCE)
+            == run_session(eager, model, graph, SOURCE))
+    assert (run_session(scenario_from_json(session_file), model, graph, SOURCE,
+                        jitter_pct=5.0, seed=3)
+            == run_session(eager, model, graph, SOURCE, jitter_pct=5.0, seed=3))
+    assert (compare_baselines(scenario_from_json(session_file), SOURCE)
+            == compare_baselines(eager, SOURCE))
+
+
+def test_only_the_predictor_extracts_and_once_per_record(monkeypatch, session_file):
+    kernel = mock.Mock(wraps=simulator.extract_features)
+    monkeypatch.setattr(simulator, "extract_features", kernel)
+    read = set()
+    content_rows = Scenario.content_rows
+
+    def spy(self, records):
+        read.update(np.asarray(records).tolist())
+        return content_rows(self, records)
+
+    monkeypatch.setattr(Scenario, "content_rows", spy)
+    payload = _session_payload()
+    patch_records = {i for i, f in enumerate(payload["frames"]) if "patch_b64" in f}
+    scenario = scenario_from_json(session_file)
+    compare_baselines(scenario, SOURCE)
+    assert kernel.call_count == 0 and read == set()
+    run_session(scenario, _trained_model(), default_transition_graph(), SOURCE)
+    assert kernel.call_count == len(read & patch_records)
+    assert 0 < kernel.call_count < len(patch_records)
+    # a second session extracts nothing it has read before
+    run_session(scenario, _trained_model(), default_transition_graph(), SOURCE)
+    assert kernel.call_count == len(read & patch_records)
 
 
 # ---------------------------------------------------------------------------
@@ -536,3 +699,28 @@ def test_window_engine_equals_per_frame_engine_on_acceptance_scenarios():
                                      PredictorControllerPolicy(model, graph),
                                      SOURCE)
             assert fast == slow
+
+
+def test_predictor_rows_equal_per_frame_feature_vectors(monkeypatch, session_file):
+    """The predictor policy's window rows, bit for bit: against the
+    per-frame engine's FeatureVectors on a scenario with mid-GOP schedule
+    changes, and on a patch scenario read on demand against the eager one."""
+    def session_rows(engine, scenario):
+        rows = []
+        monkeypatch.setattr(simulator, "forward_batch", lambda model, x:
+                            rows.append(x.copy()) or forward_batch(model, x))
+        monkeypatch.setattr(oracles, "forward", lambda model, fv:
+                            rows.append(fv.as_array()[None]) or forward(model, fv))
+        trace = engine(scenario, PredictorControllerPolicy(
+            _trained_model(), default_transition_graph()), SOURCE)
+        rows = np.concatenate(rows)
+        assert rows.shape == (len(trace.frames), 7)
+        return rows.tobytes()
+
+    scenario = make_scenario(
+        duration_s=8.0, seed=9, velocity_degps=lambda t: 70.0 * abs(np.sin(t)),
+        bitrate_schedule=((0.0, 6e6), (3.1037, 2e6), (5.0119, 3.5e6)))
+    assert (session_rows(_run_with_policy, scenario)
+            == session_rows(per_frame_session, scenario))
+    assert (session_rows(_run_with_policy, scenario_from_json(session_file))
+            == session_rows(_run_with_policy, eager_scenario_from_json(session_file)))
