@@ -7,7 +7,7 @@ streaming-session simulator with GOP and I-frame semantics.
 """
 
 from .controller import (ControllerState, TransitionGraph, decide,
-                         default_transition_graph, initial_state, step, step_log,
+                         default_transition_graph, initial_state, step,
                          step_window)
 from .errors import (AdastreamError, ArgumentError, ConfigError, ContractError,
                      DivergenceError, ModelCorruptError, SchemaError)
@@ -18,8 +18,7 @@ from .labeler import (DEFAULT_MARGIN_JOD, LabeledClip, label_grids,
 from .ladder import (DEFAULT_LADDER, FRAME_RATES_HZ, RESOLUTION_LINES, Ladder,
                      VideoMode, objective_cost, pixels_per_second)
 from .metrics import confusion_matrix, relative_error
-from .motion import (MotionSample, SPEM_LIMIT_DEGPS, VelocityEstimator,
-                     ndc_to_deg_per_sec, normalize_velocity)
+from .motion import SPEM_LIMIT_DEGPS, VelocityEstimator, normalize_velocity
 from .predictor import (PredictorModel, TrainConfig, TrainingExample, forward,
                         load_model, save_model, train)
 from .quality import (QualityGrid, SyntheticQualityParams, load_grids,
@@ -35,7 +34,7 @@ __all__ = [
     "AdastreamError", "ArgumentError", "ConfigError", "ContractError",
     "ControllerState", "DEFAULT_LADDER", "DEFAULT_MARGIN_JOD",
     "DivergenceError", "FRAME_RATES_HZ", "FeatureVector", "GridQualitySource",
-    "LabeledClip", "Ladder", "ModelCorruptError", "MotionSample",
+    "LabeledClip", "Ladder", "ModelCorruptError",
     "PredictorModel", "QualityGrid", "RESOLUTION_LINES", "SPEM_LIMIT_DEGPS",
     "Scenario", "SchemaError", "SessionTrace", "SyntheticQualityParams",
     "SyntheticQualitySource", "TrainConfig", "TrainingExample",
@@ -43,10 +42,10 @@ __all__ = [
     "compare_baselines", "confusion_matrix", "decide",
     "default_transition_graph", "extract_features", "forward", "initial_state",
     "label_grids", "load_grids", "load_model", "make_synthetic_grid",
-    "ndc_to_deg_per_sec", "normalize_bandwidth", "normalize_velocity",
+    "normalize_bandwidth", "normalize_velocity",
     "objective_cost", "pixels_per_second", "quality_value", "relative_error",
     "run_session", "save_model", "savings_curve", "scenario_from_json",
     "scenario_to_json", "select_efficient", "select_max_quality",
-    "selection_distribution", "step", "step_log", "step_window",
+    "selection_distribution", "step", "step_window",
     "synthetic_quality", "train",
 ]

@@ -9,7 +9,7 @@ Recognized keys (all optional)::
       "viterbi": {
         "frame_rate_weights": [[...], ...],   # full matrix, row = from-state
         "resolution_weights": [[...], ...],
-        "decision_period_s": 2.0,             # must equal the 2 s GOP length
+        "decision_period_s": 2.0,             # only 2.0, the fixed window length
         "emission_floor": 1e-12
       },
       "synthetic": {
@@ -33,7 +33,7 @@ from .controller import (DECISION_PERIOD_S, EMISSION_FLOOR, TransitionGraph,
 from .errors import ArgumentError, ConfigError
 from .ladder import DEFAULT_LADDER, Ladder
 from .quality import SyntheticQualityParams
-from .simulator import GOP_LENGTH_S, IFRAME_BIT_MULTIPLIER
+from .simulator import IFRAME_BIT_MULTIPLIER
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,12 @@ def load_config(path=None) -> Config:
         floor = float(viterbi.get("emission_floor", EMISSION_FLOOR))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad viterbi section: {exc}") from None
-    if period != GOP_LENGTH_S:
+    if period != DECISION_PERIOD_S:
         raise ConfigError(
             f"{path}: viterbi.decision_period_s is {period} s, but the "
-            f"simulator decides once per {GOP_LENGTH_S} s GOP; it must be "
-            f"{GOP_LENGTH_S}")
-    default_graph = default_transition_graph(ladder, period)
+            f"simulator decides once per {DECISION_PERIOD_S} s GOP; it must be "
+            f"{DECISION_PERIOD_S}")
+    default_graph = default_transition_graph(ladder)
     try:
         f_weights, r_weights = (
             np.array(viterbi.get(key, getattr(default_graph, key)), dtype=float)
@@ -139,7 +139,6 @@ def load_config(path=None) -> Config:
         graph = TransitionGraph(
             frame_rate_weights=f_weights,
             resolution_weights=r_weights,
-            decision_period_s=period,
             ladder=ladder,
             emission_floor=floor,
         )

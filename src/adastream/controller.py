@@ -2,7 +2,9 @@
 
 The controller keeps log-domain path scores for the frame-rate chain and the
 resolution chain. Every rendered frame updates both chains with the
-predictor's class probabilities; a decision is emitted every 2 seconds.
+predictor's class probabilities; a decision is emitted every
+``DECISION_PERIOD_S`` (2 s), the simulator's GOP length. The period is a
+constant, not a setting: a window is one GOP and one decision.
 :func:`step_window` takes the frames of a whole window at once: it checks
 the probabilities and computes every frame's emission up front, then runs
 the recursion frame by frame. :func:`step` is its one-frame case.
@@ -17,7 +19,7 @@ Switching is rate-limited twice over:
   resolution rung, even when the evidence argmax sits further away. In that
   case the decision steps toward the argmax, one band per decision.
 
-Per-frame emission log-probabilities are weighted by dt / decision_period,
+Per-frame emission log-probabilities are weighted by dt / DECISION_PERIOD_S,
 so a full window integrates to its time-weighted mean log-emission. That
 keeps the evidence scale comparable to the transition weights regardless of
 the frame rate, which is what lets the weights damp noisy predictions.
@@ -28,6 +30,7 @@ probability cannot permanently kill a chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,11 +54,12 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransitionGraph:
-    """Transition weight matrices for the two chains, plus the decision cadence."""
+    """Transition weight matrices for the two chains."""
+
+    decision_period_s: ClassVar[float] = DECISION_PERIOD_S
 
     frame_rate_weights: np.ndarray  # (n_f, n_f)
     resolution_weights: np.ndarray  # (n_r, n_r)
-    decision_period_s: float = DECISION_PERIOD_S
     ladder: Ladder = DEFAULT_LADDER
     emission_floor: float = EMISSION_FLOOR
 
@@ -79,8 +83,6 @@ class TransitionGraph:
         blocked_r = np.abs(rungs[:, None] - rungs[None, :]) > 1
         if np.any(rw[blocked_r] != 0.0):
             raise ArgumentError("resolution moves beyond one rung must have weight 0")
-        if self.decision_period_s <= 0:
-            raise ArgumentError("decision period must be positive")
         if not 0 < self.emission_floor < 1:
             raise ArgumentError("emission_floor must be in (0, 1)")
         fw.setflags(write=False)
@@ -98,8 +100,7 @@ class TransitionGraph:
         object.__setattr__(self, "_log_w_pair", log_w_pair)
 
 
-def default_transition_graph(ladder: Ladder = DEFAULT_LADDER,
-                             decision_period_s: float = DECISION_PERIOD_S) -> TransitionGraph:
+def default_transition_graph(ladder: Ladder = DEFAULT_LADDER) -> TransitionGraph:
     """Compiled-in weights: frame rate 1.0/0.6/0.3/0.15 by 10 Hz step out to
     30 Hz, resolution 1.0 self and 0.5 per adjacent rung."""
     rates = np.array(ladder.frame_rates_hz)
@@ -113,7 +114,7 @@ def default_transition_graph(ladder: Ladder = DEFAULT_LADDER,
     rw = np.zeros((n_r, n_r), dtype=float)
     rw[rung_delta == 0] = _RESOLUTION_SELF_WEIGHT
     rw[rung_delta == 1] = _RESOLUTION_ADJACENT_WEIGHT
-    return TransitionGraph(fw, rw, decision_period_s, ladder)
+    return TransitionGraph(fw, rw, ladder)
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,11 @@ def _weighted_emissions(log_p: np.ndarray, peak: np.ndarray, weight: float,
 def _step_window_log(graph: TransitionGraph, state: ControllerState,
                      log_probs_f, log_probs_r, dt: float) -> ControllerState:
     """Advance both chains over a window of frames, one row of raw
-    log-emissions per frame, every frame lasting ``dt``."""
+    log-emissions per frame, every frame lasting ``dt``.
+
+    No normalization is required of the inputs; adding a constant to a row
+    cannot change any later decision.
+    """
     if dt <= 0:
         raise ArgumentError("dt must be positive")
     lpf = np.asarray(log_probs_f, dtype=float)
@@ -185,7 +190,7 @@ def _step_window_log(graph: TransitionGraph, state: ControllerState,
     for name, peak in (("frame-rate", peak_f), ("resolution", peak_r)):
         if not np.isfinite(peak).all():
             raise ArgumentError(f"{name} emission needs a finite maximum")
-    weight = dt / graph.decision_period_s
+    weight = dt / DECISION_PERIOD_S
     floor_log = np.log(graph.emission_floor)
     score_f, score_r = _max_plus(
         graph, state.score_f, state.score_r,
@@ -223,19 +228,6 @@ def _one_row(values, length: int, name: str) -> np.ndarray:
     return values[None, :]
 
 
-def step_log(graph: TransitionGraph, state: ControllerState,
-             log_probs_f, log_probs_r, dt: float) -> ControllerState:
-    """Advance both chains one frame using raw log-emissions.
-
-    No normalization is required of the inputs; adding a constant to either
-    emission vector cannot change any later decision.
-    """
-    return _step_window_log(
-        graph, state,
-        _one_row(log_probs_f, graph.ladder.n_frame_rates, "frame-rate"),
-        _one_row(log_probs_r, graph.ladder.n_heights, "resolution"), dt)
-
-
 def step(graph: TransitionGraph, state: ControllerState,
          probs_f, probs_r, dt: float) -> ControllerState:
     """Advance both chains one frame using normalized class probabilities."""
@@ -268,10 +260,10 @@ def decide(graph: TransitionGraph, state: ControllerState) -> tuple[VideoMode, C
     current state; scores are then re-anchored at the chosen state (0 for it,
     log transition weight elsewhere) and the decision clock resets.
     """
-    if state.time_since_decision + _TIME_EPS < graph.decision_period_s:
+    if state.time_since_decision + _TIME_EPS < DECISION_PERIOD_S:
         raise ContractError(
             f"decide called after {state.time_since_decision:.3f} s, "
-            f"decision period is {graph.decision_period_s} s")
+            f"decision period is {DECISION_PERIOD_S} s")
     ladder = graph.ladder
     cur_f = ladder.frame_rate_index(state.current_mode.frame_rate_hz)
     cur_r = ladder.height_index(state.current_mode.height)

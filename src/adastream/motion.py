@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import ArgumentError
 
@@ -17,32 +16,10 @@ SPEM_LIMIT_DEGPS = 80.0
 WINDOW_SECONDS = 0.5
 
 
-@dataclass(frozen=True)
-class MotionSample:
-    """Mean motion magnitude of one frame, with its timing and FOV context."""
-
-    mean_ndc_magnitude: float  # NDC units per frame; NDC spans 2 units across the FOV
-    frame_interval_s: float
-    fov_horizontal_deg: float
-
-    def __post_init__(self):
-        if self.mean_ndc_magnitude < 0:
-            raise ArgumentError("mean_ndc_magnitude must be >= 0")
-        if self.frame_interval_s <= 0:
-            raise ArgumentError("frame_interval_s must be positive")
-        if not 0 < self.fov_horizontal_deg < 180:
-            raise ArgumentError("fov_horizontal_deg must be in (0, 180)")
-
-
-def ndc_to_deg_per_sec(sample: MotionSample) -> float:
-    """Small-angle conversion of an NDC displacement rate to deg/s."""
-    return deg_per_sec(sample.mean_ndc_magnitude, sample.frame_interval_s,
-                       sample.fov_horizontal_deg)
-
-
 def deg_per_sec(mean_ndc_magnitude, frame_interval_s, fov_horizontal_deg):
-    """The conversion of :func:`ndc_to_deg_per_sec` on unvalidated values;
-    elementwise on arrays of magnitudes."""
+    """Small-angle conversion of an NDC displacement rate to deg/s; NDC spans
+    2 units across the horizontal FOV. Elementwise on arrays of magnitudes.
+    The inputs are not checked here: ``Scenario`` validates them."""
     return mean_ndc_magnitude * (fov_horizontal_deg / 2.0) / frame_interval_s
 
 

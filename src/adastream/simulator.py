@@ -8,17 +8,18 @@ at a GOP boundary, so it always coincides with one. Frame-rate changes take
 effect at decision boundaries without forcing an I-frame. No network
 transport is modeled; bandwidth acts purely as an encoder constraint.
 
-The engine works one window at a time. A window is one GOP and one decision
-period, and the mode is fixed over it, so every per-frame input of the
-window is known when it starts: the frame times, the reference record each
-frame samples and its motion in deg/s. Only the 500 ms velocity average
-runs frame by frame. The policy sees the window through
-``on_window(scenario, times, records, velocities, dt)`` and picks the next
-window's mode in ``decide_mode``. Only the predictor policy reads content:
-it builds the ``(n, 7)`` feature matrix, one row per frame in
-``FEATURE_NAMES`` order, from the records' content rows, the bandwidth in
-force and the velocities, so a patch scenario extracts features only for
-the records a predictor session reads.
+The engine works one window at a time. A window is ``GOP_LENGTH_S`` long:
+one GOP and one controller decision, both set by that one constant (the
+controller's ``DECISION_PERIOD_S``). The mode is fixed over a window, so
+every per-frame input of the window is known when it starts: the frame
+times, the reference record each frame samples and its motion in deg/s.
+Only the 500 ms velocity average runs frame by frame. The policy sees the
+window through ``on_window(scenario, times, records, velocities, dt)`` and
+picks the next window's mode in ``decide_mode``. Only the predictor policy
+reads content: it builds the ``(n, 7)`` feature matrix, one row per frame
+in ``FEATURE_NAMES`` order, from the records' content rows, the bandwidth
+in force and the velocities, so a patch scenario extracts features only
+for the records a predictor session reads.
 
 A quality source answers in surfaces: ``surface(ladder, bitrate_bps,
 velocities)`` returns the ``(n, n_f, n_h)`` JOD of every ladder cell at each
@@ -29,8 +30,9 @@ velocity. ``source(mode, bitrate_bps, velocity_degps)`` gives one cell.
 
 The per-GOP bit budget is exact in deterministic mode: the I-frame receives
 a fixed multiple of the P-frame budget and the integer rounding residue goes
-to the last P-frame, so each GOP sums to target_bitrate * gop_length to the
-bit. Optional per-frame jitter reintroduces encoder-like deviation.
+to the last P-frame, so each GOP sums to target_bitrate * GOP_LENGTH_S to
+the bit. Schedule rates are bounded by ``MAX_BITRATE_BPS``, so every budget
+fits in int64. Optional per-frame jitter reintroduces encoder-like deviation.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,6 +63,8 @@ GOP_LENGTH_S = DECISION_PERIOD_S
 IFRAME_BIT_MULTIPLIER = 4
 BASELINE_BITRATE_THRESHOLD_BPS = 5_000_000.0
 MIN_REFERENCE_RATE_HZ = 120.0
+# A GOP budget of this rate, times a jitter scale below 2, fits in int64.
+MAX_BITRATE_BPS = 1e15
 
 CONTENT_FEATURE_KEYS = ("mean_luma", "rms_contrast", "gradient_energy",
                         "high_freq_ratio", "edge_density")
@@ -183,8 +187,9 @@ class Scenario:
             raise ConfigError("bitrate schedule has a gap: it must start at t=0")
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
             raise ConfigError("bitrate schedule times must be nondecreasing")
-        if not all(0 < b < math.inf for _, b in bitrate_schedule):
-            raise ConfigError("bitrate schedule rates must be positive and finite")
+        if not all(0 < b <= MAX_BITRATE_BPS for _, b in bitrate_schedule):
+            raise ConfigError("bitrate schedule rates must be positive, finite "
+                              f"and at most {MAX_BITRATE_BPS:g} bps")
         for arr in (ts, mags):
             arr.setflags(write=False)
         self.timestamps = ts               # (n,), strictly increasing, starts at 0
@@ -365,27 +370,20 @@ def scenario_from_json(path) -> Scenario:
 # Encoder model
 
 
-@dataclass
-class EncoderState:
-    current_mode: VideoMode
-    target_bitrate_bps: float
-    gop_length_s: float = GOP_LENGTH_S
-
-
-def allocate_bits(encoder: EncoderState, frames_in_gop: int,
+def allocate_bits(target_bitrate_bps: float, frames_in_gop: int,
                   iframe_multiplier: int = IFRAME_BIT_MULTIPLIER) -> np.ndarray:
     """Per-frame bit budget for one GOP.
 
     The opening I-frame gets ``iframe_multiplier`` times the P-frame budget,
     P-frames split the remainder equally, and the integer rounding residue is
     assigned to the last P-frame, so the GOP total is exactly
-    target_bitrate * gop_length (rounded to an integer number of bits).
+    target_bitrate * GOP_LENGTH_S (rounded to an integer number of bits).
     """
     if frames_in_gop < 1:
         raise ArgumentError("frames_in_gop must be >= 1")
     if iframe_multiplier < 1:
         raise ArgumentError("iframe_multiplier must be >= 1")
-    total = round(encoder.target_bitrate_bps * encoder.gop_length_s)
+    total = round(target_bitrate_bps * GOP_LENGTH_S)
     denom = iframe_multiplier + (frames_in_gop - 1)
     if total < denom:
         raise ArgumentError(
@@ -524,15 +522,14 @@ class SessionTrace:
 
 def _run_with_policy(scenario: Scenario, policy, quality_source,
                      *, initial_mode: VideoMode | None = None,
-                     gop_length_s: float = GOP_LENGTH_S,
                      iframe_multiplier: int = IFRAME_BIT_MULTIPLIER,
                      jitter_pct: float = 0.0, seed: int = 0,
                      ladder: Ladder = DEFAULT_LADDER) -> SessionTrace:
-    n_windows = int(math.floor(scenario.duration_s / gop_length_s + 1e-9))
+    n_windows = int(math.floor(scenario.duration_s / GOP_LENGTH_S + 1e-9))
     if n_windows < 1:
         raise ArgumentError(
             f"scenario of {scenario.duration_s} s is shorter than one "
-            f"{gop_length_s} s GOP")
+            f"{GOP_LENGTH_S} s GOP")
 
     if initial_mode is None:
         initial_mode = baseline_mode(scenario.bitrate_at(0.0))
@@ -544,8 +541,6 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
                                1.0 / scenario.reference_rate_hz,
                                scenario.fov_horizontal_deg)
     estimator = VelocityEstimator()
-    encoder = EncoderState(initial_mode, scenario.bitrate_at(0.0),
-                           gop_length_s=gop_length_s)
     policy.begin(initial_mode)
 
     frames: list[FrameRecord] = []
@@ -558,17 +553,17 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
     mode = initial_mode
 
     for w in range(n_windows):
-        window_start = w * gop_length_s
+        window_start = w * GOP_LENGTH_S
         # The bit budget latches the schedule at the GOP boundary; mid-GOP
         # schedule changes take effect at the next GOP.
-        encoder.target_bitrate_bps = scenario.bitrate_at(window_start)
-        frames_in_gop = round(mode.frame_rate_hz * gop_length_s)
-        budget = allocate_bits(encoder, frames_in_gop, iframe_multiplier)
+        target_bitrate_bps = scenario.bitrate_at(window_start)
+        frames_in_gop = round(mode.frame_rate_hz * GOP_LENGTH_S)
+        budget = allocate_bits(target_bitrate_bps, frames_in_gop, iframe_multiplier)
         if rng is not None:
             scale = rng.uniform(1.0 - jitter_pct / 100.0,
                                 1.0 + jitter_pct / 100.0, frames_in_gop)
             budget = np.maximum(1, np.rint(budget * scale)).astype(np.int64)
-        target_bits += round(encoder.target_bitrate_bps * gop_length_s)
+        target_bits += round(target_bitrate_bps * GOP_LENGTH_S)
 
         times = window_start + np.arange(frames_in_gop) / mode.frame_rate_hz
         records = scenario.sample_index(times)
@@ -578,7 +573,7 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
         velocity = velocities[-1]
         policy.on_window(scenario, times, records, velocities,
                          1.0 / mode.frame_rate_hz)
-        surface = quality_source.surface(ladder, encoder.target_bitrate_bps, velocities)
+        surface = quality_source.surface(ladder, target_bitrate_bps, velocities)
         # Summed in frame order: np.sum's pairwise order would change the
         # last bits of the window mean.
         window_quality = 0.0
@@ -598,16 +593,16 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
 
         if w + 1 == n_windows:
             break  # no decision after the final window
-        boundary = (w + 1) * gop_length_s
+        boundary = (w + 1) * GOP_LENGTH_S
         new_mode = policy.decide_mode(scenario.bitrate_at(boundary), velocity)
         ladder.require_mode(new_mode)
         if new_mode.frame_rate_hz != mode.frame_rate_hz:
             switch_f += 1
         if new_mode.height != mode.height:
             switch_r += 1
-        encoder.current_mode = mode = new_mode
+        mode = new_mode
 
-    duration = n_windows * gop_length_s
+    duration = n_windows * GOP_LENGTH_S
     achieved = total_bits / duration
     target_avg = target_bits / duration
     error_pct = abs(achieved - target_avg) / target_avg * 100.0
@@ -620,17 +615,8 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
 
 def run_session(scenario: Scenario, model: PredictorModel, graph: TransitionGraph,
                 quality_source, **kwargs) -> SessionTrace:
-    """Simulate a session driven by the trained predictor and the controller.
-
-    The controller decides once per window, so its decision period must be
-    the GOP length.
-    """
-    gop_length_s = kwargs.get("gop_length_s", GOP_LENGTH_S)
-    if graph.decision_period_s != gop_length_s:
-        raise ArgumentError(
-            f"controller decision period {graph.decision_period_s} s differs "
-            f"from the {gop_length_s} s GOP length; a window is one GOP and "
-            "one decision")
+    """Simulate a session driven by the trained predictor and the
+    controller, which decides once per window."""
     return _run_with_policy(scenario, PredictorControllerPolicy(model, graph),
                             quality_source, ladder=graph.ladder, **kwargs)
 
@@ -681,18 +667,7 @@ def write_window_csv(trace: SessionTrace, path) -> None:
 
 
 def summary_dict(trace: SessionTrace) -> dict:
-    s = trace.summary
-    return {
-        "duration_s": s.duration_s,
-        "n_windows": s.n_windows,
-        "achieved_bitrate_bps": s.achieved_bitrate_bps,
-        "target_bitrate_bps": s.target_bitrate_bps,
-        "bitrate_error_pct": s.bitrate_error_pct,
-        "total_pixels": s.total_pixels,
-        "mean_quality_jod": s.mean_quality_jod,
-        "switch_count_f": s.switch_count_f,
-        "switch_count_r": s.switch_count_r,
-    }
+    return asdict(trace.summary)
 
 
 def write_summary_json(trace: SessionTrace, path) -> None:

@@ -13,6 +13,7 @@ reader, which extracted the features of every patch record at read time.
 import base64
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dctn
@@ -22,12 +23,11 @@ from adastream.errors import ArgumentError
 from adastream.features import (EDGE_THRESHOLD, PATCH_SIZE, FeatureVector,
                                 normalize_bandwidth)
 from adastream.ladder import DEFAULT_LADDER, VideoMode, pixels_per_second
-from adastream.motion import (MotionSample, VelocityEstimator,
-                              ndc_to_deg_per_sec, normalize_velocity)
+from adastream.motion import VelocityEstimator, deg_per_sec, normalize_velocity
 from adastream.predictor import forward
 from adastream.quality import QualityGrid
 from adastream.simulator import (GOP_LENGTH_S, IFRAME_BIT_MULTIPLIER,
-                                 EncoderState, FrameRecord,
+                                 FrameRecord,
                                  OracleQualityPolicy, PredictorControllerPolicy,
                                  Scenario, SessionSummary, SessionTrace, WindowRecord,
                                  CONTENT_FEATURE_KEYS, allocate_bits,
@@ -119,6 +119,28 @@ def nearest_grid_scan(grids, bitrate_bps, velocity_degps):
     return min(grids, key=distance)
 
 
+@dataclass(frozen=True)
+class MotionSample:
+    """Mean motion magnitude of one frame, with its timing and FOV context,
+    validated one sample at a time as the per-frame engine did."""
+
+    mean_ndc_magnitude: float  # NDC units per frame; NDC spans 2 units across the FOV
+    frame_interval_s: float
+    fov_horizontal_deg: float
+
+    def __post_init__(self):
+        if self.mean_ndc_magnitude < 0:
+            raise ArgumentError("mean_ndc_magnitude must be >= 0")
+        if self.frame_interval_s <= 0:
+            raise ArgumentError("frame_interval_s must be positive")
+        if not 0 < self.fov_horizontal_deg < 180:
+            raise ArgumentError("fov_horizontal_deg must be in (0, 180)")
+
+    def to_deg_per_sec(self):
+        return deg_per_sec(self.mean_ndc_magnitude, self.frame_interval_s,
+                           self.fov_horizontal_deg)
+
+
 def _on_frame(policy, features, dt):
     """One frame of a policy, as the per-frame engine drove it: the
     predictor policy runs one forward pass and one controller step."""
@@ -128,7 +150,6 @@ def _on_frame(policy, features, dt):
 
 
 def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
-                      gop_length_s=GOP_LENGTH_S,
                       iframe_multiplier=IFRAME_BIT_MULTIPLIER,
                       jitter_pct=0.0, seed=0, ladder=DEFAULT_LADDER):
     """The frame-at-a-time session engine that the window engine replaced.
@@ -137,11 +158,11 @@ def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
     FeatureVector, runs the policy and accounts its quality and bits. Its
     frames, windows and summary must equal the window engine's.
     """
-    n_windows = int(math.floor(scenario.duration_s / gop_length_s + 1e-9))
+    n_windows = int(math.floor(scenario.duration_s / GOP_LENGTH_S + 1e-9))
     if n_windows < 1:
         raise ArgumentError(
             f"scenario of {scenario.duration_s} s is shorter than one "
-            f"{gop_length_s} s GOP")
+            f"{GOP_LENGTH_S} s GOP")
 
     if initial_mode is None:
         initial_mode = baseline_mode(scenario.bitrate_at(0.0))
@@ -150,8 +171,6 @@ def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
     rng = np.random.default_rng(seed) if jitter_pct > 0 else None
     ref_interval = 1.0 / scenario.reference_rate_hz
     estimator = VelocityEstimator()
-    encoder = EncoderState(initial_mode, scenario.bitrate_at(0.0),
-                           gop_length_s=gop_length_s)
     policy.begin(initial_mode)
 
     frames = []
@@ -164,15 +183,15 @@ def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
     mode = initial_mode
 
     for w in range(n_windows):
-        window_start = w * gop_length_s
-        encoder.target_bitrate_bps = scenario.bitrate_at(window_start)
-        frames_in_gop = round(mode.frame_rate_hz * gop_length_s)
-        budget = allocate_bits(encoder, frames_in_gop, iframe_multiplier)
+        window_start = w * GOP_LENGTH_S
+        target_bitrate_bps = scenario.bitrate_at(window_start)
+        frames_in_gop = round(mode.frame_rate_hz * GOP_LENGTH_S)
+        budget = allocate_bits(target_bitrate_bps, frames_in_gop, iframe_multiplier)
         if rng is not None:
             scale = rng.uniform(1.0 - jitter_pct / 100.0,
                                 1.0 + jitter_pct / 100.0, frames_in_gop)
             budget = np.maximum(1, np.rint(budget * scale)).astype(np.int64)
-        target_bits += round(encoder.target_bitrate_bps * gop_length_s)
+        target_bits += round(target_bitrate_bps * GOP_LENGTH_S)
 
         window_quality = 0.0
         velocity = estimator.current_estimate
@@ -181,13 +200,12 @@ def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
             rec = int(scenario.sample_index(t))
             sample = MotionSample(float(scenario.ndc_magnitudes[rec]),
                                   ref_interval, scenario.fov_horizontal_deg)
-            velocity = estimator.update(ndc_to_deg_per_sec(sample), t)
+            velocity = estimator.update(sample.to_deg_per_sec(), t)
             content = FeatureVector(*[float(v) for v in scenario.content_features[rec]])
             fv = content.with_context(normalize_velocity(velocity),
                                       normalize_bandwidth(scenario.bitrate_at(t)))
             _on_frame(policy, fv, 1.0 / mode.frame_rate_hz)
-            window_quality += quality_source(mode, encoder.target_bitrate_bps,
-                                             velocity)
+            window_quality += quality_source(mode, target_bitrate_bps, velocity)
             frames.append(FrameRecord(t, mode.frame_rate_hz, mode.height,
                                       int(budget[i]), i == 0, w))
             total_bits += int(budget[i])
@@ -199,7 +217,7 @@ def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
 
         if w + 1 == n_windows:
             break
-        boundary = (w + 1) * gop_length_s
+        boundary = (w + 1) * GOP_LENGTH_S
         new_mode = policy.decide_mode(scenario.bitrate_at(boundary), velocity)
         ladder.require_mode(new_mode)
         if new_mode.frame_rate_hz != mode.frame_rate_hz:
@@ -208,7 +226,7 @@ def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
             switch_r += 1
         mode = new_mode
 
-    duration = n_windows * gop_length_s
+    duration = n_windows * GOP_LENGTH_S
     achieved = total_bits / duration
     target_avg = target_bits / duration
     error_pct = abs(achieved - target_avg) / target_avg * 100.0

@@ -188,6 +188,25 @@ def test_decision_period_unlike_gop_is_config_error(tmp_path, period):
     assert not (tmp_path / "sim" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("rate", [5e18, 1e19])
+def test_schedule_rate_beyond_int64_budgets_is_schema_error(tmp_path, capsys, rate):
+    # a GOP budget of such a rate does not fit the int64 frame budgets
+    out = gen(tmp_path, count=4)
+    model_dir = tmp_path / "model"
+    assert run(["train", "--data", out / "training.csv", "--out", model_dir,
+                "--epochs", 1]) == EXIT_OK
+    scenario = out / "scenario_000.json"
+    payload = json.loads(scenario.read_text())
+    payload["bitrate_schedule"] = [[0, rate]]
+    scenario.write_text(json.dumps(payload))
+    assert run(["simulate", "--scenario", scenario, "--model",
+                model_dir / "model.json", "--out", tmp_path / "sim"]) == EXIT_SCHEMA
+    assert run(["compare", "--scenario", scenario,
+                "--out", tmp_path / "cmp"]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.count(f"{scenario}: bitrate schedule rates must be") == 2
+
+
 def test_non_numeric_scenario_value_is_schema_error(tmp_path, capsys):
     out = gen(tmp_path, count=2)
     scenario = out / "scenario_000.json"

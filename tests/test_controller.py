@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 from adastream.controller import (ControllerState, TransitionGraph,
                                   _step_window_log, decide,
                                   default_transition_graph, initial_state,
-                                  step, step_log, step_window)
+                                  step, step_window)
 from adastream.errors import ArgumentError, ContractError
 from adastream.ladder import DEFAULT_LADDER, VideoMode
+from adastream.simulator import GOP_LENGTH_S
 
 UNIFORM_F = np.full(10, 0.1)
 UNIFORM_R = np.full(5, 0.2)
@@ -69,6 +70,17 @@ def test_graph_validation():
     fw[0, 0] = 0.0  # self weight must stay positive
     with pytest.raises(ArgumentError):
         TransitionGraph(fw, g.resolution_weights)
+
+
+def test_decision_period_is_the_gop_length():
+    # a window is one GOP and one decision; no graph carries its own period
+    assert default_transition_graph().decision_period_s == GOP_LENGTH_S == 2.0
+    g = graph()
+    with pytest.raises(TypeError):
+        TransitionGraph(g.frame_rate_weights, g.resolution_weights,
+                        decision_period_s=1.0)
+    with pytest.raises(TypeError):
+        default_transition_graph(DEFAULT_LADDER, 1.0)
 
 
 def test_uniform_emissions_keep_current_mode():
@@ -152,7 +164,7 @@ def test_score_shift_invariance(rng):
             for _ in range(10):
                 lpf = np.log(stream_rng.dirichlet(np.ones(10))) + offset
                 lpr = np.log(stream_rng.dirichlet(np.ones(5))) + offset
-                state = step_log(g, state, lpf, lpr, 0.2)
+                state = _step_window_log(g, state, lpf[None, :], lpr[None, :], 0.2)
             mode, state = decide(g, state)
             picks.append(mode)
         decisions.append(picks)
@@ -219,16 +231,6 @@ def test_dead_chain_stays_put():
     assert mode.frame_rate_hz <= 60
 
 
-def test_decision_period_override():
-    g = default_transition_graph(decision_period_s=1.0)
-    state = initial_state(g, VideoMode(60, 720))
-    for _ in range(4):
-        state = step(g, state, UNIFORM_F, UNIFORM_R, 0.25)
-    mode, state = decide(g, state)
-    assert mode == VideoMode(60, 720)
-    assert state.time_since_decision == 0.0
-
-
 # ---------------------------------------------------------------------------
 # window kernel
 
@@ -270,7 +272,8 @@ def test_step_window_equals_sequential_steps(seed, n_rows, rate, start, elapsed)
     sequential = state
     with np.errstate(divide="ignore"):
         for f_row, r_row in zip(np.log(pf) + 2.5, np.log(pr) - 1.0):
-            sequential = step_log(g, sequential, f_row, r_row, dt)
+            sequential = _step_window_log(g, sequential, f_row[None, :],
+                                          r_row[None, :], dt)
     assert_same_state(logs, sequential)
 
 

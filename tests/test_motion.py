@@ -2,33 +2,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adastream.errors import ArgumentError
-from adastream.motion import (MotionSample, SPEM_LIMIT_DEGPS, VelocityEstimator,
-                              ndc_to_deg_per_sec, normalize_velocity)
+from adastream.motion import (SPEM_LIMIT_DEGPS, VelocityEstimator, deg_per_sec,
+                              normalize_velocity)
 
 
 def test_zero_magnitude_zero_velocity():
-    s = MotionSample(0.0, 1 / 60, 90.0)
-    assert ndc_to_deg_per_sec(s) == 0.0
+    assert deg_per_sec(0.0, 1 / 60, 90.0) == 0.0
 
 
 def test_conversion_values():
-    assert ndc_to_deg_per_sec(MotionSample(0.01, 1 / 60, 90.0)) == pytest.approx(27.0)
-    assert ndc_to_deg_per_sec(MotionSample(0.1, 1 / 30, 90.0)) == pytest.approx(135.0)
+    assert deg_per_sec(0.01, 1 / 60, 90.0) == pytest.approx(27.0)
+    assert deg_per_sec(0.1, 1 / 30, 90.0) == pytest.approx(135.0)
 
 
 def test_conversion_linearity():
-    base = ndc_to_deg_per_sec(MotionSample(0.02, 1 / 60, 100.0))
-    assert ndc_to_deg_per_sec(MotionSample(0.04, 1 / 60, 100.0)) == pytest.approx(2 * base)
-    assert ndc_to_deg_per_sec(MotionSample(0.02, 1 / 120, 100.0)) == pytest.approx(2 * base)
-
-
-def test_sample_validation():
-    with pytest.raises(ArgumentError):
-        MotionSample(-0.1, 1 / 60, 90.0)
-    with pytest.raises(ArgumentError):
-        MotionSample(0.1, 0.0, 90.0)
-    with pytest.raises(ArgumentError):
-        MotionSample(0.1, 1 / 60, 200.0)
+    base = deg_per_sec(0.02, 1 / 60, 100.0)
+    assert deg_per_sec(0.04, 1 / 60, 100.0) == pytest.approx(2 * base)
+    assert deg_per_sec(0.02, 1 / 120, 100.0) == pytest.approx(2 * base)
 
 
 def test_normalize_endpoints():

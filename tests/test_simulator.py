@@ -16,7 +16,7 @@ from adastream.ladder import DEFAULT_LADDER, Ladder, VideoMode, objective_cost
 from adastream.predictor import TrainConfig, forward, forward_batch, train
 from adastream.quality import (QualityGrid, SyntheticQualityParams,
                                make_synthetic_grid)
-from adastream.simulator import (EncoderState, FixedBaselinePolicy,
+from adastream.simulator import (GOP_LENGTH_S, FixedBaselinePolicy,
                                  GridQualitySource, OracleQualityPolicy,
                                  PredictorControllerPolicy, Scenario,
                                  SyntheticQualitySource, _run_with_policy,
@@ -41,16 +41,14 @@ def oracle_session(scenario, **kwargs):
 
 
 def test_allocation_worked_example():
-    enc = EncoderState(VideoMode(60, 720), 2e6)
-    bits = allocate_bits(enc, 120)
+    bits = allocate_bits(2e6, 120)
     assert bits[0] == 130_081          # the I-frame carries 4x the P budget
     assert bits[1] == 32_520
     assert bits.sum() == 4_000_000
 
 
 def test_single_frame_gop_gets_full_budget():
-    enc = EncoderState(VideoMode(30, 360), 3e6)
-    bits = allocate_bits(enc, 1)
+    bits = allocate_bits(3e6, 1)
     assert bits.tolist() == [6_000_000]
 
 
@@ -58,21 +56,18 @@ def test_single_frame_gop_gets_full_budget():
        st.floats(min_value=1e4, max_value=2e7),
        st.integers(min_value=1, max_value=10))
 def test_allocation_sums_exactly(frames, bitrate, multiplier):
-    enc = EncoderState(VideoMode(60, 720), bitrate)
-    bits = allocate_bits(enc, frames, multiplier)
-    assert int(bits.sum()) == round(bitrate * enc.gop_length_s)
+    bits = allocate_bits(bitrate, frames, multiplier)
+    assert int(bits.sum()) == round(bitrate * GOP_LENGTH_S)
     assert np.all(bits[1:-1] <= bits[0]) if frames > 2 else True
 
 
 def test_allocation_validation():
-    enc = EncoderState(VideoMode(60, 720), 2e6)
     with pytest.raises(ArgumentError):
-        allocate_bits(enc, 0)
+        allocate_bits(2e6, 0)
     with pytest.raises(ArgumentError):
-        allocate_bits(enc, 10, 0)
-    starved = EncoderState(VideoMode(60, 720), 10.0)
+        allocate_bits(2e6, 10, 0)
     with pytest.raises(ArgumentError, match="positive size"):
-        allocate_bits(starved, 120)
+        allocate_bits(10.0, 120)
 
 
 def test_resolution_changes_land_on_gop_opening_iframes():
@@ -98,6 +93,18 @@ def test_scenario_validation():
         make_scenario(duration_s=-1.0)
     with pytest.raises(ArgumentError):
         make_scenario(velocity_degps=-5.0)
+    # the motion inputs, checked once per scenario: a negative magnitude, a
+    # reference tick longer than 1/120 s and a FOV outside (0, 180)
+    mags = _scenario_arrays()["ndc_magnitudes"].copy()
+    mags[3] = -0.1
+    with pytest.raises(ArgumentError, match="ndc magnitudes must be >= 0"):
+        Scenario(**_scenario_arrays(ndc_magnitudes=mags))
+    for rate in (0.0, 60.0, 119.9):
+        with pytest.raises(ArgumentError, match="reference rate"):
+            Scenario(**_scenario_arrays(reference_rate_hz=rate))
+    for fov in (0.0, 180.0, 200.0):
+        with pytest.raises(ArgumentError, match="fov_horizontal_deg"):
+            Scenario(**_scenario_arrays(fov_horizontal_deg=fov))
     sc = make_scenario(duration_s=4.0, bitrate_schedule=((0.0, 2e6), (2.0, 4e6)))
     assert sc.bitrate_at(0.0) == 2e6
     assert sc.bitrate_at(1.99) == 2e6
@@ -187,6 +194,11 @@ def test_scenario_rejects_non_finite_values():
         Scenario(**_scenario_arrays(bitrate_schedule=((0.0, 3e6), (1.0, np.inf))))
     with pytest.raises(ConfigError):
         Scenario(**_scenario_arrays(bitrate_schedule=((0.0, np.nan),)))
+    # a GOP budget of such a rate would overflow the int64 frame budgets
+    for rate in (5e18, 1e19, np.nextafter(simulator.MAX_BITRATE_BPS, np.inf)):
+        with pytest.raises(ConfigError, match="at most"):
+            Scenario(**_scenario_arrays(bitrate_schedule=((0.0, 3e6), (1.0, rate))))
+    Scenario(**_scenario_arrays(bitrate_schedule=((0.0, simulator.MAX_BITRATE_BPS),)))
     with pytest.raises(ArgumentError):
         Scenario(**_scenario_arrays(duration_s=np.nan))
     with pytest.raises(ArgumentError):
@@ -507,19 +519,6 @@ def test_fixed_policy_raster_rate_is_constant():
                              bitrate_schedule=((0.0, 3e6),), seed=7)
     trace = _run_with_policy(scenario, FixedBaselinePolicy(), SOURCE)
     assert len({w.pixels_per_second for w in trace.windows}) == 1
-
-
-def test_run_session_rejects_period_unlike_gop(rng):
-    model = train(_separable_examples(rng, n=20),
-                  TrainConfig(epochs=1, batch_size=16, seed=0))
-    scenario = session_fixture(duration_s=6.0)
-    for period in (1.0, 3.0):
-        graph = default_transition_graph(decision_period_s=period)
-        with pytest.raises(ArgumentError, match="GOP"):
-            run_session(scenario, model, graph, SOURCE)
-    graph = default_transition_graph(decision_period_s=3.0)
-    trace = run_session(scenario, model, graph, SOURCE, gop_length_s=3.0)
-    assert trace.summary.n_windows == 2
 
 
 def test_grid_quality_source():
