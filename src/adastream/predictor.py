@@ -164,7 +164,14 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
                  config: TrainConfig = TrainConfig(),
                  ladder: Ladder = DEFAULT_LADDER,
                  loss_history: list | None = None) -> PredictorModel:
-    """Adam on minibatches; deterministic given the seed."""
+    """Adam on minibatches; deterministic given the seed.
+
+    Every weight and bias is a view into one flat parameter vector, the
+    weights first, and each step gathers the gradients into a matching flat
+    buffer, so the Adam update is a few elementwise operations on whole
+    vectors. They apply the same operations to the same operands as a
+    per-layer update, so the weights are the same bits.
+    """
     x = np.asarray(x, dtype=float)
     yf_idx = np.asarray(yf_idx, dtype=int)
     yr_idx = np.asarray(yr_idx, dtype=int)
@@ -175,11 +182,18 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
     model = new_model(config.seed, config.hidden_sizes, ladder, x.shape[1])
     rng = np.random.default_rng(config.seed)
 
+    params = model.weights + model.biases
+    n_layers = len(params) // 2
+    theta = np.concatenate([p.ravel() for p in params])
+    views = [part.reshape(p.shape) for p, part in zip(
+        params, np.split(theta, np.cumsum([p.size for p in params])[:-1]))]
+    model.weights, model.biases = views[:n_layers], views[n_layers:]
+    n_weights = sum(w.size for w in model.weights)
+    grad = np.empty_like(theta)
+
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
-    m_w = [np.zeros_like(w) for w in model.weights]
-    v_w = [np.zeros_like(w) for w in model.weights]
-    m_b = [np.zeros_like(b) for b in model.biases]
-    v_b = [np.zeros_like(b) for b in model.biases]
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     t = 0
 
     for epoch in range(config.epochs):
@@ -194,14 +208,13 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
             epoch_loss += loss * len(batch)
             t += 1
             scale = config.learning_rate * np.sqrt(1 - beta2 ** t) / (1 - beta1 ** t)
-            for i in range(len(model.weights)):
-                m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
-                v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
-                model.weights[i] -= scale * m_w[i] / (np.sqrt(v_w[i]) + adam_eps)
-                m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
-                v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
-                model.biases[i] -= scale * m_b[i] / (np.sqrt(v_b[i]) + adam_eps)
-        if not np.all([np.all(np.isfinite(w)) for w in model.weights]):
+            np.concatenate([g.ravel() for g in gw + gb], out=grad)
+            m *= beta1
+            m += (1 - beta1) * grad
+            v *= beta2
+            v += (1 - beta2) * grad ** 2
+            theta -= scale * m / (np.sqrt(v) + adam_eps)
+        if not np.isfinite(theta[:n_weights]).all():
             raise DivergenceError(f"non-finite weights at epoch {epoch}")
         if loss_history is not None:
             loss_history.append(epoch_loss / n)

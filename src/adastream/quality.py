@@ -275,11 +275,16 @@ def load_grids(path, ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
 
 def write_grids_csv(grids, path) -> None:
     """Write grids in the canonical CSV schema, deterministically ordered."""
+    lines = [",".join(GRID_CSV_HEADER)]
+    cells: dict[Ladder, list[str]] = {}  # "f,h," of every cell, in q.ravel() order
+    for grid in grids:
+        ladder = grid.ladder
+        if ladder not in cells:
+            cells[ladder] = [f"{f},{h}," for f in ladder.frame_rates_hz
+                             for h in ladder.heights]
+        prefix = (f"{grid.clip_id},{float(grid.velocity_degps)!r},"
+                  f"{float(grid.bitrate_bps)!r},")
+        lines.extend(f"{prefix}{fh}{q!r}"
+                     for fh, q in zip(cells[ladder], grid.q.ravel().tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(GRID_CSV_HEADER) + "\n")
-        for grid in grids:
-            for fi, f in enumerate(grid.ladder.frame_rates_hz):
-                for hi, h in enumerate(grid.ladder.heights):
-                    fh.write(f"{grid.clip_id},{float(grid.velocity_degps)!r},"
-                             f"{float(grid.bitrate_bps)!r},{f},{h},"
-                             f"{float(grid.q[fi, hi])!r}\n")
+        fh.write("\n".join(lines) + "\n")

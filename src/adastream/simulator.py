@@ -18,8 +18,8 @@ window through ``on_window(scenario, times, records, velocities, dt)`` and
 picks the next window's mode in ``decide_mode``. Only the predictor policy
 reads content: it builds the ``(n, 7)`` feature matrix, one row per frame
 in ``FEATURE_NAMES`` order, from the records' content rows, the bandwidth
-in force and the velocities, so a patch scenario extracts features only
-for the records a predictor session reads.
+in force and the velocities, so a patch scenario decodes patches and
+extracts features only for the records a predictor session reads.
 
 A quality source answers in surfaces: ``surface(ladder, bitrate_bps,
 velocities)`` returns the ``(n, n_f, n_h)`` JOD of every ladder cell at each
@@ -40,6 +40,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import string
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -138,10 +139,11 @@ class Scenario:
     """Session playback input sampled on a fixed reference tick.
 
     A record's content row comes either from ``content_features`` or, for a
-    record in ``patches`` (record index -> 128x128 ``uint8`` luma patch),
-    from the features of its patch. Those are extracted on demand, once per
-    record, the first time a row is read; their rows in ``content_features``
-    are placeholders and are not checked.
+    record in ``patches`` (record index -> 128x128 ``uint8`` luma patch, or
+    base64 text that passed ``_checked_patch_text``), from the features of
+    its patch. Those are decoded and extracted on demand, once per record,
+    the first time a row is read; their rows in ``content_features`` are
+    placeholders and are not checked.
     """
 
     def __init__(self, duration_s: float, fov_horizontal_deg: float,
@@ -204,7 +206,10 @@ class Scenario:
         extracting the features of any patch record not read before."""
         records = np.asarray(records, dtype=np.intp)
         for i in np.unique(records[self._pending[records]]).tolist():
-            fv = extract_features(self._patches.pop(i) / 255.0)
+            patch = self._patches.pop(i)
+            if isinstance(patch, str):
+                patch = _patch_pixels(base64.b64decode(patch))
+            fv = extract_features(patch / 255.0)
             self._content[i] = (fv.mean_luma, fv.rms_contrast, fv.gradient_energy,
                                 fv.high_freq_ratio, fv.edge_density)
             self._pending[i] = False
@@ -253,36 +258,62 @@ def _check_content(feats: np.ndarray, given: np.ndarray) -> None:
 
 
 def scenario_to_json(scenario: Scenario, path) -> None:
+    table = scenario.content_features.tolist()
     payload = {
         "duration_s": scenario.duration_s,
         "fov_horizontal_deg": scenario.fov_horizontal_deg,
         "reference_rate_hz": scenario.reference_rate_hz,
         "bitrate_schedule": [[t, b] for t, b in scenario.bitrate_schedule],
         "frames": [
-            {
-                "timestamp": float(scenario.timestamps[i]),
-                "mean_ndc_magnitude": float(scenario.ndc_magnitudes[i]),
-                "features": {k: float(scenario.content_features[i, j])
-                             for j, k in enumerate(CONTENT_FEATURE_KEYS)},
-            }
-            for i in range(scenario.timestamps.size)
+            {"timestamp": t, "mean_ndc_magnitude": m,
+             "features": dict(zip(CONTENT_FEATURE_KEYS, row))}
+            for t, m, row in zip(scenario.timestamps.tolist(),
+                                 scenario.ndc_magnitudes.tolist(), table)
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _number(value, where: str) -> float:
     try:
         return float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: {value} is beyond the float range") from None
     except (TypeError, ValueError):
         raise SchemaError(f"{where}: expected a number, got {value!r}") from None
 
 
+# A patch's base64 text: 4 characters per 3 bytes, the last group padded.
+_PATCH_BYTES = PATCH_SIZE * PATCH_SIZE
+_PATCH_B64_LEN = 4 * -(-_PATCH_BYTES // 3)
+_PATCH_B64_DATA = -(-4 * _PATCH_BYTES // 3)  # the characters before the padding
+_PATCH_B64_PAD = "=" * (_PATCH_B64_LEN - _PATCH_B64_DATA)
+_B64_ALPHABET = (string.ascii_uppercase + string.ascii_lowercase
+                 + string.digits + "+/").encode("ascii")
+
+
+def _checked_patch_text(value) -> bool:
+    """Whether ``value`` is canonical base64 text of exactly one patch:
+    ASCII, of the exact length, padded, and in the base64 alphabet up to the
+    padding. ``base64.b64decode`` is certain to turn such text into
+    ``PATCH_SIZE ** 2`` bytes, so its decoding can wait for a read."""
+    return (isinstance(value, str) and len(value) == _PATCH_B64_LEN
+            and value.isascii() and value.endswith(_PATCH_B64_PAD)
+            and not value[:_PATCH_B64_DATA].encode("ascii").translate(
+                None, _B64_ALPHABET))
+
+
+def _patch_pixels(raw: bytes) -> np.ndarray:
+    return np.frombuffer(raw, dtype=np.uint8).reshape(PATCH_SIZE, PATCH_SIZE)
+
+
 def _frame_content(frame: dict, where: str):
-    """A frame's content: its five feature values, or its patch as a
-    ``uint8`` array, whose features the scenario extracts on demand."""
+    """A frame's content: its five feature values as a list, or its patch,
+    whose features the scenario extracts on demand. A patch is kept as its
+    base64 text when that text passes ``_checked_patch_text`` and is
+    decoded now otherwise, so lenient or malformed text fails or loads as
+    ``base64.b64decode`` has it."""
     if "features" in frame:
         feats = frame["features"]
         if not isinstance(feats, dict):
@@ -292,14 +323,17 @@ def _frame_content(frame: dict, where: str):
             raise SchemaError(f"{where}: frame features missing {missing[0]!r}")
         return [_number(feats[k], f"{where}: {k}") for k in CONTENT_FEATURE_KEYS]
     if "patch_b64" in frame:
+        text = frame["patch_b64"]
+        if _checked_patch_text(text):
+            return text
         try:
-            raw = base64.b64decode(frame["patch_b64"])
+            raw = base64.b64decode(text)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{where}: patch_b64 is not base64: {exc}") from None
-        if len(raw) != PATCH_SIZE * PATCH_SIZE:
+        if len(raw) != _PATCH_BYTES:
             raise SchemaError(f"{where}: patch must be {PATCH_SIZE}x{PATCH_SIZE} "
                               f"grayscale bytes, got {len(raw)}")
-        return np.frombuffer(raw, dtype=np.uint8).reshape(PATCH_SIZE, PATCH_SIZE)
+        return _patch_pixels(raw)
     raise SchemaError(f"{where}: frame needs either 'features' or 'patch_b64'")
 
 
@@ -307,7 +341,7 @@ def scenario_from_json(path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bad UTF-8 and over-long integers
             raise SchemaError(f"{path}: not valid scenario JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: scenario root must be an object")
@@ -330,7 +364,7 @@ def scenario_from_json(path) -> Scenario:
         mags.append(_number(frame["mean_ndc_magnitude"],
                             f"{where}: mean_ndc_magnitude"))
         content = _frame_content(frame, where)
-        if isinstance(content, np.ndarray):
+        if not isinstance(content, list):
             patches[i] = content
             content = [math.nan] * len(CONTENT_FEATURE_KEYS)
         feats.append(content)
@@ -355,7 +389,7 @@ def scenario_from_json(path) -> Scenario:
             patches=patches,
         )
     except (ArgumentError, ConfigError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise SchemaError(f"{path}: {exc}") from None
     # Past its last record the engine holds that record's content and motion
     # to the end; more than one reference tick of that is a gap.
     tick = 1.0 / scenario.reference_rate_hz

@@ -8,6 +8,8 @@ engine, with one quality-source call per frame, and the linear nearest-grid
 scan that the library's window engine and stacked lookup replaced. The
 feature oracles keep the ``np.gradient`` patch kernel and the eager scenario
 reader, which extracted the features of every patch record at read time.
+The trainer and writer oracles keep the per-layer Adam loop, the row-at-a-time
+grid writer and the scenario writer that read the content table per value.
 """
 
 import base64
@@ -19,13 +21,14 @@ import numpy as np
 from scipy.fft import dctn
 
 from adastream.controller import step
-from adastream.errors import ArgumentError
+from adastream.errors import ArgumentError, DivergenceError
 from adastream.features import (EDGE_THRESHOLD, PATCH_SIZE, FeatureVector,
                                 normalize_bandwidth)
 from adastream.ladder import DEFAULT_LADDER, VideoMode, pixels_per_second
 from adastream.motion import VelocityEstimator, deg_per_sec, normalize_velocity
-from adastream.predictor import forward
-from adastream.quality import QualityGrid
+from adastream.predictor import (TrainConfig, forward, loss_and_gradients,
+                                 new_model)
+from adastream.quality import GRID_CSV_HEADER, QualityGrid
 from adastream.simulator import (GOP_LENGTH_S, IFRAME_BIT_MULTIPLIER,
                                  FrameRecord,
                                  OracleQualityPolicy, PredictorControllerPolicy,
@@ -302,3 +305,90 @@ def eager_scenario_from_json(path):
                     float(payload["reference_rate_hz"]),
                     tuple((float(t), float(b)) for t, b in payload["bitrate_schedule"]),
                     np.array(ts), np.array(mags), np.array(feats))
+
+
+# ---------------------------------------------------------------------------
+# Trainer and writer oracles
+
+
+def per_layer_train_arrays(x, yf_idx, yr_idx, config=TrainConfig(),
+                           ladder=DEFAULT_LADDER, loss_history=None):
+    """Adam as the trainer ran it before the flat parameter vector: four
+    lists of per-layer moments, updated one weight and one bias at a time."""
+    x = np.asarray(x, dtype=float)
+    yf_idx = np.asarray(yf_idx, dtype=int)
+    yr_idx = np.asarray(yr_idx, dtype=int)
+    n = x.shape[0]
+    if n == 0:
+        raise ArgumentError("training set is empty")
+
+    model = new_model(config.seed, config.hidden_sizes, ladder, x.shape[1])
+    rng = np.random.default_rng(config.seed)
+
+    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    m_w = [np.zeros_like(w) for w in model.weights]
+    v_w = [np.zeros_like(w) for w in model.weights]
+    m_b = [np.zeros_like(b) for b in model.biases]
+    v_b = [np.zeros_like(b) for b in model.biases]
+    t = 0
+
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            loss, gw, gb = loss_and_gradients(model, x[batch],
+                                              yf_idx[batch], yr_idx[batch])
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite loss at epoch {epoch}")
+            epoch_loss += loss * len(batch)
+            t += 1
+            scale = config.learning_rate * np.sqrt(1 - beta2 ** t) / (1 - beta1 ** t)
+            for i in range(len(model.weights)):
+                m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
+                v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
+                model.weights[i] -= scale * m_w[i] / (np.sqrt(v_w[i]) + adam_eps)
+                m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
+                v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
+                model.biases[i] -= scale * m_b[i] / (np.sqrt(v_b[i]) + adam_eps)
+        if not np.all([np.all(np.isfinite(w)) for w in model.weights]):
+            raise DivergenceError(f"non-finite weights at epoch {epoch}")
+        if loss_history is not None:
+            loss_history.append(epoch_loss / n)
+    model._validated = False
+    return model
+
+
+def row_at_a_time_grids_csv(grids, path):
+    """The grid writer with one ``write`` and three ``repr`` calls per cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(GRID_CSV_HEADER) + "\n")
+        for grid in grids:
+            for fi, f in enumerate(grid.ladder.frame_rates_hz):
+                for hi, h in enumerate(grid.ladder.heights):
+                    fh.write(f"{grid.clip_id},{float(grid.velocity_degps)!r},"
+                             f"{float(grid.bitrate_bps)!r},{f},{h},"
+                             f"{float(grid.q[fi, hi])!r}\n")
+
+
+def per_value_scenario_to_json(scenario, path):
+    """The scenario writer that read the ``content_features`` table once per
+    feature value, through ``json.dump``'s chunked writes."""
+    payload = {
+        "duration_s": scenario.duration_s,
+        "fov_horizontal_deg": scenario.fov_horizontal_deg,
+        "reference_rate_hz": scenario.reference_rate_hz,
+        "bitrate_schedule": [[t, b] for t, b in scenario.bitrate_schedule],
+        "frames": [
+            {
+                "timestamp": float(scenario.timestamps[i]),
+                "mean_ndc_magnitude": float(scenario.ndc_magnitudes[i]),
+                "features": {k: float(scenario.content_features[i, j])
+                             for j, k in enumerate(CONTENT_FEATURE_KEYS)},
+            }
+            for i in range(scenario.timestamps.size)
+        ],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")

@@ -338,3 +338,39 @@ def test_scenario_ending_early_is_schema_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "scenario_000.json: frame records end at 0.075 s" in err
     assert "duration_s 8.0 s" in err
+
+
+def _set_frame(index, key, value):
+    def mutate(payload):
+        payload["frames"][index][key] = value
+    return mutate
+
+
+def _set_feature(payload):
+    payload["frames"][4]["features"]["edge_density"] = 2.0
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda p: p.__setitem__("fov_horizontal_deg", 200.0),
+     "fov_horizontal_deg must be in (0, 180)"),
+    (_set_frame(3, "mean_ndc_magnitude", -0.01), "ndc magnitudes must be >= 0"),
+    (_set_feature, "edge_density must be in [0, 1.0], got 2.0 in frame record 4"),
+    (_set_frame(6, "timestamp", 5 / 120.0),
+     "frame timestamps must be strictly increasing"),
+], ids=["fov_200", "negative_magnitude", "edge_density_2", "repeated_timestamp"])
+def test_out_of_range_scenario_value_is_schema_error(tmp_path, capsys, mutate,
+                                                     message):
+    # these values used to exit 2, as if they were command-line arguments
+    out = gen(tmp_path, count=4)
+    model_dir = tmp_path / "model"
+    assert run(["train", "--data", out / "training.csv", "--out", model_dir,
+                "--epochs", 1]) == EXIT_OK
+    scenario = out / "scenario_000.json"
+    payload = json.loads(scenario.read_text())
+    mutate(payload)
+    scenario.write_text(json.dumps(payload))
+    assert run(["simulate", "--scenario", scenario, "--model",
+                model_dir / "model.json", "--out", tmp_path / "sim"]) == EXIT_SCHEMA
+    assert run(["compare", "--scenario", scenario,
+                "--out", tmp_path / "cmp"]) == EXIT_SCHEMA
+    assert capsys.readouterr().err.count(f"error: {scenario}: {message}") == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adastream.errors import ArgumentError, DivergenceError, ModelCorruptError, SchemaError
 from adastream.features import FeatureVector
@@ -9,6 +10,7 @@ from adastream.predictor import (PredictorModel, TrainConfig, TrainingExample,
                                  loss_and_gradients, new_model, predict_classes,
                                  read_training_csv, save_model, train,
                                  train_arrays, write_training_csv)
+from oracles import per_layer_train_arrays
 
 
 def fv(*values):
@@ -162,6 +164,68 @@ def test_divergence_reports_epoch(rng):
         with pytest.raises(DivergenceError, match="epoch"):
             train(examples, TrainConfig(learning_rate=1e200, epochs=3,
                                         batch_size=4, seed=0))
+
+
+def _random_rows(seed, n):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(0, 1, (n, 7)), rng.integers(0, 10, n),
+            rng.integers(0, 5, n))
+
+
+def _assert_same_training(x, yf, yr, config):
+    got_history, want_history = [], []
+    got = train_arrays(x, yf, yr, config, loss_history=got_history)
+    want = per_layer_train_arrays(x, yf, yr, config, loss_history=want_history)
+    assert got_history == want_history
+    assert len(got.weights) == len(want.weights)
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       hidden=st.sampled_from([(8,), (16, 16, 16)]),
+       batch_size=st.integers(1, 64), n=st.integers(1, 130),
+       epochs=st.integers(1, 3))
+def test_flat_adam_equals_per_layer_adam(seed, hidden, batch_size, n, epochs):
+    x, yf, yr = _random_rows(seed, n)
+    _assert_same_training(x, yf, yr, TrainConfig(
+        epochs=epochs, batch_size=batch_size, seed=seed, hidden_sizes=hidden))
+
+
+def test_flat_adam_equals_per_layer_adam_at_cli_defaults():
+    # the CLI's shape: 360 rows, 12 minibatches per epoch, the last short
+    x, yf, yr = _random_rows(11, 360)
+    _assert_same_training(x, yf, yr, TrainConfig(epochs=4, seed=5))
+
+
+@pytest.mark.parametrize("learning_rate, batch_size, message", [
+    (1e200, 4, "non-finite loss at epoch 0"),
+    (1e200, 16, "non-finite loss at epoch 1"),
+    (np.inf, 16, "non-finite weights at epoch 0"),
+])
+def test_flat_adam_diverges_where_per_layer_adam_does(learning_rate, batch_size,
+                                                      message):
+    x, yf, yr = _random_rows(0, 16)
+    config = TrainConfig(learning_rate=learning_rate, epochs=4,
+                         batch_size=batch_size, seed=1, hidden_sizes=(8,))
+    with np.errstate(all="ignore"):
+        for trainer in (per_layer_train_arrays, train_arrays):
+            with pytest.raises(DivergenceError, match=f"^{message}$"):
+                trainer(x, yf, yr, config)
+
+
+def test_flat_adam_checks_only_the_weights_for_divergence():
+    # zero features leave every weight gradient zero, so only the output
+    # biases move, and they overflow while the loss stays finite
+    x, yf, yr = np.zeros((8, 7)), np.arange(8) % 10, np.arange(8) % 5
+    config = TrainConfig(learning_rate=1.7e308, epochs=1, batch_size=4, seed=1,
+                         hidden_sizes=(8,))
+    with np.errstate(all="ignore"):
+        _assert_same_training(x, yf, yr, config)
+        model = train_arrays(x, yf, yr, config)
+    assert all(np.isfinite(w).all() for w in model.weights)
+    assert not all(np.isfinite(b).all() for b in model.biases)
 
 
 def test_train_arrays_validation():

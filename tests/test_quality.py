@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from adastream.quality import (GRID_CSV_HEADER, QualityGrid,
                                make_synthetic_grid, quality_value,
                                synthetic_quality, synthetic_surface,
                                write_grids_csv)
+from oracles import row_at_a_time_grids_csv
 
 # Hand-evaluated surface point, frozen from an independent step-by-step
 # calculation: temporal loss 40*(1/30 - 1/166) = 1.0923694779116466,
@@ -264,3 +268,35 @@ def test_csv_round_trip(tmp_path):
                           loaded):
         assert back.clip_id == orig.clip_id
         assert np.array_equal(back.q, orig.q)
+
+
+_SMALL_LADDER = Ladder(frame_rates_hz=(24, 90), heights=(360, 540, 1440))
+_JODS = st.one_of(st.sampled_from([0.0, -0.0, 10.0, 5e-324]),
+                  st.floats(0.0, 10.0))
+_CLIP_IDS = st.one_of(
+    st.sampled_from(["", " padded ", "a,b", 'quo"te', "ümlaut", "0042", "1e3"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+
+
+@st.composite
+def _grids(draw):
+    ladder = draw(st.sampled_from([DEFAULT_LADDER, _SMALL_LADDER]))
+    shape = (ladder.n_frame_rates, ladder.n_heights)
+    q = draw(st.lists(_JODS, min_size=shape[0] * shape[1],
+                      max_size=shape[0] * shape[1]))
+    velocity = draw(st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308]),
+                              st.floats(0.0, 1e300)))
+    bitrate = draw(st.one_of(st.sampled_from([5e-324, 1.0, 3e6]),
+                             st.floats(1e-300, 1e300)))
+    return QualityGrid(draw(_CLIP_IDS), velocity, bitrate,
+                       np.reshape(q, shape), ladder)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids=st.lists(_grids(), max_size=4))
+def test_grid_writer_equals_row_at_a_time_writer(grids):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_grids_csv(grids, got)
+        row_at_a_time_grids_csv(grids, want)
+        assert got.read_bytes() == want.read_bytes()
