@@ -78,10 +78,7 @@ def _ladder_values(raw: dict, key: str, default, path, integral: bool = True) ->
     if not isinstance(values, (list, tuple)) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise ConfigError(f"{path}: {key} must be a list of numbers, got {values!r}")
-    try:
-        numbers = [float(v) for v in values]
-    except OverflowError:
-        raise ConfigError(f"{path}: {key} holds a number out of range") from None
+    numbers = [float(v) for v in values]  # load_config refused ints past float
     for value, number in zip(values, numbers):
         if not math.isfinite(number) or (integral and not number.is_integer()):
             kind = "integers" if integral else "finite numbers"
@@ -89,13 +86,26 @@ def _ladder_values(raw: dict, key: str, default, path, integral: bool = True) ->
     return tuple(int(v) for v in values) if integral else tuple(numbers)
 
 
+_FLOAT_MAX = int(np.finfo(float).max)
+
+
+def _float_range_int(text: str) -> int:
+    """A JSON integer of the config: every number is used as a float, so an
+    integer beyond the float range is refused as it is read."""
+    value = int(text)
+    if abs(value) > _FLOAT_MAX:
+        raise ConfigError(f"integer {text[:12]}... of {len(text)} digits is "
+                          "beyond the float range")
+    return value
+
+
 def load_config(path=None) -> Config:
     if path is None:
         return DEFAULT_CONFIG
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+            raw = json.load(fh, parse_int=_float_range_int)
+        except ValueError as exc:  # also bad UTF-8 and over-long integers
             raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config root must be an object")

@@ -31,3 +31,12 @@ class DivergenceError(AdastreamError, RuntimeError):
 
 class ModelCorruptError(AdastreamError, RuntimeError):
     """A model holds non-finite weights and cannot be evaluated."""
+
+
+def utf8_lines(fh, path):
+    """The lines of a text file opened as UTF-8. A byte that is not UTF-8
+    raises :class:`SchemaError` naming the file, not ``UnicodeDecodeError``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None

@@ -4,9 +4,13 @@ The seven-value feature vector feeding the predictor:
 
 - mean_luma: patch mean, in [0, 1].
 - rms_contrast: standard deviation of luma.
-- gradient_energy: mean gradient magnitude (central differences).
-- high_freq_ratio: fraction of non-DC transform energy above half-Nyquist,
-  from a whole-patch orthonormal DCT.
+- gradient_energy: mean gradient magnitude ``sqrt(gx**2 + gy**2)`` over
+  central differences (one-sided at the edges).
+- high_freq_ratio: fraction of the patch's non-DC orthonormal DCT-II energy
+  that lies above half-Nyquist along either axis. It comes by Parseval: the
+  non-DC energy is the energy of the mean-subtracted patch ``d``, and the
+  low band is ``L @ d @ L.T``, with ``L`` the 64x128 half of the DCT-II
+  matrix, so no full transform is taken.
 - edge_density: fraction of neighbor pairs whose luma step exceeds 0.1.
 - norm_velocity: log-compressed velocity feature from the motion pipeline.
 - norm_bandwidth: bitrate scaled by a 6 Mbps ceiling.
@@ -18,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import dctn
 
 from .errors import ArgumentError
 
@@ -81,11 +84,15 @@ def normalize_bandwidth(bitrate_bps: float) -> float:
     return min(bitrate_bps / BANDWIDTH_CEILING_BPS, 1.0)
 
 
-# The high-frequency half of the DCT plane: every coefficient past
-# half-Nyquist along either axis.
-_HIGH_FREQ = np.zeros((PATCH_SIZE, PATCH_SIZE), dtype=bool)
-_HIGH_FREQ[PATCH_SIZE // 2:, :] = True
-_HIGH_FREQ[:, PATCH_SIZE // 2:] = True
+# The low-frequency rows of the orthonormal DCT-II matrix: row k is
+# s_k cos(pi (2n + 1) k / 2N), s_0 = sqrt(1/N), s_k = sqrt(2/N) otherwise.
+# ``L @ d @ L.T`` is the low band of the 2-D transform of ``d``: every
+# coefficient below half-Nyquist along both axes.
+_N = np.arange(PATCH_SIZE)
+_LOW_DCT = np.sqrt(2.0 / PATCH_SIZE) * np.cos(
+    np.pi * (2 * _N[None, :] + 1) * _N[:PATCH_SIZE // 2, None] / (2 * PATCH_SIZE))
+_LOW_DCT[0] = np.sqrt(1.0 / PATCH_SIZE)
+_LOW_DCT.setflags(write=False)
 
 
 def extract_features(patch: np.ndarray) -> FeatureVector:
@@ -119,16 +126,22 @@ def extract_features(patch: np.ndarray) -> FeatureVector:
     gy = np.empty_like(patch)
     gy[1:-1] = (patch[2:] - patch[:-2]) / 2.0
     gy[0], gy[-1] = dy[0], dy[-1]
-    gradient_energy = float(np.hypot(gx, gy).mean())
+    gx *= gx
+    gy *= gy
+    gx += gy
+    gradient_energy = float(np.sqrt(gx, out=gx).mean())
 
-    coeffs = dctn(patch, norm="ortho")
-    energy = coeffs * coeffs
-    total = float(energy.sum() - energy[0, 0])
-    if total <= 0.0:
-        high_freq_ratio = 0.0
-    else:
-        high_freq_ratio = float(energy[_HIGH_FREQ].sum() / total)
-        high_freq_ratio = min(max(high_freq_ratio, 0.0), 1.0)
+    # Parseval: the non-DC energy of the transform is the energy of the
+    # mean-subtracted patch. Summing d*d, not p*p minus the DC term, avoids
+    # cancellation on near-flat patches. A flat patch has no such energy.
+    high_freq_ratio = 0.0
+    if low != high:
+        d = patch - mean_luma
+        total = float(np.vdot(d, d))
+        if total > 0.0:  # d*d underflows to 0 on a patch this near flat
+            band = _LOW_DCT @ d @ _LOW_DCT.T
+            low_band = float(np.vdot(band, band)) - float(band[0, 0]) ** 2
+            high_freq_ratio = min(max((total - low_band) / total, 0.0), 1.0)
 
     edges = (np.count_nonzero(np.abs(dx) > EDGE_THRESHOLD)
              + np.count_nonzero(np.abs(dy) > EDGE_THRESHOLD))

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, DivergenceError, ModelCorruptError, SchemaError
+from .errors import (ArgumentError, DivergenceError, ModelCorruptError, SchemaError,
+                     utf8_lines)
 from .features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, FeatureVector
 from .ladder import DEFAULT_LADDER, Ladder
 
@@ -267,7 +268,7 @@ def load_model(path, ladder: Ladder | None = None) -> PredictorModel:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bad UTF-8 and over-long integers
             raise SchemaError(f"{path}: not valid model JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: model root must be an object")
@@ -284,13 +285,16 @@ def load_model(path, ladder: Ladder | None = None) -> PredictorModel:
     if version != FEATURE_SCHEMA_VERSION:
         raise SchemaError(f"{path}: feature_schema_version {version!r} is not "
                           f"the supported version {FEATURE_SCHEMA_VERSION}")
+    seed = header.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise SchemaError(f"{path}: bad model: seed must be an integer, "
+                          f"got {seed!r}")
     try:
         model_ladder = Ladder(frame_rates_hz=tuple(header["frame_rates_hz"]),
                               heights=tuple(header["resolution_lines"]))
-        seed = int(header.get("seed", 0))
         weights = [np.array(w, dtype=float) for w in payload["weights"]]
         biases = [np.array(b, dtype=float) for b in payload["biases"]]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # 10**400 is no float
         raise SchemaError(f"{path}: bad model: {exc}") from None
     if ladder is None:
         ladder = model_ladder
@@ -335,7 +339,7 @@ def read_training_csv(path, ladder: Ladder = DEFAULT_LADDER) -> list[TrainingExa
 
     examples = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ArgumentError, SchemaError
+from .errors import ArgumentError, SchemaError, utf8_lines
 from .ladder import DEFAULT_LADDER, Ladder, VideoMode, width_for_height
 
 # Smooth-pursuit tracking limit; velocities above this are perceptually capped.
@@ -195,7 +195,7 @@ def load_grids(path, ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
     or a :class:`SchemaError` is raised and nothing is returned.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:

@@ -6,8 +6,10 @@ selection kernel; the per-grid savings curve and the cell-loop oracle policy
 build on it. The session and grid-lookup oracles keep the frame-at-a-time
 engine, with one quality-source call per frame, and the linear nearest-grid
 scan that the library's window engine and stacked lookup replaced. The
-feature oracles keep the ``np.gradient`` patch kernel and the eager scenario
-reader, which extracted the features of every patch record at read time.
+feature oracles keep the ``np.gradient``, ``np.hypot`` and full-``dctn``
+patch kernel and the eager scenario reader, which extracted the features of
+every patch record at read time (with the library's kernel unless told
+otherwise, so that it tests laziness alone).
 The trainer and writer oracles keep the per-layer Adam loop, the row-at-a-time
 grid writer and the scenario writer that read the content table per value.
 """
@@ -23,7 +25,7 @@ from scipy.fft import dctn
 from adastream.controller import step
 from adastream.errors import ArgumentError, DivergenceError
 from adastream.features import (EDGE_THRESHOLD, PATCH_SIZE, FeatureVector,
-                                normalize_bandwidth)
+                                extract_features, normalize_bandwidth)
 from adastream.ladder import DEFAULT_LADDER, VideoMode, pixels_per_second
 from adastream.motion import VelocityEstimator, deg_per_sec, normalize_velocity
 from adastream.predictor import (TrainConfig, forward, loss_and_gradients,
@@ -245,8 +247,9 @@ def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
 
 
 def reference_extract_features(patch):
-    """The patch kernel before its lean rewrite: ``np.gradient``, a
-    high-frequency mask built per call and boolean sums for the edges."""
+    """The patch kernel before its lean rewrites: ``np.gradient``,
+    ``np.hypot``, a full ``dctn`` with a high-frequency mask built per call
+    and boolean sums for the edges."""
     patch = np.asarray(patch, dtype=float)
     if patch.shape != (PATCH_SIZE, PATCH_SIZE):
         raise ArgumentError(f"patch must be {PATCH_SIZE}x{PATCH_SIZE}, "
@@ -284,9 +287,9 @@ def reference_extract_features(patch):
                          high_freq_ratio, edge_density)
 
 
-def eager_scenario_from_json(path):
+def eager_scenario_from_json(path, kernel=extract_features):
     """A valid scenario file read as before on-demand extraction: every
-    patch record's features come from the reference kernel at read time."""
+    patch record's features come from ``kernel`` at read time."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     ts, mags, feats = [], [], []
@@ -298,7 +301,7 @@ def eager_scenario_from_json(path):
         else:
             raw = base64.b64decode(frame["patch_b64"])
             patch = np.frombuffer(raw, dtype=np.uint8).reshape(PATCH_SIZE, PATCH_SIZE)
-            fv = reference_extract_features(patch / 255.0)
+            fv = kernel(patch / 255.0)
             feats.append([fv.mean_luma, fv.rms_contrast, fv.gradient_energy,
                           fv.high_freq_ratio, fv.edge_density])
     return Scenario(float(payload["duration_s"]), float(payload["fov_horizontal_deg"]),

@@ -374,3 +374,51 @@ def test_out_of_range_scenario_value_is_schema_error(tmp_path, capsys, mutate,
     assert run(["compare", "--scenario", scenario,
                 "--out", tmp_path / "cmp"]) == EXIT_SCHEMA
     assert capsys.readouterr().err.count(f"error: {scenario}: {message}") == 2
+
+
+def _bad_utf8(path):
+    """A copy of the file at ``path`` whose first byte is 0xff."""
+    bad = path.with_name("bad_" + path.name)
+    bad.write_bytes(b"\xff" + path.read_bytes())
+    return bad
+
+
+UTF8_MESSAGE = "'utf-8' codec can't decode byte 0xff in position 0"
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    # each of these four inputs used to escape main as UnicodeDecodeError or
+    # ValueError
+    out = gen(tmp_path, count=2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    cfg = _bad_utf8(cfg)
+    assert run(["label", "--grids", out / "grids.csv", "--out", tmp_path / "x",
+                "--config", cfg]) == EXIT_SCHEMA
+    assert f"error: {cfg}: not valid JSON: {UTF8_MESSAGE}" in capsys.readouterr().err
+
+
+def test_non_utf8_training_csv_is_schema_error(tmp_path, capsys):
+    data = _bad_utf8(gen(tmp_path, count=2) / "training.csv")
+    assert run(["train", "--data", data, "--out", tmp_path / "model"]) == EXIT_SCHEMA
+    assert f"error: {data}: not UTF-8 text: {UTF8_MESSAGE}" in capsys.readouterr().err
+
+
+def test_non_utf8_grids_csv_is_schema_error(tmp_path, capsys):
+    grids = _bad_utf8(gen(tmp_path, count=2) / "training.csv")
+    assert run(["label", "--grids", grids, "--out", tmp_path / "x"]) == EXIT_SCHEMA
+    assert f"error: {grids}: not UTF-8 text: {UTF8_MESSAGE}" in capsys.readouterr().err
+
+
+def test_model_seed_of_5000_digits_is_schema_error(tmp_path, capsys):
+    out = gen(tmp_path, count=4)
+    assert run(["train", "--data", out / "training.csv", "--out", tmp_path / "model",
+                "--epochs", 1]) == EXIT_OK
+    model = tmp_path / "model" / "model.json"
+    text = model.read_text()
+    model.write_text(text.replace('"seed":0', '"seed":' + "9" * 5000, 1))
+    assert model.read_text() != text
+    assert run(["evaluate", "--model", model, "--data", out / "training.csv",
+                "--out", tmp_path / "eval"]) == EXIT_SCHEMA
+    assert (f"error: {model}: not valid model JSON: Exceeds the limit (4300 digits)"
+            in capsys.readouterr().err)

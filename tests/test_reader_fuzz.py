@@ -1,0 +1,262 @@
+"""Reader fuzz tests for the model JSON, config JSON, grids CSV and training
+CSV: every mutated file exits 0, 2, 3 or 4 through the CLI, never with a
+traceback. The scenario JSON has its own in tests/test_scenario_json.py,
+whose pool of odd values the JSON tests here share."""
+
+import copy
+import csv
+import io
+import json
+from dataclasses import asdict
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from adastream.cli import EXIT_ARGUMENT, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
+from adastream.config import DEFAULT_CONFIG
+from test_scenario_json import _ODD_VALUES, fuzz_base_payload
+
+CLEAN_EXITS = (EXIT_OK, EXIT_ARGUMENT, EXIT_SCHEMA, EXIT_IO)
+
+
+def run(args):
+    return main([str(a) for a in args])
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """Valid inputs: grids and training CSVs of two clips, a one-epoch
+    model, a 2 s scenario and a config that sets every key."""
+    root = tmp_path_factory.mktemp("corpus")
+    assert run(["gen-synthetic", "--out", root / "gen", "--count", 2]) == EXIT_OK
+    assert run(["train", "--data", root / "gen" / "training.csv",
+                "--out", root / "model", "--epochs", 1]) == EXIT_OK
+    (root / "scenario.json").write_text(json.dumps(fuzz_base_payload()))
+    return {"grids": root / "gen" / "grids.csv",
+            "training": root / "gen" / "training.csv",
+            "model": root / "model" / "model.json",
+            "scenario": root / "scenario.json"}
+
+
+def base_config():
+    graph = DEFAULT_CONFIG.graph
+    ladder = DEFAULT_CONFIG.ladder
+    return {"resolutions": list(ladder.heights),
+            "frame_rates": list(ladder.frame_rates_hz),
+            "bitrates": list(ladder.bitrates_bps),
+            "viterbi": {"frame_rate_weights": graph.frame_rate_weights.tolist(),
+                        "resolution_weights": graph.resolution_weights.tolist(),
+                        "decision_period_s": 2.0,
+                        "emission_floor": graph.emission_floor},
+            "synthetic": asdict(DEFAULT_CONFIG.synthetic_params),
+            "simulator": {"iframe_bit_multiplier": 4, "jitter_pct": 0.0}}
+
+
+# ---------------------------------------------------------------------------
+# mutations
+
+
+def _walk(draw, node):
+    """A random path from the root, stopping at each level with even odds,
+    so that a short header field is as likely a target as a long array."""
+    path = ()
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        path, node = path + (key,), node[key]
+    return path
+
+
+@st.composite
+def mutated_json(draw, payload):
+    """``payload`` after one to three random mutations: a dropped field or
+    element, a value of another type, a truncated array or a NaN."""
+    payload = copy.deepcopy(payload)
+    for _ in range(draw(st.integers(1, 3))):
+        path = _walk(draw, payload)
+        if not path:
+            payload = draw(_ODD_VALUES)
+            continue
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        key, value = path[-1], parent[path[-1]]
+        kind = draw(st.sampled_from(["drop", "replace", "nan", "truncate"]))
+        if kind == "drop":
+            del parent[key]
+        elif kind == "nan":
+            parent[key] = float("nan")
+        elif kind == "truncate" and isinstance(value, list):
+            del value[draw(st.integers(0, len(value))):]
+        else:
+            parent[key] = draw(_ODD_VALUES)
+    return json.dumps(payload).encode("utf-8")
+
+
+_ODD_CELLS = st.sampled_from([
+    "", "x", "nan", "NaN", "inf", "-inf", "-1", "0", "1e400", "-1e400", "1e-320",
+    "9" * 5000, "0.5", "30.0", "True", " 1", "1,2", '"', "é"])
+
+
+def _csv_rows(data: bytes):
+    return list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+
+
+def _csv_text(rows) -> bytes:
+    sink = io.StringIO()
+    csv.writer(sink, lineterminator="\n").writerows(rows)
+    return sink.getvalue().encode("utf-8")
+
+
+@st.composite
+def mutated_csv(draw, data: bytes):
+    """The CSV after one to three random mutations: a dropped or reordered
+    column, a cell of another type or NaN, a dropped or repeated row, or a
+    truncated line."""
+    rows = _csv_rows(data)
+    for _ in range(draw(st.integers(1, 3))):
+        width = max(len(r) for r in rows) if rows else 0
+        kind = draw(st.sampled_from(["drop_column", "reorder", "cell", "nan",
+                                     "drop_row", "repeat_row", "truncate"]))
+        if not rows or not width:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, width - 1))
+        if kind == "drop_column":
+            rows = [r[:j] + r[j + 1:] for r in rows]
+        elif kind == "reorder":
+            order = draw(st.permutations(range(width)))
+            rows = [[r[k] for k in order if k < len(r)] for r in rows]
+        elif kind in ("cell", "nan") and j < len(rows[i]):
+            rows[i][j] = "nan" if kind == "nan" else draw(_ODD_CELLS)
+        elif kind == "drop_row":
+            del rows[i]
+        elif kind == "repeat_row":
+            rows.insert(i, list(rows[i]))
+        elif kind == "truncate":
+            line = ",".join(rows[i])
+            rows[i] = line[:draw(st.integers(0, len(line)))].split(",")
+    return _csv_text(rows)
+
+
+@st.composite
+def mutated_bytes(draw, data: bytes):
+    """The file cut short, or with a byte that is not UTF-8 (or a random
+    byte) inserted at a random place."""
+    position = draw(st.integers(0, len(data)))
+    if draw(st.booleans()):
+        return data[:position]
+    byte = draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\x00"])
+                | st.binary(min_size=1, max_size=1))
+    return data[:position] + byte + data[position:]
+
+
+# ---------------------------------------------------------------------------
+# exit codes per reader
+
+
+def _exit_codes(kind, data, corpus, tmp):
+    path = tmp / {"model": "model.json", "config": "config.json",
+                  "grids": "grids.csv", "training": "training.csv"}[kind]
+    path.write_bytes(data)
+    if kind == "model":
+        return (run(["evaluate", "--model", path, "--data", corpus["training"],
+                     "--out", tmp / "eval"]),
+                run(["simulate", "--scenario", corpus["scenario"], "--model", path,
+                     "--out", tmp / "sim"]))
+    if kind == "config":
+        return (run(["label", "--config", path, "--grids", corpus["grids"],
+                     "--out", tmp / "label"]),
+                run(["simulate", "--config", path, "--scenario", corpus["scenario"],
+                     "--model", corpus["model"], "--out", tmp / "sim"]))
+    if kind == "grids":
+        return (run(["label", "--grids", path, "--out", tmp / "label"]),)
+    return (run(["train", "--data", path, "--out", tmp / "model", "--epochs", 1]),
+            run(["evaluate", "--model", corpus["model"], "--data", path,
+                 "--out", tmp / "eval"]))
+
+
+def _base(kind, corpus) -> bytes:
+    if kind == "config":
+        return json.dumps(base_config()).encode("utf-8")
+    return corpus[kind].read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["model", "config", "grids", "training"])
+def test_fuzz_base_inputs_run(tmp_path, corpus, kind):
+    assert set(_exit_codes(kind, _base(kind, corpus), corpus, tmp_path)) == {EXIT_OK}
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def mutate(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+# The first five seed the model corpus; the numbers beyond the float range
+# were OverflowError tracebacks, found by the fuzz tests below, and a
+# fractional or boolean seed used to load as int(seed).
+MODEL_HAND_MUTATIONS = {
+    "weights_null": _set("weights", None),
+    "ladder_null": _set("header", "frame_rates_hz", None),
+    "ladder_string": _set("header", "resolution_lines", "720"),
+    "weight_row_ragged": lambda p: p["weights"][0][0].pop(),
+    "header_list": _set("header", []),
+    "weight_beyond_float": _set("weights", 0, 0, 0, 10**400),
+    "bias_beyond_float": _set("biases", 1, 0, -10**400),
+    "seed_infinite": _set("header", "seed", float("inf")),
+    "seed_fraction": _set("header", "seed", 1.5),
+    "seed_boolean": _set("header", "seed", True),
+}
+CONFIG_HAND_MUTATIONS = {
+    "weights_beyond_float": _set("viterbi", "frame_rate_weights", 10**400),
+    "period_beyond_float": _set("viterbi", "decision_period_s", 10**400),
+    "jitter_beyond_float": _set("simulator", "jitter_pct", -10**400),
+    "detail_beyond_float": _set("synthetic", "content_detail", 10**400),
+}
+
+
+@pytest.mark.parametrize("kind, mutate", [
+    *(("model", m) for m in MODEL_HAND_MUTATIONS.values()),
+    *(("config", m) for m in CONFIG_HAND_MUTATIONS.values())],
+    ids=[*MODEL_HAND_MUTATIONS, *CONFIG_HAND_MUTATIONS])
+def test_hand_mutated_file_is_schema_error(tmp_path, corpus, kind, mutate):
+    payload = json.loads(_base(kind, corpus))
+    mutate(payload)
+    data = json.dumps(payload).encode("utf-8")
+    assert set(_exit_codes(kind, data, corpus, tmp_path)) == {EXIT_SCHEMA}
+
+
+def _assert_clean(kind, data, corpus, tmp_path_factory):
+    for code in _exit_codes(kind, data, corpus, tmp_path_factory.mktemp("fuzz")):
+        assert code in CLEAN_EXITS
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_model_exits_cleanly(tmp_path_factory, corpus, data):
+    base = corpus["model"].read_bytes()
+    mutated = data.draw(st.one_of(mutated_json(json.loads(base)), mutated_bytes(base)))
+    _assert_clean("model", mutated, corpus, tmp_path_factory)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_config_exits_cleanly(tmp_path_factory, corpus, data):
+    base = _base("config", corpus)
+    mutated = data.draw(st.one_of(mutated_json(base_config()), mutated_bytes(base)))
+    _assert_clean("config", mutated, corpus, tmp_path_factory)
+
+
+@pytest.mark.parametrize("kind", ["grids", "training"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_csv_exits_cleanly(tmp_path_factory, corpus, kind, data):
+    base = corpus[kind].read_bytes()
+    mutated = data.draw(st.one_of(mutated_csv(base), mutated_bytes(base)))
+    _assert_clean(kind, mutated, corpus, tmp_path_factory)
