@@ -22,7 +22,7 @@ from .motion import SPEM_LIMIT_DEGPS, VelocityEstimator, normalize_velocity
 from .predictor import (PredictorModel, TrainConfig, TrainingExample, forward,
                         load_model, save_model, train)
 from .quality import (QualityGrid, SyntheticQualityParams, load_grids,
-                      make_synthetic_grid, quality_value, synthetic_quality)
+                      make_synthetic_grid, synthetic_quality)
 from .simulator import (GridQualitySource, Scenario, SessionTrace,
                         SyntheticQualitySource, allocate_bits,
                         compare_baselines, run_session, scenario_from_json,
@@ -43,7 +43,7 @@ __all__ = [
     "default_transition_graph", "extract_features", "forward", "initial_state",
     "label_grids", "load_grids", "load_model", "make_synthetic_grid",
     "normalize_bandwidth", "normalize_velocity",
-    "objective_cost", "pixels_per_second", "quality_value", "relative_error",
+    "objective_cost", "pixels_per_second", "relative_error",
     "run_session", "save_model", "savings_curve", "scenario_from_json",
     "scenario_to_json", "select_efficient", "select_max_quality",
     "selection_distribution", "step", "step_window",

@@ -60,10 +60,7 @@ def _label_outputs(grids, margin: float, out: Path) -> list:
     return labels
 
 
-def cmd_gen_synthetic(args) -> int:
-    cfg = load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_gen_synthetic(args, cfg, out: Path) -> int:
     clips = synth.sample_clips(args.count, args.seed)
     grids = synth.grids_for_clips(clips, cfg.ladder.bitrates_bps,
                                   cfg.synthetic_params, cfg.ladder)
@@ -79,10 +76,7 @@ def cmd_gen_synthetic(args) -> int:
     return EXIT_OK
 
 
-def cmd_label(args) -> int:
-    cfg = load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_label(args, cfg, out: Path) -> int:
     grids = quality.load_grids(args.grids, cfg.ladder)
     _label_outputs(grids, args.margin, out)
     print(f"label: {len(grids)} grids -> {out}")
@@ -98,18 +92,12 @@ def _evaluation_payload(model, examples) -> dict:
     maj_f = _majority(truth_f)
     maj_r = _majority(truth_r)
 
-    velocities = [_denormalize_velocity(ex.features.norm_velocity)
-                  for ex in examples]
-    edges = labeler.velocity_band_edges(velocities)
-    band_names = ("low", "mid", "high")
+    band_of = labeler.velocity_bands([_denormalize_velocity(ex.features.norm_velocity)
+                                      for ex in examples])
     bands: dict[str, dict] = {}
-    for name in band_names:
-        bands[name] = {"count": 0}
-    members = {name: [] for name in band_names}
-    for i, v in enumerate(velocities):
-        members[band_names[labeler.velocity_band(v, edges)]].append(i)
-    for name, idx in members.items():
-        bands[name]["count"] = len(idx)
+    for band, name in enumerate(("low", "mid", "high")):
+        idx = np.flatnonzero(band_of == band).tolist()
+        bands[name] = {"count": len(idx)}
         if idx:
             bands[name]["frame_rate_error_pct"] = metrics.relative_error(
                 [pred_f[i] for i in idx], [truth_f[i] for i in idx])
@@ -130,10 +118,7 @@ def _evaluation_payload(model, examples) -> dict:
     }, pred_f, pred_r, truth_f, truth_r
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_train(args, cfg, out: Path) -> int:
     examples = predictor.read_training_csv(args.data, cfg.ladder)
     if not examples:
         raise ArgumentError(f"{args.data}: no training rows")
@@ -162,10 +147,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    load_config(args.config)  # a bad config fails every subcommand alike
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_evaluate(args, cfg, out: Path) -> int:
     model = predictor.load_model(args.model)
     examples = predictor.read_training_csv(args.data, model.ladder)
     if not examples:
@@ -184,10 +166,7 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_simulate(args, cfg, out: Path) -> int:
     scenario = simulator.scenario_from_json(args.scenario)
     model = predictor.load_model(args.model)
     source = simulator.SyntheticQualitySource(cfg.synthetic_params)
@@ -198,7 +177,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed)
     simulator.write_frame_csv(trace, out / "trace_frames.csv")
     simulator.write_window_csv(trace, out / "trace_windows.csv")
-    simulator.write_summary_json(trace, out / "summary.json")
+    _write_json(simulator.summary_dict(trace), out / "summary.json")
     s = trace.summary
     print(f"simulate: {s.n_windows} windows, mean quality "
           f"{s.mean_quality_jod:.3f} JOD, bitrate error "
@@ -206,10 +185,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_compare(args, cfg, out: Path) -> int:
     scenario = simulator.scenario_from_json(args.scenario)
     source = simulator.SyntheticQualitySource(cfg.synthetic_params)
     traces = simulator.compare_baselines(
@@ -233,23 +209,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive frame-rate/resolution streaming pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, margin=False):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--margin", type=float, default=labeler.DEFAULT_MARGIN_JOD,
-                       dest="margin", help="quality margin in JOD")
+        if margin:
+            p.add_argument("--margin", type=float, default=labeler.DEFAULT_MARGIN_JOD,
+                           help="quality margin in JOD")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("gen-synthetic", help="generate synthetic grids, labels, "
                                              "training data, and scenarios")
-    common(p)
+    common(p, margin=True)
     p.add_argument("--count", type=int, default=100, help="number of clips")
     p.add_argument("--scenarios", type=int, default=1,
                    help="number of scenario files to emit")
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = sub.add_parser("label", help="label a quality-grid CSV")
-    common(p)
+    common(p, margin=True)
     p.add_argument("--grids", required=True, help="quality-grid CSV path")
     p.set_defaults(func=cmd_label)
 
@@ -278,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="compare fixed and adaptive policies")
-    common(p)
+    common(p, margin=True)
     p.add_argument("--scenario", required=True, help="scenario JSON path")
     p.set_defaults(func=cmd_compare)
 
@@ -289,7 +266,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A bad config fails every subcommand alike, before any output.
+        cfg = load_config(args.config)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, cfg, out)
     except (ArgumentError, ContractError, DivergenceError, ModelCorruptError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGUMENT

@@ -30,7 +30,7 @@ import numpy as np
 
 from .controller import (DECISION_PERIOD_S, EMISSION_FLOOR, TransitionGraph,
                          default_transition_graph)
-from .errors import ArgumentError, ConfigError
+from .errors import ArgumentError, ConfigError, json_numbers
 from .ladder import DEFAULT_LADDER, Ladder
 from .quality import SyntheticQualityParams
 from .simulator import IFRAME_BIT_MULTIPLIER
@@ -128,17 +128,18 @@ def load_config(path=None) -> Config:
     _reject_unknown(viterbi, ("frame_rate_weights", "resolution_weights",
                               "decision_period_s", "emission_floor"),
                     f"{path}: viterbi")
-    try:
-        period = float(viterbi.get("decision_period_s", DECISION_PERIOD_S))
-        floor = float(viterbi.get("emission_floor", EMISSION_FLOOR))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad viterbi section: {exc}") from None
+    where = f"{path}: viterbi"
+    period = float(_number(viterbi, "decision_period_s", DECISION_PERIOD_S, where))
+    floor = float(_number(viterbi, "emission_floor", EMISSION_FLOOR, where))
     if period != DECISION_PERIOD_S:
         raise ConfigError(
             f"{path}: viterbi.decision_period_s is {period} s, but the "
             f"simulator decides once per {DECISION_PERIOD_S} s GOP; it must be "
             f"{DECISION_PERIOD_S}")
     default_graph = default_transition_graph(ladder)
+    for key in ("frame_rate_weights", "resolution_weights"):
+        if not json_numbers(viterbi.get(key, [])):
+            raise ConfigError(f"{where}.{key} must hold numbers only")
     try:
         f_weights, r_weights = (
             np.array(viterbi.get(key, getattr(default_graph, key)), dtype=float)

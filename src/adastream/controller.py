@@ -221,20 +221,12 @@ def step_window(graph: TransitionGraph, state: ControllerState,
         return _step_window_log(graph, state, np.log(probs_f), np.log(probs_r), dt)
 
 
-def _one_row(values, length: int, name: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.shape != (length,):
-        raise ArgumentError(f"{name} emission has wrong length")
-    return values[None, :]
-
-
 def step(graph: TransitionGraph, state: ControllerState,
          probs_f, probs_r, dt: float) -> ControllerState:
-    """Advance both chains one frame using normalized class probabilities."""
-    return step_window(
-        graph, state,
-        _one_row(probs_f, graph.ladder.n_frame_rates, "frame-rate"),
-        _one_row(probs_r, graph.ladder.n_heights, "resolution"), dt)
+    """Advance both chains one frame using normalized class probabilities:
+    a window of one row, whose shapes :func:`step_window` checks."""
+    return step_window(graph, state, np.asarray(probs_f, dtype=float)[None],
+                       np.asarray(probs_r, dtype=float)[None], dt)
 
 
 def _argmax_class(scores: np.ndarray, current: int) -> int:
@@ -274,6 +266,4 @@ def decide(graph: TransitionGraph, state: ControllerState) -> tuple[VideoMode, C
                             graph.resolution_weights[cur_r], ladder.heights)
 
     mode = VideoMode(ladder.frame_rates_hz[pick_f], ladder.heights[pick_r])
-    new_state = ControllerState(graph._log_fw[pick_f].copy(),
-                                graph._log_rw[pick_r].copy(), mode, 0.0)
-    return mode, new_state
+    return mode, initial_state(graph, mode)

@@ -40,3 +40,16 @@ def utf8_lines(fh, path):
         yield from fh
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def json_numbers(value) -> bool:
+    """Whether a parsed JSON value is a number or nested lists of numbers,
+    with no string or boolean, which ``float`` and ``np.array`` also take."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            return False
+    return True

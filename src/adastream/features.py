@@ -33,6 +33,7 @@ FEATURE_SCHEMA_VERSION = 1
 FEATURE_NAMES = ("mean_luma", "rms_contrast", "gradient_energy",
                  "high_freq_ratio", "edge_density", "norm_velocity",
                  "norm_bandwidth")
+CONTENT_FEATURE_KEYS = FEATURE_NAMES[:5]
 # Features held to [0, 1]; the other two only need to be >= 0.
 UNIT_INTERVAL_FEATURES = ("mean_luma", "high_freq_ratio", "edge_density",
                           "norm_velocity", "norm_bandwidth")

@@ -188,19 +188,11 @@ def savings_curve(grids, margins) -> dict[float, dict[float, float]]:
             for bitrate in sorted(per_bitrate)}
 
 
-def velocity_band_edges(velocities) -> tuple[float, float]:
-    """Tercile boundaries of a velocity population."""
-    v = np.asarray(list(velocities), dtype=float)
-    return float(np.quantile(v, 1 / 3)), float(np.quantile(v, 2 / 3))
-
-
-def velocity_band(velocity: float, edges: tuple[float, float]) -> int:
-    """0, 1, or 2 for the low, mid, or high tercile."""
-    if velocity <= edges[0]:
-        return 0
-    if velocity <= edges[1]:
-        return 1
-    return 2
+def velocity_bands(velocities) -> np.ndarray:
+    """0, 1 or 2 per velocity for the low, mid or high tercile of the
+    population; a velocity on a tercile edge is in the lower band."""
+    v = np.asarray(velocities, dtype=float)
+    return np.searchsorted(np.quantile(v, [1 / 3, 2 / 3]), v)
 
 
 def selection_distribution(labels) -> dict[tuple, int]:
@@ -211,11 +203,10 @@ def selection_distribution(labels) -> dict[tuple, int]:
     labels = list(labels)
     if not labels:
         raise ArgumentError("selection_distribution needs at least one label")
-    edges = velocity_band_edges(lab.velocity_degps for lab in labels)
+    bands = velocity_bands([lab.velocity_degps for lab in labels]).tolist()
     hist: dict[tuple, int] = {}
-    for lab in labels:
-        key = (float(lab.bitrate_bps),
-               velocity_band(lab.velocity_degps, edges),
+    for lab, band in zip(labels, bands):
+        key = (float(lab.bitrate_bps), band,
                lab.efficient_mode.frame_rate_hz,
                lab.efficient_mode.height)
         hist[key] = hist.get(key, 0) + 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ArgumentError, DivergenceError, ModelCorruptError, SchemaError,
-                     utf8_lines)
+                     json_numbers, utf8_lines)
 from .features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, FeatureVector
 from .ladder import DEFAULT_LADDER, Ladder
 
@@ -289,6 +289,8 @@ def load_model(path, ladder: Ladder | None = None) -> PredictorModel:
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise SchemaError(f"{path}: bad model: seed must be an integer, "
                           f"got {seed!r}")
+    if not json_numbers([payload["weights"], payload["biases"]]):
+        raise SchemaError(f"{path}: bad model: weights and biases must be numbers")
     try:
         model_ladder = Ladder(frame_rates_hz=tuple(header["frame_rates_hz"]),
                               heights=tuple(header["resolution_lines"]))
@@ -317,7 +319,10 @@ def load_model(path, ladder: Ladder | None = None) -> PredictorModel:
                           f"does not match weight shapes {sizes}")
     model = PredictorModel(weights, biases, ladder,
                            seed=seed, feature_version=FEATURE_SCHEMA_VERSION)
-    model.validate()
+    try:
+        model.validate()
+    except ModelCorruptError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     return model
 
 

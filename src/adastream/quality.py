@@ -17,8 +17,8 @@ One row per grid cell, one complete group of rows per (clip_id, bitrate).
 Quality sources answer in whole surfaces: ``surface(ladder, bitrate_bps,
 velocities)`` returns an ``(n, n_f, n_h)`` array, the JOD of every ladder
 cell at each of ``n`` velocities. :func:`synthetic_surface` is the synthetic
-one; the simulator's grid-backed source stacks its grids and picks the
-nearest one per velocity.
+one, and :func:`synthetic_quality` is one cell of it; the simulator's
+grid-backed source stacks its grids and picks the nearest one per velocity.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ArgumentError, SchemaError, utf8_lines
-from .ladder import DEFAULT_LADDER, Ladder, VideoMode, width_for_height
-
-# Smooth-pursuit tracking limit; velocities above this are perceptually capped.
-VELOCITY_CAP_DEGPS = 80.0
+from .ladder import DEFAULT_LADDER, Ladder, VideoMode
+from .motion import SPEM_LIMIT_DEGPS  # velocities above it are perceptually capped
 
 JOD_MAX = 10.0
 
@@ -108,39 +106,12 @@ class QualityGrid:
         return float(self.q[fi, hi])
 
 
-def quality_value(frame_rate_hz: float, height: int, bitrate_bps: float,
-                  velocity_degps: float,
-                  params: SyntheticQualityParams = SyntheticQualityParams()) -> float:
-    """Synthetic JOD quality for an arbitrary (frame rate, height) point.
-
-    Unlike :func:`synthetic_quality` this does not require ladder membership,
-    which makes the reference-rate limit directly observable.
-    """
-    if velocity_degps < 0:
-        raise ArgumentError("velocity must be >= 0")
-    if bitrate_bps <= 0:
-        raise ArgumentError("bitrate must be positive")
-    if frame_rate_hz <= 0:
-        raise ArgumentError("frame rate must be positive")
-
-    detail = params.content_detail
-    v_eff = min(velocity_degps, VELOCITY_CAP_DEGPS)
-    loss_temporal = params.alpha_temporal * v_eff * (
-        1.0 / frame_rate_hz - 1.0 / params.reference_rate_hz)
-    loss_spatial = params.alpha_spatial * detail * (
-        1.0 - (height / 1080.0) ** params.spatial_exponent)
-    bpp = bitrate_bps / (frame_rate_hz * width_for_height(height) * height)
-    loss_coding = params.alpha_coding * max(0.0, math.log2(params.bpp_ref / bpp)) * (
-        0.5 + 0.5 * detail)
-    q = JOD_MAX - loss_temporal - loss_spatial - loss_coding
-    return min(max(q, 0.0), JOD_MAX)
-
-
 def synthetic_quality(mode: VideoMode, bitrate_bps: float, velocity_degps: float,
                       params: SyntheticQualityParams = SyntheticQualityParams()) -> float:
-    """Synthetic JOD quality of a ladder mode. Deterministic and total."""
-    return quality_value(mode.frame_rate_hz, mode.height, bitrate_bps,
-                         velocity_degps, params)
+    """Synthetic JOD quality of any (frame rate, height) point, on the
+    ladder or off it: the one cell of the surface of a one-rung ladder."""
+    ladder = Ladder((mode.frame_rate_hz,), (mode.height,))
+    return float(synthetic_surface(ladder, bitrate_bps, [velocity_degps], params)[0, 0, 0])
 
 
 def synthetic_surface(ladder: Ladder, bitrate_bps: float, velocities,
@@ -149,10 +120,10 @@ def synthetic_surface(ladder: Ladder, bitrate_bps: float, velocities,
     """Synthetic JOD of every ladder cell at each velocity: shape
     ``(n, n_f, n_h)``, one ``(n_f, n_h)`` slice per velocity.
 
-    Equal bit for bit to :func:`quality_value` in every cell. The power and
-    log2 terms come from ``math`` once per height and once per cell, as
-    there; numpy only adds, subtracts, multiplies and clamps, which it
-    rounds as Python does.
+    Equal bit for bit, in every cell, to the scalar formula evaluated in
+    Python floats: the power and log2 terms come from ``math`` once per
+    height and once per cell; numpy only adds, subtracts, multiplies and
+    clamps, which it rounds as Python does.
     """
     v = np.asarray(velocities, dtype=float)
     if v.ndim != 1:
@@ -174,7 +145,7 @@ def synthetic_surface(ladder: Ladder, bitrate_bps: float, velocities,
         for h, w in zip(ladder.heights, ladder.widths)]
         for f in ladder.frame_rates_hz])
     loss_temporal = (params.alpha_temporal
-                     * np.minimum(v, VELOCITY_CAP_DEGPS))[:, None] * interval_excess
+                     * np.minimum(v, SPEM_LIMIT_DEGPS))[:, None] * interval_excess
     q = JOD_MAX - loss_temporal[:, :, None] - loss_spatial - loss_coding
     return np.minimum(np.maximum(q, 0.0), JOD_MAX)
 

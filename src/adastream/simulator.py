@@ -26,7 +26,7 @@ velocities)`` returns the ``(n, n_f, n_h)`` JOD of every ladder cell at each
 velocity. The engine makes one call per window with the window's frame
 velocities and averages the column of the window's mode, summed in frame
 order; an oracle policy makes one call per decision with the boundary
-velocity. ``source(mode, bitrate_bps, velocity_degps)`` gives one cell.
+velocity.
 
 The per-GOP bit budget is exact in deterministic mode: the I-frame receives
 a fixed multiple of the P-frame budget and the integer rounding residue goes
@@ -48,16 +48,16 @@ import numpy as np
 from .controller import (DECISION_PERIOD_S, TransitionGraph, decide,
                          initial_state, step_window)
 from .errors import ArgumentError, ConfigError, SchemaError
-from .features import (FEATURE_NAMES, PATCH_SIZE, UNIT_INTERVAL_FEATURES,
-                       extract_features, normalize_bandwidth)
+from .features import (CONTENT_FEATURE_KEYS, FEATURE_NAMES, PATCH_SIZE,
+                       UNIT_INTERVAL_FEATURES, extract_features,
+                       normalize_bandwidth)
 from .labeler import DEFAULT_MARGIN_JOD, select_efficient
 from .ladder import DEFAULT_LADDER, Ladder, VideoMode, pixels_per_second
 from .motion import VelocityEstimator, deg_per_sec, normalize_velocity
 # ``forward`` is no longer called here; it stays importable from this module
 # because the benchmark tracer patches it at this call site.
 from .predictor import PredictorModel, forward, forward_batch  # noqa: F401
-from .quality import (QualityGrid, SyntheticQualityParams, synthetic_quality,
-                      synthetic_surface)
+from .quality import QualityGrid, SyntheticQualityParams, synthetic_surface
 
 # A window is one GOP and one controller decision.
 GOP_LENGTH_S = DECISION_PERIOD_S
@@ -67,8 +67,6 @@ MIN_REFERENCE_RATE_HZ = 120.0
 # A GOP budget of this rate, times a jitter scale below 2, fits in int64.
 MAX_BITRATE_BPS = 1e15
 
-CONTENT_FEATURE_KEYS = ("mean_luma", "rms_contrast", "gradient_energy",
-                        "high_freq_ratio", "edge_density")
 _VELOCITY_COL = FEATURE_NAMES.index("norm_velocity")
 _BANDWIDTH_COL = FEATURE_NAMES.index("norm_bandwidth")
 
@@ -82,9 +80,6 @@ class SyntheticQualitySource:
 
     def __init__(self, params: SyntheticQualityParams = SyntheticQualityParams()):
         self.params = params
-
-    def __call__(self, mode: VideoMode, bitrate_bps: float, velocity_degps: float) -> float:
-        return synthetic_quality(mode, bitrate_bps, velocity_degps, self.params)
 
     def surface(self, ladder: Ladder, bitrate_bps: float, velocities) -> np.ndarray:
         return synthetic_surface(ladder, bitrate_bps, velocities, self.params)
@@ -210,8 +205,7 @@ class Scenario:
             if isinstance(patch, str):
                 patch = _patch_pixels(base64.b64decode(patch))
             fv = extract_features(patch / 255.0)
-            self._content[i] = (fv.mean_luma, fv.rms_contrast, fv.gradient_energy,
-                                fv.high_freq_ratio, fv.edge_density)
+            self._content[i] = fv.as_array()[:len(CONTENT_FEATURE_KEYS)]
             self._pending[i] = False
         return self._content[records]
 
@@ -276,12 +270,12 @@ def scenario_to_json(scenario: Scenario, path) -> None:
 
 
 def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}: expected a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
         raise SchemaError(f"{where}: {value} is beyond the float range") from None
-    except (TypeError, ValueError):
-        raise SchemaError(f"{where}: expected a number, got {value!r}") from None
 
 
 # A patch's base64 text: 4 characters per 3 bytes, the last group padded.
@@ -338,6 +332,7 @@ def _frame_content(frame: dict, where: str):
 
 
 def scenario_from_json(path) -> Scenario:
+    numbers = ("duration_s", "fov_horizontal_deg", "reference_rate_hz")
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -345,8 +340,7 @@ def scenario_from_json(path) -> Scenario:
             raise SchemaError(f"{path}: not valid scenario JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: scenario root must be an object")
-    for key in ("duration_s", "fov_horizontal_deg", "reference_rate_hz",
-                "bitrate_schedule", "frames"):
+    for key in (*numbers, "bitrate_schedule", "frames"):
         if key not in payload:
             raise SchemaError(f"{path}: missing scenario field {key!r}")
     frames = payload["frames"]
@@ -375,11 +369,7 @@ def scenario_from_json(path) -> Scenario:
                           "[start_s, bps] pairs")
     try:
         scenario = Scenario(
-            duration_s=_number(payload["duration_s"], f"{path}: duration_s"),
-            fov_horizontal_deg=_number(payload["fov_horizontal_deg"],
-                                       f"{path}: fov_horizontal_deg"),
-            reference_rate_hz=_number(payload["reference_rate_hz"],
-                                      f"{path}: reference_rate_hz"),
+            **{key: _number(payload[key], f"{path}: {key}") for key in numbers},
             bitrate_schedule=tuple(
                 (_number(t, f"{path}: bitrate_schedule"),
                  _number(b, f"{path}: bitrate_schedule")) for t, b in schedule),
@@ -702,9 +692,3 @@ def write_window_csv(trace: SessionTrace, path) -> None:
 
 def summary_dict(trace: SessionTrace) -> dict:
     return asdict(trace.summary)
-
-
-def write_summary_json(trace: SessionTrace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary_dict(trace), fh, sort_keys=True, indent=2)
-        fh.write("\n")

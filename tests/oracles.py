@@ -3,13 +3,16 @@
 The brute-force selection oracle is deliberately written as plain loops with
 explicit tie-break chains, sharing no code with the library's stacked
 selection kernel; the per-grid savings curve and the cell-loop oracle policy
-build on it. The session and grid-lookup oracles keep the frame-at-a-time
-engine, with one quality-source call per frame, and the linear nearest-grid
+build on it. The quality oracles keep the scalar synthetic formula in Python
+floats, one cell at a time, and the scalar tercile rule of the velocity
+bands. The session and grid-lookup oracles keep the frame-at-a-time
+engine, with one quality cell per frame, and the linear nearest-grid
 scan that the library's window engine and stacked lookup replaced. The
 feature oracles keep the ``np.gradient``, ``np.hypot`` and full-``dctn``
-patch kernel and the eager scenario reader, which extracted the features of
-every patch record at read time (with the library's kernel unless told
-otherwise, so that it tests laziness alone).
+patch kernel, the high-frequency ratio of a full ``dctn`` of the
+mean-subtracted patch, and the eager scenario reader, which extracted the
+features of every patch record at read time (with the library's kernel
+unless told otherwise, so that it tests laziness alone).
 The trainer and writer oracles keep the per-layer Adam loop, the row-at-a-time
 grid writer and the scenario writer that read the content table per value.
 """
@@ -26,17 +29,20 @@ from adastream.controller import step
 from adastream.errors import ArgumentError, DivergenceError
 from adastream.features import (EDGE_THRESHOLD, PATCH_SIZE, FeatureVector,
                                 extract_features, normalize_bandwidth)
-from adastream.ladder import DEFAULT_LADDER, VideoMode, pixels_per_second
-from adastream.motion import VelocityEstimator, deg_per_sec, normalize_velocity
+from adastream.ladder import (DEFAULT_LADDER, VideoMode, pixels_per_second,
+                             width_for_height)
+from adastream.motion import (SPEM_LIMIT_DEGPS, VelocityEstimator, deg_per_sec,
+                              normalize_velocity)
 from adastream.predictor import (TrainConfig, forward, loss_and_gradients,
                                  new_model)
-from adastream.quality import GRID_CSV_HEADER, QualityGrid
+from adastream.quality import (GRID_CSV_HEADER, JOD_MAX, QualityGrid,
+                               SyntheticQualityParams)
 from adastream.simulator import (GOP_LENGTH_S, IFRAME_BIT_MULTIPLIER,
                                  FrameRecord,
                                  OracleQualityPolicy, PredictorControllerPolicy,
                                  Scenario, SessionSummary, SessionTrace, WindowRecord,
-                                 CONTENT_FEATURE_KEYS, allocate_bits,
-                                 baseline_mode)
+                                 CONTENT_FEATURE_KEYS, SyntheticQualitySource,
+                                 allocate_bits, baseline_mode)
 
 
 def _cost(f, h):
@@ -96,6 +102,57 @@ def per_grid_savings_curve(grids, margins):
     return curve
 
 
+# ---------------------------------------------------------------------------
+# Quality and banding oracles
+
+
+def quality_value(frame_rate_hz, height, bitrate_bps, velocity_degps,
+                  params=SyntheticQualityParams()):
+    """The synthetic JOD of one (frame rate, height) point, in Python floats."""
+    if velocity_degps < 0:
+        raise ArgumentError("velocity must be >= 0")
+    if bitrate_bps <= 0:
+        raise ArgumentError("bitrate must be positive")
+    if frame_rate_hz <= 0:
+        raise ArgumentError("frame rate must be positive")
+
+    detail = params.content_detail
+    v_eff = min(velocity_degps, SPEM_LIMIT_DEGPS)
+    loss_temporal = params.alpha_temporal * v_eff * (
+        1.0 / frame_rate_hz - 1.0 / params.reference_rate_hz)
+    loss_spatial = params.alpha_spatial * detail * (
+        1.0 - (height / 1080.0) ** params.spatial_exponent)
+    bpp = bitrate_bps / (frame_rate_hz * width_for_height(height) * height)
+    loss_coding = params.alpha_coding * max(0.0, math.log2(params.bpp_ref / bpp)) * (
+        0.5 + 0.5 * detail)
+    q = JOD_MAX - loss_temporal - loss_spatial - loss_coding
+    return min(max(q, 0.0), JOD_MAX)
+
+
+def cell_quality(source, mode, bitrate_bps, velocity_degps):
+    """One cell of a quality source: the scalar formula for the synthetic
+    source, the grid source's own one-cell lookup otherwise."""
+    if isinstance(source, SyntheticQualitySource):
+        return quality_value(mode.frame_rate_hz, mode.height, bitrate_bps,
+                             velocity_degps, source.params)
+    return source(mode, bitrate_bps, velocity_degps)
+
+
+def velocity_band_edges(velocities):
+    """Tercile boundaries of a velocity population."""
+    v = np.asarray(list(velocities), dtype=float)
+    return float(np.quantile(v, 1 / 3)), float(np.quantile(v, 2 / 3))
+
+
+def velocity_band(velocity, edges):
+    """0, 1, or 2 for the low, mid, or high tercile."""
+    if velocity <= edges[0]:
+        return 0
+    if velocity <= edges[1]:
+        return 1
+    return 2
+
+
 class CellLoopOraclePolicy(OracleQualityPolicy):
     """The oracle policy as it decided before quality surfaces: one
     quality-source call per ladder cell, then a brute-force selection."""
@@ -104,8 +161,8 @@ class CellLoopOraclePolicy(OracleQualityPolicy):
         q = np.empty((self.ladder.n_frame_rates, self.ladder.n_heights))
         for fi, f in enumerate(self.ladder.frame_rates_hz):
             for hi, h in enumerate(self.ladder.heights):
-                q[fi, hi] = self.quality_source(VideoMode(f, h), bitrate_bps,
-                                                velocity_degps)
+                q[fi, hi] = cell_quality(self.quality_source, VideoMode(f, h),
+                                         bitrate_bps, velocity_degps)
         grid = QualityGrid("session", velocity_degps, bitrate_bps, q, self.ladder)
         f, h, _, _ = brute_force_efficient(grid, self.margin_jod, self.frame_rates)
         return VideoMode(f, h)
@@ -210,7 +267,8 @@ def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
             fv = content.with_context(normalize_velocity(velocity),
                                       normalize_bandwidth(scenario.bitrate_at(t)))
             _on_frame(policy, fv, 1.0 / mode.frame_rate_hz)
-            window_quality += quality_source(mode, target_bitrate_bps, velocity)
+            window_quality += cell_quality(quality_source, mode,
+                                           target_bitrate_bps, velocity)
             frames.append(FrameRecord(t, mode.frame_rate_hz, mode.height,
                                       int(budget[i]), i == 0, w))
             total_bits += int(budget[i])
@@ -285,6 +343,21 @@ def reference_extract_features(patch):
 
     return FeatureVector(mean_luma, rms_contrast, gradient_energy,
                          high_freq_ratio, edge_density)
+
+
+def dctn_high_freq_ratio(patch):
+    """The high-frequency ratio from a full ``dctn`` of the mean-subtracted
+    patch. Its energy is the non-DC energy itself, so no DC term is
+    subtracted from a sum it dominates, as in the reference kernel."""
+    patch = np.asarray(patch, dtype=float)
+    coeffs = dctn(patch - patch.mean(), norm="ortho")
+    energy = coeffs * coeffs
+    total = float(energy.sum())
+    if total <= 0.0:
+        return 0.0
+    half = PATCH_SIZE // 2
+    high = float(energy[half:, :].sum() + energy[:half, half:].sum())
+    return min(max(high / total, 0.0), 1.0)
 
 
 def eager_scenario_from_json(path, kernel=extract_features):

@@ -422,3 +422,88 @@ def test_model_seed_of_5000_digits_is_schema_error(tmp_path, capsys):
                 "--out", tmp_path / "eval"]) == EXIT_SCHEMA
     assert (f"error: {model}: not valid model JSON: Exceeds the limit (4300 digits)"
             in capsys.readouterr().err)
+
+
+SUBCOMMANDS = {
+    "gen-synthetic": [],
+    "label": ["--grids", "grids.csv"],
+    "train": ["--data", "training.csv"],
+    "evaluate": ["--model", "model.json", "--data", "training.csv"],
+    "simulate": ["--scenario", "scenario.json", "--model", "model.json"],
+    "compare": ["--scenario", "scenario.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_bad_config_fails_every_subcommand_first(tmp_path, capsys, command):
+    # the config is read before any input, so the inputs need not exist
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"unexpected": 1}')
+    out = tmp_path / "out"
+    assert run([command, *SUBCOMMANDS[command], "--out", out,
+                "--config", cfg]) == EXIT_SCHEMA
+    assert f"error: {cfg}: unknown key 'unexpected'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
+def test_margin_is_refused_where_it_is_not_read(tmp_path, command):
+    with pytest.raises(SystemExit) as err:
+        run([command, *SUBCOMMANDS[command], "--out", tmp_path / "out",
+             "--margin", "0.1"])
+    assert err.value.code == EXIT_ARGUMENT
+
+
+# Strings and booleans where a number belongs: each of these files used to
+# load, because float() and np.array(..., dtype=float) take them.
+@pytest.mark.parametrize("mutate, where", [
+    (lambda p: p.__setitem__("duration_s", str(p["duration_s"])), "duration_s"),
+    (_set_frame(0, "timestamp", "0"), "frame 0: timestamp"),
+    (_set_frame(2, "mean_ndc_magnitude", True), "frame 2: mean_ndc_magnitude"),
+], ids=["duration_text", "timestamp_text", "magnitude_true"])
+def test_non_number_scenario_value_is_schema_error(tmp_path, capsys, mutate, where):
+    out = gen(tmp_path, count=2)
+    scenario = out / "scenario_000.json"
+    payload = json.loads(scenario.read_text())
+    mutate(payload)
+    scenario.write_text(json.dumps(payload))
+    assert run(["compare", "--scenario", scenario,
+                "--out", tmp_path / "cmp"]) == EXIT_SCHEMA
+    assert f"error: {scenario}: {where}: expected a number" in capsys.readouterr().err
+
+
+def _set_weight(value):
+    def mutate(payload):
+        payload["weights"][1][0][0] = value
+    return mutate
+
+
+def _set_bias(payload):
+    payload["biases"][0][0] = True
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set_weight("0.5"), "bad model: weights and biases must be numbers"),
+    (_set_bias, "bad model: weights and biases must be numbers"),
+    (_set_weight(float("nan")), "model holds non-finite weights"),  # was exit 2
+], ids=["weight_text", "bias_true", "weight_nan"])
+def test_non_number_model_value_is_schema_error(tmp_path, capsys, mutate, message):
+    assert _corrupt_model(tmp_path, mutate) == EXIT_SCHEMA
+    model = tmp_path / "model" / "model.json"
+    assert f"error: {model}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("viterbi, key", [
+    ({"emission_floor": "1e-12"}, "emission_floor must be a number"),
+    ({"decision_period_s": "2"}, "decision_period_s must be a number"),
+    ({"decision_period_s": True}, "decision_period_s must be a number"),
+    ({"frame_rate_weights": [["0"] * 10] * 10}, "frame_rate_weights must hold numbers"),
+    ({"resolution_weights": [[True] * 5] * 5}, "resolution_weights must hold numbers"),
+], ids=["floor_text", "period_text", "period_true", "weights_text", "weights_true"])
+def test_non_number_viterbi_value_is_config_error(tmp_path, capsys, viterbi, key):
+    out = gen(tmp_path, count=2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"viterbi": viterbi}))
+    assert run(["label", "--grids", out / "grids.csv", "--out", tmp_path / "x",
+                "--config", cfg]) == EXIT_SCHEMA
+    assert f"error: {cfg}: viterbi.{key}" in capsys.readouterr().err

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adastream.errors import ArgumentError
 from adastream.features import (FEATURE_NAMES, FeatureVector, extract_features,
                                 normalize_bandwidth)
-from oracles import reference_extract_features
+from oracles import dctn_high_freq_ratio, reference_extract_features
 
 
 def flat(value=0.5):
@@ -130,22 +130,27 @@ def _patch(kind, seed, level, period):
 
 # The lean kernel's sqrt gradient and Parseval high-frequency ratio round
 # differently from np.hypot and a full dctn; measured differences are below
-# 1e-16 and 1e-12 on these kinds. The decisions they feed are certified
-# unchanged (tests/certify.py).
+# 1e-16 and 1e-14 on these kinds. The high-frequency ratio is compared with a
+# full dctn of the mean-subtracted patch: the reference kernel subtracts the
+# DC energy from the total, which cancels on a checkerboard near mid-grey
+# (DC energy 4096 against 0.25 of the rest) and misses by up to 5e-12 there.
+# The decisions these features feed are certified unchanged (tests/certify.py).
 LAST_BITS = 1e-12
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["float", "uint8", "flat", "checkerboard"]),
        st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.integers(1, 64))
+@example("checkerboard", 0, 0.49609375, 1)
+@example("checkerboard", 0, 0.49609375, 2)
 def test_kernel_equals_reference_kernel_to_the_last_bits(kind, seed, level, period):
     patch = _patch(kind, seed, level, period)
     lean, reference = extract_features(patch), reference_extract_features(patch)
     for name in ("mean_luma", "rms_contrast", "edge_density"):
         assert (np.float64(getattr(lean, name)).tobytes()
                 == np.float64(getattr(reference, name)).tobytes()), name
-    for name in ("gradient_energy", "high_freq_ratio"):
-        assert abs(getattr(lean, name) - getattr(reference, name)) <= LAST_BITS, name
+    assert abs(lean.gradient_energy - reference.gradient_energy) <= LAST_BITS
+    assert abs(lean.high_freq_ratio - dctn_high_freq_ratio(patch)) <= LAST_BITS
     if kind == "flat":
         assert lean.high_freq_ratio == reference.high_freq_ratio == 0.0
 

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adastream import synth
 from adastream.errors import ArgumentError
 from adastream.labeler import (DEFAULT_MARGIN_JOD, label_grids, savings_curve,
                                select_efficient, select_max_quality,
-                               selection_distribution, velocity_band,
-                               velocity_band_edges)
+                               selection_distribution, velocity_bands)
 from adastream.ladder import (DEFAULT_LADDER, Ladder, VideoMode, objective_cost,
                               pixels_per_second)
 from adastream.quality import QualityGrid, SyntheticQualityParams, make_synthetic_grid
 from conftest import random_grid
 from oracles import (brute_force_efficient, brute_force_max_quality,
-                     per_grid_savings_curve)
+                     per_grid_savings_curve, velocity_band, velocity_band_edges)
 
 
 def grid_from_cells(cells, fill=0.0, velocity=0.0, bitrate=2e6):
@@ -237,7 +236,22 @@ def test_nan_margin_rejected(rng):
 
 
 def test_velocity_bands():
-    edges = velocity_band_edges([0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
-    assert velocity_band(0.0, edges) == 0
-    assert velocity_band(25.0, edges) == 1
-    assert velocity_band(50.0, edges) == 2
+    assert velocity_bands([0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 25.0]).tolist() == [
+        0, 0, 0, 1, 2, 2, 1]
+    # 10 and 20 are the tercile edges themselves: each is in the lower band
+    assert velocity_bands([0.0, 10.0, 20.0, 30.0]).tolist() == [0, 0, 1, 2]
+
+
+# A small lattice puts many values exactly on a tercile edge.
+_VELOCITIES = st.one_of(st.sampled_from([0.0, 10.0, 20.0, 30.0]),
+                        st.floats(0.0, 200.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_VELOCITIES, min_size=1, max_size=40))
+@example([0.0, 10.0, 20.0, 30.0])
+@example([5.0, 5.0, 5.0])
+def test_velocity_bands_equal_the_scalar_rule(velocities):
+    edges = velocity_band_edges(velocities)
+    assert velocity_bands(velocities).tolist() == [velocity_band(v, edges)
+                                                   for v in velocities]

@@ -9,10 +9,9 @@ from adastream.errors import ArgumentError, SchemaError
 from adastream.ladder import DEFAULT_LADDER, Ladder, VideoMode
 from adastream.quality import (GRID_CSV_HEADER, QualityGrid,
                                SyntheticQualityParams, load_grids,
-                               make_synthetic_grid, quality_value,
-                               synthetic_quality, synthetic_surface,
-                               write_grids_csv)
-from oracles import row_at_a_time_grids_csv
+                               make_synthetic_grid, synthetic_quality,
+                               synthetic_surface, write_grids_csv)
+from oracles import quality_value, row_at_a_time_grids_csv
 
 # Hand-evaluated surface point, frozen from an independent step-by-step
 # calculation: temporal loss 40*(1/30 - 1/166) = 1.0923694779116466,
@@ -35,8 +34,8 @@ def test_worked_surface_point():
 def test_quality_saturates_at_reference_rate():
     # at the reference rate, top resolution, and ample bitrate every loss
     # term vanishes
-    assert quality_value(166, 1080, 1e12, 50.0) == pytest.approx(10.0)
-    assert quality_value(166, 1080, 1e12, 0.0) == 10.0
+    assert synthetic_quality(VideoMode(166, 1080), 1e12, 50.0) == pytest.approx(10.0)
+    assert synthetic_quality(VideoMode(166, 1080), 1e12, 0.0) == 10.0
 
 
 def test_zero_velocity_rows_constant_when_bits_ample():
@@ -135,6 +134,18 @@ def test_synthetic_surface_equals_quality_value_bit_for_bit(
     surface = synthetic_surface(ladder, bitrate, velocities, params)
     assert surface.shape == (len(velocities), ladder.n_frame_rates, ladder.n_heights)
     assert surface.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.integers(1, 399), h=st.integers(1, 2999), bitrate=st.floats(1e3, 1e9),
+       velocity=st.floats(0.0, 300.0), detail=st.floats(0.0, 1.0))
+def test_synthetic_quality_equals_quality_value_off_the_ladder(f, h, bitrate,
+                                                               velocity, detail):
+    params = SyntheticQualityParams(content_detail=detail)
+    q = synthetic_quality(VideoMode(f, h), bitrate, velocity, params)
+    assert type(q) is float
+    assert (np.float64(q).tobytes()
+            == np.float64(quality_value(f, h, bitrate, velocity, params)).tobytes())
 
 
 def test_synthetic_surface_input_validation():
