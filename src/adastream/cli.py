@@ -123,6 +123,8 @@ def cmd_train(args, cfg, out: Path) -> int:
     if not examples:
         raise ArgumentError(f"{args.data}: no training rows")
 
+    if not 0.0 <= args.holdout < 1.0:
+        raise ArgumentError(f"--holdout must be in [0, 1), got {args.holdout}")
     rng = np.random.default_rng(args.seed)
     order = rng.permutation(len(examples))
     n_holdout = int(round(args.holdout * len(examples)))
@@ -168,7 +170,7 @@ def cmd_evaluate(args, cfg, out: Path) -> int:
 
 def cmd_simulate(args, cfg, out: Path) -> int:
     scenario = simulator.scenario_from_json(args.scenario)
-    model = predictor.load_model(args.model)
+    model = predictor.load_model(args.model, cfg.ladder)
     source = simulator.SyntheticQualitySource(cfg.synthetic_params)
     trace = simulator.run_session(
         scenario, model, cfg.graph, source,

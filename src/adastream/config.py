@@ -33,7 +33,7 @@ from .controller import (DECISION_PERIOD_S, EMISSION_FLOOR, TransitionGraph,
 from .errors import ArgumentError, ConfigError, json_numbers
 from .ladder import DEFAULT_LADDER, Ladder
 from .quality import SyntheticQualityParams
-from .simulator import IFRAME_BIT_MULTIPLIER
+from .simulator import IFRAME_BIT_MULTIPLIER, check_jitter_pct
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,9 @@ def load_config(path=None) -> Config:
     multiplier = int(multiplier)
     if multiplier < 1:
         raise ConfigError(f"{path}: iframe_bit_multiplier must be >= 1")
-    if not 0.0 <= jitter < 100.0:
-        raise ConfigError(f"{path}: jitter_pct must be in [0, 100)")
+    try:
+        check_jitter_pct(jitter)
+    except ArgumentError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
     return Config(ladder, graph, params, multiplier, jitter)

@@ -134,15 +134,19 @@ def extract_features(patch: np.ndarray) -> FeatureVector:
 
     # Parseval: the non-DC energy of the transform is the energy of the
     # mean-subtracted patch. Summing d*d, not p*p minus the DC term, avoids
-    # cancellation on near-flat patches. A flat patch has no such energy.
+    # cancellation on near-flat patches. A flat patch has no such energy. A
+    # ``d`` whose squares may be subnormal is scaled by the power of two that
+    # puts its peak in [0.5, 1); that is exact and leaves the ratio as it is.
     high_freq_ratio = 0.0
     if low != high:
         d = patch - mean_luma
         total = float(np.vdot(d, d))
-        if total > 0.0:  # d*d underflows to 0 on a patch this near flat
-            band = _LOW_DCT @ d @ _LOW_DCT.T
-            low_band = float(np.vdot(band, band)) - float(band[0, 0]) ** 2
-            high_freq_ratio = min(max((total - low_band) / total, 0.0), 1.0)
+        if total < 2.0 ** -900:
+            d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
+            total = float(np.vdot(d, d))
+        band = _LOW_DCT @ d @ _LOW_DCT.T
+        low_band = float(np.vdot(band, band)) - float(band[0, 0]) ** 2
+        high_freq_ratio = min(max((total - low_band) / total, 0.0), 1.0)
 
     edges = (np.count_nonzero(np.abs(dx) > EDGE_THRESHOLD)
              + np.count_nonzero(np.abs(dy) > EDGE_THRESHOLD))

@@ -317,6 +317,9 @@ def load_model(path, ladder: Ladder | None = None) -> PredictorModel:
     if sizes != header["layer_sizes"]:
         raise SchemaError(f"{path}: layer_sizes header {header['layer_sizes']} "
                           f"does not match weight shapes {sizes}")
+    if sizes[0] != len(FEATURE_NAMES):
+        raise SchemaError(f"{path}: first layer takes {sizes[0]} inputs, "
+                          f"there are {len(FEATURE_NAMES)} features")
     model = PredictorModel(weights, biases, ladder,
                            seed=seed, feature_version=FEATURE_SCHEMA_VERSION)
     try:

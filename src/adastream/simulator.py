@@ -13,13 +13,14 @@ one GOP and one controller decision, both set by that one constant (the
 controller's ``DECISION_PERIOD_S``). The mode is fixed over a window, so
 every per-frame input of the window is known when it starts: the frame
 times, the reference record each frame samples and its motion in deg/s.
-Only the 500 ms velocity average runs frame by frame. The policy sees the
-window through ``on_window(scenario, times, records, velocities, dt)`` and
-picks the next window's mode in ``decide_mode``. Only the predictor policy
-reads content: it builds the ``(n, 7)`` feature matrix, one row per frame
-in ``FEATURE_NAMES`` order, from the records' content rows, the bandwidth
-in force and the velocities, so a patch scenario decodes patches and
-extracts features only for the records a predictor session reads.
+Only the 500 ms velocity average runs frame by frame. The engine owns the
+mode; after every window but the last it asks the policy, which keeps no
+state, for the next one: ``decide_mode(scenario, mode, times, records,
+velocities, bitrate_bps)``, with the bitrate in force at the boundary. Only
+the predictor policy reads content: it builds the ``(n, 7)`` feature
+matrix, one row per frame in ``FEATURE_NAMES`` order, from the records'
+content rows, the bandwidth in force and the velocities, so a patch scenario
+extracts features only for the records that a decision reads.
 
 A quality source answers in surfaces: ``surface(ladder, bitrate_bps,
 velocities)`` returns the ``(n, n_f, n_h)`` JOD of every ladder cell at each
@@ -421,33 +422,38 @@ def allocate_bits(target_bitrate_bps: float, frames_in_gop: int,
     return bits
 
 
+def check_jitter_pct(jitter_pct: float) -> None:
+    """The range of the per-frame bit jitter, in percent: [0, 100)."""
+    if not 0.0 <= jitter_pct < 100.0:
+        raise ArgumentError(f"jitter_pct must be in [0, 100), got {jitter_pct}")
+
+
 # ---------------------------------------------------------------------------
 # Policies
 
 
 class PredictorControllerPolicy:
-    """Trained predictor feeding the Viterbi controller; the production path."""
+    """Trained predictor feeding the Viterbi controller; the production path.
+
+    Every window starts the chains at ``initial_state(graph, mode)``, the
+    state that ``decide`` leaves at the mode it picks, so the mode is all
+    that carries from one window to the next."""
 
     def __init__(self, model: PredictorModel, graph: TransitionGraph):
         self.model = model
         self.graph = graph
-        self.state = None
 
-    def begin(self, mode: VideoMode) -> None:
-        self.state = initial_state(self.graph, mode)
-
-    def on_window(self, scenario: Scenario, times: np.ndarray, records: np.ndarray,
-                  velocities: list[float], dt: float) -> None:
+    def decide_mode(self, scenario: Scenario, mode: VideoMode, times: np.ndarray,
+                    records: np.ndarray, velocities: list[float],
+                    bitrate_bps: float) -> VideoMode:
         x = np.empty((times.size, len(FEATURE_NAMES)))
         x[:, :len(CONTENT_FEATURE_KEYS)] = scenario.content_rows(records)
         x[:, _BANDWIDTH_COL] = scenario.bandwidth_at(times)
         x[:, _VELOCITY_COL] = [normalize_velocity(v) for v in velocities]
         probs_f, probs_r = forward_batch(self.model, x)
-        self.state = step_window(self.graph, self.state, probs_f, probs_r, dt)
-
-    def decide_mode(self, bitrate_bps: float, velocity_degps: float) -> VideoMode:
-        mode, self.state = decide(self.graph, self.state)
-        return mode
+        state = step_window(self.graph, initial_state(self.graph, mode),
+                            probs_f, probs_r, 1.0 / mode.frame_rate_hz)
+        return decide(self.graph, state)[0]
 
 
 class OracleQualityPolicy:
@@ -464,15 +470,9 @@ class OracleQualityPolicy:
         self.frame_rates = frame_rates
         self.ladder = ladder
 
-    def begin(self, mode: VideoMode) -> None:
-        pass
-
-    def on_window(self, scenario, times, records, velocities, dt) -> None:
-        pass
-
-    def decide_mode(self, bitrate_bps: float, velocity_degps: float) -> VideoMode:
-        q = self.quality_source.surface(self.ladder, bitrate_bps, [velocity_degps])[0]
-        grid = QualityGrid("session", velocity_degps, bitrate_bps, q, self.ladder)
+    def decide_mode(self, scenario, mode, times, records, velocities, bitrate_bps):
+        q = self.quality_source.surface(self.ladder, bitrate_bps, velocities[-1:])[0]
+        grid = QualityGrid("session", velocities[-1], bitrate_bps, q, self.ladder)
         label = select_efficient(grid, self.margin_jod, frame_rates=self.frame_rates)
         return label.efficient_mode
 
@@ -480,13 +480,7 @@ class OracleQualityPolicy:
 class FixedBaselinePolicy:
     """Streaming-guide defaults: 720p60 below 5 Mbps, 1080p60 at or above."""
 
-    def begin(self, mode: VideoMode) -> None:
-        pass
-
-    def on_window(self, scenario, times, records, velocities, dt) -> None:
-        pass
-
-    def decide_mode(self, bitrate_bps: float, velocity_degps: float) -> VideoMode:
+    def decide_mode(self, scenario, mode, times, records, velocities, bitrate_bps):
         return baseline_mode(bitrate_bps)
 
 
@@ -545,8 +539,7 @@ class SessionTrace:
 
 
 def _run_with_policy(scenario: Scenario, policy, quality_source,
-                     *, initial_mode: VideoMode | None = None,
-                     iframe_multiplier: int = IFRAME_BIT_MULTIPLIER,
+                     *, iframe_multiplier: int = IFRAME_BIT_MULTIPLIER,
                      jitter_pct: float = 0.0, seed: int = 0,
                      ladder: Ladder = DEFAULT_LADDER) -> SessionTrace:
     n_windows = int(math.floor(scenario.duration_s / GOP_LENGTH_S + 1e-9))
@@ -555,17 +548,16 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
             f"scenario of {scenario.duration_s} s is shorter than one "
             f"{GOP_LENGTH_S} s GOP")
 
-    if initial_mode is None:
-        initial_mode = baseline_mode(scenario.bitrate_at(0.0))
-    ladder.require_mode(initial_mode)
+    mode = baseline_mode(scenario.bitrate_at(0.0))
+    ladder.require_mode(mode)
 
+    check_jitter_pct(jitter_pct)
     rng = np.random.default_rng(seed) if jitter_pct > 0 else None
     # Motion of every reference record, each over one reference tick.
     record_degps = deg_per_sec(scenario.ndc_magnitudes,
                                1.0 / scenario.reference_rate_hz,
                                scenario.fov_horizontal_deg)
     estimator = VelocityEstimator()
-    policy.begin(initial_mode)
 
     frames: list[FrameRecord] = []
     windows: list[WindowRecord] = []
@@ -574,7 +566,6 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
     total_pixels = 0
     switch_f = 0
     switch_r = 0
-    mode = initial_mode
 
     for w in range(n_windows):
         window_start = w * GOP_LENGTH_S
@@ -594,9 +585,6 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
         frame_times = times.tolist()
         velocities = [estimator.update(degps, t) for t, degps
                       in zip(frame_times, record_degps[records].tolist())]
-        velocity = velocities[-1]
-        policy.on_window(scenario, times, records, velocities,
-                         1.0 / mode.frame_rate_hz)
         surface = quality_source.surface(ladder, target_bitrate_bps, velocities)
         # Summed in frame order: np.sum's pairwise order would change the
         # last bits of the window mean.
@@ -617,8 +605,8 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
 
         if w + 1 == n_windows:
             break  # no decision after the final window
-        boundary = (w + 1) * GOP_LENGTH_S
-        new_mode = policy.decide_mode(scenario.bitrate_at(boundary), velocity)
+        new_mode = policy.decide_mode(scenario, mode, times, records, velocities,
+                                      scenario.bitrate_at((w + 1) * GOP_LENGTH_S))
         ladder.require_mode(new_mode)
         if new_mode.frame_rate_hz != mode.frame_rate_hz:
             switch_f += 1

@@ -43,10 +43,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
-from adastream import controller
+from adastream import controller, simulator
 from adastream.controller import default_transition_graph
 from adastream.features import PATCH_SIZE, FEATURE_NAMES
 from adastream.motion import normalize_velocity
@@ -149,7 +150,6 @@ class CertifyingPolicy(PredictorControllerPolicy):
         self.other_kernel = other_kernel
         self.decisions: list[Decision] = []
         self._other_rows: dict[int, np.ndarray] = {}
-        self._window = None
 
     def _other_row(self, record: int, row: np.ndarray) -> np.ndarray:
         if record not in self._other_rows:
@@ -161,9 +161,21 @@ class CertifyingPolicy(PredictorControllerPolicy):
             self._other_rows[record] = row
         return self._other_rows[record]
 
-    def on_window(self, scenario, times, records, velocities, dt):
-        start = self.state
-        super().on_window(scenario, times, records, velocities, dt)
+    def decide_mode(self, scenario, mode, times, records, velocities, bitrate_bps):
+        # The policy keeps no state, so the chains' scores at the window's
+        # start and at its decision come from its one step_window call.
+        windows = []
+        step_window = simulator.step_window
+
+        def recording(graph, state, probs_f, probs_r, dt):
+            windows.append((state, step_window(graph, state, probs_f, probs_r, dt)))
+            return windows[-1][1]
+
+        with mock.patch.object(simulator, "step_window", recording):
+            new_mode = super().decide_mode(scenario, mode, times, records,
+                                           velocities, bitrate_bps)
+        (start, end), = windows
+        dt = 1.0 / mode.frame_rate_hz
         n_content = len(CONTENT_FEATURE_KEYS)
         x = np.empty((times.size, len(FEATURE_NAMES)))
         x[:, :n_content] = scenario.content_rows(records)
@@ -180,21 +192,16 @@ class CertifyingPolicy(PredictorControllerPolicy):
         # The emissions rebuilt here must be the ones the engine consumed.
         replay = controller._max_plus(self.graph, start.score_f, start.score_r,
                                       *emit)
-        if (replay[0].tobytes() != self.state.score_f.tobytes()
-                or replay[1].tobytes() != self.state.score_r.tobytes()):
+        if (replay[0].tobytes() != end.score_f.tobytes()
+                or replay[1].tobytes() != end.score_r.tobytes()):
             raise AssertionError("certificate emissions differ from the engine's")
-        self._window = (start, emit, emit_other)
-
-    def decide_mode(self, bitrate_bps, velocity_degps):
-        start, emit, emit_other = self._window
-        graph = self.graph
         self.decisions.append(Decision(
             len(self.decisions),
-            chain_certificate(start.score_f, self.state.score_f, emit[0],
-                              emit_other[0], graph._log_fw),
-            chain_certificate(start.score_r, self.state.score_r, emit[1],
-                              emit_other[1], graph._log_rw)))
-        return super().decide_mode(bitrate_bps, velocity_degps)
+            chain_certificate(start.score_f, end.score_f, emit[0], emit_other[0],
+                              self.graph._log_fw),
+            chain_certificate(start.score_r, end.score_r, emit[1], emit_other[1],
+                              self.graph._log_rw)))
+        return new_mode
 
 
 def certify_file(path, model, graph, other_kernel=reference_extract_features,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dctn
 
-from adastream.controller import step
+from adastream.controller import decide, initial_state, step
 from adastream.errors import ArgumentError, DivergenceError
 from adastream.features import (EDGE_THRESHOLD, PATCH_SIZE, FeatureVector,
                                 extract_features, normalize_bandwidth)
@@ -157,7 +157,8 @@ class CellLoopOraclePolicy(OracleQualityPolicy):
     """The oracle policy as it decided before quality surfaces: one
     quality-source call per ladder cell, then a brute-force selection."""
 
-    def decide_mode(self, bitrate_bps, velocity_degps):
+    def decide_mode(self, scenario, mode, times, records, velocities, bitrate_bps):
+        velocity_degps = velocities[-1]
         q = np.empty((self.ladder.n_frame_rates, self.ladder.n_heights))
         for fi, f in enumerate(self.ladder.frame_rates_hz):
             for hi, h in enumerate(self.ladder.heights):
@@ -203,22 +204,18 @@ class MotionSample:
                            self.fov_horizontal_deg)
 
 
-def _on_frame(policy, features, dt):
-    """One frame of a policy, as the per-frame engine drove it: the
-    predictor policy runs one forward pass and one controller step."""
-    if isinstance(policy, PredictorControllerPolicy):
-        probs_f, probs_r = forward(policy.model, features)
-        policy.state = step(policy.graph, policy.state, probs_f, probs_r, dt)
-
-
-def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
+def per_frame_session(scenario, policy, quality_source, *,
                       iframe_multiplier=IFRAME_BIT_MULTIPLIER,
                       jitter_pct=0.0, seed=0, ladder=DEFAULT_LADDER):
     """The frame-at-a-time session engine that the window engine replaced.
 
     Every frame samples its record, builds a validated MotionSample and
-    FeatureVector, runs the policy and accounts its quality and bits. Its
-    frames, windows and summary must equal the window engine's.
+    FeatureVector and accounts its quality and bits. A predictor policy's
+    model and graph run as the per-frame engine ran them: one forward pass
+    and one controller step per frame, with the state that ``decide``
+    returns carried from window to window. Any other policy decides through
+    its ``decide_mode``. The frames, windows and summary must equal the
+    window engine's.
     """
     n_windows = int(math.floor(scenario.duration_s / GOP_LENGTH_S + 1e-9))
     if n_windows < 1:
@@ -226,14 +223,15 @@ def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
             f"scenario of {scenario.duration_s} s is shorter than one "
             f"{GOP_LENGTH_S} s GOP")
 
-    if initial_mode is None:
-        initial_mode = baseline_mode(scenario.bitrate_at(0.0))
-    ladder.require_mode(initial_mode)
+    mode = baseline_mode(scenario.bitrate_at(0.0))
+    ladder.require_mode(mode)
+    carried = isinstance(policy, PredictorControllerPolicy)
+    if carried:
+        state = initial_state(policy.graph, mode)
 
     rng = np.random.default_rng(seed) if jitter_pct > 0 else None
     ref_interval = 1.0 / scenario.reference_rate_hz
     estimator = VelocityEstimator()
-    policy.begin(initial_mode)
 
     frames = []
     windows = []
@@ -242,7 +240,6 @@ def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
     total_pixels = 0
     switch_f = 0
     switch_r = 0
-    mode = initial_mode
 
     for w in range(n_windows):
         window_start = w * GOP_LENGTH_S
@@ -256,7 +253,7 @@ def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
         target_bits += round(target_bitrate_bps * GOP_LENGTH_S)
 
         window_quality = 0.0
-        velocity = estimator.current_estimate
+        times, records, velocities = [], [], []
         for i in range(frames_in_gop):
             t = window_start + i / mode.frame_rate_hz
             rec = int(scenario.sample_index(t))
@@ -266,7 +263,13 @@ def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
             content = FeatureVector(*[float(v) for v in scenario.content_features[rec]])
             fv = content.with_context(normalize_velocity(velocity),
                                       normalize_bandwidth(scenario.bitrate_at(t)))
-            _on_frame(policy, fv, 1.0 / mode.frame_rate_hz)
+            if carried:
+                probs_f, probs_r = forward(policy.model, fv)
+                state = step(policy.graph, state, probs_f, probs_r,
+                             1.0 / mode.frame_rate_hz)
+            times.append(t)
+            records.append(rec)
+            velocities.append(velocity)
             window_quality += cell_quality(quality_source, mode,
                                            target_bitrate_bps, velocity)
             frames.append(FrameRecord(t, mode.frame_rate_hz, mode.height,
@@ -280,8 +283,12 @@ def per_frame_session(scenario, policy, quality_source, *, initial_mode=None,
 
         if w + 1 == n_windows:
             break
-        boundary = (w + 1) * GOP_LENGTH_S
-        new_mode = policy.decide_mode(scenario.bitrate_at(boundary), velocity)
+        if carried:
+            new_mode, state = decide(policy.graph, state)
+        else:
+            new_mode = policy.decide_mode(
+                scenario, mode, np.array(times), np.array(records), velocities,
+                scenario.bitrate_at((w + 1) * GOP_LENGTH_S))
         ladder.require_mode(new_mode)
         if new_mode.frame_rate_hz != mode.frame_rate_hz:
             switch_f += 1
@@ -348,9 +355,13 @@ def reference_extract_features(patch):
 def dctn_high_freq_ratio(patch):
     """The high-frequency ratio from a full ``dctn`` of the mean-subtracted
     patch. Its energy is the non-DC energy itself, so no DC term is
-    subtracted from a sum it dominates, as in the reference kernel."""
-    patch = np.asarray(patch, dtype=float)
-    coeffs = dctn(patch - patch.mean(), norm="ortho")
+    subtracted from a sum it dominates, as in the reference kernel. The
+    patch is first scaled by the power of two that puts its largest
+    deviation in [0.5, 1), so no square is subnormal; the scaling is exact
+    and the ratio does not depend on it."""
+    d = np.asarray(patch, dtype=float)
+    d = d - d.mean()
+    coeffs = dctn(np.ldexp(d, -np.frexp(np.abs(d).max())[1]), norm="ortho")
     energy = coeffs * coeffs
     total = float(energy.sum())
     if total <= 0.0:

@@ -482,11 +482,18 @@ def _set_bias(payload):
     payload["biases"][0][0] = True
 
 
+def _five_inputs(payload):
+    """A first layer fed fewer inputs than the features, its header to match."""
+    payload["weights"][0] = payload["weights"][0][:5]
+    payload["header"]["layer_sizes"][0] = 5
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_set_weight("0.5"), "bad model: weights and biases must be numbers"),
     (_set_bias, "bad model: weights and biases must be numbers"),
     (_set_weight(float("nan")), "model holds non-finite weights"),  # was exit 2
-], ids=["weight_text", "bias_true", "weight_nan"])
+    (_five_inputs, "first layer takes 5 inputs, there are 7 features"),  # was exit 1
+], ids=["weight_text", "bias_true", "weight_nan", "five_inputs"])
 def test_non_number_model_value_is_schema_error(tmp_path, capsys, mutate, message):
     assert _corrupt_model(tmp_path, mutate) == EXIT_SCHEMA
     model = tmp_path / "model" / "model.json"
@@ -507,3 +514,48 @@ def test_non_number_viterbi_value_is_config_error(tmp_path, capsys, viterbi, key
     assert run(["label", "--grids", out / "grids.csv", "--out", tmp_path / "x",
                 "--config", cfg]) == EXIT_SCHEMA
     assert f"error: {cfg}: viterbi.{key}" in capsys.readouterr().err
+
+
+def _trained(tmp_path):
+    out = gen(tmp_path, count=4)
+    assert run(["train", "--data", out / "training.csv", "--out",
+                tmp_path / "model", "--epochs", 1]) == EXIT_OK
+    return out / "scenario_000.json", tmp_path / "model" / "model.json"
+
+
+@pytest.mark.parametrize("frame_rates", [
+    [20, 30, 40, 50, 60, 70, 80, 90, 100, 110],  # ran, reading 30 Hz as 20 Hz
+    [30, 60, 90, 120],  # exit 2, naming no file
+], ids=["ten_other_rates", "four_rates"])
+def test_simulate_refuses_a_model_of_another_ladder(tmp_path, capsys, frame_rates):
+    scenario, model = _trained(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frame_rates": frame_rates}))
+    assert run(["simulate", "--scenario", scenario, "--model", model,
+                "--out", tmp_path / "sim", "--config", cfg]) == EXIT_SCHEMA
+    assert (f"error: {model}: model was trained on a different ladder"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("jitter", ["150", "100", "-5", "nan"])
+def test_jitter_flag_has_the_config_range(tmp_path, capsys, jitter):
+    # each of these ran with exit 0; 150 gave a 15% bitrate error
+    scenario, model = _trained(tmp_path)
+    assert run(["simulate", "--scenario", scenario, "--model", model,
+                "--out", tmp_path / "sim", "--jitter-pct", jitter]) == EXIT_ARGUMENT
+    assert "jitter_pct must be in [0, 100)" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simulator": {"jitter_pct": float(jitter)}}))
+    assert run(["simulate", "--scenario", scenario, "--model", model,
+                "--out", tmp_path / "sim", "--config", cfg]) == EXIT_SCHEMA
+    assert f"error: {cfg}: jitter_pct must be in [0, 100)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("holdout", ["-0.2", "1", "1.5", "nan"])
+def test_holdout_flag_is_a_fraction_below_one(tmp_path, capsys, holdout):
+    # -0.2 trained on 18 of 90 rows and held out 72, with exit 0
+    out = gen(tmp_path, count=4)
+    assert run(["train", "--data", out / "training.csv", "--out",
+                tmp_path / "model", "--epochs", 1, "--holdout", holdout]) == EXIT_ARGUMENT
+    assert "--holdout must be in [0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "model" / "model.json").exists()

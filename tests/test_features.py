@@ -143,6 +143,11 @@ LAST_BITS = 1e-12
        st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.integers(1, 64))
 @example("checkerboard", 0, 0.49609375, 1)
 @example("checkerboard", 0, 0.49609375, 2)
+# squared deviations in the subnormal range: before the kernel scaled them,
+# it read 0.76196652875 and 0.774 at these levels, not the scale-free
+# 0.76196645532
+@example("float", 0, 1.13e-159, 1)
+@example("float", 0, 5e-162, 1)
 def test_kernel_equals_reference_kernel_to_the_last_bits(kind, seed, level, period):
     patch = _patch(kind, seed, level, period)
     lean, reference = extract_features(patch), reference_extract_features(patch)

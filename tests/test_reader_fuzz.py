@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from adastream.cli import EXIT_ARGUMENT, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
 from adastream.config import DEFAULT_CONFIG
+from test_cli import _five_inputs
 from test_scenario_json import _ODD_VALUES, fuzz_base_payload
 
 CLEAN_EXITS = (EXIT_OK, EXIT_ARGUMENT, EXIT_SCHEMA, EXIT_IO)
@@ -212,6 +213,7 @@ MODEL_HAND_MUTATIONS = {
     "seed_infinite": _set("header", "seed", float("inf")),
     "seed_fraction": _set("header", "seed", 1.5),
     "seed_boolean": _set("header", "seed", True),
+    "fan_in_5": _five_inputs,  # loaded, then a numpy traceback
 }
 CONFIG_HAND_MUTATIONS = {
     "weights_beyond_float": _set("viterbi", "frame_rate_weights", 10**400),

@@ -592,7 +592,9 @@ def test_oracle_policy_surface_equals_cell_loop(bitrate, velocity, margin,
     source = SOURCE if source_kind == "synthetic" else _grid_source()
     fast = OracleQualityPolicy(source, margin, frame_rates=frame_rates)
     slow = CellLoopOraclePolicy(source, margin, frame_rates=frame_rates)
-    assert fast.decide_mode(bitrate, velocity) == slow.decide_mode(bitrate, velocity)
+    # an oracle reads only the window's last velocity and the bitrate
+    window = (None, None, None, None, [velocity], bitrate)
+    assert fast.decide_mode(*window) == slow.decide_mode(*window)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +705,10 @@ def test_window_engine_equals_per_frame_engine_on_acceptance_scenarios():
 def test_predictor_rows_equal_per_frame_feature_vectors(monkeypatch, session_file):
     """The predictor policy's window rows, bit for bit: against the
     per-frame engine's FeatureVectors on a scenario with mid-GOP schedule
-    changes, and on a patch scenario read on demand against the eager one."""
+    changes, and on a patch scenario read on demand against the eager one.
+    The window engine builds rows only for the windows that precede a
+    decision, so the per-frame engine's rows of the final window are left
+    out."""
     def session_rows(engine, scenario):
         rows = []
         monkeypatch.setattr(simulator, "forward_batch", lambda model, x:
@@ -713,8 +718,11 @@ def test_predictor_rows_equal_per_frame_feature_vectors(monkeypatch, session_fil
         trace = engine(scenario, PredictorControllerPolicy(
             _trained_model(), default_transition_graph()), SOURCE)
         rows = np.concatenate(rows)
-        assert rows.shape == (len(trace.frames), 7)
-        return rows.tobytes()
+        decided = sum(fr.gop_index + 1 < trace.summary.n_windows
+                      for fr in trace.frames)
+        every = engine is per_frame_session
+        assert rows.shape == (len(trace.frames) if every else decided, 7)
+        return rows[:decided].tobytes()
 
     scenario = make_scenario(
         duration_s=8.0, seed=9, velocity_degps=lambda t: 70.0 * abs(np.sin(t)),
@@ -723,3 +731,20 @@ def test_predictor_rows_equal_per_frame_feature_vectors(monkeypatch, session_fil
             == session_rows(per_frame_session, scenario))
     assert (session_rows(_run_with_policy, scenario_from_json(session_file))
             == session_rows(_run_with_policy, eager_scenario_from_json(session_file)))
+
+
+def test_one_window_session_runs_no_model(monkeypatch):
+    """A one-window session makes no decision, so the window engine runs no
+    model; the per-frame engine, which steps it on every frame, plays the
+    same session."""
+    batches = mock.Mock(wraps=forward_batch)
+    monkeypatch.setattr(simulator, "forward_batch", batches)
+    model, graph = _trained_model(), default_transition_graph()
+    for duration, schedule in ((2.0, ((0.0, 3e6),)), (3.9, ((0.0, 6e6), (1.0, 2e6)))):
+        scenario = make_scenario(duration_s=duration, velocity_degps=40.0,
+                                 bitrate_schedule=schedule, seed=4)
+        fast = run_session(scenario, model, graph, SOURCE)
+        assert fast.summary.n_windows == 1
+        assert batches.call_count == 0
+        assert fast == per_frame_session(
+            scenario, PredictorControllerPolicy(model, graph), SOURCE)
