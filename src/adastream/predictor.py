@@ -83,11 +83,11 @@ class PredictorModel:
 
 
 def new_model(seed: int = 0, hidden_sizes=DEFAULT_HIDDEN_SIZES,
-              ladder: Ladder = DEFAULT_LADDER,
-              n_features: int = len(FEATURE_NAMES)) -> PredictorModel:
-    """He-initialized model with zero biases."""
+              ladder: Ladder = DEFAULT_LADDER) -> PredictorModel:
+    """He-initialized model with zero biases, taking the seven features."""
     rng = np.random.default_rng(seed)
-    sizes = [n_features, *hidden_sizes, ladder.n_frame_rates + ladder.n_heights]
+    sizes = [len(FEATURE_NAMES), *hidden_sizes,
+             ladder.n_frame_rates + ladder.n_heights]
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, fan_out)))
@@ -179,8 +179,11 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
     n = x.shape[0]
     if n == 0:
         raise ArgumentError("training set is empty")
+    if x.ndim != 2 or x.shape[1] != len(FEATURE_NAMES):
+        raise ArgumentError(f"training rows must hold the {len(FEATURE_NAMES)} "
+                            f"features, got an array of shape {x.shape}")
 
-    model = new_model(config.seed, config.hidden_sizes, ladder, x.shape[1])
+    model = new_model(config.seed, config.hidden_sizes, ladder)
     rng = np.random.default_rng(config.seed)
 
     params = model.weights + model.biases

@@ -29,6 +29,13 @@ velocities and averages the column of the window's mode, summed in frame
 order; an oracle policy makes one call per decision with the boundary
 velocity.
 
+The trace is columnar. It keeps the windows and one column of per-frame
+bits. A frame's time, mode, I-frame flag and GOP index all follow from its
+window: the window starts at ``index * GOP_LENGTH_S``, holds ``round(f *
+GOP_LENGTH_S)`` frames at ``start_s + i / f`` and opens with its I-frame.
+``SessionTrace.frames`` builds the ``FrameRecord`` tuple from the columns
+when it is read, and ``write_frame_csv`` writes its rows straight from them.
+
 The per-GOP bit budget is exact in deterministic mode: the I-frame receives
 a fixed multiple of the P-frame budget and the integer rounding residue goes
 to the last P-frame, so each GOP sums to target_bitrate * GOP_LENGTH_S to
@@ -64,6 +71,8 @@ from .quality import QualityGrid, SyntheticQualityParams, synthetic_surface
 GOP_LENGTH_S = DECISION_PERIOD_S
 IFRAME_BIT_MULTIPLIER = 4
 BASELINE_BITRATE_THRESHOLD_BPS = 5_000_000.0
+BASELINE_FRAME_RATE_HZ = 60
+BASELINE_HEIGHTS = (720, 1080)  # below the threshold, at or above it
 MIN_REFERENCE_RATE_HZ = 120.0
 # A GOP budget of this rate, times a jitter scale below 2, fits in int64.
 MAX_BITRATE_BPS = 1e15
@@ -460,7 +469,8 @@ class OracleQualityPolicy:
     """Quality-margin selection straight from the quality source.
 
     Used for baseline comparisons; optionally restricted to a frame-rate
-    subset (the resolution-only adaptive baseline runs at a fixed 60 Hz).
+    subset (the resolution-only adaptive baseline runs at the baseline's
+    frame rate).
     """
 
     def __init__(self, quality_source, margin_jod: float = DEFAULT_MARGIN_JOD,
@@ -478,16 +488,31 @@ class OracleQualityPolicy:
 
 
 class FixedBaselinePolicy:
-    """Streaming-guide defaults: 720p60 below 5 Mbps, 1080p60 at or above."""
+    """Streaming-guide defaults on the ladder: ``baseline_mode``."""
+
+    def __init__(self, ladder: Ladder = DEFAULT_LADDER):
+        self.ladder = ladder
 
     def decide_mode(self, scenario, mode, times, records, velocities, bitrate_bps):
-        return baseline_mode(bitrate_bps)
+        return baseline_mode(bitrate_bps, self.ladder)
 
 
-def baseline_mode(bitrate_bps: float) -> VideoMode:
-    if bitrate_bps < BASELINE_BITRATE_THRESHOLD_BPS:
-        return VideoMode(60, 720)
-    return VideoMode(60, 1080)
+def _nearest_rung(rungs: tuple[int, ...], target: int) -> int:
+    """The rung nearest ``target``, the lower one on a tie."""
+    return min(rungs, key=lambda rung: (abs(rung - target), rung))
+
+
+def baseline_frame_rate(ladder: Ladder = DEFAULT_LADDER) -> int:
+    """The ladder's frame rate nearest the baseline's 60 Hz."""
+    return _nearest_rung(ladder.frame_rates_hz, BASELINE_FRAME_RATE_HZ)
+
+
+def baseline_mode(bitrate_bps: float, ladder: Ladder = DEFAULT_LADDER) -> VideoMode:
+    """Streaming-guide defaults, 720p60 below 5 Mbps and 1080p60 at or
+    above, moved to the nearest rungs of the ladder."""
+    low, high = BASELINE_HEIGHTS
+    height = low if bitrate_bps < BASELINE_BITRATE_THRESHOLD_BPS else high
+    return VideoMode(baseline_frame_rate(ladder), _nearest_rung(ladder.heights, height))
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +554,37 @@ class SessionSummary:
 
 @dataclass(frozen=True)
 class SessionTrace:
-    frames: tuple[FrameRecord, ...]
+    """A session's windows, the bits of its frames in play order, and its
+    summary. A frame's time, mode, I-frame flag and GOP follow from its
+    window, so ``frame_bits`` is the only per-frame column."""
+
     windows: tuple[WindowRecord, ...]
+    frame_bits: tuple[int, ...]
     summary: SessionSummary
+
+    @property
+    def frames(self) -> tuple[FrameRecord, ...]:
+        """One ``FrameRecord`` per frame, built from the columns when read."""
+        return tuple(FrameRecord(t, win.frame_rate_hz, win.height, bits, i == 0,
+                                 win.index)
+                     for win, times, window_bits in _window_columns(self)
+                     for i, (t, bits) in enumerate(zip(times, window_bits)))
+
+
+def _window_times(start_s: float, frame_rate_hz: int) -> np.ndarray:
+    """The frame times of a window: ``round(f * GOP_LENGTH_S)`` frames at
+    ``1 / f`` from its start."""
+    return start_s + np.arange(round(frame_rate_hz * GOP_LENGTH_S)) / frame_rate_hz
+
+
+def _window_columns(trace: SessionTrace):
+    """Each window with its frame times, as floats, and its slice of
+    ``frame_bits``."""
+    end = 0
+    for win in trace.windows:
+        times = _window_times(win.start_s, win.frame_rate_hz).tolist()
+        start, end = end, end + len(times)
+        yield win, times, trace.frame_bits[start:end]
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +601,7 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
             f"scenario of {scenario.duration_s} s is shorter than one "
             f"{GOP_LENGTH_S} s GOP")
 
-    mode = baseline_mode(scenario.bitrate_at(0.0))
-    ladder.require_mode(mode)
+    mode = baseline_mode(scenario.bitrate_at(0.0), ladder)
 
     check_jitter_pct(jitter_pct)
     rng = np.random.default_rng(seed) if jitter_pct > 0 else None
@@ -559,7 +611,7 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
                                scenario.fov_horizontal_deg)
     estimator = VelocityEstimator()
 
-    frames: list[FrameRecord] = []
+    frame_bits: list[int] = []
     windows: list[WindowRecord] = []
     total_bits = 0
     target_bits = 0
@@ -572,7 +624,8 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
         # The bit budget latches the schedule at the GOP boundary; mid-GOP
         # schedule changes take effect at the next GOP.
         target_bitrate_bps = scenario.bitrate_at(window_start)
-        frames_in_gop = round(mode.frame_rate_hz * GOP_LENGTH_S)
+        times = _window_times(window_start, mode.frame_rate_hz)
+        frames_in_gop = times.size
         budget = allocate_bits(target_bitrate_bps, frames_in_gop, iframe_multiplier)
         if rng is not None:
             scale = rng.uniform(1.0 - jitter_pct / 100.0,
@@ -580,11 +633,9 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
             budget = np.maximum(1, np.rint(budget * scale)).astype(np.int64)
         target_bits += round(target_bitrate_bps * GOP_LENGTH_S)
 
-        times = window_start + np.arange(frames_in_gop) / mode.frame_rate_hz
         records = scenario.sample_index(times)
-        frame_times = times.tolist()
         velocities = [estimator.update(degps, t) for t, degps
-                      in zip(frame_times, record_degps[records].tolist())]
+                      in zip(times.tolist(), record_degps[records].tolist())]
         surface = quality_source.surface(ladder, target_bitrate_bps, velocities)
         # Summed in frame order: np.sum's pairwise order would change the
         # last bits of the window mean.
@@ -593,10 +644,7 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
                          ladder.height_index(mode.height)].tolist():
             window_quality += q
 
-        frames.extend(FrameRecord(t, mode.frame_rate_hz, mode.height, bits,
-                                  i == 0, w)
-                      for i, (t, bits) in enumerate(zip(frame_times,
-                                                        budget.tolist())))
+        frame_bits.extend(budget.tolist())
         total_bits += int(budget.sum())
         total_pixels += frames_in_gop * mode.width * mode.height
         windows.append(WindowRecord(w, window_start, mode.frame_rate_hz,
@@ -622,7 +670,7 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
     summary = SessionSummary(duration, n_windows, achieved, target_avg,
                              error_pct, total_pixels, mean_quality,
                              switch_f, switch_r)
-    return SessionTrace(tuple(frames), tuple(windows), summary)
+    return SessionTrace(tuple(windows), tuple(frame_bits), summary)
 
 
 def run_session(scenario: Scenario, model: PredictorModel, graph: TransitionGraph,
@@ -644,9 +692,10 @@ def compare_baselines(scenario: Scenario, quality_source,
     predictor training error.
     """
     policies = {
-        "fixed": FixedBaselinePolicy(),
+        "fixed": FixedBaselinePolicy(ladder),
         "resolution_adaptive": OracleQualityPolicy(
-            quality_source, margin_jod, frame_rates=(60,), ladder=ladder),
+            quality_source, margin_jod, frame_rates=(baseline_frame_rate(ladder),),
+            ladder=ladder),
         "full_adaptive": OracleQualityPolicy(
             quality_source, margin_jod, ladder=ladder),
     }
@@ -660,12 +709,16 @@ def compare_baselines(scenario: Scenario, quality_source,
 
 
 def write_frame_csv(trace: SessionTrace, path) -> None:
+    """One row per frame, from the columns, in one ``write``."""
+    rows = ["timestamp_s,frame_rate_hz,resolution_lines,frame_bits,"
+            "is_iframe,gop_index\n"]
+    for win, times, bits in _window_columns(trace):
+        mode = f",{win.frame_rate_hz},{win.height},"
+        rows.append(f"{times[0]!r}{mode}{bits[0]},1,{win.index}\n")
+        p_tail = f",0,{win.index}\n"
+        rows.extend(f"{t!r}{mode}{b}{p_tail}" for t, b in zip(times[1:], bits[1:]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("timestamp_s,frame_rate_hz,resolution_lines,frame_bits,"
-                 "is_iframe,gop_index\n")
-        for fr in trace.frames:
-            fh.write(f"{float(fr.timestamp_s)!r},{fr.frame_rate_hz},{fr.height},"
-                     f"{fr.frame_bits},{int(fr.is_iframe)},{fr.gop_index}\n")
+        fh.write("".join(rows))
 
 
 def write_window_csv(trace: SessionTrace, path) -> None:

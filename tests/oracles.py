@@ -14,7 +14,8 @@ mean-subtracted patch, and the eager scenario reader, which extracted the
 features of every patch record at read time (with the library's kernel
 unless told otherwise, so that it tests laziness alone).
 The trainer and writer oracles keep the per-layer Adam loop, the row-at-a-time
-grid writer and the scenario writer that read the content table per value.
+grid writer, the scenario writer that read the content table per value and
+the frame-trace writer that wrote one row per ``FrameRecord``.
 """
 
 import base64
@@ -214,8 +215,10 @@ def per_frame_session(scenario, policy, quality_source, *,
     model and graph run as the per-frame engine ran them: one forward pass
     and one controller step per frame, with the state that ``decide``
     returns carried from window to window. Any other policy decides through
-    its ``decide_mode``. The frames, windows and summary must equal the
-    window engine's.
+    its ``decide_mode``. The trace's ``frame_bits`` column comes from the
+    engine's own ``FrameRecord`` list, which the records that the trace
+    rebuilds from its columns must equal. The trace must equal the window
+    engine's.
     """
     n_windows = int(math.floor(scenario.duration_s / GOP_LENGTH_S + 1e-9))
     if n_windows < 1:
@@ -223,7 +226,7 @@ def per_frame_session(scenario, policy, quality_source, *,
             f"scenario of {scenario.duration_s} s is shorter than one "
             f"{GOP_LENGTH_S} s GOP")
 
-    mode = baseline_mode(scenario.bitrate_at(0.0))
+    mode = baseline_mode(scenario.bitrate_at(0.0), ladder)
     ladder.require_mode(mode)
     carried = isinstance(policy, PredictorControllerPolicy)
     if carried:
@@ -304,7 +307,12 @@ def per_frame_session(scenario, policy, quality_source, *,
     summary = SessionSummary(duration, n_windows, achieved, target_avg,
                              error_pct, total_pixels, mean_quality,
                              switch_f, switch_r)
-    return SessionTrace(tuple(frames), tuple(windows), summary)
+    trace = SessionTrace(tuple(windows), tuple(fr.frame_bits for fr in frames),
+                         summary)
+    if trace.frames != tuple(frames):
+        raise AssertionError("the frames rebuilt from the trace's columns are "
+                             "not the per-frame engine's records")
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +417,7 @@ def per_layer_train_arrays(x, yf_idx, yr_idx, config=TrainConfig(),
     if n == 0:
         raise ArgumentError("training set is empty")
 
-    model = new_model(config.seed, config.hidden_sizes, ladder, x.shape[1])
+    model = new_model(config.seed, config.hidden_sizes, ladder)
     rng = np.random.default_rng(config.seed)
 
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
@@ -456,6 +464,17 @@ def row_at_a_time_grids_csv(grids, path):
                     fh.write(f"{grid.clip_id},{float(grid.velocity_degps)!r},"
                              f"{float(grid.bitrate_bps)!r},{f},{h},"
                              f"{float(grid.q[fi, hi])!r}\n")
+
+
+def record_frame_csv(frames, path):
+    """The frame-trace writer that wrote one row per ``FrameRecord``, one
+    ``write`` per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("timestamp_s,frame_rate_hz,resolution_lines,frame_bits,"
+                 "is_iframe,gop_index\n")
+        for fr in frames:
+            fh.write(f"{float(fr.timestamp_s)!r},{fr.frame_rate_hz},{fr.height},"
+                     f"{fr.frame_bits},{int(fr.is_iframe)},{fr.gop_index}\n")
 
 
 def per_value_scenario_to_json(scenario, path):

@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import adastream
 from adastream.cli import (EXIT_ARGUMENT, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main)
@@ -559,3 +561,68 @@ def test_holdout_flag_is_a_fraction_below_one(tmp_path, capsys, holdout):
                 tmp_path / "model", "--epochs", 1, "--holdout", holdout]) == EXIT_ARGUMENT
     assert "--holdout must be in [0, 1)" in capsys.readouterr().err
     assert not (tmp_path / "model" / "model.json").exists()
+
+
+def _weights(draw, n, blocked):
+    """An n x n transition matrix that the graph accepts: a positive
+    diagonal, zero where ``blocked(i, j)``, anything in [0, 2] elsewhere."""
+    return [[0.0 if blocked(i, j) else draw(st.floats(
+                0.01 if i == j else 0.0, 2.0)) for j in range(n)]
+            for i in range(n)]
+
+
+@st.composite
+def valid_configs(draw):
+    """Configs that load: ladders of 1-6 distinct rates and heights over
+    wide ranges, and every other key in its range."""
+    rates = sorted(draw(st.sets(st.integers(1, 300), min_size=1, max_size=6)))
+    heights = sorted(draw(st.sets(st.integers(1, 100_000), min_size=1,
+                                  max_size=6)))
+    return {
+        "frame_rates": rates,
+        "resolutions": heights,
+        "bitrates": sorted(draw(st.sets(st.integers(100_000, 100_000_000),
+                                        min_size=1, max_size=4))),
+        "viterbi": {
+            "frame_rate_weights": _weights(
+                draw, len(rates), lambda i, j: abs(rates[i] - rates[j]) > 30),
+            "resolution_weights": _weights(
+                draw, len(heights), lambda i, j: abs(i - j) > 1),
+            "emission_floor": draw(st.floats(1e-15, 0.5)),
+        },
+        "synthetic": {
+            "alpha_temporal": draw(st.floats(0.0, 5.0)),
+            "alpha_spatial": draw(st.floats(0.0, 5.0)),
+            "alpha_coding": draw(st.floats(0.0, 5.0)),
+            "bpp_ref": draw(st.floats(0.001, 1.0)),
+            "spatial_exponent": draw(st.floats(0.1, 2.0)),
+            "content_detail": draw(st.floats(0.0, 1.0)),
+        },
+        "simulator": {"iframe_bit_multiplier": draw(st.integers(1, 16)),
+                      "jitter_pct": draw(st.floats(0.0, 50.0))},
+    }
+
+
+@settings(max_examples=6, deadline=None)
+@given(config=valid_configs(), seed=st.integers(0, 1000))
+def test_every_valid_config_runs_every_subcommand(config, seed):
+    # a ladder without 60 Hz or without 720 lines loaded and ran the first
+    # four subcommands, then simulate and compare exited 2
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        cfg = d / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        common = ["--config", cfg, "--seed", seed]
+        gen_dir = d / "gen"
+        for argv in (
+                ["gen-synthetic", "--count", 20, "--out", gen_dir],
+                ["label", "--grids", gen_dir / "grids.csv", "--out", d / "label"],
+                ["train", "--data", gen_dir / "training.csv", "--epochs", 2,
+                 "--out", d / "model"],
+                ["evaluate", "--model", d / "model" / "model.json",
+                 "--data", gen_dir / "training.csv", "--out", d / "eval"],
+                ["simulate", "--scenario", gen_dir / "scenario_000.json",
+                 "--model", d / "model" / "model.json", "--out", d / "sim"],
+                ["compare", "--scenario", gen_dir / "scenario_000.json",
+                 "--out", d / "cmp"]):
+            assert run([*argv, *common]) == EXIT_OK, argv[0]

@@ -237,6 +237,14 @@ def test_train_arrays_validation():
         TrainConfig(epochs=0)
 
 
+@pytest.mark.parametrize("shape", [(8, 5), (8, 8), (8,), (8, 7, 1)])
+def test_train_arrays_refuses_rows_of_another_width(shape):
+    # an (8, 5) array trained a model with a 5-input first layer, which
+    # save_model wrote and load_model then refused
+    with pytest.raises(ArgumentError, match="must hold the 7 features"):
+        train_arrays(np.zeros(shape), np.arange(8) % 10, np.arange(8) % 5)
+
+
 def test_model_round_trip(tmp_path, rng):
     examples = _separable_examples(rng, n=40)
     model = train(examples, TrainConfig(epochs=3, batch_size=8, seed=4))

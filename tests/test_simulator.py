@@ -26,7 +26,7 @@ from adastream.simulator import (GOP_LENGTH_S, FixedBaselinePolicy,
 from adastream.synth import make_scenario
 import oracles
 from oracles import (CellLoopOraclePolicy, eager_scenario_from_json,
-                     nearest_grid_scan, per_frame_session)
+                     nearest_grid_scan, per_frame_session, record_frame_csv)
 from test_predictor import _separable_examples
 
 SOURCE = SyntheticQualitySource()
@@ -428,6 +428,20 @@ def check_trace_invariants(scenario, trace, banded=True):
             assert abs(rungs.index(b.height) - rungs.index(a.height)) <= 1
 
 
+def check_trace_columns(scenario, trace, jitter_pct=0.0):
+    """The frame-bits column holds each window's frames in order; at zero
+    jitter each window's slice spends exactly its GOP budget."""
+    counts = [round(w.frame_rate_hz * GOP_LENGTH_S) for w in trace.windows]
+    assert len(trace.frame_bits) == sum(counts)
+    assert all(type(bits) is int for bits in trace.frame_bits)
+    if jitter_pct == 0.0:
+        end = 0
+        for win, n in zip(trace.windows, counts):
+            start, end = end, end + n
+            assert (sum(trace.frame_bits[start:end])
+                    == round(scenario.bitrate_at(win.start_s) * GOP_LENGTH_S))
+
+
 def test_oracle_session_invariants():
     scenario = session_fixture()
     trace = oracle_session(scenario)
@@ -487,6 +501,33 @@ def test_initial_mode_follows_baseline_rule():
     assert (high.windows[0].frame_rate_hz, high.windows[0].height) == (60, 1080)
     assert baseline_mode(4.99e6) == VideoMode(60, 720)
     assert baseline_mode(5e6) == VideoMode(60, 1080)
+
+
+@pytest.mark.parametrize("rates, heights, low, high", [
+    ((24, 25, 50, 144), (480, 1080), (50, 480), (50, 1080)),
+    ((1, 2), (1, 2), (2, 2), (2, 2)),
+    ((1000, 2000), (100000, 200000), (1000, 100000), (1000, 100000)),
+    ((50, 70), (600, 840, 960, 1200), (50, 600), (50, 960)),  # ties go lower
+    ((60, 90), (720, 1080), (60, 720), (60, 1080)),
+])
+def test_baseline_mode_takes_the_nearest_rungs(rates, heights, low, high):
+    ladder = Ladder(rates, heights)
+    assert baseline_mode(4.99e6, ladder) == VideoMode(*low)
+    assert baseline_mode(5e6, ladder) == VideoMode(*high)
+    assert FixedBaselinePolicy(ladder).decide_mode(
+        None, None, None, None, None, 5e6) == VideoMode(*high)
+
+
+def test_comparison_runs_on_a_ladder_without_60hz_or_720_lines():
+    # exited 2 with "frame rate 60 Hz is not on the ladder (24, 25, 50, 144)"
+    ladder = Ladder((24, 25, 50, 144), (480, 1080))
+    scenario = session_fixture(bitrate_schedule=((0.0, 3e6), (3.0, 6e6)))
+    traces = compare_baselines(scenario, SOURCE, ladder=ladder)
+    assert [(w.frame_rate_hz, w.height) for w in traces["fixed"].windows] == [
+        (50, 480), (50, 480), (50, 1080), (50, 1080)]
+    assert {w.frame_rate_hz for w in traces["resolution_adaptive"].windows} == {50}
+    for trace in traces.values():
+        check_trace_columns(scenario, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +706,7 @@ def _assert_engines_agree(scenario, policy, source, **kwargs):
     assert fast.frames == slow.frames
     assert fast.windows == slow.windows
     assert fast.summary == slow.summary
+    check_trace_columns(scenario, fast, kwargs.get("jitter_pct", 0.0))
 
 
 @settings(max_examples=40, deadline=None,
@@ -686,6 +728,25 @@ def test_window_engine_equals_per_frame_engine_every_policy(policy, source_kind)
         bitrate_schedule=((0.0, 6e6), (3.1, 2e6), (5.0, 3.5e6)))
     source = SOURCE if source_kind == "synthetic" else _grid_source()
     _assert_engines_agree(scenario, policy, source)
+
+
+@pytest.mark.parametrize("jitter_pct", [0.0, 7.5])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_frame_csv_equals_the_record_writer(tmp_path, policy, jitter_pct):
+    scenario = make_scenario(
+        duration_s=8.0, seed=9, velocity_degps=lambda t: 70.0 * abs(np.sin(t)),
+        bitrate_schedule=((0.0, 6e6), (3.1, 2e6), (5.0, 3.5e6)))
+    kwargs = {"jitter_pct": jitter_pct, "seed": 5}
+    trace = _run_with_policy(scenario, _policy(policy, SOURCE), SOURCE, **kwargs)
+    records = per_frame_session(
+        scenario, _policy(policy, SOURCE, CellLoopOraclePolicy), SOURCE,
+        **kwargs).frames
+    simulator.write_frame_csv(trace, tmp_path / "columns.csv")
+    record_frame_csv(records, tmp_path / "records.csv")
+    written = (tmp_path / "columns.csv").read_bytes()
+    assert written == (tmp_path / "records.csv").read_bytes()
+    assert written.count(b"\n") == len(records) + 1
+    check_trace_columns(scenario, trace, jitter_pct)
 
 
 def test_window_engine_equals_per_frame_engine_on_acceptance_scenarios():
