@@ -44,8 +44,9 @@ def main():
           f"{s.target_bitrate_bps / 1e6:.3f} Mbps "
           f"(error {s.bitrate_error_pct:.4f}%), "
           f"{s.switch_count_f} rate switches, {s.switch_count_r} resolution switches")
-    iframes = sum(fr.is_iframe for fr in trace.frames)
-    print(f"{iframes} I-frames over {s.n_windows} GOPs")
+    # one GOP per window, and an I-frame opens each
+    print(f"{len(trace.frame_bits)} frames in {len(trace.windows)} GOPs, "
+          f"{len(trace.windows)} I-frames")
 
     print("\npolicy comparison on a fast 70 deg/s scenario at 3 Mbps:")
     fast = make_scenario(duration_s=8.0, velocity_degps=70.0,

@@ -192,7 +192,8 @@ def cmd_compare(args, cfg, out: Path) -> int:
     source = simulator.SyntheticQualitySource(cfg.synthetic_params)
     traces = simulator.compare_baselines(
         scenario, source, margin_jod=args.margin, ladder=cfg.ladder,
-        iframe_multiplier=cfg.iframe_bit_multiplier, seed=args.seed)
+        iframe_multiplier=cfg.iframe_bit_multiplier, jitter_pct=cfg.jitter_pct,
+        seed=args.seed)
     payload = {name: simulator.summary_dict(trace)
                for name, trace in traces.items()}
     _write_json(payload, out / "comparison.json")

@@ -16,7 +16,8 @@ Recognized keys (all optional)::
         "alpha_temporal": 1.0, "alpha_spatial": 2.5, "alpha_coding": 1.5,
         "bpp_ref": 0.05, "spatial_exponent": 0.8, "content_detail": 0.5
       },
-      "simulator": {"iframe_bit_multiplier": 4, "jitter_pct": 0.0}
+      "simulator": {"iframe_bit_multiplier": 4,
+                    "jitter_pct": 0.0}    # both simulate and compare
     }
 """
 
@@ -38,18 +39,17 @@ from .simulator import IFRAME_BIT_MULTIPLIER, check_jitter_pct
 
 @dataclass(frozen=True)
 class Config:
-    ladder: Ladder = DEFAULT_LADDER
-    graph: TransitionGraph = None
+    graph: TransitionGraph
     synthetic_params: SyntheticQualityParams = SyntheticQualityParams()
     iframe_bit_multiplier: int = IFRAME_BIT_MULTIPLIER
     jitter_pct: float = 0.0
 
-    def __post_init__(self):
-        if self.graph is None:
-            object.__setattr__(self, "graph", default_transition_graph(self.ladder))
+    @property
+    def ladder(self) -> Ladder:
+        return self.graph.ladder
 
 
-DEFAULT_CONFIG = Config()
+DEFAULT_CONFIG = Config(default_transition_graph(DEFAULT_LADDER))
 
 
 def _reject_unknown(section: dict, allowed, where: str) -> None:
@@ -180,4 +180,4 @@ def load_config(path=None) -> Config:
     except ArgumentError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    return Config(ladder, graph, params, multiplier, jitter)
+    return Config(graph, params, multiplier, jitter)

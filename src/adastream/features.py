@@ -134,15 +134,16 @@ def extract_features(patch: np.ndarray) -> FeatureVector:
 
     # Parseval: the non-DC energy of the transform is the energy of the
     # mean-subtracted patch. Summing d*d, not p*p minus the DC term, avoids
-    # cancellation on near-flat patches. A flat patch has no such energy. A
-    # ``d`` whose squares may be subnormal is scaled by the power of two that
-    # puts its peak in [0.5, 1); that is exact and leaves the ratio as it is.
+    # cancellation on near-flat patches. A flat patch has no such energy. If
+    # ``d*d`` may be subnormal, ``d`` is redone, mean and all, from the patch
+    # scaled (exactly) by the power of two that puts its peak in [0.5, 1).
     high_freq_ratio = 0.0
     if low != high:
         d = patch - mean_luma
         total = float(np.vdot(d, d))
         if total < 2.0 ** -900:
-            d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
+            scaled = np.ldexp(patch, -np.frexp(high)[1])
+            d = scaled - scaled.mean()
             total = float(np.vdot(d, d))
         band = _LOW_DCT @ d @ _LOW_DCT.T
         low_band = float(np.vdot(band, band)) - float(band[0, 0]) ** 2

@@ -1,8 +1,8 @@
 """Velocity feature pipeline: NDC motion magnitudes to a normalized feature.
 
 Per-frame mean motion-vector magnitudes (in normalized device coordinates)
-are converted to deg/s, smoothed with a 500 ms moving average, capped at the
-smooth-pursuit limit of 80 deg/s, and log-compressed into [0, 1].
+are converted to deg/s, smoothed with a fixed 500 ms moving average, capped
+at the smooth-pursuit limit of 80 deg/s, and log-compressed into [0, 1].
 """
 
 from __future__ import annotations
@@ -32,15 +32,12 @@ def normalize_velocity(velocity_degps: float) -> float:
 
 
 class VelocityEstimator:
-    """Moving average of velocity samples over the last 500 ms.
+    """Moving average of velocity samples over the last ``WINDOW_SECONDS``.
 
     Single-writer stateful object; use one estimator per session.
     """
 
-    def __init__(self, window_s: float = WINDOW_SECONDS):
-        if window_s <= 0:
-            raise ArgumentError("window must be positive")
-        self.window_s = window_s
+    def __init__(self):
         self._times: deque[float] = deque()
         self._values: deque[float] = deque()
 
@@ -53,16 +50,10 @@ class VelocityEstimator:
             raise ArgumentError(
                 f"timestamps must be nondecreasing, got {timestamp_s} after "
                 f"{times[-1]}")
-        cutoff = timestamp_s - self.window_s
+        cutoff = timestamp_s - WINDOW_SECONDS
         while times and times[0] < cutoff:
             times.popleft()
             values.popleft()
         times.append(timestamp_s)
         values.append(velocity_degps)
-        return self.current_estimate
-
-    @property
-    def current_estimate(self) -> float:
-        if not self._values:
-            return 0.0
-        return sum(self._values) / len(self._values)
+        return sum(values) / len(values)

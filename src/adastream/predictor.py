@@ -57,8 +57,7 @@ class PredictorModel:
     biases: list[np.ndarray]    # per layer, shape (fan_out,)
     ladder: Ladder = DEFAULT_LADDER
     seed: int = 0
-    feature_version: int = FEATURE_SCHEMA_VERSION
-    _validated: bool = field(default=False, repr=False)
+    _validated: bool = field(default=False, init=False, repr=False)
 
     @property
     def head_sizes(self) -> tuple[int, int]:
@@ -222,7 +221,6 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
             raise DivergenceError(f"non-finite weights at epoch {epoch}")
         if loss_history is not None:
             loss_history.append(epoch_loss / n)
-    model._validated = False
     return model
 
 
@@ -255,7 +253,7 @@ def save_model(model: PredictorModel, path) -> None:
             "layer_sizes": model.layer_sizes,
             "head_sizes": list(model.head_sizes),
             "seed": model.seed,
-            "feature_schema_version": model.feature_version,
+            "feature_schema_version": FEATURE_SCHEMA_VERSION,
             "frame_rates_hz": list(model.ladder.frame_rates_hz),
             "resolution_lines": list(model.ladder.heights),
         },
@@ -323,8 +321,7 @@ def load_model(path, ladder: Ladder | None = None) -> PredictorModel:
     if sizes[0] != len(FEATURE_NAMES):
         raise SchemaError(f"{path}: first layer takes {sizes[0]} inputs, "
                           f"there are {len(FEATURE_NAMES)} features")
-    model = PredictorModel(weights, biases, ladder,
-                           seed=seed, feature_version=FEATURE_SCHEMA_VERSION)
+    model = PredictorModel(weights, biases, ladder, seed)
     try:
         model.validate()
     except ModelCorruptError as exc:

@@ -449,6 +449,11 @@ class PredictorControllerPolicy:
     that carries from one window to the next."""
 
     def __init__(self, model: PredictorModel, graph: TransitionGraph):
+        # The controller reads class i of a head as the graph's i-th rung.
+        if ((model.ladder.frame_rates_hz, model.ladder.heights)
+                != (graph.ladder.frame_rates_hz, graph.ladder.heights)):
+            raise ArgumentError("the model's classes are not the rungs of the "
+                                "transition graph's ladder")
         self.model = model
         self.graph = graph
 
@@ -532,11 +537,14 @@ class FrameRecord:
 @dataclass(frozen=True)
 class WindowRecord:
     index: int
-    start_s: float
     frame_rate_hz: int
     height: int
     mean_quality_jod: float
     pixels_per_second: int
+
+    @property
+    def start_s(self) -> float:
+        return self.index * GOP_LENGTH_S
 
 
 @dataclass(frozen=True)
@@ -647,8 +655,8 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
         frame_bits.extend(budget.tolist())
         total_bits += int(budget.sum())
         total_pixels += frames_in_gop * mode.width * mode.height
-        windows.append(WindowRecord(w, window_start, mode.frame_rate_hz,
-                                    mode.height, window_quality / frames_in_gop,
+        windows.append(WindowRecord(w, mode.frame_rate_hz, mode.height,
+                                    window_quality / frames_in_gop,
                                     pixels_per_second(mode)))
 
         if w + 1 == n_windows:

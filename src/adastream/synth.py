@@ -17,13 +17,14 @@ from .errors import ArgumentError
 from .features import FeatureVector, normalize_bandwidth
 # ``select_efficient`` is no longer called here; it stays importable from
 # this module because the benchmark tracer patches it at this call site.
-from .labeler import (DEFAULT_MARGIN_JOD, LabeledClip, label_grids,  # noqa: F401
-                      select_efficient)
+from .labeler import LabeledClip, label_grids, select_efficient  # noqa: F401
 from .ladder import DEFAULT_LADDER, Ladder
 from .motion import SPEM_LIMIT_DEGPS, normalize_velocity
 from .predictor import TrainingExample
 from .quality import QualityGrid, SyntheticQualityParams, make_synthetic_grid
 from .simulator import Scenario
+
+FEATURE_JITTER = 0.01  # std. dev. of the noise on a scenario's content rows
 
 
 @dataclass(frozen=True)
@@ -88,15 +89,15 @@ def training_examples(clips, labels: list[LabeledClip], seed: int) -> list[Train
     return examples
 
 
-def labels_for_grids(grids, margin_jod: float = DEFAULT_MARGIN_JOD) -> list[LabeledClip]:
-    return label_grids(grids, margin_jod)
+def labels_for_grids(grids) -> list[LabeledClip]:
+    return label_grids(grids)
 
 
 def make_scenario(duration_s: float = 8.0, fov_horizontal_deg: float = 90.0,
                   reference_rate_hz: float = 120.0,
                   velocity_degps=20.0, content_detail: float = 0.5,
                   bitrate_schedule=((0.0, 3_000_000.0),),
-                  seed: int = 0, feature_jitter: float = 0.01) -> Scenario:
+                  seed: int = 0) -> Scenario:
     """Build a scenario whose motion records reproduce a target velocity.
 
     ``velocity_degps`` may be a constant or a callable of time. The NDC
@@ -117,9 +118,8 @@ def make_scenario(duration_s: float = 8.0, fov_horizontal_deg: float = 90.0,
     mags = v / reference_rate_hz / (fov_horizontal_deg / 2.0)
 
     base = content_features_for_detail(content_detail, rng).as_array()[:5]
-    jitter = rng.normal(0.0, feature_jitter, (n, 5))
+    jitter = rng.normal(0.0, FEATURE_JITTER, (n, 5))
     feats = np.clip(base[None, :] + jitter, 0.0, 1.0)
-    feats[:, 1] = np.maximum(feats[:, 1], 0.0)  # rms_contrast is unbounded above
     return Scenario(duration_s, fov_horizontal_deg, reference_rate_hz,
                     tuple((float(t), float(b)) for t, b in bitrate_schedule),
                     ts, mags, feats)

@@ -280,8 +280,8 @@ def per_frame_session(scenario, policy, quality_source, *,
             total_bits += int(budget[i])
             total_pixels += mode.width * mode.height
 
-        windows.append(WindowRecord(w, window_start, mode.frame_rate_hz,
-                                    mode.height, window_quality / frames_in_gop,
+        windows.append(WindowRecord(w, mode.frame_rate_hz, mode.height,
+                                    window_quality / frames_in_gop,
                                     pixels_per_second(mode)))
 
         if w + 1 == n_windows:
@@ -364,10 +364,12 @@ def dctn_high_freq_ratio(patch):
     """The high-frequency ratio from a full ``dctn`` of the mean-subtracted
     patch. Its energy is the non-DC energy itself, so no DC term is
     subtracted from a sum it dominates, as in the reference kernel. The
-    patch is first scaled by the power of two that puts its largest
-    deviation in [0.5, 1), so no square is subnormal; the scaling is exact
-    and the ratio does not depend on it."""
+    patch is first scaled by the power of two that puts its peak in
+    [0.5, 1), so that its mean keeps its bits, and the deviations then by
+    the one that puts their largest in [0.5, 1), so no square is subnormal;
+    the scalings are exact and the ratio does not depend on them."""
     d = np.asarray(patch, dtype=float)
+    d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
     d = d - d.mean()
     coeffs = dctn(np.ldexp(d, -np.frexp(np.abs(d).max())[1]), norm="ortho")
     energy = coeffs * coeffs
@@ -450,7 +452,6 @@ def per_layer_train_arrays(x, yf_idx, yr_idx, config=TrainConfig(),
             raise DivergenceError(f"non-finite weights at epoch {epoch}")
         if loss_history is not None:
             loss_history.append(epoch_loss / n)
-    model._validated = False
     return model
 
 

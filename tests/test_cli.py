@@ -6,6 +6,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -551,6 +552,45 @@ def test_jitter_flag_has_the_config_range(tmp_path, capsys, jitter):
     assert run(["simulate", "--scenario", scenario, "--model", model,
                 "--out", tmp_path / "sim", "--config", cfg]) == EXIT_SCHEMA
     assert f"error: {cfg}: jitter_pct must be in [0, 100)" in capsys.readouterr().err
+
+
+def test_compare_applies_the_config_jitter_and_seeds_it(tmp_path):
+    # compare --seed 4 wrote the same bytes with and without this config
+    out = gen(tmp_path, count=4)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simulator": {"jitter_pct": 20}}))
+
+    def compare(name, seed, *config):
+        d = tmp_path / name
+        assert run(["compare", "--scenario", out / "scenario_000.json",
+                    "--out", d, "--seed", seed, *config]) == EXIT_OK
+        return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+    plain = compare("plain", 4)
+    jittered = compare("jittered", 4, "--config", cfg)
+    assert jittered["comparison.json"] != plain["comparison.json"]
+    assert jittered == compare("jittered_again", 4, "--config", cfg)
+    assert jittered != compare("jittered_seed_5", 5, "--config", cfg)
+    # without jitter every GOP keeps its exact budget and the seed is unread
+    assert all(s["bitrate_error_pct"] == 0.0
+               for s in json.loads(plain["comparison.json"]).values())
+    assert plain == compare("plain_seed_5", 5)
+
+
+def test_training_and_scenario_flags_reach_their_settings(tmp_path):
+    out = gen(tmp_path, count=4, extra=["--scenarios", 2])
+    assert sorted(p.name for p in out.glob("scenario_*.json")) == [
+        "scenario_000.json", "scenario_001.json"]
+    rows = adastream.predictor.read_training_csv(out / "training.csv")
+    # train shuffles its rows by the seed before it holds any out
+    rows = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+    assert run(["train", "--data", out / "training.csv", "--out", tmp_path / "m",
+                "--epochs", 2, "--lr", 0.01, "--batch-size", 5, "--seed", 3,
+                "--holdout", 0]) == EXIT_OK
+    expected = tmp_path / "expected.json"
+    adastream.save_model(adastream.train(rows, adastream.TrainConfig(
+        learning_rate=0.01, epochs=2, batch_size=5, seed=3)), expected)
+    assert (tmp_path / "m" / "model.json").read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("holdout", ["-0.2", "1", "1.5", "nan"])

@@ -148,6 +148,11 @@ LAST_BITS = 1e-12
 # 0.76196645532
 @example("float", 0, 1.13e-159, 1)
 @example("float", 0, 5e-162, 1)
+# subnormal patches: the kernel read 0.8795 and 0.76196720, and the dctn
+# oracle 0.3812 and 0.76196652, where both now read the 0.75985486 and
+# 0.76196704 of the same patch scaled into the normal range
+@example("float", 0, 5e-324, 1)
+@example("float", 0, 1e-320, 1)
 def test_kernel_equals_reference_kernel_to_the_last_bits(kind, seed, level, period):
     patch = _patch(kind, seed, level, period)
     lean, reference = extract_features(patch), reference_extract_features(patch)

@@ -467,6 +467,22 @@ def test_session_determinism(rng):
     assert t1 == t2
 
 
+@pytest.mark.parametrize("ladder", [
+    Ladder(frame_rates_hz=tuple(range(25, 116, 10))),  # ran at 55 Hz, read as 60
+    Ladder(heights=(360, 480, 720, 900, 1080)),
+], ids=["other_rates", "other_heights"])
+def test_predictor_policy_refuses_a_graph_of_another_ladder(ladder):
+    with pytest.raises(ArgumentError, match="not the rungs of the transition graph's"):
+        run_session(session_fixture(), _trained_model(),
+                    default_transition_graph(ladder), SOURCE)
+
+
+def test_predictor_policy_takes_a_ladder_of_other_bitrates():
+    # the heads' classes are the rates and heights; bitrates are not classes
+    graph = default_transition_graph(Ladder(bitrates_bps=(1e6, 8e6)))
+    assert PredictorControllerPolicy(_trained_model(), graph).graph is graph
+
+
 def test_jitter_keeps_bitrate_error_small():
     scenario = session_fixture(duration_s=10.0)
     trace = oracle_session(scenario, jitter_pct=10.0, seed=2)
