@@ -43,6 +43,14 @@ def _majority(values):
     return max(sorted(counts), key=lambda v: counts[v])
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0; argparse exits 2 on anything else."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _write_json(payload: dict, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -78,6 +86,8 @@ def cmd_gen_synthetic(args, cfg, out: Path) -> int:
 
 def cmd_label(args, cfg, out: Path) -> int:
     grids = quality.load_grids(args.grids, cfg.ladder)
+    if not grids:
+        raise ArgumentError(f"{args.grids}: no grids")
     _label_outputs(grids, args.margin, out)
     print(f"label: {len(grids)} grids -> {out}")
     return EXIT_OK
@@ -214,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, margin=False):
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_non_negative_int, default=0)
         if margin:
             p.add_argument("--margin", type=float, default=labeler.DEFAULT_MARGIN_JOD,
                            help="quality margin in JOD")
@@ -224,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
                                              "training data, and scenarios")
     common(p, margin=True)
     p.add_argument("--count", type=int, default=100, help="number of clips")
-    p.add_argument("--scenarios", type=int, default=1,
+    p.add_argument("--scenarios", type=_non_negative_int, default=1,
                    help="number of scenario files to emit")
     p.set_defaults(func=cmd_gen_synthetic)
 

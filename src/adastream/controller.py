@@ -235,8 +235,7 @@ def _argmax_class(scores: np.ndarray, current: int) -> int:
     return current if current in tied else int(tied[0])
 
 
-def _clamp_to_band(target: int, current: int, weights_row: np.ndarray,
-                   values) -> int:
+def _clamp_to_band(target: int, weights_row: np.ndarray, values) -> int:
     """Nearest reachable class to the target; the target itself if reachable."""
     allowed = np.flatnonzero(weights_row > 0)
     if target in allowed:
@@ -260,9 +259,9 @@ def decide(graph: TransitionGraph, state: ControllerState) -> tuple[VideoMode, C
     cur_f = ladder.frame_rate_index(state.current_mode.frame_rate_hz)
     cur_r = ladder.height_index(state.current_mode.height)
 
-    pick_f = _clamp_to_band(_argmax_class(state.score_f, cur_f), cur_f,
+    pick_f = _clamp_to_band(_argmax_class(state.score_f, cur_f),
                             graph.frame_rate_weights[cur_f], ladder.frame_rates_hz)
-    pick_r = _clamp_to_band(_argmax_class(state.score_r, cur_r), cur_r,
+    pick_r = _clamp_to_band(_argmax_class(state.score_r, cur_r),
                             graph.resolution_weights[cur_r], ladder.heights)
 
     mode = VideoMode(ladder.frame_rates_hz[pick_f], ladder.heights[pick_r])

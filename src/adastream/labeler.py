@@ -7,8 +7,11 @@ barely perceptible. Tie-breaking is deterministic so labels are reproducible:
 the max-quality pick prefers lower objective cost and then lower frame rate,
 the efficient pick prefers higher quality and then lower frame rate.
 
-Selection runs on a stack of grids at once, one array pass per margin;
-selecting from a single grid is the stack of one.
+Selection runs on a stack of grids on one ladder, one array pass per
+margin; selecting from a single grid is the stack of one. To select from
+part of a ladder, select from grids on that sub-ladder: the
+resolution-only baseline picks from the one-rate sub-ladder at its frame
+rate.
 """
 
 from __future__ import annotations
@@ -67,39 +70,38 @@ class _Selection(NamedTuple):
 
 
 @functools.lru_cache(maxsize=32)
-def _cell_tables(ladder: Ladder, frame_rates: tuple | None):
-    """Flat cell indices of the selectable modes in ascending (cost, frame
+def _cell_tables(ladder: Ladder):
+    """Flat cell indices of the ladder's modes in ascending (cost, frame
     rate) order, with their cost f * r^2, f, r and pixels per second.
     Cached, so the arrays are read-only."""
     f = np.repeat(np.array(ladder.frame_rates_hz, dtype=np.int64), ladder.n_heights)
     h = np.tile(np.array(ladder.heights, dtype=np.int64), ladder.n_frame_rates)
     w = np.tile(np.array(ladder.widths, dtype=np.int64), ladder.n_frame_rates)
-    cells = np.arange(f.size)
-    if frame_rates is not None:
-        unknown = set(frame_rates) - set(ladder.frame_rates_hz)
-        if unknown:
-            raise ArgumentError(f"frame rates {sorted(unknown)} not on the ladder")
-        cells = cells[np.isin(f, frame_rates)]
     cost = f * h * h
-    cells = cells[np.lexsort((f[cells], cost[cells]))]
+    cells = np.lexsort((f, cost))
     tables = (cells, cost[cells], f[cells], h[cells], (f * w * h)[cells])
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def _select_stack(q: np.ndarray, ladder: Ladder, margins, frame_rates) -> _Selection:
-    """Selection over ``q`` of shape (N, n_f * n_h), every grid on ``ladder``.
+def _select(grids, margins) -> _Selection:
+    """Margin selection over a stack of grids on one ladder: one pass for
+    the maxima and one per margin for the efficient modes.
 
-    With the columns in ascending (cost, frame rate) order, the first
+    With the cells in ascending (cost, frame rate) order, the first
     maximum of a row is the max-quality mode with ties to lower cost, then
-    lower frame rate. The first feasible column has the least cost; among
-    the feasible columns of that cost the first maximum is the efficient
+    lower frame rate. The first feasible cell has the least cost; among
+    the feasible cells of that cost the first maximum is the efficient
     mode with ties to higher quality, then lower frame rate.
     """
-    cells, cost, f, h, pps = _cell_tables(
-        ladder, None if frame_rates is None else tuple(sorted(set(frame_rates))))
-    q = q[:, cells]
+    if not all(m >= 0 for m in margins):
+        raise ArgumentError("margin must be >= 0")
+    ladder = grids[0].ladder
+    if any(g.ladder != ladder for g in grids):
+        raise ArgumentError("selection needs grids on one ladder")
+    cells, cost, f, h, pps = _cell_tables(ladder)
+    q = np.stack([g.q for g in grids]).reshape(len(grids), -1)[:, cells]
     rows = np.arange(len(q))
     best = q.argmax(axis=1)
     q_star = q[rows, best]
@@ -112,29 +114,10 @@ def _select_stack(q: np.ndarray, ladder: Ladder, margins, frame_rates) -> _Selec
                       100.0 * (1.0 - pps[eff] / pps[best]))
 
 
-def _select(grids, margins, frame_rates=None) -> _Selection:
-    """Margin selection over a stack of grids: per ladder, one pass for the
-    maxima and one per margin for the efficient modes."""
-    if not all(m >= 0 for m in margins):
-        raise ArgumentError("margin must be >= 0")
-    by_ladder: dict[Ladder, list[int]] = {}
-    for i, grid in enumerate(grids):
-        by_ladder.setdefault(grid.ladder, []).append(i)
-    parts = [_select_stack(np.stack([grids[i].q for i in idx]).reshape(len(idx), -1),
-                           ladder, margins, frame_rates)
-             for ladder, idx in by_ladder.items()]
-    if len(parts) == 1:
-        return parts[0]
-    # Grids on several ladders: back into input order.
-    order = np.argsort(np.concatenate(list(by_ladder.values())))
-    return _Selection(*(np.concatenate(columns, axis=-1)[..., order]
-                        for columns in zip(*parts)))
-
-
-def _labels(grids, margin_jod: float, frame_rates=None) -> list[LabeledClip]:
+def _labels(grids, margin_jod: float) -> list[LabeledClip]:
     if not grids:
         return []
-    sel = _select(grids, (margin_jod,), frame_rates)
+    sel = _select(grids, (margin_jod,))
     return [LabeledClip(g.clip_id, g.bitrate_bps, g.velocity_degps,
                         VideoMode(bf, bh), VideoMode(ef, eh), qs, qe, margin_jod)
             for g, bf, bh, qs, ef, eh, qe in zip(
@@ -142,20 +125,20 @@ def _labels(grids, margin_jod: float, frame_rates=None) -> list[LabeledClip]:
                 sel.eff_f[0].tolist(), sel.eff_h[0].tolist(), sel.q_eff[0].tolist())]
 
 
-def select_max_quality(grid: QualityGrid, *, frame_rates=None) -> tuple[VideoMode, float]:
+def select_max_quality(grid: QualityGrid) -> tuple[VideoMode, float]:
     """Mode maximizing quality; ties go to lower objective cost, then lower f."""
-    sel = _select([grid], (), frame_rates)
+    sel = _select([grid], ())
     return VideoMode(int(sel.best_f[0]), int(sel.best_h[0])), float(sel.q_star[0])
 
 
-def select_efficient(grid: QualityGrid, margin_jod: float = DEFAULT_MARGIN_JOD,
-                     *, frame_rates=None) -> LabeledClip:
+def select_efficient(grid: QualityGrid,
+                     margin_jod: float = DEFAULT_MARGIN_JOD) -> LabeledClip:
     """Cheapest mode within ``margin_jod`` of the grid maximum.
 
     Among feasible modes the objective f * r^2 is minimized; ties are broken
     by higher quality, then lower frame rate.
     """
-    return _labels([grid], margin_jod, frame_rates)[0]
+    return _labels([grid], margin_jod)[0]
 
 
 def label_grids(grids, margin_jod: float = DEFAULT_MARGIN_JOD) -> list[LabeledClip]:

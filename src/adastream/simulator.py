@@ -473,9 +473,9 @@ class PredictorControllerPolicy:
 class OracleQualityPolicy:
     """Quality-margin selection straight from the quality source.
 
-    Used for baseline comparisons; optionally restricted to a frame-rate
-    subset (the resolution-only adaptive baseline runs at the baseline's
-    frame rate).
+    Used for baseline comparisons. With ``frame_rates`` it picks from the
+    sub-ladder at those rates (the resolution-only adaptive baseline runs at
+    the baseline's frame rate).
     """
 
     def __init__(self, quality_source, margin_jod: float = DEFAULT_MARGIN_JOD,
@@ -484,12 +484,16 @@ class OracleQualityPolicy:
         self.margin_jod = margin_jod
         self.frame_rates = frame_rates
         self.ladder = ladder
+        self._picks_from = ladder if frame_rates is None else Ladder(
+            tuple(sorted(set(frame_rates))), ladder.heights)
+        if not set(self._picks_from.frame_rates_hz) <= set(ladder.frame_rates_hz):
+            raise ArgumentError(f"frame rates {frame_rates} not on the ladder")
 
     def decide_mode(self, scenario, mode, times, records, velocities, bitrate_bps):
-        q = self.quality_source.surface(self.ladder, bitrate_bps, velocities[-1:])[0]
-        grid = QualityGrid("session", velocities[-1], bitrate_bps, q, self.ladder)
-        label = select_efficient(grid, self.margin_jod, frame_rates=self.frame_rates)
-        return label.efficient_mode
+        ladder = self._picks_from
+        q = self.quality_source.surface(ladder, bitrate_bps, velocities[-1:])[0]
+        grid = QualityGrid("session", velocities[-1], bitrate_bps, q, ladder)
+        return select_efficient(grid, self.margin_jod).efficient_mode
 
 
 class FixedBaselinePolicy:

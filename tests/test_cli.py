@@ -593,6 +593,47 @@ def test_training_and_scenario_flags_reach_their_settings(tmp_path):
     assert (tmp_path / "m" / "model.json").read_bytes() == expected.read_bytes()
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("gen-synthetic", lambda d: ["--seed", -1]),
+    ("train", lambda d: ["--data", d / "gen" / "training.csv", "--seed", -5]),
+    ("simulate", lambda d: ["--scenario", d / "gen" / "scenario_000.json",
+                            "--model", d / "model" / "model.json",
+                            "--jitter-pct", 5, "--seed", -2]),
+    ("compare", lambda d: ["--scenario", d / "gen" / "scenario_000.json",
+                           "--config", d / "jitter.json", "--seed", -2]),
+], ids=["gen-synthetic", "train", "simulate", "compare"])
+def test_negative_seed_is_an_argument_error(tmp_path, capsys, command, argv):
+    # each ended in numpy's "ValueError: expected non-negative integer"
+    # traceback, exit 1
+    _trained(tmp_path)
+    (tmp_path / "jitter.json").write_text(json.dumps({"simulator": {"jitter_pct": 20}}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run([command, *argv(tmp_path), "--out", out])
+    assert err.value.code == EXIT_ARGUMENT
+    assert "argument --seed: must be >= 0, got" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_scenario_count_is_an_argument_error(tmp_path, capsys):
+    # exited 0 and wrote no scenario
+    out = tmp_path / "gen"
+    with pytest.raises(SystemExit) as err:
+        run(["gen-synthetic", "--count", 2, "--scenarios", -2, "--out", out])
+    assert err.value.code == EXIT_ARGUMENT
+    assert "argument --scenarios: must be >= 0, got -2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_label_of_a_grid_file_without_grids_names_the_file(tmp_path, capsys):
+    # exited 2 with "savings_curve needs at least one grid", naming no file
+    out = gen(tmp_path, count=2)
+    empty = tmp_path / "empty.csv"
+    empty.write_text((out / "grids.csv").read_text().splitlines()[0] + "\n")
+    assert run(["label", "--grids", empty, "--out", tmp_path / "x"]) == EXIT_ARGUMENT
+    assert f"error: {empty}: no grids" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("holdout", ["-0.2", "1", "1.5", "nan"])
 def test_holdout_flag_is_a_fraction_below_one(tmp_path, capsys, holdout):
     # -0.2 trained on 18 of 90 rows and held out 72, with exit 0

@@ -121,15 +121,6 @@ def test_savings_curve_argument_errors(rng):
         savings_curve([random_grid(rng)], [-0.1, 0.25])
 
 
-def test_frame_rate_restriction():
-    grid = make_synthetic_grid(3e6, 60.0)
-    label = select_efficient(grid, 0.25, frame_rates=(60,))
-    assert label.best_mode.frame_rate_hz == 60
-    assert label.efficient_mode.frame_rate_hz == 60
-    with pytest.raises(ArgumentError):
-        select_efficient(grid, 0.25, frame_rates=(55,))
-
-
 def test_single_label_distribution():
     grid = grid_from_cells({(40, 480): 8.0}, fill=1.0, velocity=10.0)
     hist = selection_distribution([select_efficient(grid, 0.0)])
@@ -175,39 +166,61 @@ _JOD_LATTICE = st.sampled_from([0.0, 5.0, 7.0, 7.25, 7.5, 9.75, 10.0])
 
 
 @st.composite
-def _lattice_grid(draw, index):
+def _lattice_grids(draw):
+    """One to eight grids, all on one drawn ladder."""
     ladder = draw(st.sampled_from([DEFAULT_LADDER, SMALL_LADDER]))
     shape = (ladder.n_frame_rates, ladder.n_heights)
-    q = np.array(draw(st.lists(_JOD_LATTICE, min_size=shape[0] * shape[1],
-                               max_size=shape[0] * shape[1]))).reshape(shape)
-    return QualityGrid(f"g{index}", draw(st.floats(0.0, 100.0)),
-                       draw(st.sampled_from([2e6, 3e6])), q, ladder)
+    cells = st.lists(_JOD_LATTICE, min_size=shape[0] * shape[1],
+                     max_size=shape[0] * shape[1])
+    return [QualityGrid(f"g{i}", draw(st.floats(0.0, 100.0)),
+                        draw(st.sampled_from([2e6, 3e6])),
+                        np.array(draw(cells)).reshape(shape), ladder)
+            for i in range(draw(st.integers(1, 8)))]
+
+
+def _on_rates(grid, frame_rates):
+    """The grid's rows at ``frame_rates``, as a grid on that sub-ladder."""
+    if frame_rates is None:
+        return grid
+    rows = [grid.ladder.frame_rate_index(f) for f in frame_rates]
+    return QualityGrid(grid.clip_id, grid.velocity_degps, grid.bitrate_bps,
+                       grid.q[rows], Ladder(frame_rates, grid.ladder.heights))
 
 
 @settings(max_examples=200, deadline=None)
-@given(grids=st.integers(1, 8).flatmap(
-           lambda n: st.tuples(*(_lattice_grid(i) for i in range(n)))),
+@given(grids=_lattice_grids(),
        margins=st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.5, 2.25, 10.0]),
                         min_size=1, max_size=4).map(sorted),
        frame_rates=st.sampled_from([None, (60,), (30, 120)]))
 def test_stacked_selection_matches_brute_force(grids, margins, frame_rates):
-    grids = list(grids)
+    # selecting from part of a ladder is selecting from grids on that
+    # sub-ladder; the oracles scan the full grid at those rates
+    subs = [_on_rates(g, frame_rates) for g in grids]
     for m in margins:
-        for grid, label in zip(grids, label_grids(grids, m)):
-            f, h, q_eff, q_star = brute_force_efficient(grid, m)
-            bf, bh, _ = brute_force_max_quality(grid)
+        for grid, label in zip(grids, label_grids(subs, m)):
+            f, h, q_eff, q_star = brute_force_efficient(grid, m, frame_rates)
+            bf, bh, _ = brute_force_max_quality(grid, frame_rates)
             assert label.efficient_mode == VideoMode(f, h)
             assert label.best_mode == VideoMode(bf, bh)
             assert (label.q_efficient, label.q_star) == (q_eff, q_star)
-        for grid in grids:
-            label = select_efficient(grid, m, frame_rates=frame_rates)
+        for grid, sub in zip(grids, subs):
+            label = select_efficient(sub, m)
             f, h, q_eff, q_star = brute_force_efficient(grid, m, frame_rates)
             assert label.efficient_mode == VideoMode(f, h)
             assert (label.q_efficient, label.q_star) == (q_eff, q_star)
             bf, bh, bq = brute_force_max_quality(grid, frame_rates)
-            assert select_max_quality(grid, frame_rates=frame_rates) == (
-                VideoMode(bf, bh), bq)
+            assert select_max_quality(sub) == (VideoMode(bf, bh), bq)
     assert savings_curve(grids, margins) == per_grid_savings_curve(grids, margins)
+
+
+@pytest.mark.parametrize("select", [label_grids,
+                                    lambda grids: savings_curve(grids, [0.25])],
+                         ids=["label_grids", "savings_curve"])
+def test_a_stack_on_several_ladders_is_refused(select):
+    grids = [make_synthetic_grid(3e6, 10.0),
+             make_synthetic_grid(3e6, 10.0, ladder=SMALL_LADDER)]
+    with pytest.raises(ArgumentError, match="one ladder"):
+        select(grids)
 
 
 def test_cost_tie_goes_to_higher_quality_then_lower_frame_rate():

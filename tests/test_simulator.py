@@ -535,15 +535,20 @@ def test_baseline_mode_takes_the_nearest_rungs(rates, heights, low, high):
 
 
 def test_comparison_runs_on_a_ladder_without_60hz_or_720_lines():
-    # exited 2 with "frame rate 60 Hz is not on the ladder (24, 25, 50, 144)"
+    # exited 2 with "frame rate 60 Hz is not on the ladder (24, 25, 50, 144)";
+    # the grid source serves the resolution-only baseline its one-rate
+    # sub-ladder from grids on the full ladder
     ladder = Ladder((24, 25, 50, 144), (480, 1080))
     scenario = session_fixture(bitrate_schedule=((0.0, 3e6), (3.0, 6e6)))
-    traces = compare_baselines(scenario, SOURCE, ladder=ladder)
-    assert [(w.frame_rate_hz, w.height) for w in traces["fixed"].windows] == [
-        (50, 480), (50, 480), (50, 1080), (50, 1080)]
-    assert {w.frame_rate_hz for w in traces["resolution_adaptive"].windows} == {50}
-    for trace in traces.values():
-        check_trace_columns(scenario, trace)
+    grid_source = GridQualitySource(
+        synth.grids_for_clips(synth.sample_clips(4, 2), ladder=ladder))
+    for source in (SOURCE, grid_source):
+        traces = compare_baselines(scenario, source, ladder=ladder)
+        assert [(w.frame_rate_hz, w.height) for w in traces["fixed"].windows] == [
+            (50, 480), (50, 480), (50, 1080), (50, 1080)]
+        assert {w.frame_rate_hz for w in traces["resolution_adaptive"].windows} == {50}
+        for trace in traces.values():
+            check_trace_columns(scenario, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +657,16 @@ def test_oracle_policy_surface_equals_cell_loop(bitrate, velocity, margin,
     # an oracle reads only the window's last velocity and the bitrate
     window = (None, None, None, None, [velocity], bitrate)
     assert fast.decide_mode(*window) == slow.decide_mode(*window)
+
+
+def test_frame_rate_restriction_picks_only_those_rates():
+    policy = OracleQualityPolicy(SOURCE, 0.25, frame_rates=(60,))
+    picks = {policy.decide_mode(None, None, None, None, [velocity], bitrate)
+             for velocity in (0.0, 20.0, 60.0, 120.0) for bitrate in (1e6, 3e6, 8e6)}
+    assert {mode.frame_rate_hz for mode in picks} == {60}
+    assert len({mode.height for mode in picks}) > 1
+    with pytest.raises(ArgumentError, match="not on the ladder"):
+        OracleQualityPolicy(SOURCE, 0.25, frame_rates=(55,))
 
 
 # ---------------------------------------------------------------------------
