@@ -70,8 +70,8 @@ def _label_outputs(grids, margin: float, out: Path) -> list:
 
 def cmd_gen_synthetic(args, cfg, out: Path) -> int:
     clips = synth.sample_clips(args.count, args.seed)
-    grids = synth.grids_for_clips(clips, cfg.ladder.bitrates_bps,
-                                  cfg.synthetic_params, cfg.ladder)
+    grids = synth.grids_for_clips(clips, cfg.bitrates_bps, cfg.synthetic_params,
+                                  cfg.ladder)
     quality.write_grids_csv(grids, out / "grids.csv")
     labels = _label_outputs(grids, args.margin, out)
     examples = synth.training_examples(clips, labels, args.seed)
@@ -129,6 +129,8 @@ def _evaluation_payload(model, examples) -> dict:
 
 
 def cmd_train(args, cfg, out: Path) -> int:
+    config = predictor.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
+                                   batch_size=args.batch_size, seed=args.seed)
     examples = predictor.read_training_csv(args.data, cfg.ladder)
     if not examples:
         raise ArgumentError(f"{args.data}: no training rows")
@@ -143,8 +145,6 @@ def cmd_train(args, cfg, out: Path) -> int:
     if not training:
         raise ArgumentError("holdout fraction leaves no training rows")
 
-    config = predictor.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
-                                   batch_size=args.batch_size, seed=args.seed)
     history: list[float] = []
     model = predictor.train(training, config, cfg.ladder, loss_history=history)
     predictor.save_model(model, out / "model.json")

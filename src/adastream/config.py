@@ -35,6 +35,7 @@ from .errors import ArgumentError, ConfigError, json_numbers
 from .ladder import DEFAULT_LADDER, Ladder
 from .quality import SyntheticQualityParams
 from .simulator import IFRAME_BIT_MULTIPLIER, check_jitter_pct
+from .synth import DEFAULT_BITRATES_BPS
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,7 @@ class Config:
     synthetic_params: SyntheticQualityParams = SyntheticQualityParams()
     iframe_bit_multiplier: int = IFRAME_BIT_MULTIPLIER
     jitter_pct: float = 0.0
+    bitrates_bps: tuple[float, ...] = DEFAULT_BITRATES_BPS  # gen-synthetic's grids
 
     @property
     def ladder(self) -> Ladder:
@@ -117,12 +119,14 @@ def load_config(path=None) -> Config:
             frame_rates_hz=_ladder_values(raw, "frame_rates",
                                           DEFAULT_LADDER.frame_rates_hz, path),
             heights=_ladder_values(raw, "resolutions", DEFAULT_LADDER.heights, path),
-            bitrates_bps=_ladder_values(raw, "bitrates",
-                                        DEFAULT_LADDER.bitrates_bps, path,
-                                        integral=False),
         )
     except ArgumentError as exc:
         raise ConfigError(f"{path}: bad ladder: {exc}") from None
+    bitrates = _ladder_values(raw, "bitrates", DEFAULT_BITRATES_BPS, path,
+                              integral=False)
+    if not bitrates or min(bitrates) <= 0 or len(set(bitrates)) != len(bitrates):
+        raise ConfigError(f"{path}: bitrates must be a nonempty list of distinct "
+                          f"positive numbers, got {list(bitrates)}")
 
     viterbi = _section(raw, "viterbi", path)
     _reject_unknown(viterbi, ("frame_rate_weights", "resolution_weights",
@@ -180,4 +184,4 @@ def load_config(path=None) -> Config:
     except ArgumentError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    return Config(graph, params, multiplier, jitter)
+    return Config(graph, params, multiplier, jitter, bitrates)

@@ -41,8 +41,9 @@ DECISION_PERIOD_S = 2.0
 EMISSION_FLOOR = 1e-12
 _TIME_EPS = 1e-9
 
-# Default frame-rate transition weights by |delta Hz|; beyond 30 Hz is blocked.
-_FRAME_RATE_WEIGHT_BY_DELTA = {0: 1.0, 10: 0.6, 20: 0.3, 30: 0.15}
+# Default frame-rate transition weights by 10 Hz steps, a move of d Hz
+# counting as ceil(d / 10) steps; four steps (beyond 30 Hz) are blocked.
+_FRAME_RATE_WEIGHT_BY_STEP = np.array([1.0, 0.6, 0.3, 0.15, 0.0])
 _RESOLUTION_SELF_WEIGHT = 1.0
 _RESOLUTION_ADJACENT_WEIGHT = 0.5
 
@@ -101,13 +102,11 @@ class TransitionGraph:
 
 
 def default_transition_graph(ladder: Ladder = DEFAULT_LADDER) -> TransitionGraph:
-    """Compiled-in weights: frame rate 1.0/0.6/0.3/0.15 by 10 Hz step out to
-    30 Hz, resolution 1.0 self and 0.5 per adjacent rung."""
+    """Compiled-in weights: frame rate 1.0 self, 0.6/0.3/0.15 for a move of up
+    to 10/20/30 Hz; resolution 1.0 self and 0.5 per adjacent rung."""
     rates = np.array(ladder.frame_rates_hz)
-    deltas = np.abs(rates[:, None] - rates[None, :])
-    fw = np.zeros_like(deltas, dtype=float)
-    for delta, weight in _FRAME_RATE_WEIGHT_BY_DELTA.items():
-        fw[deltas == delta] = weight
+    steps = -(-np.abs(rates[:, None] - rates[None, :]) // 10)  # exact ceil
+    fw = _FRAME_RATE_WEIGHT_BY_STEP[np.minimum(steps, 4)]
     n_r = ladder.n_heights
     rungs = np.arange(n_r)
     rung_delta = np.abs(rungs[:, None] - rungs[None, :])

@@ -1,4 +1,4 @@
-"""Discrete mode ladder: resolutions, frame rates, bitrates, and cost functions.
+"""Discrete mode ladder: frame rates, resolutions, and cost functions.
 
 All arithmetic on modes is exact integer arithmetic so that mode comparisons
 can never flip under re-evaluation.
@@ -12,7 +12,6 @@ from .errors import ArgumentError
 
 FRAME_RATES_HZ: tuple[int, ...] = (30, 40, 50, 60, 70, 80, 90, 100, 110, 120)
 RESOLUTION_LINES: tuple[int, ...] = (360, 480, 720, 864, 1080)
-DEFAULT_BITRATES_BPS: tuple[float, ...] = (2_000_000.0, 3_000_000.0, 4_000_000.0)
 
 
 def width_for_height(height: int) -> int:
@@ -41,7 +40,8 @@ class VideoMode:
 
 @dataclass(frozen=True)
 class Ladder:
-    """The discrete sets of frame rates, resolutions, and bitrates.
+    """The discrete sets of frame rates and resolutions: the modes a stream
+    can run at. Two ladders are equal when they hold the same modes.
 
     The default ladder is compiled in; alternative ladders can be supplied
     through the JSON config file for experimentation.
@@ -49,7 +49,6 @@ class Ladder:
 
     frame_rates_hz: tuple[int, ...] = FRAME_RATES_HZ
     heights: tuple[int, ...] = RESOLUTION_LINES
-    bitrates_bps: tuple[float, ...] = DEFAULT_BITRATES_BPS
     widths: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
@@ -61,8 +60,6 @@ class Ladder:
                 raise ArgumentError(f"{name} must be positive")
             if tuple(sorted(values)) != tuple(values) or len(set(values)) != len(values):
                 raise ArgumentError(f"{name} must be strictly ascending")
-        if any(b <= 0 for b in self.bitrates_bps):
-            raise ArgumentError("bitrates_bps must be strictly positive")
         object.__setattr__(self, "widths",
                            tuple(width_for_height(h) for h in self.heights))
 

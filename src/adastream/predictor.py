@@ -43,8 +43,9 @@ class TrainConfig:
     hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN_SIZES
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ArgumentError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ArgumentError("learning_rate must be positive and finite, "
+                                f"got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ArgumentError("epochs and batch_size must be >= 1")
 
@@ -266,6 +267,7 @@ def save_model(model: PredictorModel, path) -> None:
 
 
 def load_model(path, ladder: Ladder | None = None) -> PredictorModel:
+    """The model in ``path``, on its file's ladder, which must equal ``ladder``."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -299,10 +301,7 @@ def load_model(path, ladder: Ladder | None = None) -> PredictorModel:
         biases = [np.array(b, dtype=float) for b in payload["biases"]]
     except (TypeError, ValueError, OverflowError) as exc:  # 10**400 is no float
         raise SchemaError(f"{path}: bad model: {exc}") from None
-    if ladder is None:
-        ladder = model_ladder
-    elif (ladder.frame_rates_hz, ladder.heights) != (model_ladder.frame_rates_hz,
-                                                     model_ladder.heights):
+    if ladder not in (None, model_ladder):
         raise SchemaError(f"{path}: model was trained on a different ladder")
     if not weights or len(weights) != len(biases):
         raise SchemaError(f"{path}: {len(weights)} weight matrices and "
@@ -321,7 +320,7 @@ def load_model(path, ladder: Ladder | None = None) -> PredictorModel:
     if sizes[0] != len(FEATURE_NAMES):
         raise SchemaError(f"{path}: first layer takes {sizes[0]} inputs, "
                           f"there are {len(FEATURE_NAMES)} features")
-    model = PredictorModel(weights, biases, ladder, seed)
+    model = PredictorModel(weights, biases, model_ladder, seed)
     try:
         model.validate()
     except ModelCorruptError as exc:

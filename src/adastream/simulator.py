@@ -14,13 +14,14 @@ controller's ``DECISION_PERIOD_S``). The mode is fixed over a window, so
 every per-frame input of the window is known when it starts: the frame
 times, the reference record each frame samples and its motion in deg/s.
 Only the 500 ms velocity average runs frame by frame. The engine owns the
-mode; after every window but the last it asks the policy, which keeps no
-state, for the next one: ``decide_mode(scenario, mode, times, records,
-velocities, bitrate_bps)``, with the bitrate in force at the boundary. Only
-the predictor policy reads content: it builds the ``(n, 7)`` feature
-matrix, one row per frame in ``FEATURE_NAMES`` order, from the records'
-content rows, the bandwidth in force and the velocities, so a patch scenario
-extracts features only for the records that a decision reads.
+mode and runs on the policy's ``ladder``; after every window but the last it
+asks the policy, which keeps no state, for the next one: ``decide_mode(
+scenario, mode, times, records, velocities, bitrate_bps)``, with the bitrate
+in force at the boundary. Only the predictor policy reads content: it builds
+the ``(n, 7)`` feature matrix, one row per frame in ``FEATURE_NAMES`` order,
+from the records' content rows, the bandwidth in force and the velocities,
+so a patch scenario extracts features only for the records that a decision
+reads.
 
 A quality source answers in surfaces: ``surface(ladder, bitrate_bps,
 velocities)`` returns the ``(n, n_f, n_h)`` JOD of every ladder cell at each
@@ -450,12 +451,12 @@ class PredictorControllerPolicy:
 
     def __init__(self, model: PredictorModel, graph: TransitionGraph):
         # The controller reads class i of a head as the graph's i-th rung.
-        if ((model.ladder.frame_rates_hz, model.ladder.heights)
-                != (graph.ladder.frame_rates_hz, graph.ladder.heights)):
+        if model.ladder != graph.ladder:
             raise ArgumentError("the model's classes are not the rungs of the "
                                 "transition graph's ladder")
         self.model = model
         self.graph = graph
+        self.ladder = graph.ladder
 
     def decide_mode(self, scenario: Scenario, mode: VideoMode, times: np.ndarray,
                     records: np.ndarray, velocities: list[float],
@@ -605,14 +606,14 @@ def _window_columns(trace: SessionTrace):
 
 def _run_with_policy(scenario: Scenario, policy, quality_source,
                      *, iframe_multiplier: int = IFRAME_BIT_MULTIPLIER,
-                     jitter_pct: float = 0.0, seed: int = 0,
-                     ladder: Ladder = DEFAULT_LADDER) -> SessionTrace:
+                     jitter_pct: float = 0.0, seed: int = 0) -> SessionTrace:
     n_windows = int(math.floor(scenario.duration_s / GOP_LENGTH_S + 1e-9))
     if n_windows < 1:
         raise ArgumentError(
             f"scenario of {scenario.duration_s} s is shorter than one "
             f"{GOP_LENGTH_S} s GOP")
 
+    ladder = policy.ladder
     mode = baseline_mode(scenario.bitrate_at(0.0), ladder)
 
     check_jitter_pct(jitter_pct)
@@ -690,7 +691,7 @@ def run_session(scenario: Scenario, model: PredictorModel, graph: TransitionGrap
     """Simulate a session driven by the trained predictor and the
     controller, which decides once per window."""
     return _run_with_policy(scenario, PredictorControllerPolicy(model, graph),
-                            quality_source, ladder=graph.ladder, **kwargs)
+                            quality_source, **kwargs)
 
 
 def compare_baselines(scenario: Scenario, quality_source,
@@ -711,8 +712,7 @@ def compare_baselines(scenario: Scenario, quality_source,
         "full_adaptive": OracleQualityPolicy(
             quality_source, margin_jod, ladder=ladder),
     }
-    return {name: _run_with_policy(scenario, policy, quality_source,
-                                   ladder=ladder, **kwargs)
+    return {name: _run_with_policy(scenario, policy, quality_source, **kwargs)
             for name, policy in policies.items()}
 
 

@@ -25,6 +25,7 @@ from .quality import QualityGrid, SyntheticQualityParams, make_synthetic_grid
 from .simulator import Scenario
 
 FEATURE_JITTER = 0.01  # std. dev. of the noise on a scenario's content rows
+DEFAULT_BITRATES_BPS: tuple[float, ...] = (2_000_000.0, 3_000_000.0, 4_000_000.0)
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,9 @@ def sample_clips(count: int, seed: int) -> list[SyntheticClip]:
     return clips
 
 
-def grids_for_clips(clips, bitrates=None,
+def grids_for_clips(clips, bitrates=DEFAULT_BITRATES_BPS,
                     base_params: SyntheticQualityParams = SyntheticQualityParams(),
                     ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
-    bitrates = tuple(bitrates) if bitrates is not None else ladder.bitrates_bps
     grids = []
     for clip in clips:
         params = replace(base_params, content_detail=clip.content_detail)

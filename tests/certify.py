@@ -213,8 +213,7 @@ def certify_file(path, model, graph, other_kernel=reference_extract_features,
         frames = json.load(fh)["frames"]
     policy = CertifyingPolicy(model, graph, frames, other_kernel)
     trace = _run_with_policy(scenario_from_json(path), policy,
-                             SyntheticQualitySource(), ladder=graph.ladder,
-                             **session_kwargs)
+                             SyntheticQualitySource(), **session_kwargs)
     return trace, policy.decisions
 
 

@@ -207,7 +207,7 @@ class MotionSample:
 
 def per_frame_session(scenario, policy, quality_source, *,
                       iframe_multiplier=IFRAME_BIT_MULTIPLIER,
-                      jitter_pct=0.0, seed=0, ladder=DEFAULT_LADDER):
+                      jitter_pct=0.0, seed=0):
     """The frame-at-a-time session engine that the window engine replaced.
 
     Every frame samples its record, builds a validated MotionSample and
@@ -226,6 +226,7 @@ def per_frame_session(scenario, policy, quality_source, *,
             f"scenario of {scenario.duration_s} s is shorter than one "
             f"{GOP_LENGTH_S} s GOP")
 
+    ladder = policy.ladder
     mode = baseline_mode(scenario.bitrate_at(0.0), ladder)
     ladder.require_mode(mode)
     carried = isinstance(policy, PredictorControllerPolicy)

@@ -625,6 +625,29 @@ def test_negative_scenario_count_is_an_argument_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bitrates", ["[]", "[2e6, 2e6]", "[0]"])
+def test_bad_bitrates_are_a_config_error(tmp_path, capsys, bitrates):
+    # [] wrote grids.csv and labels.csv, then exited 2; [2e6, 2e6] exited 0
+    # with a grids.csv that label refused as a duplicate cell
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"bitrates": {bitrates}}}')
+    out = tmp_path / "gen"
+    assert run(["gen-synthetic", "--count", 2, "--config", cfg,
+                "--out", out]) == EXIT_SCHEMA
+    assert f"error: {cfg}: bitrates must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_non_finite_learning_rate_is_refused_before_the_data(tmp_path, capsys, lr):
+    # exited 4 on the missing file; with data, trained until the loss was
+    # non-finite and exited 2 without naming the rate
+    assert run(["train", "--lr", lr, "--data", tmp_path / "missing.csv",
+                "--out", tmp_path / "model"]) == EXIT_ARGUMENT
+    assert f"learning_rate must be positive and finite, got {lr}" in (
+        capsys.readouterr().err)
+
+
 def test_label_of_a_grid_file_without_grids_names_the_file(tmp_path, capsys):
     # exited 2 with "savings_curve needs at least one grid", naming no file
     out = gen(tmp_path, count=2)

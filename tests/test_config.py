@@ -5,6 +5,7 @@ import pytest
 
 from adastream.config import load_config
 from adastream.errors import ConfigError
+from adastream.ladder import DEFAULT_LADDER
 
 
 def write_config(tmp_path, payload):
@@ -113,3 +114,17 @@ def test_ladder_values_must_be_finite_and_integral(tmp_path):
     assert cfg.ladder.frame_rates_hz == (30, 60)
     assert cfg.ladder.heights == (360, 720)
     assert all(type(v) is int for v in cfg.ladder.frame_rates_hz + cfg.ladder.heights)
+
+
+@pytest.mark.parametrize("bitrates", [[0], [3e6, -1e6]], ids=["zero", "negative"])
+def test_bitrates_must_be_positive(tmp_path, bitrates):
+    # the CLI tests cover an empty and a repeated list
+    with pytest.raises(ConfigError, match="bitrates"):
+        load_config(write_config(tmp_path, {"bitrates": bitrates}))
+
+
+def test_bitrates_are_a_config_setting_not_a_ladder_one(tmp_path):
+    cfg = load_config(write_config(tmp_path, {"bitrates": [5e6, 1.5e6]}))
+    assert cfg.bitrates_bps == (5e6, 1.5e6)  # an unsorted list still loads
+    assert cfg.ladder == DEFAULT_LADDER
+    assert load_config(None).bitrates_bps == (2e6, 3e6, 4e6)

@@ -7,7 +7,7 @@ from adastream.controller import (ControllerState, TransitionGraph,
                                   default_transition_graph, initial_state,
                                   step, step_window)
 from adastream.errors import ArgumentError, ContractError
-from adastream.ladder import DEFAULT_LADDER, VideoMode
+from adastream.ladder import DEFAULT_LADDER, Ladder, VideoMode
 from adastream.simulator import GOP_LENGTH_S
 
 UNIFORM_F = np.full(10, 0.1)
@@ -42,6 +42,28 @@ def test_default_graph_frame_rate_rows():
     i60, i100 = rates.index(60), rates.index(100)
     assert g.frame_rate_weights[i60, i100] == 0.0
     assert g.frame_rate_weights[i60, i60] == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(rates=st.sets(st.integers(1, 300), min_size=1, max_size=10))
+def test_default_graph_weights_every_move_within_30hz(rates):
+    # gaps that were not multiples of 10 Hz got weight 0
+    rates = sorted(rates)
+    weights = default_transition_graph(Ladder(rates, (720,))).frame_rate_weights
+    for i, fi in enumerate(rates):
+        for j, fj in enumerate(rates):
+            assert (weights[i, j] > 0) == (abs(fi - fj) <= 30)
+
+
+def test_all_mass_on_25hz_moves_a_24hz_state_there():
+    # the [24, 25, 50, 144] ladder's frame-rate matrix was the identity
+    g = default_transition_graph(Ladder((24, 25, 50, 144), (480, 1080)))
+    assert g.frame_rate_weights[0, 1] == 0.6 and g.frame_rate_weights[1, 2] == 0.15
+    state = initial_state(g, VideoMode(24, 480))
+    n = round(24 * GOP_LENGTH_S)
+    state = step_window(g, state, np.tile(one_hot(4, 1), (n, 1)),
+                        np.tile(one_hot(2, 0), (n, 1)), 1.0 / 24)
+    assert decide(g, state)[0] == VideoMode(25, 480)
 
 
 def test_default_graph_resolution_rows():

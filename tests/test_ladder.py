@@ -76,7 +76,5 @@ def test_custom_ladder_validation():
         Ladder(frame_rates_hz=(60, 30))
     with pytest.raises(ArgumentError):
         Ladder(heights=())
-    with pytest.raises(ArgumentError):
-        Ladder(bitrates_bps=(0.0,))
     small = Ladder(frame_rates_hz=(30, 60), heights=(360, 720))
     assert len(small.modes()) == 4

@@ -202,7 +202,6 @@ def test_flat_adam_equals_per_layer_adam_at_cli_defaults():
 @pytest.mark.parametrize("learning_rate, batch_size, message", [
     (1e200, 4, "non-finite loss at epoch 0"),
     (1e200, 16, "non-finite loss at epoch 1"),
-    (np.inf, 16, "non-finite weights at epoch 0"),
 ])
 def test_flat_adam_diverges_where_per_layer_adam_does(learning_rate, batch_size,
                                                       message):
@@ -213,6 +212,19 @@ def test_flat_adam_diverges_where_per_layer_adam_does(learning_rate, batch_size,
         for trainer in (per_layer_train_arrays, train_arrays):
             with pytest.raises(DivergenceError, match=f"^{message}$"):
                 trainer(x, yf, yr, config)
+
+
+def test_flat_adam_diverges_in_the_weights_where_per_layer_adam_does():
+    # features of up to 100 overflow the first update at the largest finite
+    # rate, while the loss before it is finite
+    x, yf, yr = _random_rows(0, 16)
+    config = TrainConfig(learning_rate=1.7e308, epochs=4, batch_size=16, seed=1,
+                         hidden_sizes=(8,))
+    with np.errstate(all="ignore"):
+        for trainer in (per_layer_train_arrays, train_arrays):
+            with pytest.raises(DivergenceError,
+                               match="^non-finite weights at epoch 0$"):
+                trainer(100.0 * x, yf, yr, config)
 
 
 def test_flat_adam_checks_only_the_weights_for_divergence():
@@ -235,6 +247,13 @@ def test_train_arrays_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ArgumentError):
         TrainConfig(epochs=0)
+
+
+@pytest.mark.parametrize("learning_rate", [float("nan"), float("inf")])
+def test_learning_rate_must_be_finite(learning_rate):
+    # both trained until the loss was non-finite
+    with pytest.raises(ArgumentError, match=f"got {learning_rate}"):
+        TrainConfig(learning_rate=learning_rate)
 
 
 @pytest.mark.parametrize("shape", [(8, 5), (8, 8), (8,), (8, 7, 1)])
@@ -313,6 +332,17 @@ def test_model_ladder_mismatch_rejected(tmp_path):
     other = Ladder(frame_rates_hz=(30, 60), heights=(360, 720))
     with pytest.raises(SchemaError, match="different ladder"):
         load_model(path, other)
+
+
+def test_a_loaded_model_keeps_the_file_ladder(tmp_path):
+    from adastream.ladder import Ladder
+
+    path = tmp_path / "model.json"
+    save_model(new_model(seed=0), path)
+    given = Ladder()
+    loaded = load_model(path, given)
+    assert loaded.ladder == given and loaded.ladder is not given
+    assert loaded.ladder == load_model(path).ladder
 
 
 def test_training_csv_round_trip(tmp_path, rng):

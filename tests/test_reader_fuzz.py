@@ -44,7 +44,7 @@ def base_config():
     ladder = DEFAULT_CONFIG.ladder
     return {"resolutions": list(ladder.heights),
             "frame_rates": list(ladder.frame_rates_hz),
-            "bitrates": list(ladder.bitrates_bps),
+            "bitrates": list(DEFAULT_CONFIG.bitrates_bps),
             "viterbi": {"frame_rate_weights": graph.frame_rate_weights.tolist(),
                         "resolution_weights": graph.resolution_weights.tolist(),
                         "decision_period_s": 2.0,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adastream import labeler, simulator, synth
+from adastream.config import load_config
 from adastream.controller import default_transition_graph
 from adastream.errors import ArgumentError, ConfigError, SchemaError
 from adastream.ladder import DEFAULT_LADDER, Ladder, VideoMode, objective_cost
@@ -477,10 +478,24 @@ def test_predictor_policy_refuses_a_graph_of_another_ladder(ladder):
                     default_transition_graph(ladder), SOURCE)
 
 
-def test_predictor_policy_takes_a_ladder_of_other_bitrates():
+def test_predictor_policy_runs_under_a_config_of_other_bitrates(tmp_path):
     # the heads' classes are the rates and heights; bitrates are not classes
-    graph = default_transition_graph(Ladder(bitrates_bps=(1e6, 8e6)))
-    assert PredictorControllerPolicy(_trained_model(), graph).graph is graph
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"bitrates": [1e6, 8e6]}))
+    cfg = load_config(path)
+    assert cfg.ladder == DEFAULT_LADDER
+    assert PredictorControllerPolicy(_trained_model(), cfg.graph).ladder is cfg.ladder
+    scenario = session_fixture()
+    assert (run_session(scenario, _trained_model(), cfg.graph, SOURCE)
+            == run_session(scenario, _trained_model(), default_transition_graph(),
+                           SOURCE))
+
+
+def test_the_engine_runs_on_the_policy_ladder():
+    ladder = Ladder(frame_rates_hz=(24, 25, 50, 144), heights=(480, 1080))
+    trace = _run_with_policy(session_fixture(), FixedBaselinePolicy(ladder), SOURCE)
+    assert {(w.frame_rate_hz, w.height) for w in trace.windows} <= {
+        (50, 480), (50, 1080)}
 
 
 def test_jitter_keeps_bitrate_error_small():
