@@ -131,12 +131,12 @@ def _evaluation_payload(model, examples) -> dict:
 def cmd_train(args, cfg, out: Path) -> int:
     config = predictor.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                                    batch_size=args.batch_size, seed=args.seed)
+    if not 0.0 <= args.holdout < 1.0:
+        raise ArgumentError(f"--holdout must be in [0, 1), got {args.holdout}")
     examples = predictor.read_training_csv(args.data, cfg.ladder)
     if not examples:
         raise ArgumentError(f"{args.data}: no training rows")
 
-    if not 0.0 <= args.holdout < 1.0:
-        raise ArgumentError(f"--holdout must be in [0, 1), got {args.holdout}")
     rng = np.random.default_rng(args.seed)
     order = rng.permutation(len(examples))
     n_holdout = int(round(args.holdout * len(examples)))

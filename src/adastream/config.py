@@ -33,7 +33,7 @@ from .controller import (DECISION_PERIOD_S, EMISSION_FLOOR, TransitionGraph,
                          default_transition_graph)
 from .errors import ArgumentError, ConfigError, json_numbers
 from .ladder import DEFAULT_LADDER, Ladder
-from .quality import SyntheticQualityParams
+from .quality import SyntheticQualityParams, synthetic_surface
 from .simulator import IFRAME_BIT_MULTIPLIER, check_jitter_pct
 from .synth import DEFAULT_BITRATES_BPS
 
@@ -167,6 +167,11 @@ def load_config(path=None) -> Config:
         params = SyntheticQualityParams(**synthetic)
     except (ArgumentError, TypeError) as exc:
         raise ConfigError(f"{path}: bad synthetic section: {exc}") from None
+    for bitrate in bitrates:  # the surface refuses a rate too small for it
+        try:
+            synthetic_surface(ladder, bitrate, [], params)
+        except ArgumentError as exc:
+            raise ConfigError(f"{path}: bitrates: {exc}") from None
 
     simulator = _section(raw, "simulator", path)
     where = f"{path}: simulator"

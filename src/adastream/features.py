@@ -69,14 +69,6 @@ class FeatureVector:
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
 
-    @staticmethod
-    def from_array(values) -> "FeatureVector":
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(FEATURE_NAMES),):
-            raise ArgumentError(f"expected {len(FEATURE_NAMES)} features, "
-                                f"got shape {values.shape}")
-        return FeatureVector(*[float(v) for v in values])
-
 
 def normalize_bandwidth(bitrate_bps: float) -> float:
     """Scale a bitrate by the 6 Mbps ceiling, clipping at 1."""

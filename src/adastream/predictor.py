@@ -370,8 +370,7 @@ def read_training_csv(path, ladder: Ladder = DEFAULT_LADDER) -> list[TrainingExa
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
             try:
-                example = TrainingExample(FeatureVector.from_array(values),
-                                          target_f, target_r)
+                example = TrainingExample(FeatureVector(*values), target_f, target_r)
                 example.indices(ladder)
             except ArgumentError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from None

@@ -12,7 +12,8 @@ Quality-grid CSV schema (header required, UTF-8, '.' decimal separator)::
 
     clip_id,velocity_degps,bitrate_bps,frame_rate_hz,resolution_lines,jod
 
-One row per grid cell, one complete group of rows per (clip_id, bitrate).
+One row per grid cell, one complete group of rows per (clip_id, bitrate),
+every group on one ladder.
 
 Quality sources answer in whole surfaces: ``surface(ladder, bitrate_bps,
 velocities)`` returns an ``(n, n_f, n_h)`` array, the JOD of every ladder
@@ -132,6 +133,12 @@ def synthetic_surface(ladder: Ladder, bitrate_bps: float, velocities,
         raise ArgumentError("velocity must be >= 0")
     if bitrate_bps <= 0:
         raise ArgumentError("bitrate must be positive")
+    # The costliest cell has the fewest bits per pixel, so the largest ratio.
+    f, w, h = ladder.frame_rates_hz[-1], ladder.widths[-1], ladder.heights[-1]
+    bpp = float(bitrate_bps) / (f * w * h)
+    if bpp == 0 or not math.isfinite(params.bpp_ref / bpp):
+        raise ArgumentError(f"bitrate {float(bitrate_bps)!r} bps is too small: "
+                            f"{bpp!r} bits per pixel at {h} lines and {f} Hz")
 
     detail = params.content_detail
     interval_excess = np.array([1.0 / f - 1.0 / params.reference_rate_hz
@@ -160,7 +167,9 @@ def make_synthetic_grid(bitrate_bps: float, velocity_degps: float,
 
 
 def load_grids(path, ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
-    """Parse a quality-grid CSV into one grid per (clip, bitrate) group.
+    """One grid on ``ladder`` per (clip, bitrate) group of a quality-grid CSV,
+    sorted by both. Each cell is stored as its row is read, and a clip id may
+    not hold a comma, quote or line break.
 
     Fails atomically: either every group in the file is complete and valid,
     or a :class:`SchemaError` is raised and nothing is returned.
@@ -176,8 +185,8 @@ def load_grids(path, ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
             raise SchemaError(
                 f"{path}: bad header {header!r}, expected {list(GRID_CSV_HEADER)}")
 
-        # (clip_id, bitrate) -> {"velocity": v, "cells": {(f, h): jod}, "line": first line}
-        groups: dict[tuple[str, float], dict] = {}
+        # (clip_id, bitrate) -> (velocity, q); NaN marks a cell not yet read
+        groups: dict[tuple[str, float], tuple[float, np.ndarray]] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -207,55 +216,54 @@ def load_grids(path, ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
                 raise SchemaError(
                     f"{path}:{lineno}: jod {jod} out of range [0, {JOD_MAX}]")
             try:
-                ladder.frame_rate_index(f)
-                ladder.height_index(h)
+                cell = ladder.frame_rate_index(f), ladder.height_index(h)
             except ArgumentError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from None
 
             key = (clip_id, bitrate)
-            group = groups.setdefault(key, {"velocity": velocity, "cells": {}})
-            if group["velocity"] != velocity:
+            if key not in groups:  # so every clip id is checked at its first row
+                if any(c in clip_id for c in ',"\r\n'):
+                    raise SchemaError(f"{path}:{lineno}: clip id {clip_id!r} holds "
+                                      "a comma, quote or line break")
+                groups[key] = (velocity, np.full(
+                    (ladder.n_frame_rates, ladder.n_heights), np.nan))
+            first_velocity, q = groups[key]
+            if first_velocity != velocity:
                 raise SchemaError(
                     f"{path}:{lineno}: clip {clip_id!r} at {bitrate} bps mixes "
-                    f"velocities {group['velocity']} and {velocity}")
-            if (f, h) in group["cells"]:
+                    f"velocities {first_velocity} and {velocity}")
+            if not math.isnan(q[cell]):
                 raise SchemaError(
                     f"{path}:{lineno}: duplicate cell ({f} Hz, {h} lines) "
                     f"for clip {clip_id!r}")
-            group["cells"][(f, h)] = jod
+            q[cell] = jod
 
-    n_cells = ladder.n_frame_rates * ladder.n_heights
     grids = []
-    for (clip_id, bitrate) in sorted(groups):
-        group = groups[(clip_id, bitrate)]
-        cells = group["cells"]
-        if len(cells) != n_cells:
-            missing = [(f, h) for f in ladder.frame_rates_hz
-                       for h in ladder.heights if (f, h) not in cells]
-            f, h = missing[0]
+    for clip_id, bitrate in sorted(groups):
+        velocity, q = groups[(clip_id, bitrate)]
+        missing = np.argwhere(np.isnan(q))
+        if len(missing):
+            fi, hi = missing[0]
             raise SchemaError(
                 f"{path}: incomplete grid for clip {clip_id!r} at {bitrate} bps: "
-                f"{len(cells)}/{n_cells} cells, first missing ({f} Hz, {h} lines)")
-        q = np.empty((ladder.n_frame_rates, ladder.n_heights), dtype=float)
-        for fi, f in enumerate(ladder.frame_rates_hz):
-            for hi, h in enumerate(ladder.heights):
-                q[fi, hi] = cells[(f, h)]
-        grids.append(QualityGrid(clip_id, group["velocity"], bitrate, q, ladder))
+                f"{q.size - len(missing)}/{q.size} cells, first missing "
+                f"({ladder.frame_rates_hz[fi]} Hz, {ladder.heights[hi]} lines)")
+        grids.append(QualityGrid(clip_id, velocity, bitrate, q, ladder))
     return grids
 
 
 def write_grids_csv(grids, path) -> None:
-    """Write grids in the canonical CSV schema, deterministically ordered."""
+    """Write a list of grids in the canonical CSV schema, in its order. A grid
+    file holds grids on one ladder, the one :func:`load_grids` reads with."""
+    ladder = grids[0].ladder if grids else DEFAULT_LADDER
+    if any(grid.ladder != ladder for grid in grids):
+        raise ArgumentError("a grid file holds grids on one ladder")
+    cells = [f"{f},{h}," for f in ladder.frame_rates_hz for h in ladder.heights]
     lines = [",".join(GRID_CSV_HEADER)]
-    cells: dict[Ladder, list[str]] = {}  # "f,h," of every cell, in q.ravel() order
     for grid in grids:
-        ladder = grid.ladder
-        if ladder not in cells:
-            cells[ladder] = [f"{f},{h}," for f in ladder.frame_rates_hz
-                             for h in ladder.heights]
         prefix = (f"{grid.clip_id},{float(grid.velocity_degps)!r},"
                   f"{float(grid.bitrate_bps)!r},")
         lines.extend(f"{prefix}{fh}{q!r}"
-                     for fh, q in zip(cells[ladder], grid.q.ravel().tolist()))
+                     for fh, q in zip(cells, grid.q.ravel().tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -638,6 +638,34 @@ def test_bad_bitrates_are_a_config_error(tmp_path, capsys, bitrates):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [
+    '{"bitrates": [5e-324]}',
+    '{"bitrates": [1e-310], "synthetic": {"alpha_coding": 0}}'])
+def test_bitrate_too_small_for_the_surface_is_a_config_error(tmp_path, capsys, config):
+    # 5e-324 ended in a ZeroDivisionError traceback (exit 1); 1e-310 with
+    # alpha_coding 0 loaded, then exited 2 on a grid of NaN JODs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    out = tmp_path / "gen"
+    assert run(["gen-synthetic", "--count", 2, "--config", cfg,
+                "--out", out]) == EXIT_SCHEMA
+    assert f"error: {cfg}: bitrates: bitrate " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_clip_id_holding_a_comma_is_a_schema_error(tmp_path, capsys):
+    # loaded, and label then wrote an 11-field row under a 10-field header
+    out = gen(tmp_path, count=2)
+    lines = (out / "grids.csv").read_text().splitlines()
+    clip_id = lines[1].split(",")[0]
+    lines = [line.replace(f"{clip_id},", '"a,b",', 1) for line in lines]
+    (out / "grids.csv").write_text("\n".join(lines) + "\n")
+    assert run(["label", "--grids", out / "grids.csv",
+                "--out", tmp_path / "x"]) == EXIT_SCHEMA
+    assert "grids.csv:2: clip id 'a,b' holds a comma" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "labels.csv").exists()
+
+
 @pytest.mark.parametrize("lr", ["nan", "inf"])
 def test_non_finite_learning_rate_is_refused_before_the_data(tmp_path, capsys, lr):
     # exited 4 on the missing file; with data, trained until the loss was
@@ -665,6 +693,13 @@ def test_holdout_flag_is_a_fraction_below_one(tmp_path, capsys, holdout):
                 tmp_path / "model", "--epochs", 1, "--holdout", holdout]) == EXIT_ARGUMENT
     assert "--holdout must be in [0, 1)" in capsys.readouterr().err
     assert not (tmp_path / "model" / "model.json").exists()
+
+
+def test_holdout_flag_is_checked_before_the_data(tmp_path, capsys):
+    # exited 4 on the missing file, where --lr nan exits 2
+    assert run(["train", "--holdout", 2, "--data", tmp_path / "missing.csv",
+                "--out", tmp_path / "model"]) == EXIT_ARGUMENT
+    assert "--holdout must be in [0, 1), got 2.0" in capsys.readouterr().err
 
 
 def _weights(draw, n, blocked):

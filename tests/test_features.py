@@ -92,7 +92,7 @@ def test_with_context_and_array_round_trip():
     fv = extract_features(flat(0.25)).with_context(0.7, 0.5)
     arr = fv.as_array()
     assert arr.shape == (len(FEATURE_NAMES),)
-    assert FeatureVector.from_array(arr) == fv
+    assert FeatureVector(*arr.tolist()) == fv
     assert fv.norm_velocity == 0.7
     assert fv.norm_bandwidth == 0.5
 

@@ -157,6 +157,18 @@ def test_synthetic_surface_input_validation():
         synthetic_surface(DEFAULT_LADDER, 4e6, [[3.0]])
 
 
+@pytest.mark.parametrize("bitrate", [5e-324, 1e-310])
+def test_bitrate_too_small_for_the_surface_is_refused(bitrate):
+    # 5e-324 divided by zero bits per pixel; 1e-310 overflowed bpp_ref / bpp
+    # to inf, which alpha_coding 0 turned into NaN
+    params = SyntheticQualityParams(alpha_coding=0.0)
+    with pytest.raises(ArgumentError, match=f"bitrate {bitrate!r} bps is too small"):
+        synthetic_surface(DEFAULT_LADDER, bitrate, [3.0], params)
+    # the costliest cell bounds every cell: a rate just above the limit runs
+    tiny = 120 * 1920 * 1080 * params.bpp_ref / 1.7e308
+    assert np.all(np.isfinite(synthetic_surface(DEFAULT_LADDER, tiny, [3.0], params)))
+
+
 def test_grid_invariants():
     bad = np.full((10, 5), 11.0)
     with pytest.raises(ArgumentError):
@@ -220,6 +232,15 @@ def test_incomplete_group_names_clip_and_cell(tmp_path):
         load_grids(path)
     assert "clipA" in str(err.value)
     assert "120" in str(err.value) and "1080" in str(err.value)
+
+
+def test_first_missing_cell_is_taken_in_frame_rate_major_order(tmp_path):
+    rows = [row for row in full_group() if row[3:5] not in ((30, 1080), (40, 360))]
+    path = tmp_path / "grids.csv"
+    write_rows(path, rows)
+    with pytest.raises(SchemaError, match=r"48/50 cells, first missing "
+                                          r"\(30 Hz, 1080 lines\)"):
+        load_grids(path)
 
 
 def test_non_numeric_jod_reports_line(tmp_path):
@@ -289,25 +310,85 @@ _CLIP_IDS = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
 
 
+_VELOCITIES = st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308]),
+                       st.floats(0.0, 1e300))
+_BITRATES = st.one_of(st.sampled_from([5e-324, 1.0, 3e6]), st.floats(1e-300, 1e300))
+
+
 @st.composite
-def _grids(draw):
+def _grids(draw, clip_ids=_CLIP_IDS, unique_keys=False):
+    """A list of grids on one ladder, as a grid file holds."""
     ladder = draw(st.sampled_from([DEFAULT_LADDER, _SMALL_LADDER]))
     shape = (ladder.n_frame_rates, ladder.n_heights)
-    q = draw(st.lists(_JODS, min_size=shape[0] * shape[1],
-                      max_size=shape[0] * shape[1]))
-    velocity = draw(st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308]),
-                              st.floats(0.0, 1e300)))
-    bitrate = draw(st.one_of(st.sampled_from([5e-324, 1.0, 3e6]),
-                             st.floats(1e-300, 1e300)))
-    return QualityGrid(draw(_CLIP_IDS), velocity, bitrate,
-                       np.reshape(q, shape), ladder)
+    grid = st.builds(
+        lambda clip_id, velocity, bitrate, q: QualityGrid(
+            clip_id, velocity, bitrate, np.reshape(q, shape), ladder),
+        clip_ids, _VELOCITIES, _BITRATES,
+        st.lists(_JODS, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    return draw(st.lists(grid, max_size=4, unique_by=(
+        lambda g: (g.clip_id, g.bitrate_bps)) if unique_keys else None))
 
 
 @settings(max_examples=60, deadline=None)
-@given(grids=st.lists(_grids(), max_size=4))
+@given(grids=_grids())
 def test_grid_writer_equals_row_at_a_time_writer(grids):
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
         write_grids_csv(grids, got)
         row_at_a_time_grids_csv(grids, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+# Ids that load back as written: no comma, quote or line break, and no
+# surrounding space, which the reader strips.
+_LOADABLE_CLIP_IDS = st.text(st.characters(
+    blacklist_categories=("Cs",), blacklist_characters=',"\r\n'),
+    max_size=8).filter(lambda text: text == text.strip())
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids=_grids(_LOADABLE_CLIP_IDS, unique_keys=True))
+def test_grids_round_trip_through_the_file(grids):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grids.csv"
+        write_grids_csv(grids, path)
+        ladder = grids[0].ladder if grids else DEFAULT_LADDER
+        loaded = load_grids(path, ladder)
+    want = sorted(grids, key=lambda g: (g.clip_id, g.bitrate_bps))
+    assert [(g.clip_id, g.velocity_degps, g.bitrate_bps, g.q.tobytes())
+            for g in loaded] == [(g.clip_id, g.velocity_degps, g.bitrate_bps,
+                                  g.q.tobytes()) for g in want]
+
+
+def test_grid_writer_refuses_a_stack_that_mixes_ladders(tmp_path):
+    # a file was written that load_grids, reading with one ladder, refused
+    grids = [make_synthetic_grid(2e6, 1.0),
+             make_synthetic_grid(2e6, 1.0, ladder=_SMALL_LADDER, clip_id="b")]
+    path = tmp_path / "grids.csv"
+    with pytest.raises(ArgumentError, match="a grid file holds grids on one ladder"):
+        write_grids_csv(grids, path)
+    assert not path.exists()
+    write_grids_csv([], path)
+    assert path.read_text() == ",".join(GRID_CSV_HEADER) + "\n"
+
+
+def test_group_that_mixes_velocities_reports_line(tmp_path):
+    rows = full_group()
+    rows[4] = ("clipA", 13.0) + rows[4][2:]
+    path = tmp_path / "grids.csv"
+    write_rows(path, rows)
+    with pytest.raises(SchemaError, match=r"grids.csv:6: clip 'clipA' at 2000000.0 "
+                                          r"bps mixes velocities 12.0 and 13.0"):
+        load_grids(path)
+
+
+@pytest.mark.parametrize("clip_id", ['"a,b"', '"quo""te"', '"line\nbreak"',
+                                     '"car\rriage"'])
+def test_clip_id_that_would_break_a_csv_row_is_refused(tmp_path, clip_id):
+    # "a,b" loaded, and label then wrote an 11-field row under a 10-field header
+    rows = full_group()
+    path = tmp_path / "grids.csv"
+    write_rows(path, rows + [(clip_id,) + row[1:] for row in rows])
+    with pytest.raises(SchemaError, match=r"grids.csv:52: clip id .* holds a comma, "
+                                          "quote or line break"):
+        load_grids(path)
