@@ -1,8 +1,9 @@
 """Hand-crafted content features extracted from a 128x128 luma patch.
 
-The seven-value feature vector feeding the predictor:
+The seven-value feature vector feeding the predictor; every value is finite,
+``rms_contrast`` and ``gradient_energy`` are >= 0 and the others in [0, 1]:
 
-- mean_luma: patch mean, in [0, 1].
+- mean_luma: patch mean.
 - rms_contrast: standard deviation of luma.
 - gradient_energy: mean gradient magnitude ``sqrt(gx**2 + gy**2)`` over
   central differences (one-sided at the edges).
@@ -34,9 +35,24 @@ FEATURE_NAMES = ("mean_luma", "rms_contrast", "gradient_energy",
                  "high_freq_ratio", "edge_density", "norm_velocity",
                  "norm_bandwidth")
 CONTENT_FEATURE_KEYS = FEATURE_NAMES[:5]
-# Features held to [0, 1]; the other two only need to be >= 0.
-UNIT_INTERVAL_FEATURES = ("mean_luma", "high_freq_ratio", "edge_density",
-                          "norm_velocity", "norm_bandwidth")
+# Upper bounds; the largest float, not inf, so that ``x <= high`` refuses +inf.
+_FEATURE_HIGH = np.array([np.finfo(float).max if name in ("rms_contrast", "gradient_energy")
+                          else 1.0 for name in FEATURE_NAMES])
+
+
+def feature_range_error(x: np.ndarray) -> tuple[int, str] | None:
+    """The first out-of-range value of ``x`` (rows of the leading ``x.shape[1]``
+    features) in row-major order, as ``(row, message)``; None if there is none."""
+    x = np.asarray(x, dtype=float)
+    high = _FEATURE_HIGH[:x.shape[1]]
+    ok = (x >= 0.0) & (x <= high)
+    if ok.all():
+        return None
+    row, col = divmod(int(np.argmin(ok)), x.shape[1])
+    name, v = FEATURE_NAMES[col], float(x[row, col])
+    if not math.isfinite(v):
+        return row, f"{name} must be finite, got {v}"
+    return row, f"{name} must be {'in [0, 1.0]' if high[col] == 1.0 else '>= 0'}, got {v}"
 
 
 @dataclass(frozen=True)
@@ -50,16 +66,9 @@ class FeatureVector:
     norm_bandwidth: float = 0.0
 
     def __post_init__(self):
-        for name in FEATURE_NAMES:
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ArgumentError(f"{name} must be finite, got {v}")
-        for name in UNIT_INTERVAL_FEATURES:
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ArgumentError(f"{name} must be in [0, 1], got {v}")
-        if self.rms_contrast < 0 or self.gradient_energy < 0:
-            raise ArgumentError("rms_contrast and gradient_energy must be >= 0")
+        error = feature_range_error(self.as_array()[None])
+        if error is not None:
+            raise ArgumentError(error[1])
 
     def with_context(self, norm_velocity: float, norm_bandwidth: float) -> "FeatureVector":
         """Attach the velocity and bandwidth context to content features."""

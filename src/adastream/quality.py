@@ -146,10 +146,11 @@ def synthetic_surface(ladder: Ladder, bitrate_bps: float, velocities,
     loss_spatial = np.array([
         params.alpha_spatial * detail * (1.0 - (h / 1080.0) ** params.spatial_exponent)
         for h in ladder.heights])
+    # No coding loss at a ratio <= 1, which includes one that underflows to 0.
     loss_coding = np.array([[
-        params.alpha_coding * max(0.0, math.log2(
-            params.bpp_ref / (bitrate_bps / (f * w * h)))) * (0.5 + 0.5 * detail)
-        for h, w in zip(ladder.heights, ladder.widths)]
+        params.alpha_coding * (math.log2(r) if r > 1.0 else 0.0) * (0.5 + 0.5 * detail)
+        for h, w in zip(ladder.heights, ladder.widths)
+        for r in [params.bpp_ref / (bitrate_bps / (f * w * h))]]
         for f in ladder.frame_rates_hz])
     loss_temporal = (params.alpha_temporal
                      * np.minimum(v, SPEM_LIMIT_DEGPS))[:, None] * interval_excess

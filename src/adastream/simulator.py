@@ -58,7 +58,7 @@ from .controller import (DECISION_PERIOD_S, TransitionGraph, decide,
                          initial_state, step_window)
 from .errors import ArgumentError, ConfigError, SchemaError
 from .features import (CONTENT_FEATURE_KEYS, FEATURE_NAMES, PATCH_SIZE,
-                       UNIT_INTERVAL_FEATURES, extract_features,
+                       extract_features, feature_range_error,
                        normalize_bandwidth)
 from .labeler import DEFAULT_MARGIN_JOD, select_efficient
 from .ladder import DEFAULT_LADDER, Ladder, VideoMode, pixels_per_second
@@ -187,7 +187,11 @@ class Scenario:
         self._patches = dict(patches or {})
         self._pending = np.zeros(ts.size, dtype=bool)  # patch rows not yet extracted
         self._pending[list(self._patches)] = True
-        _check_content(feats, ~self._pending)
+        # Every given row, sampled or not: the predictor takes them unchecked.
+        given = np.flatnonzero(~self._pending)
+        error = feature_range_error(feats[given])
+        if error is not None:
+            raise ArgumentError(f"{error[1]} in frame record {given[error[0]]}")
         if not bitrate_schedule:
             raise ConfigError("bitrate schedule is empty")
         times = [t for t, _ in bitrate_schedule]
@@ -245,21 +249,6 @@ class Scenario:
         """Normalized bandwidth in force at time t; elementwise on an array
         of times."""
         return self._schedule_bandwidth[self.schedule_index(t)]
-
-
-def _check_content(feats: np.ndarray, given: np.ndarray) -> None:
-    """Every given content row must hold valid FeatureVector values, sampled
-    or not: the engine feeds the rows to the predictor unvalidated."""
-    for j, name in enumerate(CONTENT_FEATURE_KEYS):
-        column = feats[:, j]
-        if not np.all(np.isfinite(column[given])):
-            raise ArgumentError(f"{name} must be finite in every frame record")
-        high = 1.0 if name in UNIT_INTERVAL_FEATURES else math.inf
-        bad = given & ((column < 0.0) | (column > high))
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ArgumentError(f"{name} must be in [0, {high}], got "
-                                f"{column[i]} in frame record {i}")
 
 
 def scenario_to_json(scenario: Scenario, path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArgumentError
-from .features import FeatureVector, normalize_bandwidth
+from .features import CONTENT_FEATURE_KEYS, FeatureVector, normalize_bandwidth
 # ``select_efficient`` is no longer called here; it stays importable from
 # this module because the benchmark tracer patches it at this call site.
 from .labeler import LabeledClip, label_grids, select_efficient  # noqa: F401
@@ -117,9 +117,9 @@ def make_scenario(duration_s: float = 8.0, fov_horizontal_deg: float = 90.0,
         raise ArgumentError("velocity profile must be >= 0")
     mags = v / reference_rate_hz / (fov_horizontal_deg / 2.0)
 
-    base = content_features_for_detail(content_detail, rng).as_array()[:5]
-    jitter = rng.normal(0.0, FEATURE_JITTER, (n, 5))
-    feats = np.clip(base[None, :] + jitter, 0.0, 1.0)
+    base = content_features_for_detail(content_detail, rng).as_array()
+    jitter = rng.normal(0.0, FEATURE_JITTER, (n, len(CONTENT_FEATURE_KEYS)))
+    feats = np.clip(base[None, :len(CONTENT_FEATURE_KEYS)] + jitter, 0.0, 1.0)
     return Scenario(duration_s, fov_horizontal_deg, reference_rate_hz,
                     tuple((float(t), float(b)) for t, b in bitrate_schedule),
                     ts, mags, feats)

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adastream.errors import ArgumentError
-from adastream.features import (FEATURE_NAMES, FeatureVector, extract_features,
+from adastream.errors import ArgumentError, SchemaError
+from adastream.features import (CONTENT_FEATURE_KEYS, FEATURE_NAMES,
+                                FeatureVector, extract_features,
                                 normalize_bandwidth)
+from adastream.predictor import TRAINING_CSV_HEADER, read_training_csv
+from adastream.simulator import Scenario
 from oracles import dctn_high_freq_ratio, reference_extract_features
 
 
@@ -106,6 +109,61 @@ def test_feature_vector_validation():
         FeatureVector(0.5, 0.0, 0.0, 0.0, 0.0, norm_velocity=2.0)
     with pytest.raises(ArgumentError):
         FeatureVector(float("nan"), 0.0, 0.0, 0.0, 0.0)
+
+
+_UNBOUNDED = ("rms_contrast", "gradient_energy")
+
+
+def _range_errors(name, value, path):
+    """The error message of each site that checks the feature range, given
+    ``value`` for ``name`` and 0.5 for every other feature; None where the
+    site accepts it. ``Scenario`` takes only the content features."""
+    row = [0.5] * len(FEATURE_NAMES)
+    row[FEATURE_NAMES.index(name)] = value
+    path.write_text(",".join(TRAINING_CSV_HEADER) + "\n"
+                    + ",".join(repr(float(v)) for v in row) + ",60,720\n")
+    content = np.full((2, len(CONTENT_FEATURE_KEYS)), 0.5)
+    sites = {"FeatureVector": lambda: FeatureVector(*row),
+             "read_training_csv": lambda: read_training_csv(path)}
+    if name in CONTENT_FEATURE_KEYS:
+        content[1] = row[:len(CONTENT_FEATURE_KEYS)]
+        sites["Scenario"] = lambda: Scenario(1 / 120, 90.0, 120.0, ((0.0, 3e6),),
+                                             [0.0, 1 / 120], [0.0, 0.0], content)
+    errors = {}
+    for site, build in sites.items():
+        try:
+            build()
+            errors[site] = None
+        except (ArgumentError, SchemaError) as exc:
+            errors[site] = str(exc)
+    return errors
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, value, id=f"{name}={float(value)}")
+    for name in FEATURE_NAMES
+    for value in [np.nan, np.inf, -np.inf, -5e-324]
+    + ([] if name in _UNBOUNDED else [np.nextafter(1.0, 2.0)])])
+def test_every_site_refuses_a_bad_feature_with_the_same_message(tmp_path, name,
+                                                                value):
+    path = tmp_path / "training.csv"
+    errors = _range_errors(name, value, path)
+    core = errors["FeatureVector"]
+    bound = ("finite" if not np.isfinite(value)
+             else ">= 0" if name in _UNBOUNDED else "in [0, 1.0]")
+    assert core == f"{name} must be {bound}, got {float(value)}"
+    assert errors["read_training_csv"] == f"{path}:2: {core}"
+    if name in CONTENT_FEATURE_KEYS:
+        assert errors["Scenario"] == f"{core} in frame record 1"
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, value, id=f"{name}={float(value)}")
+    for name in FEATURE_NAMES
+    for value in [0.0, 1.0] + ([np.finfo(float).max] if name in _UNBOUNDED else [])])
+def test_every_site_accepts_an_edge_value(tmp_path, name, value):
+    errors = _range_errors(name, value, tmp_path / "training.csv")
+    assert set(errors.values()) == {None}, errors
 
 
 def test_normalize_bandwidth():

@@ -169,6 +169,17 @@ def test_bitrate_too_small_for_the_surface_is_refused(bitrate):
     assert np.all(np.isfinite(synthetic_surface(DEFAULT_LADDER, tiny, [3.0], params)))
 
 
+def test_coding_loss_is_zero_where_the_bits_per_pixel_ratio_underflows():
+    # bpp_ref / bpp underflowed to 0 in the cheapest cells, and math.log2
+    # raised "math domain error"
+    velocities = [0.0, 30.0, 200.0]
+    surface = synthetic_surface(DEFAULT_LADDER, 2e7, velocities,
+                                SyntheticQualityParams(bpp_ref=5e-324))
+    no_coding = synthetic_surface(DEFAULT_LADDER, 2e7, velocities,
+                                  SyntheticQualityParams(alpha_coding=0.0))
+    assert surface.tobytes() == no_coding.tobytes()
+
+
 def test_grid_invariants():
     bad = np.full((10, 5), 11.0)
     with pytest.raises(ArgumentError):

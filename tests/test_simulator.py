@@ -177,6 +177,16 @@ def test_scenario_rejects_bad_content_in_any_record(column, value):
         Scenario(**fields)
 
 
+def test_scenario_names_the_earliest_bad_record():
+    # the check went column by column and named record 3, the later one
+    fields = _scenario_arrays()
+    fields["content_features"][2, 1] = -0.5
+    fields["content_features"][3, 0] = 7.0
+    with pytest.raises(ArgumentError) as excinfo:
+        Scenario(**fields)
+    assert str(excinfo.value) == "rms_contrast must be >= 0, got -0.5 in frame record 2"
+
+
 def test_scenario_copies_its_arrays():
     # the caller's arrays used to turn read-only
     fields = _scenario_arrays(timestamps=np.arange(241) / 120.0)
