@@ -185,8 +185,7 @@ def cmd_simulate(args, cfg, out: Path) -> int:
     trace = simulator.run_session(
         scenario, model, cfg.graph, source,
         iframe_multiplier=cfg.iframe_bit_multiplier,
-        jitter_pct=args.jitter_pct if args.jitter_pct is not None else cfg.jitter_pct,
-        seed=args.seed)
+        jitter_pct=cfg.jitter_pct, seed=args.seed)
     simulator.write_frame_csv(trace, out / "trace_frames.csv")
     simulator.write_window_csv(trace, out / "trace_windows.csv")
     _write_json(simulator.summary_dict(trace), out / "summary.json")
@@ -263,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--scenario", required=True, help="scenario JSON path")
     p.add_argument("--model", required=True, help="model JSON path")
-    p.add_argument("--jitter-pct", type=float, default=None,
-                   help="per-frame bit jitter percentage")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="compare fixed and adaptive policies")

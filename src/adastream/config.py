@@ -163,8 +163,9 @@ def load_config(path=None) -> Config:
     synthetic = _section(raw, "synthetic", path)
     param_names = [f.name for f in fields(SyntheticQualityParams)]
     _reject_unknown(synthetic, param_names, f"{path}: synthetic")
-    try:
+    try:  # the spatial loss of every rung, at a rate too large to be refused
         params = SyntheticQualityParams(**synthetic)
+        synthetic_surface(ladder, np.finfo(float).max, [], params)
     except (ArgumentError, TypeError) as exc:
         raise ConfigError(f"{path}: bad synthetic section: {exc}") from None
     for bitrate in bitrates:  # the surface refuses a rate too small for it

@@ -67,6 +67,11 @@ class SyntheticQualityParams:
         for name in ("alpha_temporal", "alpha_spatial", "alpha_coding"):
             if getattr(self, name) < 0:
                 raise ArgumentError(f"{name} must be >= 0")
+        # The temporal loss peaks at the velocity cap, and the coding loss at
+        # 1024 octaves, log2 of the float maximum.
+        for name, peak in (("alpha_temporal", SPEM_LIMIT_DEGPS), ("alpha_coding", 1024.0)):
+            if not math.isfinite(getattr(self, name) * peak):
+                raise ArgumentError(f"{name} is too large: its loss overflows")
         if self.bpp_ref <= 0:
             raise ArgumentError("bpp_ref must be positive")
         if not 0.0 <= self.content_detail <= 1.0:
@@ -124,7 +129,8 @@ def synthetic_surface(ladder: Ladder, bitrate_bps: float, velocities,
     Equal bit for bit, in every cell, to the scalar formula evaluated in
     Python floats: the power and log2 terms come from ``math`` once per
     height and once per cell; numpy only adds, subtracts, multiplies and
-    clamps, which it rounds as Python does.
+    clamps, which it rounds as Python does. A rate too small for the top
+    cell, or a spatial loss beyond the float range, is an ArgumentError.
     """
     v = np.asarray(velocities, dtype=float)
     if v.ndim != 1:
@@ -143,9 +149,15 @@ def synthetic_surface(ladder: Ladder, bitrate_bps: float, velocities,
     detail = params.content_detail
     interval_excess = np.array([1.0 / f - 1.0 / params.reference_rate_hz
                                 for f in ladder.frame_rates_hz])
-    loss_spatial = np.array([
-        params.alpha_spatial * detail * (1.0 - (h / 1080.0) ** params.spatial_exponent)
-        for h in ladder.heights])
+    try:
+        deficits = [1.0 - (h / 1080.0) ** params.spatial_exponent for h in ladder.heights]
+    except OverflowError:
+        deficits = [math.inf]
+    # in range at detail 1, the spatial loss is in range at every detail
+    if not all(math.isfinite(params.alpha_spatial * d) for d in deficits):
+        raise ArgumentError("alpha_spatial and spatial_exponent put the spatial loss "
+                            f"beyond the float range at {ladder.heights} lines")
+    loss_spatial = np.array([params.alpha_spatial * detail * d for d in deficits])
     # No coding loss at a ratio <= 1, which includes one that underflows to 0.
     loss_coding = np.array([[
         params.alpha_coding * (math.log2(r) if r > 1.0 else 0.0) * (0.5 + 0.5 * detail)

@@ -1,3 +1,9 @@
+"""The CLI contract: outputs, exit codes and messages of every subcommand.
+
+This module imports no test oracle and no scipy, and must stay that way: CI
+runs it with scipy blocked, to check that the CLI needs only numpy.
+"""
+
 import csv
 import json
 import os
@@ -130,6 +136,10 @@ def test_simulate_and_compare(tmp_path):
     assert code == EXIT_OK
     payload = json.loads((cmp_dir / "comparison.json").read_text())
     assert set(payload) == {"fixed", "resolution_adaptive", "full_adaptive"}
+    # the resolution-only baseline picks from the one-rate sub-ladder at the
+    # baseline's 60 Hz
+    windows = read_csv(cmp_dir / "windows_resolution_adaptive.csv")
+    assert {w["frame_rate_hz"] for w in windows} == {"60"}
 
 
 def test_exit_code_io_error(tmp_path):
@@ -542,16 +552,25 @@ def test_simulate_refuses_a_model_of_another_ladder(tmp_path, capsys, frame_rate
 
 @pytest.mark.parametrize("jitter", ["150", "100", "-5", "nan"])
 def test_jitter_flag_has_the_config_range(tmp_path, capsys, jitter):
-    # each of these ran with exit 0; 150 gave a 15% bitrate error
+    # each of these ran with exit 0 from simulate --jitter-pct; 150 gave a
+    # 15% bitrate error
     scenario, model = _trained(tmp_path)
-    assert run(["simulate", "--scenario", scenario, "--model", model,
-                "--out", tmp_path / "sim", "--jitter-pct", jitter]) == EXIT_ARGUMENT
-    assert "jitter_pct must be in [0, 100)" in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"simulator": {"jitter_pct": float(jitter)}}))
     assert run(["simulate", "--scenario", scenario, "--model", model,
                 "--out", tmp_path / "sim", "--config", cfg]) == EXIT_SCHEMA
     assert f"error: {cfg}: jitter_pct must be in [0, 100)" in capsys.readouterr().err
+
+
+def test_simulate_takes_its_jitter_from_the_config_alone(tmp_path, capsys):
+    # --jitter-pct overrode the config for simulate but not for compare
+    scenario, model = _trained(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        run(["simulate", "--scenario", scenario, "--model", model,
+             "--out", tmp_path / "sim", "--jitter-pct", 5])
+    assert err.value.code == EXIT_ARGUMENT
+    assert "unrecognized arguments: --jitter-pct 5" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
 
 
 def test_compare_applies_the_config_jitter_and_seeds_it(tmp_path):
@@ -598,7 +617,7 @@ def test_training_and_scenario_flags_reach_their_settings(tmp_path):
     ("train", lambda d: ["--data", d / "gen" / "training.csv", "--seed", -5]),
     ("simulate", lambda d: ["--scenario", d / "gen" / "scenario_000.json",
                             "--model", d / "model" / "model.json",
-                            "--jitter-pct", 5, "--seed", -2]),
+                            "--config", d / "jitter.json", "--seed", -2]),
     ("compare", lambda d: ["--scenario", d / "gen" / "scenario_000.json",
                            "--config", d / "jitter.json", "--seed", -2]),
 ], ids=["gen-synthetic", "train", "simulate", "compare"])
@@ -638,6 +657,18 @@ def test_bad_bitrates_are_a_config_error(tmp_path, capsys, bitrates):
     assert not out.exists()
 
 
+def test_config_bitrates_are_the_grid_bitrates_of_gen_synthetic(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"bitrates": [1500000, 5000000]}')
+    out = gen(tmp_path, count=5, extra=["--config", cfg])
+    assert {row["bitrate_bps"] for row in read_csv(out / "grids.csv")} == {
+        "1500000.0", "5000000.0"}
+    assert run(["label", "--grids", out / "grids.csv", "--out", tmp_path / "label",
+                "--config", cfg]) == EXIT_OK
+    assert ((tmp_path / "label" / "labels.csv").read_bytes()
+            == (out / "labels.csv").read_bytes())
+
+
 @pytest.mark.parametrize("config", [
     '{"bitrates": [5e-324]}',
     '{"bitrates": [1e-310], "synthetic": {"alpha_coding": 0}}'])
@@ -650,6 +681,36 @@ def test_bitrate_too_small_for_the_surface_is_a_config_error(tmp_path, capsys, c
     assert run(["gen-synthetic", "--count", 2, "--config", cfg,
                 "--out", out]) == EXIT_SCHEMA
     assert f"error: {cfg}: bitrates: bitrate " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, names", [
+    ({"resolutions": [720, 2160], "synthetic": {"spatial_exponent": 2000}},
+     "alpha_spatial and spatial_exponent"),
+    ({"synthetic": {"alpha_spatial": 1e308, "spatial_exponent": -5000}},
+     "alpha_spatial and spatial_exponent"),
+    ({"frame_rates": [60, 166], "synthetic": {"alpha_temporal": 1e307}},
+     "alpha_temporal"),
+    ({"frame_rates": [60, 300], "resolutions": [1080, 2160],
+      "synthetic": {"alpha_spatial": 1.7976931348623157e308, "spatial_exponent": 1.0,
+                    "alpha_temporal": 2e306, "alpha_coding": 1e308,
+                    "content_detail": 1.0}}, "alpha_coding"),
+], ids=["exponent_2000", "alpha_spatial_1e308", "alpha_temporal_1e307",
+        "alpha_coding_1e308"])
+def test_synthetic_loss_beyond_the_float_range_is_a_config_error(
+        tmp_path, capsys, config, names):
+    # the first two ended in an OverflowError traceback (exit 1); the third
+    # loaded, then exited 2 on a grid of NaN JODs; the fourth ran
+    # gen-synthetic, then compare exited 2 on NaN JODs: an infinite coding
+    # loss met a spatial gain and a temporal gain that summed past the float
+    # range
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "gen"
+    assert run(["gen-synthetic", "--count", 5, "--config", cfg,
+                "--out", out]) == EXIT_SCHEMA
+    assert (f"error: {cfg}: bad synthetic section: {names}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -702,68 +763,95 @@ def test_holdout_flag_is_checked_before_the_data(tmp_path, capsys):
     assert "--holdout must be in [0, 1), got 2.0" in capsys.readouterr().err
 
 
+FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _or_any(typical, low, high, **bounds):
+    """Floats from a typical range, or from anywhere in [low, high],
+    subnormals and values near the float maximum included."""
+    return st.floats(*typical) | st.floats(low, high, **bounds)
+
+
 def _weights(draw, n, blocked):
     """An n x n transition matrix that the graph accepts: a positive
-    diagonal, zero where ``blocked(i, j)``, anything in [0, 2] elsewhere."""
+    diagonal, zero where ``blocked(i, j)``, any finite value >= 0 elsewhere."""
     return [[0.0 if blocked(i, j) else draw(st.floats(
-                0.01 if i == j else 0.0, 2.0)) for j in range(n)]
+                0.0, FLOAT_MAX, exclude_min=(i == j))) for j in range(n)]
             for i in range(n)]
 
 
 @st.composite
 def valid_configs(draw):
-    """Configs that load: ladders of 1-6 distinct rates and heights over
-    wide ranges, and every other key in its range."""
+    """Configs drawn from the loader's domain: each number may take any
+    value that the loader's type and range checks accept, so some configs
+    load and some are refused. Three kinds of value keep narrower ranges,
+    because a config that loads can still fail at run time with them:
+    - the ladder entries: a rate f gives windows of round(2 f) frames, so a
+      rate of 1e9 Hz loads and simulate would then build 2e9-frame arrays;
+    - iframe_bit_multiplier: one beyond a scenario's GOP budget exits 2 in
+      allocate_bits, by design;
+    - bpp_ref, below 1e300: nearer the float maximum, the generated
+      scenario's 3 Mbps can be too small for the surface, and simulate and
+      compare refuse it with exit 2, as they refuse any scenario rate too
+      small for the surface."""
     rates = sorted(draw(st.sets(st.integers(1, 300), min_size=1, max_size=6)))
     heights = sorted(draw(st.sets(st.integers(1, 100_000), min_size=1,
                                   max_size=6)))
     return {
         "frame_rates": rates,
         "resolutions": heights,
-        "bitrates": sorted(draw(st.sets(st.integers(100_000, 100_000_000),
-                                        min_size=1, max_size=4))),
+        "bitrates": list(draw(st.sets(
+            _or_any((1e5, 1e8), 0.0, FLOAT_MAX, exclude_min=True),
+            min_size=1, max_size=4))),
         "viterbi": {
             "frame_rate_weights": _weights(
                 draw, len(rates), lambda i, j: abs(rates[i] - rates[j]) > 30),
             "resolution_weights": _weights(
                 draw, len(heights), lambda i, j: abs(i - j) > 1),
-            "emission_floor": draw(st.floats(1e-15, 0.5)),
+            "emission_floor": draw(st.floats(0.0, 1.0, exclude_min=True,
+                                             exclude_max=True)),
         },
         "synthetic": {
-            "alpha_temporal": draw(st.floats(0.0, 5.0)),
-            "alpha_spatial": draw(st.floats(0.0, 5.0)),
-            "alpha_coding": draw(st.floats(0.0, 5.0)),
-            "bpp_ref": draw(st.floats(0.001, 1.0)),
-            "spatial_exponent": draw(st.floats(0.1, 2.0)),
+            "alpha_temporal": draw(_or_any((0.0, 5.0), 0.0, FLOAT_MAX)),
+            "alpha_spatial": draw(_or_any((0.0, 5.0), 0.0, FLOAT_MAX)),
+            "alpha_coding": draw(_or_any((0.0, 5.0), 0.0, FLOAT_MAX)),
+            "bpp_ref": draw(_or_any((0.001, 1.0), 0.0, 1e300, exclude_min=True)),
+            "spatial_exponent": draw(_or_any((0.1, 2.0), -FLOAT_MAX, FLOAT_MAX)),
             "content_detail": draw(st.floats(0.0, 1.0)),
         },
         "simulator": {"iframe_bit_multiplier": draw(st.integers(1, 16)),
-                      "jitter_pct": draw(st.floats(0.0, 50.0))},
+                      "jitter_pct": draw(st.floats(0.0, 100.0, exclude_max=True))},
     }
 
 
 @settings(max_examples=6, deadline=None)
-@given(config=valid_configs(), seed=st.integers(0, 1000))
+@given(config=valid_configs(), seed=st.integers(0, 1000), must_run=st.just(False))
 # bpp_ref / bpp underflows to 0: gen-synthetic ended in a math domain error
-@example(config={"bitrates": [2e7], "synthetic": {"bpp_ref": 5e-324}}, seed=0)
-def test_every_valid_config_runs_every_subcommand(config, seed):
+@example(config={"bitrates": [2e7], "synthetic": {"bpp_ref": 5e-324}}, seed=0,
+         must_run=True)
+# a ladder without 60 Hz or 720 lines: the baselines take the nearest rungs
+@example(config={"frame_rates": [24, 25, 50, 144], "resolutions": [480, 1080]},
+         seed=0, must_run=True)
+def test_every_valid_config_runs_every_subcommand(config, seed, must_run):
     # a ladder without 60 Hz or without 720 lines loaded and ran the first
-    # four subcommands, then simulate and compare exited 2
+    # four subcommands, then simulate and compare exited 2; a config that
+    # loads runs all six, and one that the loader refuses fails all six
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         cfg = d / "cfg.json"
         cfg.write_text(json.dumps(config))
         common = ["--config", cfg, "--seed", seed]
         gen_dir = d / "gen"
-        for argv in (
-                ["gen-synthetic", "--count", 20, "--out", gen_dir],
-                ["label", "--grids", gen_dir / "grids.csv", "--out", d / "label"],
-                ["train", "--data", gen_dir / "training.csv", "--epochs", 2,
-                 "--out", d / "model"],
-                ["evaluate", "--model", d / "model" / "model.json",
-                 "--data", gen_dir / "training.csv", "--out", d / "eval"],
-                ["simulate", "--scenario", gen_dir / "scenario_000.json",
-                 "--model", d / "model" / "model.json", "--out", d / "sim"],
-                ["compare", "--scenario", gen_dir / "scenario_000.json",
-                 "--out", d / "cmp"]):
-            assert run([*argv, *common]) == EXIT_OK, argv[0]
+        codes = [run([*argv, *common]) for argv in (
+            ["gen-synthetic", "--count", 20, "--out", gen_dir],
+            ["label", "--grids", gen_dir / "grids.csv", "--out", d / "label"],
+            ["train", "--data", gen_dir / "training.csv", "--epochs", 2,
+             "--out", d / "model"],
+            ["evaluate", "--model", d / "model" / "model.json",
+             "--data", gen_dir / "training.csv", "--out", d / "eval"],
+            ["simulate", "--scenario", gen_dir / "scenario_000.json",
+             "--model", d / "model" / "model.json", "--out", d / "sim"],
+            ["compare", "--scenario", gen_dir / "scenario_000.json",
+             "--out", d / "cmp"])]
+        assert codes == [EXIT_OK] * 6 or (
+            not must_run and codes == [EXIT_SCHEMA] * 6), codes
