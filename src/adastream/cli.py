@@ -178,14 +178,21 @@ def cmd_evaluate(args, cfg, out: Path) -> int:
     return EXIT_OK
 
 
+def _play(engine, args, cfg, *engine_args, **kwargs):
+    """Run a session engine with the config's encoder settings. A scenario
+    that the engine refuses at run time is named in the error."""
+    try:
+        return engine(*engine_args, iframe_multiplier=cfg.iframe_bit_multiplier,
+                      jitter_pct=cfg.jitter_pct, seed=args.seed, **kwargs)
+    except ArgumentError as exc:
+        raise ArgumentError(f"{args.scenario}: {exc}") from None
+
+
 def cmd_simulate(args, cfg, out: Path) -> int:
     scenario = simulator.scenario_from_json(args.scenario)
     model = predictor.load_model(args.model, cfg.ladder)
     source = simulator.SyntheticQualitySource(cfg.synthetic_params)
-    trace = simulator.run_session(
-        scenario, model, cfg.graph, source,
-        iframe_multiplier=cfg.iframe_bit_multiplier,
-        jitter_pct=cfg.jitter_pct, seed=args.seed)
+    trace = _play(simulator.run_session, args, cfg, scenario, model, cfg.graph, source)
     simulator.write_frame_csv(trace, out / "trace_frames.csv")
     simulator.write_window_csv(trace, out / "trace_windows.csv")
     _write_json(simulator.summary_dict(trace), out / "summary.json")
@@ -197,12 +204,12 @@ def cmd_simulate(args, cfg, out: Path) -> int:
 
 
 def cmd_compare(args, cfg, out: Path) -> int:
+    if not args.margin >= 0:  # the oracle policies read it only at a decision
+        raise ArgumentError("margin must be >= 0")
     scenario = simulator.scenario_from_json(args.scenario)
     source = simulator.SyntheticQualitySource(cfg.synthetic_params)
-    traces = simulator.compare_baselines(
-        scenario, source, margin_jod=args.margin, ladder=cfg.ladder,
-        iframe_multiplier=cfg.iframe_bit_multiplier, jitter_pct=cfg.jitter_pct,
-        seed=args.seed)
+    traces = _play(simulator.compare_baselines, args, cfg, scenario, source,
+                   margin_jod=args.margin, ladder=cfg.ladder)
     payload = {name: simulator.summary_dict(trace)
                for name, trace in traces.items()}
     _write_json(payload, out / "comparison.json")

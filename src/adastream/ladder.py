@@ -12,6 +12,9 @@ from .errors import ArgumentError
 
 FRAME_RATES_HZ: tuple[int, ...] = (30, 40, 50, 60, 70, 80, 90, 100, 110, 120)
 RESOLUTION_LINES: tuple[int, ...] = (360, 480, 720, 864, 1080)
+# A window then holds at most 2,000 frames, and f * w * h stays below 2**53.
+MAX_FRAME_RATE_HZ = 1000
+MAX_HEIGHT = 100_000
 
 
 def width_for_height(height: int) -> int:
@@ -52,12 +55,15 @@ class Ladder:
     widths: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        for name, values in (("frame_rates_hz", self.frame_rates_hz),
-                             ("heights", self.heights)):
+        for name, values, bound in (
+                ("frame_rates_hz", self.frame_rates_hz, MAX_FRAME_RATE_HZ),
+                ("heights", self.heights, MAX_HEIGHT)):
             if len(values) == 0:
                 raise ArgumentError(f"{name} must be nonempty")
             if any(v <= 0 for v in values):
                 raise ArgumentError(f"{name} must be positive")
+            if max(values) > bound:
+                raise ArgumentError(f"{name} must be at most {bound}, got {max(values)}")
             if tuple(sorted(values)) != tuple(values) or len(set(values)) != len(values):
                 raise ArgumentError(f"{name} must be strictly ascending")
         object.__setattr__(self, "widths",

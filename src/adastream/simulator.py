@@ -61,7 +61,8 @@ from .features import (CONTENT_FEATURE_KEYS, FEATURE_NAMES, PATCH_SIZE,
                        extract_features, feature_range_error,
                        normalize_bandwidth)
 from .labeler import DEFAULT_MARGIN_JOD, select_efficient
-from .ladder import DEFAULT_LADDER, Ladder, VideoMode, pixels_per_second
+from .ladder import (DEFAULT_LADDER, Ladder, VideoMode, pixels_per_second,
+                     width_for_height)
 from .motion import VelocityEstimator, deg_per_sec, normalize_velocity
 # ``forward`` is no longer called here; it stays importable from this module
 # because the benchmark tracer patches it at this call site.
@@ -593,6 +594,23 @@ def _window_columns(trace: SessionTrace):
 # Session engine
 
 
+def _session_summary(windows: list[WindowRecord], frame_bits: list[int],
+                     targets: list[float]) -> SessionSummary:
+    """The session's totals, from the trace's columns and each window's
+    target rate."""
+    duration = len(windows) * GOP_LENGTH_S
+    achieved = sum(frame_bits) / duration
+    target = sum(round(b * GOP_LENGTH_S) for b in targets) / duration
+    total_pixels = sum(round(win.frame_rate_hz * GOP_LENGTH_S)
+                       * width_for_height(win.height) * win.height for win in windows)
+    return SessionSummary(
+        duration, len(windows), achieved, target,
+        abs(achieved - target) / target * 100.0, total_pixels,
+        float(np.mean([win.mean_quality_jod for win in windows])),
+        sum(a.frame_rate_hz != b.frame_rate_hz for a, b in zip(windows, windows[1:])),
+        sum(a.height != b.height for a, b in zip(windows, windows[1:])))
+
+
 def _run_with_policy(scenario: Scenario, policy, quality_source,
                      *, iframe_multiplier: int = IFRAME_BIT_MULTIPLIER,
                      jitter_pct: float = 0.0, seed: int = 0) -> SessionTrace:
@@ -601,9 +619,12 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
         raise ArgumentError(
             f"scenario of {scenario.duration_s} s is shorter than one "
             f"{GOP_LENGTH_S} s GOP")
+    # The bit budget latches the schedule at the GOP boundary; mid-GOP
+    # schedule changes take effect at the next GOP.
+    targets = [scenario.bitrate_at(w * GOP_LENGTH_S) for w in range(n_windows)]
 
     ladder = policy.ladder
-    mode = baseline_mode(scenario.bitrate_at(0.0), ladder)
+    mode = baseline_mode(targets[0], ladder)
 
     check_jitter_pct(jitter_pct)
     rng = np.random.default_rng(seed) if jitter_pct > 0 else None
@@ -615,25 +636,13 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
 
     frame_bits: list[int] = []
     windows: list[WindowRecord] = []
-    total_bits = 0
-    target_bits = 0
-    total_pixels = 0
-    switch_f = 0
-    switch_r = 0
-
-    for w in range(n_windows):
-        window_start = w * GOP_LENGTH_S
-        # The bit budget latches the schedule at the GOP boundary; mid-GOP
-        # schedule changes take effect at the next GOP.
-        target_bitrate_bps = scenario.bitrate_at(window_start)
-        times = _window_times(window_start, mode.frame_rate_hz)
-        frames_in_gop = times.size
-        budget = allocate_bits(target_bitrate_bps, frames_in_gop, iframe_multiplier)
+    for w, target_bitrate_bps in enumerate(targets):
+        times = _window_times(w * GOP_LENGTH_S, mode.frame_rate_hz)
+        budget = allocate_bits(target_bitrate_bps, times.size, iframe_multiplier)
         if rng is not None:
             scale = rng.uniform(1.0 - jitter_pct / 100.0,
-                                1.0 + jitter_pct / 100.0, frames_in_gop)
+                                1.0 + jitter_pct / 100.0, times.size)
             budget = np.maximum(1, np.rint(budget * scale)).astype(np.int64)
-        target_bits += round(target_bitrate_bps * GOP_LENGTH_S)
 
         records = scenario.sample_index(times)
         velocities = [estimator.update(degps, t) for t, degps
@@ -647,32 +656,18 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
             window_quality += q
 
         frame_bits.extend(budget.tolist())
-        total_bits += int(budget.sum())
-        total_pixels += frames_in_gop * mode.width * mode.height
         windows.append(WindowRecord(w, mode.frame_rate_hz, mode.height,
-                                    window_quality / frames_in_gop,
+                                    window_quality / times.size,
                                     pixels_per_second(mode)))
 
         if w + 1 == n_windows:
             break  # no decision after the final window
-        new_mode = policy.decide_mode(scenario, mode, times, records, velocities,
-                                      scenario.bitrate_at((w + 1) * GOP_LENGTH_S))
-        ladder.require_mode(new_mode)
-        if new_mode.frame_rate_hz != mode.frame_rate_hz:
-            switch_f += 1
-        if new_mode.height != mode.height:
-            switch_r += 1
-        mode = new_mode
+        mode = policy.decide_mode(scenario, mode, times, records, velocities,
+                                  targets[w + 1])
+        ladder.require_mode(mode)
 
-    duration = n_windows * GOP_LENGTH_S
-    achieved = total_bits / duration
-    target_avg = target_bits / duration
-    error_pct = abs(achieved - target_avg) / target_avg * 100.0
-    mean_quality = float(np.mean([win.mean_quality_jod for win in windows]))
-    summary = SessionSummary(duration, n_windows, achieved, target_avg,
-                             error_pct, total_pixels, mean_quality,
-                             switch_f, switch_r)
-    return SessionTrace(tuple(windows), tuple(frame_bits), summary)
+    return SessionTrace(tuple(windows), tuple(frame_bits),
+                        _session_summary(windows, frame_bits, targets))
 
 
 def run_session(scenario: Scenario, model: PredictorModel, graph: TransitionGraph,

@@ -338,6 +338,35 @@ def test_bad_ladder_value_is_config_error(tmp_path, capsys, config, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen-synthetic", "label"])
+@pytest.mark.parametrize("config, message", [
+    ({"frame_rates": [1_000_000_000]},
+     "frame_rates_hz must be at most 1000, got 1000000000"),  # gen-synthetic ran
+    ({"resolutions": [10 ** 200]},
+     "heights must be at most 100000, got 1" + "0" * 200),  # OverflowError, exit 1
+], ids=["rate_1e9", "height_1e200"])
+def test_ladder_entry_beyond_its_bound_is_a_config_error(tmp_path, capsys, command,
+                                                         config, message):
+    grids = gen(tmp_path, count=2) / "grids.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = {"gen-synthetic": ["--count", 2], "label": ["--grids", grids]}[command]
+    assert run([command, *argv, "--out", tmp_path / "out",
+                "--config", cfg]) == EXIT_SCHEMA
+    assert f"error: {cfg}: bad ladder: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_model_ladder_beyond_the_bound_is_schema_error(tmp_path, capsys):
+    # loaded, and evaluate then refused a training row's 120 Hz target
+    def mutate(payload):
+        payload["header"]["frame_rates_hz"][-1] = 1_000_000_000
+    assert _corrupt_model(tmp_path, mutate) == EXIT_SCHEMA
+    model = tmp_path / "model" / "model.json"
+    assert (f"error: {model}: bad model: frame_rates_hz must be at most 1000"
+            in capsys.readouterr().err)
+
+
 def test_scenario_ending_early_is_schema_error(tmp_path, capsys):
     # an 8 s scenario with 10 records at 120 Hz used to compare to exit 0
     out = gen(tmp_path, count=2)
@@ -548,6 +577,43 @@ def test_simulate_refuses_a_model_of_another_ladder(tmp_path, capsys, frame_rate
                 "--out", tmp_path / "sim", "--config", cfg]) == EXIT_SCHEMA
     assert (f"error: {model}: model was trained on a different ladder"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("scenario_edit, config, message", [
+    ({"duration_s": 1.0}, {}, "scenario of 1.0 s is shorter than one 2.0 s GOP"),
+    ({}, {"simulator": {"iframe_bit_multiplier": 10_000_000}},
+     "GOP budget of 6000000 bits cannot give every one of 120 frames a "
+     "positive size"),
+    ({}, {"bitrates": [1e300], "synthetic": {"bpp_ref": 1e307}},
+     "bitrate 3000000.0 bps is too small: "),
+], ids=["one_second", "iframe_multiplier_1e7", "bpp_ref_1e307"])
+def test_run_time_refusal_names_the_scenario_file(tmp_path, capsys, command,
+                                                  scenario_edit, config, message):
+    # each exited 2 with the message alone, naming no file
+    scenario, model = _trained(tmp_path)
+    scenario.write_text(json.dumps({**json.loads(scenario.read_text()),
+                                    **scenario_edit}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = {"simulate": ["--model", model], "compare": []}[command]
+    assert run([command, "--scenario", scenario, *argv, "--out", out,
+                "--config", cfg]) == EXIT_ARGUMENT
+    assert capsys.readouterr().err.startswith(f"error: {scenario}: {message}")
+    assert not (out / "summary.json").exists()
+    assert not (out / "comparison.json").exists()
+
+
+@pytest.mark.parametrize("margin", ["-1", "nan"])
+def test_compare_refuses_a_bad_margin_before_the_scenario(tmp_path, capsys, margin):
+    # a one-window session makes no decision, so this ran with exit 0
+    scenario = gen(tmp_path, count=2) / "scenario_000.json"
+    scenario.write_text(json.dumps({**json.loads(scenario.read_text()),
+                                    "duration_s": 2.0}))
+    assert run(["compare", "--scenario", scenario, "--margin", margin,
+                "--out", tmp_path / "cmp"]) == EXIT_ARGUMENT
+    assert capsys.readouterr().err == "error: margin must be >= 0\n"
 
 
 @pytest.mark.parametrize("jitter", ["150", "100", "-5", "nan"])
@@ -784,16 +850,17 @@ def _weights(draw, n, blocked):
 def valid_configs(draw):
     """Configs drawn from the loader's domain: each number may take any
     value that the loader's type and range checks accept, so some configs
-    load and some are refused. Three kinds of value keep narrower ranges,
-    because a config that loads can still fail at run time with them:
-    - the ladder entries: a rate f gives windows of round(2 f) frames, so a
-      rate of 1e9 Hz loads and simulate would then build 2e9-frame arrays;
+    load and some are refused. The ladder's heights reach the loader's
+    bound of 100,000 lines; its rates stay at most 300 Hz of the loader's
+    1000 Hz, which keeps an example's windows at most 600 frames. Two kinds
+    of value keep narrower ranges, because a config that loads can still
+    fail at run time with them:
     - iframe_bit_multiplier: one beyond a scenario's GOP budget exits 2 in
       allocate_bits, by design;
     - bpp_ref, below 1e300: nearer the float maximum, the generated
       scenario's 3 Mbps can be too small for the surface, and simulate and
-      compare refuse it with exit 2, as they refuse any scenario rate too
-      small for the surface."""
+      compare refuse it with exit 2, naming the scenario file, as they
+      refuse any scenario rate too small for the surface."""
     rates = sorted(draw(st.sets(st.integers(1, 300), min_size=1, max_size=6)))
     heights = sorted(draw(st.sets(st.integers(1, 100_000), min_size=1,
                                   max_size=6)))

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from adastream.errors import ArgumentError
-from adastream.ladder import (DEFAULT_LADDER, FRAME_RATES_HZ, RESOLUTION_LINES,
-                              Ladder, VideoMode, objective_cost,
-                              pixels_per_second, width_for_height)
+from adastream.ladder import (DEFAULT_LADDER, FRAME_RATES_HZ, MAX_FRAME_RATE_HZ,
+                              MAX_HEIGHT, RESOLUTION_LINES, Ladder, VideoMode,
+                              objective_cost, pixels_per_second, width_for_height)
 
 
 def test_ladder_sizes():
@@ -76,5 +76,9 @@ def test_custom_ladder_validation():
         Ladder(frame_rates_hz=(60, 30))
     with pytest.raises(ArgumentError):
         Ladder(heights=())
+    with pytest.raises(ArgumentError, match="frame_rates_hz must be at most 1000"):
+        Ladder(frame_rates_hz=(60, MAX_FRAME_RATE_HZ + 1))
+    with pytest.raises(ArgumentError, match="heights must be at most 100000"):
+        Ladder(heights=(720, MAX_HEIGHT + 1))
     small = Ladder(frame_rates_hz=(30, 60), heights=(360, 720))
     assert len(small.modes()) == 4

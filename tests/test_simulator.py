@@ -547,7 +547,7 @@ def test_initial_mode_follows_baseline_rule():
 @pytest.mark.parametrize("rates, heights, low, high", [
     ((24, 25, 50, 144), (480, 1080), (50, 480), (50, 1080)),
     ((1, 2), (1, 2), (2, 2), (2, 2)),
-    ((1000, 2000), (100000, 200000), (1000, 100000), (1000, 100000)),
+    ((500, 1000), (50000, 100000), (500, 50000), (500, 50000)),  # at the bounds
     ((50, 70), (600, 840, 960, 1200), (50, 600), (50, 960)),  # ties go lower
     ((60, 90), (720, 1080), (60, 720), (60, 1080)),
 ])
