@@ -91,10 +91,13 @@ class QualityGrid:
     ladder: Ladder = DEFAULT_LADDER
 
     def __post_init__(self):
-        if self.velocity_degps < 0:
-            raise ArgumentError("velocity must be >= 0")
-        if self.bitrate_bps <= 0:
-            raise ArgumentError("bitrate must be positive")
+        # An infinite velocity is legal: huge motion magnitudes give one.
+        if not self.velocity_degps >= 0:
+            raise ArgumentError(
+                f"velocity must be >= 0, got {self.velocity_degps!r}")
+        if not 0 < self.bitrate_bps < math.inf:
+            raise ArgumentError("bitrate must be positive and finite, got "
+                                f"{self.bitrate_bps!r}")
         q = np.array(self.q, dtype=float)
         expected = (self.ladder.n_frame_rates, self.ladder.n_heights)
         if q.shape != expected:

@@ -12,16 +12,17 @@ The engine works one window at a time. A window is ``GOP_LENGTH_S`` long:
 one GOP and one controller decision, both set by that one constant (the
 controller's ``DECISION_PERIOD_S``). The mode is fixed over a window, so
 every per-frame input of the window is known when it starts: the frame
-times, the reference record each frame samples and its motion in deg/s.
-Only the 500 ms velocity average runs frame by frame. The engine owns the
-mode and runs on the policy's ``ladder``; after every window but the last it
-asks the policy, which keeps no state, for the next one: ``decide_mode(
-scenario, mode, times, records, velocities, bitrate_bps)``, with the bitrate
-in force at the boundary. Only the predictor policy reads content: it builds
-the ``(n, 7)`` feature matrix, one row per frame in ``FEATURE_NAMES`` order,
-from the records' content rows, the bandwidth in force and the velocities,
-so a patch scenario extracts features only for the records that a decision
-reads.
+times, the reference record each frame samples, its motion in deg/s and
+its 500 ms velocity average, which one ``VelocityEstimator.update_window``
+call gives for the whole window. The engine owns the mode and runs on the
+policy's ``ladder``; after every window but the last it asks the policy,
+which keeps no state, for the next one: ``decide_mode(scenario, mode,
+times, records, velocities, bitrate_bps)``, with the velocities as a list of
+floats and the bitrate in force at the boundary. Only the predictor policy
+reads content: it builds the ``(n, 7)`` feature matrix, one row per frame in
+``FEATURE_NAMES`` order, from the records' content rows, the bandwidth in
+force and the velocities, so a patch scenario extracts features only for
+the records that a decision reads.
 
 A quality source answers in surfaces: ``surface(ladder, bitrate_bps,
 velocities)`` returns the ``(n, n_f, n_h)`` JOD of every ladder cell at each
@@ -63,7 +64,7 @@ from .features import (CONTENT_FEATURE_KEYS, FEATURE_NAMES, PATCH_SIZE,
 from .labeler import DEFAULT_MARGIN_JOD, select_efficient
 from .ladder import (DEFAULT_LADDER, Ladder, VideoMode, pixels_per_second,
                      width_for_height)
-from .motion import VelocityEstimator, deg_per_sec, normalize_velocity
+from .motion import VelocityEstimator, deg_per_sec, normalize_velocities
 # ``forward`` is no longer called here; it stays importable from this module
 # because the benchmark tracer patches it at this call site.
 from .predictor import PredictorModel, forward, forward_batch  # noqa: F401
@@ -454,7 +455,7 @@ class PredictorControllerPolicy:
         x = np.empty((times.size, len(FEATURE_NAMES)))
         x[:, :len(CONTENT_FEATURE_KEYS)] = scenario.content_rows(records)
         x[:, _BANDWIDTH_COL] = scenario.bandwidth_at(times)
-        x[:, _VELOCITY_COL] = [normalize_velocity(v) for v in velocities]
+        x[:, _VELOCITY_COL] = normalize_velocities(velocities)
         probs_f, probs_r = forward_batch(self.model, x)
         state = step_window(self.graph, initial_state(self.graph, mode),
                             probs_f, probs_r, 1.0 / mode.frame_rate_hz)
@@ -645,8 +646,7 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
             budget = np.maximum(1, np.rint(budget * scale)).astype(np.int64)
 
         records = scenario.sample_index(times)
-        velocities = [estimator.update(degps, t) for t, degps
-                      in zip(times.tolist(), record_degps[records].tolist())]
+        velocities = estimator.update_window(record_degps[records], times)
         surface = quality_source.surface(ladder, target_bitrate_bps, velocities)
         # Summed in frame order: np.sum's pairwise order would change the
         # last bits of the window mean.
@@ -662,8 +662,8 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
 
         if w + 1 == n_windows:
             break  # no decision after the final window
-        mode = policy.decide_mode(scenario, mode, times, records, velocities,
-                                  targets[w + 1])
+        mode = policy.decide_mode(scenario, mode, times, records,
+                                  velocities.tolist(), targets[w + 1])
         ladder.require_mode(mode)
 
     return SessionTrace(tuple(windows), tuple(frame_bits),

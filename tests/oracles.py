@@ -6,8 +6,9 @@ selection kernel; the per-grid savings curve and the cell-loop oracle policy
 build on it. The quality oracles keep the scalar synthetic formula in Python
 floats, one cell at a time, and the scalar tercile rule of the velocity
 bands. The session and grid-lookup oracles keep the frame-at-a-time
-engine, with one quality cell per frame, and the linear nearest-grid
-scan that the library's window engine and stacked lookup replaced. The
+engine, with one quality cell per frame and the deque velocity average
+summed one sample at a time, and the linear nearest-grid scan that the
+library's window engine, velocity kernel and stacked lookup replaced. The
 feature oracles keep the ``np.gradient``, ``np.hypot`` and full-``dctn``
 patch kernel, the high-frequency ratio of a full ``dctn`` of the
 mean-subtracted patch, and the eager scenario reader, which extracted the
@@ -21,6 +22,7 @@ the frame-trace writer that wrote one row per ``FrameRecord``.
 import base64
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,7 @@ from adastream.features import (EDGE_THRESHOLD, PATCH_SIZE, FeatureVector,
                                 extract_features, normalize_bandwidth)
 from adastream.ladder import (DEFAULT_LADDER, VideoMode, pixels_per_second,
                              width_for_height)
-from adastream.motion import (SPEM_LIMIT_DEGPS, VelocityEstimator, deg_per_sec,
+from adastream.motion import (SPEM_LIMIT_DEGPS, WINDOW_SECONDS, deg_per_sec,
                               normalize_velocity)
 from adastream.predictor import (TrainConfig, forward, loss_and_gradients,
                                  new_model)
@@ -183,6 +185,36 @@ def nearest_grid_scan(grids, bitrate_bps, velocity_degps):
     return min(grids, key=distance)
 
 
+class DequeVelocityEstimator:
+    """The 500 ms moving average one sample at a time, as the library kept
+    it before its window kernel: a deque of the samples still inside the
+    window, summed on every update with an explicit left-to-right loop from
+    0.0, which is Python 3.11's ``sum`` of floats on every version."""
+
+    def __init__(self):
+        self._times = deque()
+        self._values = deque()
+
+    def update(self, velocity_degps, timestamp_s):
+        if velocity_degps < 0:
+            raise ArgumentError("velocity must be >= 0")
+        times, values = self._times, self._values
+        if times and timestamp_s < times[-1]:
+            raise ArgumentError(
+                f"timestamps must be nondecreasing, got {timestamp_s} after "
+                f"{times[-1]}")
+        cutoff = timestamp_s - WINDOW_SECONDS
+        while times and times[0] < cutoff:
+            times.popleft()
+            values.popleft()
+        times.append(timestamp_s)
+        values.append(velocity_degps)
+        total = 0.0
+        for v in values:
+            total += v
+        return total / len(values)
+
+
 @dataclass(frozen=True)
 class MotionSample:
     """Mean motion magnitude of one frame, with its timing and FOV context,
@@ -235,7 +267,7 @@ def per_frame_session(scenario, policy, quality_source, *,
 
     rng = np.random.default_rng(seed) if jitter_pct > 0 else None
     ref_interval = 1.0 / scenario.reference_rate_hz
-    estimator = VelocityEstimator()
+    estimator = DequeVelocityEstimator()
 
     frames = []
     windows = []

@@ -190,6 +190,23 @@ def test_grid_invariants():
         QualityGrid("x", 0.0, 1e6, np.full((9, 5), 5.0))
 
 
+@pytest.mark.parametrize("velocity,bitrate,message", [
+    (float("nan"), 3e6, "velocity must be >= 0, got nan"),
+    (-1e-300, 3e6, "velocity must be >= 0"),
+    (10.0, float("nan"), "bitrate must be positive and finite, got nan"),
+    (10.0, float("inf"), "bitrate must be positive and finite, got inf"),
+    (10.0, 0.0, "bitrate must be positive and finite")])
+def test_grid_refuses_a_nan_velocity_and_a_nonfinite_bitrate(velocity, bitrate,
+                                                             message):
+    with pytest.raises(ArgumentError, match=message):
+        QualityGrid("x", velocity, bitrate, np.full((10, 5), 5.0))
+
+
+def test_grid_takes_an_infinite_velocity():
+    grid = QualityGrid("x", float("inf"), 3e6, np.full((10, 5), 5.0))
+    assert grid.velocity_degps == float("inf")
+
+
 def test_grid_is_immutable():
     grid = make_synthetic_grid(2e6, 10.0)
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from adastream import labeler, simulator, synth
+from adastream import labeler, motion, simulator, synth
 from adastream.config import load_config
 from adastream.controller import default_transition_graph
 from adastream.errors import ArgumentError, ConfigError, SchemaError
@@ -784,6 +784,50 @@ def test_window_engine_equals_per_frame_engine_every_policy(policy, source_kind)
         bitrate_schedule=((0.0, 6e6), (3.1, 2e6), (5.0, 3.5e6)))
     source = SOURCE if source_kind == "synthetic" else _grid_source()
     _assert_engines_agree(scenario, policy, source)
+
+
+def _with_magnitudes(edit):
+    """An 8 s scenario whose NDC magnitudes ``edit`` rewrites in place."""
+    base = make_scenario(
+        duration_s=8.0, seed=9, velocity_degps=lambda t: 70.0 * abs(np.sin(t)),
+        bitrate_schedule=((0.0, 6e6), (3.1, 2e6), (5.0, 3.5e6)))
+    mags = base.ndc_magnitudes.copy()
+    edit(mags)
+    return Scenario(base.duration_s, base.fov_horizontal_deg,
+                    base.reference_rate_hz, base.bitrate_schedule,
+                    base.timestamps, mags, base.content_features)
+
+
+def _negative_zeros(mags):
+    mags[:300] = -0.0      # whole averaging windows of -0.0
+    mags[500::3] = -0.0    # and -0.0 among moving samples
+
+
+def _overflowing(mags):
+    mags[200:400] = 1e307          # each sample's deg/s is inf
+    mags[600:800] = 2e303          # finite deg/s whose window sums are inf
+    mags[800:820] = 1.7e308 / 5400.0  # deg/s near the float maximum
+
+
+@pytest.mark.parametrize("source_kind", ["synthetic", "grid"])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("edit", [_negative_zeros, _overflowing])
+def test_window_engine_equals_per_frame_engine_on_extreme_motion(
+        edit, policy, source_kind):
+    source = SOURCE if source_kind == "synthetic" else _grid_source()
+    _assert_engines_agree(_with_magnitudes(edit), policy, source)
+
+
+def test_the_engine_averages_no_velocity_frame_by_frame(monkeypatch):
+    def per_frame(self, velocity_degps, timestamp_s):
+        raise AssertionError("a per-frame velocity update in the engine")
+    monkeypatch.setattr(motion.VelocityEstimator, "update", per_frame)
+    scenario = make_scenario(
+        duration_s=8.0, seed=9, velocity_degps=lambda t: 70.0 * abs(np.sin(t)),
+        bitrate_schedule=((0.0, 6e6), (3.1, 2e6)))
+    run_session(scenario, _trained_model(), default_transition_graph(), SOURCE)
+    compare_baselines(scenario, SOURCE)
+    compare_baselines(scenario, _grid_source())
 
 
 @pytest.mark.parametrize("jitter_pct", [0.0, 7.5])
