@@ -25,6 +25,12 @@ keeps the evidence scale comparable to the transition weights regardless of
 the frame rate, which is what lets the weights damp noisy predictions.
 Emissions are floored at a small fraction of their maximum so a hard-zero
 probability cannot permanently kill a chain.
+
+Scores are anchored at 0 only by :func:`initial_state` and :func:`decide`.
+Within a window they drift by a constant per chain, which no argmax sees
+(max-plus is shift-equivariant); a window's frame weights sum to 1, so the
+drift stays within ``|log emission_floor|`` plus the log weights of the
+best path's moves.
 """
 
 from __future__ import annotations
@@ -139,7 +145,9 @@ def _max_plus(graph: TransitionGraph, score_f: np.ndarray, score_r: np.ndarray,
     """Both chains' recursion, one row of floored and weighted emissions
     per frame. The chains run side by side in the padded pair layout of
     ``graph._log_w_pair``; each chain's numbers are the ones it would get
-    on its own, since a pad entry is -inf and never wins a max."""
+    on its own, since a pad entry is -inf and never wins a max. Scores are
+    not re-anchored here: that happens at :func:`initial_state` and
+    :func:`decide` only."""
     n_f, n_r = score_f.size, score_r.size
     log_w = graph._log_w_pair
     k = log_w.shape[1]
@@ -152,10 +160,8 @@ def _max_plus(graph: TransitionGraph, score_f: np.ndarray, score_r: np.ndarray,
     paths = np.empty((2, k, k))
     for row in emissions:
         np.add(scores[:, :, None], log_w, out=paths)
-        scores = np.maximum.reduce(paths, axis=1)
+        np.maximum.reduce(paths, axis=1, out=scores)
         scores += row
-        # keep each chain's best path at 0 to avoid underflow
-        scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
     return scores[0, :n_f].copy(), scores[1, :n_r].copy()
 
 

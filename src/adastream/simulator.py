@@ -187,6 +187,11 @@ class Scenario:
         if mags.min() < 0:
             raise ArgumentError("ndc magnitudes must be >= 0")
         self._patches = dict(patches or {})
+        for key in self._patches:
+            if (isinstance(key, bool) or not isinstance(key, (int, np.integer))
+                    or not 0 <= key < ts.size):
+                raise ArgumentError(f"patch key {key!r} is not a record index "
+                                    f"in [0, {ts.size})")
         self._pending = np.zeros(ts.size, dtype=bool)  # patch rows not yet extracted
         self._pending[list(self._patches)] = True
         # Every given row, sampled or not: the predictor takes them unchecked.
@@ -648,12 +653,11 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
         records = scenario.sample_index(times)
         velocities = estimator.update_window(record_degps[records], times)
         surface = quality_source.surface(ladder, target_bitrate_bps, velocities)
-        # Summed in frame order: np.sum's pairwise order would change the
-        # last bits of the window mean.
-        window_quality = 0.0
-        for q in surface[:, ladder.frame_rate_index(mode.frame_rate_hz),
-                         ladder.height_index(mode.height)].tolist():
-            window_quality += q
+        # Summed in frame order from 0.0: np.sum's pairwise order would
+        # change the last bits of the window mean.
+        column = surface[:, ladder.frame_rate_index(mode.frame_rate_hz),
+                         ladder.height_index(mode.height)]
+        window_quality = float(np.add.accumulate(np.concatenate(([0.0], column)))[-1])
 
         frame_bits.extend(budget.tolist())
         windows.append(WindowRecord(w, mode.frame_rate_hz, mode.height,

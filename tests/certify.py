@@ -15,14 +15,18 @@ For each decision and each chain it reports:
 - delta: the sum over the window's frames of the largest absolute emission
   change in a frame;
 - slack: a bound on the rounding of the two recursions (see
-  :func:`chain_certificate`).
+  :func:`chain_certificate`);
+- whether the library's recursion and the re-anchoring one it replaced
+  (``oracles.normalized_max_plus``), run from the window's start state on
+  the engine's emissions, have the same argmax.
 
 Max-plus is 1-Lipschitz, so shifting each frame's emissions by at most
 ``e_t`` moves every score by at most ``sum(e_t)`` and any score gap by at
-most twice that. A decision is certified when ``delta + slack < margin / 2``:
-the other kernel's scores then have the same unique argmax, the band clamp
-sees the same target and the decision is the same mode. An exact tie
-(margin 0) is never certified. While decisions agree, the engine replays the
+most twice that. A decision is certified when both recursions have the
+same argmax and ``delta + slack < margin / 2``: the other kernel's scores
+then have the same unique argmax, the band clamp sees the same target and
+the decision is the same mode. An exact tie (margin 0) is never
+certified. While decisions agree, the engine replays the
 same frames, records, velocities and bandwidths, so by induction a run whose
 every decision is certified makes the same modes with either kernel; the
 frame, window and summary files depend only on those modes.
@@ -55,7 +59,7 @@ from adastream.predictor import forward_batch, load_model
 from adastream.simulator import (CONTENT_FEATURE_KEYS, PredictorControllerPolicy,
                                  SyntheticQualitySource, _run_with_policy,
                                  scenario_from_json)
-from oracles import reference_extract_features
+from oracles import normalized_max_plus, reference_extract_features
 
 _EPS = sys.float_info.epsilon
 
@@ -65,10 +69,12 @@ class ChainCertificate:
     margin: float
     delta: float
     slack: float
+    recursions_agree: bool = True
 
     @property
     def certified(self) -> bool:
-        return self.delta + self.slack < self.margin / 2.0
+        return (self.recursions_agree
+                and self.delta + self.slack < self.margin / 2.0)
 
     @property
     def ratio(self) -> float:
@@ -97,24 +103,30 @@ def score_margin(scores: np.ndarray) -> float:
     return float(finite[-1] - finite[-2]) if finite.size > 1 else math.inf
 
 
-def chain_certificate(start_scores, scores, emit_a, emit_b,
-                      log_weights) -> ChainCertificate:
+def chain_certificate(start_scores, scores, emit_a, emit_b, log_weights,
+                      oracle_scores=None) -> ChainCertificate:
     """Certificate of one chain over one window.
 
     ``start_scores`` are the chain's scores when the window opened,
     ``scores`` the ones the decision read, ``emit_a`` and ``emit_b`` the
     ``(T, k)`` weighted emissions of the two kernels and ``log_weights`` the
-    chain's log transition weights.
+    chain's log transition weights. ``oracle_scores``, when given, are the
+    re-anchoring recursion's scores for the same window, and the chain is
+    certified only if their argmax is that of ``scores``.
 
     The slack bounds the rounding of both recursions. With ``S`` the largest
     finite start score, ``L`` the largest finite log weight and ``E`` the
     largest emission (all in magnitude; emissions are <= 0), every finite
     value a recursion forms in the window is below
-    ``B = 2 S + (T + 1) (2 L + E)`` in magnitude. Each frame rounds three
-    operations per score (add a log weight, add an emission, subtract the
-    maximum), each off by at most half an ulp of ``B``, so a run's rounding
-    moves a score gap by at most ``3 T eps B``; half the two runs' sum is
-    ``3 T eps B``, and one frame more covers forming the margin and delta.
+    ``B = 2 S + (T + 1) (2 L + E)`` in magnitude. Each frame rounds two
+    operations per score (add a log weight, add an emission; the max is
+    exact), each off by at most half an ulp of ``B``, so a run's rounding
+    moves a score gap by at most ``2 T eps B``; half the two runs' sum is
+    ``2 T eps B``. The slack, ``4 T eps B``, covers that with room for
+    forming the margin and delta. The re-anchoring recursion rounds one
+    operation more per score, so its gaps and the library's differ by at
+    most ``5 T eps B``, less than the ``8 T eps B`` a certified margin
+    exceeds: it agrees on the argmax of every certified chain.
     """
     start_scores = np.asarray(start_scores, dtype=float)
     emit_a = np.asarray(emit_a, dtype=float)
@@ -123,10 +135,14 @@ def chain_certificate(start_scores, scores, emit_a, emit_b,
     n_frames = emit_a.shape[0]
     bound = (2.0 * np.abs(start_scores[np.isfinite(start_scores)]).max()
              + (n_frames + 1) * (2.0 * finite_w.max()
-                                 + max(np.abs(emit_a).max(), np.abs(emit_b).max())))
+                                 + max(np.abs(emit_a).max(initial=0.0),
+                                       np.abs(emit_b).max(initial=0.0))))
     delta = math.fsum(np.abs(emit_a - emit_b).max(axis=1).tolist())
-    return ChainCertificate(score_margin(np.asarray(scores, dtype=float)), delta,
-                            4.0 * n_frames * _EPS * float(bound))
+    scores = np.asarray(scores, dtype=float)
+    agree = (oracle_scores is None
+             or np.argmax(scores) == np.argmax(np.asarray(oracle_scores)))
+    return ChainCertificate(score_margin(scores), delta,
+                            4.0 * n_frames * _EPS * float(bound), bool(agree))
 
 
 def weighted_emissions(graph, probs: np.ndarray, dt: float) -> np.ndarray:
@@ -195,12 +211,14 @@ class CertifyingPolicy(PredictorControllerPolicy):
         if (replay[0].tobytes() != end.score_f.tobytes()
                 or replay[1].tobytes() != end.score_r.tobytes()):
             raise AssertionError("certificate emissions differ from the engine's")
+        oracle = normalized_max_plus(self.graph, start.score_f, start.score_r,
+                                     *emit)
         self.decisions.append(Decision(
             len(self.decisions),
             chain_certificate(start.score_f, end.score_f, emit[0], emit_other[0],
-                              self.graph._log_fw),
+                              self.graph._log_fw, oracle[0]),
             chain_certificate(start.score_r, end.score_r, emit[1], emit_other[1],
-                              self.graph._log_rw)))
+                              self.graph._log_rw, oracle[1])))
         return new_mode
 
 
@@ -219,7 +237,8 @@ def certify_file(path, model, graph, other_kernel=reference_extract_features,
 
 def _chain_text(name, c: ChainCertificate) -> str:
     return (f"{name} margin {c.margin:.6g} delta {c.delta:.3g} "
-            f"slack {c.slack:.3g} ratio {c.ratio:.3g}")
+            f"slack {c.slack:.3g} ratio {c.ratio:.3g}"
+            + ("" if c.recursions_agree else " recursions disagree"))
 
 
 def main(argv=None, other_kernel=reference_extract_features) -> int:

@@ -9,9 +9,11 @@ bands. The session and grid-lookup oracles keep the frame-at-a-time
 engine, with one quality cell per frame and the deque velocity average
 summed one sample at a time, and the linear nearest-grid scan that the
 library's window engine, velocity kernel and stacked lookup replaced. The
-feature oracles keep the ``np.gradient``, ``np.hypot`` and full-``dctn``
-patch kernel, the high-frequency ratio of a full ``dctn`` of the
-mean-subtracted patch, and the eager scenario reader, which extracted the
+controller oracle keeps the max-plus recursion that re-anchored each chain's
+best score at 0 after every frame. The feature oracles keep the
+``np.gradient``, ``np.hypot`` and full-``dctn`` patch kernel, the
+high-frequency ratio of a full ``dctn`` of the mean-subtracted patch, and
+the eager scenario reader, which extracted the
 features of every patch record at read time (with the library's kernel
 unless told otherwise, so that it tests laziness alone).
 The trainer and writer oracles keep the per-layer Adam loop, the row-at-a-time
@@ -170,6 +172,31 @@ class CellLoopOraclePolicy(OracleQualityPolicy):
         grid = QualityGrid("session", velocity_degps, bitrate_bps, q, self.ladder)
         f, h, _, _ = brute_force_efficient(grid, self.margin_jod, self.frame_rates)
         return VideoMode(f, h)
+
+
+# ---------------------------------------------------------------------------
+# Controller oracle
+
+
+def normalized_max_plus(graph, score_f, score_r, emit_f, emit_r):
+    """The controller's recursion as it ran before it stopped re-anchoring:
+    after every frame each chain's best score is subtracted, so it is 0."""
+    n_f, n_r = score_f.size, score_r.size
+    log_w = graph._log_w_pair
+    k = log_w.shape[1]
+    scores = np.full((2, k), -np.inf)
+    scores[0, :n_f] = score_f
+    scores[1, :n_r] = score_r
+    emissions = np.zeros((emit_f.shape[0], 2, k))
+    emissions[:, 0, :n_f] = emit_f
+    emissions[:, 1, :n_r] = emit_r
+    paths = np.empty((2, k, k))
+    for row in emissions:
+        np.add(scores[:, :, None], log_w, out=paths)
+        scores = np.maximum.reduce(paths, axis=1)
+        scores += row
+        scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
+    return scores[0, :n_f].copy(), scores[1, :n_r].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from adastream.predictor import save_model
 from adastream.simulator import run_session, scenario_from_json
 import certify
 from certify import certify_file, chain_certificate
-from oracles import eager_scenario_from_json, reference_extract_features
+from oracles import (eager_scenario_from_json, normalized_max_plus,
+                     reference_extract_features)
 from test_features import _patch
 from test_simulator import SOURCE, _session_payload, _trained_model
 
@@ -130,6 +132,15 @@ def test_slack_alone_can_refuse_a_decision():
     assert not c.certified
 
 
+def test_recursions_that_disagree_refuse_a_decision():
+    scores = np.array([0.0, -0.1, -2.0])
+    emit = np.full((2, 3), -0.2)
+    agree = chain_certificate(START, scores, emit, emit, LOG_W, scores - 5.0)
+    assert agree.recursions_agree and agree.certified
+    differ = chain_certificate(START, scores, emit, emit, LOG_W, scores[::-1])
+    assert not differ.recursions_agree and not differ.certified
+
+
 def _coarse_kernel(patch):
     """A kernel that reads every patch as flat mid-grey."""
     return reference_extract_features(np.full_like(patch, 0.5))
@@ -152,3 +163,11 @@ def test_script_fails_on_a_kernel_that_changes_decisions(tmp_path, session_file,
     assert certify.main(argv, other_kernel=_coarse_kernel) == 1
     out = capsys.readouterr().out
     assert "UNCERTIFIED" in out and ", 0 uncertified" not in out
+
+    def reversed_oracle(*args):
+        return tuple(scores[::-1] for scores in normalized_max_plus(*args))
+
+    with mock.patch.object(certify, "normalized_max_plus", reversed_oracle):
+        assert certify.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "recursions disagree" in out and "UNCERTIFIED" in out

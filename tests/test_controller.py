@@ -9,6 +9,8 @@ from adastream.controller import (ControllerState, TransitionGraph,
 from adastream.errors import ArgumentError, ContractError
 from adastream.ladder import DEFAULT_LADDER, Ladder, VideoMode
 from adastream.simulator import GOP_LENGTH_S
+from certify import chain_certificate, weighted_emissions
+from oracles import normalized_max_plus
 
 UNIFORM_F = np.full(10, 0.1)
 UNIFORM_R = np.full(5, 0.2)
@@ -297,6 +299,44 @@ def test_step_window_equals_sequential_steps(seed, n_rows, rate, start, elapsed)
             sequential = _step_window_log(g, sequential, f_row[None, :],
                                           r_row[None, :], dt)
     assert_same_state(logs, sequential)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 2000),
+       rate=st.integers(1, 1000), start=st.sampled_from(DEFAULT_LADDER.modes()),
+       floor=st.sampled_from([1e-12, 1e-300]))
+def test_recursion_equals_the_re_anchoring_oracle(seed, n_rows, rate, start, floor):
+    base = graph()
+    g = TransitionGraph(base.frame_rate_weights, base.resolution_weights,
+                        DEFAULT_LADDER, floor)
+    rng = np.random.default_rng(seed)
+    pf = _sparse_dirichlet(rng, n_rows, 10)
+    pr = _sparse_dirichlet(rng, n_rows, 5)
+    dt = 1.0 / rate
+    state = initial_state(g, start)
+    new = step_window(g, state, pf, pr, dt)
+    emit = (weighted_emissions(g, pf, dt), weighted_emissions(g, pr, dt))
+    oracle = normalized_max_plus(g, state.score_f, state.score_r, *emit)
+    certified = True
+    for start_scores, scores, old, e, log_w in zip(
+            (state.score_f, state.score_r), (new.score_f, new.score_r), oracle,
+            emit, (g._log_fw, g._log_rw)):
+        assert not np.isnan(scores).any()
+        # Blocked classes are -inf in both; a NaN pad entry would have
+        # reached every score through the max.
+        assert np.array_equal(np.isneginf(scores), np.isneginf(old))
+        finite = np.isfinite(old)
+        cert = chain_certificate(start_scores, scores, e, e, log_w)
+        # The certificate's slack, 4 T eps B, is below the worst case of
+        # the two recursions' rounding, (5 T + 1/2) eps B, and still far
+        # above the gaps they show.
+        gap = np.abs((scores - scores.max())[finite] - old[finite])
+        assert gap.max(initial=0.0) <= cert.slack
+        certified = certified and cert.certified
+    if certified:
+        done = ControllerState(new.score_f, new.score_r, start, GOP_LENGTH_S)
+        anchored = ControllerState(*oracle, start, GOP_LENGTH_S)
+        assert decide(g, done)[0] == decide(g, anchored)[0]
 
 
 @pytest.mark.parametrize("bad_row", [

@@ -187,6 +187,16 @@ def test_scenario_names_the_earliest_bad_record():
     assert str(excinfo.value) == "rms_contrast must be >= 0, got -0.5 in frame record 2"
 
 
+@pytest.mark.parametrize("key", [241, -1, 1.0, "1", True])
+def test_scenario_refuses_patch_keys_that_are_not_record_indices(key):
+    # 241 ended in a bare IndexError; -1 marked the last record pending,
+    # whose content row then raised KeyError
+    patch = np.zeros((128, 128), dtype=np.uint8)
+    with pytest.raises(ArgumentError, match=f"patch key {key!r} is not a "
+                       r"record index in \[0, 241\)"):
+        Scenario(**_scenario_arrays(patches={key: patch}))
+
+
 def test_scenario_copies_its_arrays():
     # the caller's arrays used to turn read-only
     fields = _scenario_arrays(timestamps=np.arange(241) / 120.0)
@@ -606,6 +616,40 @@ def test_fixed_policy_raster_rate_is_constant():
                              bitrate_schedule=((0.0, 3e6),), seed=7)
     trace = _run_with_policy(scenario, FixedBaselinePolicy(), SOURCE)
     assert len({w.pixels_per_second for w in trace.windows}) == 1
+
+
+class _SignedZeroSource:
+    """Surfaces of -0.0, 0.0, subnormal and ordinary JODs, some all -0.0,
+    kept so that a test can sum each window's column itself."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.surfaces = []
+
+    def surface(self, ladder, bitrate_bps, velocities):
+        shape = (len(velocities), ladder.n_frame_rates, ladder.n_heights)
+        pool = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.5, 7.25])
+        q = pool[self.rng.integers(0, pool.size, shape)]
+        q[self.rng.random(shape) < 0.5] = self.rng.uniform(-1.0, 10.0)
+        if self.rng.random() < 0.3:
+            q[:] = -0.0
+        self.surfaces.append(q)
+        return q
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_window_quality_is_the_frame_order_sum_from_zero(seed):
+    source = _SignedZeroSource(seed)
+    trace = _run_with_policy(make_scenario(duration_s=8.0, seed=7),
+                             FixedBaselinePolicy(), source)
+    for window, q in zip(trace.windows, source.surfaces, strict=True):
+        total = 0.0
+        for v in q[:, DEFAULT_LADDER.frame_rate_index(window.frame_rate_hz),
+                   DEFAULT_LADDER.height_index(window.height)].tolist():
+            total += v
+        assert (np.float64(window.mean_quality_jod).tobytes()
+                == np.float64(total / q.shape[0]).tobytes())
 
 
 def test_grid_quality_source():
