@@ -9,15 +9,14 @@ makes margin-based selection worthwhile.
 import numpy as np
 
 from adastream import (DEFAULT_LADDER, SyntheticQualityParams,
-                       make_synthetic_grid, select_efficient,
-                       select_max_quality)
+                       make_synthetic_grid, select_efficient)
 
 
 def show_grid(bitrate, velocity, detail=0.5):
     params = SyntheticQualityParams(content_detail=detail)
     grid = make_synthetic_grid(bitrate, velocity, params)
-    best_mode, q_star = select_max_quality(grid)
     label = select_efficient(grid, 0.25)
+    best_mode, q_star = label.best_mode, label.q_star
 
     print(f"\n=== {bitrate / 1e6:.0f} Mbps, {velocity:.0f} deg/s, "
           f"detail {detail} ===")

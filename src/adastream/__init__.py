@@ -18,7 +18,7 @@ from .labeler import (DEFAULT_MARGIN_JOD, LabeledClip, label_grids,
 from .ladder import (DEFAULT_LADDER, FRAME_RATES_HZ, RESOLUTION_LINES, Ladder,
                      VideoMode, objective_cost, pixels_per_second)
 from .metrics import confusion_matrix, relative_error
-from .motion import SPEM_LIMIT_DEGPS, VelocityEstimator, normalize_velocity
+from .motion import SPEM_LIMIT_DEGPS, VelocityEstimator
 from .predictor import (PredictorModel, TrainConfig, TrainingExample, forward,
                         load_model, save_model, train)
 from .quality import (QualityGrid, SyntheticQualityParams, load_grids,
@@ -42,7 +42,7 @@ __all__ = [
     "compare_baselines", "confusion_matrix", "decide",
     "default_transition_graph", "extract_features", "forward", "initial_state",
     "label_grids", "load_grids", "load_model", "make_synthetic_grid",
-    "normalize_bandwidth", "normalize_velocity",
+    "normalize_bandwidth",
     "objective_cost", "pixels_per_second", "relative_error",
     "run_session", "save_model", "savings_curve", "scenario_from_json",
     "scenario_to_json", "select_efficient", "select_max_quality",

@@ -204,8 +204,6 @@ def cmd_simulate(args, cfg, out: Path) -> int:
 
 
 def cmd_compare(args, cfg, out: Path) -> int:
-    if not args.margin >= 0:  # the oracle policies read it only at a decision
-        raise ArgumentError("margin must be >= 0")
     scenario = simulator.scenario_from_json(args.scenario)
     source = simulator.SyntheticQualitySource(cfg.synthetic_params)
     traces = _play(simulator.compare_baselines, args, cfg, scenario, source,
@@ -285,6 +283,8 @@ def main(argv=None) -> int:
     try:
         # A bad config fails every subcommand alike, before any output.
         cfg = load_config(args.config)
+        if "margin" in args and not args.margin >= 0:  # before any input or output
+            raise ArgumentError("margin must be >= 0")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return args.func(args, cfg, out)

@@ -24,7 +24,6 @@ Recognized keys (all optional)::
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,7 +31,7 @@ import numpy as np
 from .controller import (DECISION_PERIOD_S, EMISSION_FLOOR, TransitionGraph,
                          default_transition_graph)
 from .errors import ArgumentError, ConfigError, json_numbers
-from .ladder import DEFAULT_LADDER, Ladder
+from .ladder import DEFAULT_LADDER, Ladder, ladder_values
 from .quality import SyntheticQualityParams, synthetic_surface
 from .simulator import IFRAME_BIT_MULTIPLIER, check_jitter_pct
 from .synth import DEFAULT_BITRATES_BPS
@@ -75,17 +74,11 @@ def _number(section: dict, key: str, default, where: str) -> float:
 
 
 def _ladder_values(raw: dict, key: str, default, path, integral: bool = True) -> tuple:
-    """A ladder list of finite numbers, integers unless ``integral`` is off."""
-    values = raw.get(key, default)
-    if not isinstance(values, (list, tuple)) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        raise ConfigError(f"{path}: {key} must be a list of numbers, got {values!r}")
-    numbers = [float(v) for v in values]  # load_config refused ints past float
-    for value, number in zip(values, numbers):
-        if not math.isfinite(number) or (integral and not number.is_integer()):
-            kind = "integers" if integral else "finite numbers"
-            raise ConfigError(f"{path}: {key} must hold {kind}, got {value!r}")
-    return tuple(int(v) for v in values) if integral else tuple(numbers)
+    """``ladder_values`` of a key; load_config refused ints past float."""
+    try:
+        return ladder_values(raw.get(key, default), key, integral)
+    except ArgumentError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 _FLOAT_MAX = int(np.finfo(float).max)

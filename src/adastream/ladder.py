@@ -6,6 +6,7 @@ can never flip under re-evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ArgumentError
@@ -24,6 +25,18 @@ def width_for_height(height: int) -> int:
     # 8*height/9 is never an exact half-integer for integer heights,
     # so round() is unambiguous here.
     return 2 * round(8 * height / 9)
+
+
+def ladder_values(values, name: str, integral: bool = True) -> tuple:
+    """A file's finite numbers; integers (30.0 reads as 30) unless ``integral`` is off."""
+    if not isinstance(values, (list, tuple)) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ArgumentError(f"{name} must be a list of numbers, got {values!r}")
+    for v in values:
+        if isinstance(v, float) and not (v.is_integer() if integral else math.isfinite(v)):
+            kind = "integers" if integral else "finite numbers"
+            raise ArgumentError(f"{name} must hold {kind}, got {v!r}")
+    return tuple(map(int if integral else float, values))
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ at the smooth-pursuit limit of 80 deg/s, and log-compressed into [0, 1].
 
 The average and the compression each have one array kernel, which the
 session engine calls once per window: ``VelocityEstimator.update_window``
-and ``normalize_velocities``. Both give the bits of the one-sample forms on
-every Python version: the average sums left to right from 0.0, as Python
-3.11's ``sum`` did (3.12's compensates), and the compression takes
-``math.log1p`` per element, because ``np.log1p`` rounds differently.
+and ``normalize_velocities``. Both give the same bits on every Python
+version: the average sums left to right from 0.0, as Python 3.11's ``sum``
+did (3.12's compensates), and the compression takes ``math.log1p`` per
+element, because ``np.log1p`` rounds differently.
 """
 
 from __future__ import annotations
@@ -33,16 +33,9 @@ def deg_per_sec(mean_ndc_magnitude, frame_interval_s, fov_horizontal_deg):
         return mean_ndc_magnitude * (fov_horizontal_deg / 2.0) / frame_interval_s
 
 
-def normalize_velocity(velocity_degps: float) -> float:
-    """Log-compress a velocity into [0, 1], saturating at 80 deg/s."""
-    if velocity_degps < 0:
-        raise ArgumentError("velocity must be >= 0")
-    capped = min(velocity_degps, SPEM_LIMIT_DEGPS)
-    return math.log1p(capped) / math.log1p(SPEM_LIMIT_DEGPS)
-
-
 def normalize_velocities(velocities_degps) -> np.ndarray:
-    """``normalize_velocity`` of each velocity, with its bits."""
+    """Log-compress each velocity into [0, 1], saturating at 80 deg/s:
+    ``log1p(min(v, 80)) / log1p(80)``."""
     v = np.asarray(velocities_degps, dtype=float)
     if (v < 0).any():
         raise ArgumentError("velocity must be >= 0")

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (ArgumentError, DivergenceError, ModelCorruptError, SchemaError,
                      json_numbers, utf8_lines)
 from .features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, FeatureVector
-from .ladder import DEFAULT_LADDER, Ladder
+from .ladder import DEFAULT_LADDER, Ladder, ladder_values
 
 DEFAULT_LEARNING_RATE = 3e-3
 DEFAULT_HIDDEN_SIZES = (64, 64)
@@ -295,8 +295,8 @@ def load_model(path, ladder: Ladder | None = None) -> PredictorModel:
     if not json_numbers([payload["weights"], payload["biases"]]):
         raise SchemaError(f"{path}: bad model: weights and biases must be numbers")
     try:
-        model_ladder = Ladder(frame_rates_hz=tuple(header["frame_rates_hz"]),
-                              heights=tuple(header["resolution_lines"]))
+        model_ladder = Ladder(*(ladder_values(header[key], key) for key in
+                                ("frame_rates_hz", "resolution_lines")))
         weights = [np.array(w, dtype=float) for w in payload["weights"]]
         biases = [np.array(b, dtype=float) for b in payload["biases"]]
     except (TypeError, ValueError, OverflowError) as exc:  # 10**400 is no float

@@ -32,9 +32,9 @@ order; an oracle policy makes one call per decision with the boundary
 velocity.
 
 The trace is columnar. It keeps the windows and one column of per-frame
-bits. A frame's time, mode, I-frame flag and GOP index all follow from its
-window: the window starts at ``index * GOP_LENGTH_S``, holds ``round(f *
-GOP_LENGTH_S)`` frames at ``start_s + i / f`` and opens with its I-frame.
+bits. A window stores its index, mode and mean JOD; its start time, pixel
+rate and frames follow. It starts at ``index * GOP_LENGTH_S`` and holds
+``round(f * GOP_LENGTH_S)`` frames at ``start_s + i / f``, the first an I-frame.
 ``SessionTrace.frames`` builds the ``FrameRecord`` tuple from the columns
 when it is read, and ``write_frame_csv`` writes its rows straight from them.
 
@@ -150,8 +150,8 @@ class Scenario:
     record in ``patches`` (record index -> 128x128 ``uint8`` luma patch, or
     base64 text that passed ``_checked_patch_text``), from the features of
     its patch. Those are decoded and extracted on demand, once per record,
-    the first time a row is read; their rows in ``content_features`` are
-    placeholders and are not checked.
+    the first time a row is read. The given rows of patch records are not
+    checked: each is set to NaN, and a record is pending while its row is.
     """
 
     def __init__(self, duration_s: float, fov_horizontal_deg: float,
@@ -192,13 +192,12 @@ class Scenario:
                     or not 0 <= key < ts.size):
                 raise ArgumentError(f"patch key {key!r} is not a record index "
                                     f"in [0, {ts.size})")
-        self._pending = np.zeros(ts.size, dtype=bool)  # patch rows not yet extracted
-        self._pending[list(self._patches)] = True
         # Every given row, sampled or not: the predictor takes them unchecked.
-        given = np.flatnonzero(~self._pending)
+        given = np.delete(np.arange(ts.size), list(self._patches))
         error = feature_range_error(feats[given])
         if error is not None:
             raise ArgumentError(f"{error[1]} in frame record {given[error[0]]}")
+        feats[list(self._patches)] = math.nan  # pending until extracted
         if not bitrate_schedule:
             raise ConfigError("bitrate schedule is empty")
         times = [t for t, _ in bitrate_schedule]
@@ -222,19 +221,18 @@ class Scenario:
         """Content rows of the given record indices, in their order,
         extracting the features of any patch record not read before."""
         records = np.asarray(records, dtype=np.intp)
-        for i in np.unique(records[self._pending[records]]).tolist():
+        for i in np.unique(records[np.isnan(self._content[:, 0][records])]).tolist():
             patch = self._patches.pop(i)
             if isinstance(patch, str):
                 patch = _patch_pixels(base64.b64decode(patch))
             fv = extract_features(patch / 255.0)
             self._content[i] = fv.as_array()[:len(CONTENT_FEATURE_KEYS)]
-            self._pending[i] = False
         return self._content[records]
 
     @property
     def content_features(self) -> np.ndarray:
         """The full read-only ``(n, 5)`` content table."""
-        self.content_rows(np.flatnonzero(self._pending))
+        self.content_rows(list(self._patches))
         table = self._content.view()
         table.setflags(write=False)
         return table
@@ -541,11 +539,14 @@ class WindowRecord:
     frame_rate_hz: int
     height: int
     mean_quality_jod: float
-    pixels_per_second: int
 
     @property
     def start_s(self) -> float:
         return self.index * GOP_LENGTH_S
+
+    @property
+    def pixels_per_second(self) -> int:
+        return pixels_per_second(VideoMode(self.frame_rate_hz, self.height))
 
 
 @dataclass(frozen=True)
@@ -661,8 +662,7 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
 
         frame_bits.extend(budget.tolist())
         windows.append(WindowRecord(w, mode.frame_rate_hz, mode.height,
-                                    window_quality / times.size,
-                                    pixels_per_second(mode)))
+                                    window_quality / times.size))
 
         if w + 1 == n_windows:
             break  # no decision after the final window

@@ -19,7 +19,7 @@ from .features import CONTENT_FEATURE_KEYS, FeatureVector, normalize_bandwidth
 # this module because the benchmark tracer patches it at this call site.
 from .labeler import LabeledClip, label_grids, select_efficient  # noqa: F401
 from .ladder import DEFAULT_LADDER, Ladder
-from .motion import SPEM_LIMIT_DEGPS, normalize_velocity
+from .motion import SPEM_LIMIT_DEGPS, normalize_velocities
 from .predictor import TrainingExample
 from .quality import QualityGrid, SyntheticQualityParams, make_synthetic_grid
 from .simulator import Scenario
@@ -77,13 +77,13 @@ def content_features_for_detail(detail: float, rng: np.random.Generator) -> Feat
 def training_examples(clips, labels: list[LabeledClip], seed: int) -> list[TrainingExample]:
     """One training row per label, features synthesized from the clip detail."""
     detail_by_clip = {c.clip_id: c.content_detail for c in clips}
+    velocities = normalize_velocities([lab.velocity_degps for lab in labels])
     rng = np.random.default_rng(seed)
     examples = []
-    for lab in labels:
+    for lab, norm_velocity in zip(labels, velocities.tolist()):
         detail = detail_by_clip[lab.clip_id]
         content = content_features_for_detail(detail, rng)
-        fv = content.with_context(normalize_velocity(lab.velocity_degps),
-                                  normalize_bandwidth(lab.bitrate_bps))
+        fv = content.with_context(norm_velocity, normalize_bandwidth(lab.bitrate_bps))
         examples.append(TrainingExample(fv, lab.efficient_mode.frame_rate_hz,
                                         lab.efficient_mode.height))
     return examples

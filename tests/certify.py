@@ -54,12 +54,12 @@ import numpy as np
 from adastream import controller, simulator
 from adastream.controller import default_transition_graph
 from adastream.features import PATCH_SIZE, FEATURE_NAMES
-from adastream.motion import normalize_velocity
 from adastream.predictor import forward_batch, load_model
 from adastream.simulator import (CONTENT_FEATURE_KEYS, PredictorControllerPolicy,
                                  SyntheticQualitySource, _run_with_policy,
                                  scenario_from_json)
-from oracles import normalized_max_plus, reference_extract_features
+from oracles import (normalize_velocity, normalized_max_plus,
+                     reference_extract_features)
 
 _EPS = sys.float_info.epsilon
 

@@ -7,8 +7,9 @@ build on it. The quality oracles keep the scalar synthetic formula in Python
 floats, one cell at a time, and the scalar tercile rule of the velocity
 bands. The session and grid-lookup oracles keep the frame-at-a-time
 engine, with one quality cell per frame and the deque velocity average
-summed one sample at a time, and the linear nearest-grid scan that the
-library's window engine, velocity kernel and stacked lookup replaced. The
+summed one sample at a time, the scalar velocity compression, and the
+linear nearest-grid scan that the library's window engine, velocity and
+compression kernels and stacked lookup replaced. The
 controller oracle keeps the max-plus recursion that re-anchored each chain's
 best score at 0 after every frame. The feature oracles keep the
 ``np.gradient``, ``np.hypot`` and full-``dctn`` patch kernel, the
@@ -36,8 +37,7 @@ from adastream.features import (EDGE_THRESHOLD, PATCH_SIZE, FeatureVector,
                                 extract_features, normalize_bandwidth)
 from adastream.ladder import (DEFAULT_LADDER, VideoMode, pixels_per_second,
                              width_for_height)
-from adastream.motion import (SPEM_LIMIT_DEGPS, WINDOW_SECONDS, deg_per_sec,
-                              normalize_velocity)
+from adastream.motion import SPEM_LIMIT_DEGPS, WINDOW_SECONDS, deg_per_sec
 from adastream.predictor import (TrainConfig, forward, loss_and_gradients,
                                  new_model)
 from adastream.quality import (GRID_CSV_HEADER, JOD_MAX, QualityGrid,
@@ -242,6 +242,15 @@ class DequeVelocityEstimator:
         return total / len(values)
 
 
+def normalize_velocity(velocity_degps):
+    """One velocity log-compressed into [0, 1], saturating at 80 deg/s, as
+    the library did before ``normalize_velocities``."""
+    if velocity_degps < 0:
+        raise ArgumentError("velocity must be >= 0")
+    capped = min(velocity_degps, SPEM_LIMIT_DEGPS)
+    return math.log1p(capped) / math.log1p(SPEM_LIMIT_DEGPS)
+
+
 @dataclass(frozen=True)
 class MotionSample:
     """Mean motion magnitude of one frame, with its timing and FOV context,
@@ -341,8 +350,7 @@ def per_frame_session(scenario, policy, quality_source, *,
             total_pixels += mode.width * mode.height
 
         windows.append(WindowRecord(w, mode.frame_rate_hz, mode.height,
-                                    window_quality / frames_in_gop,
-                                    pixels_per_second(mode)))
+                                    window_quality / frames_in_gop))
 
         if w + 1 == n_windows:
             break

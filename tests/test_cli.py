@@ -275,6 +275,15 @@ def test_unknown_feature_schema_version_is_schema_error(tmp_path, capsys):
     assert "feature_schema_version 99" in capsys.readouterr().err
 
 
+def test_an_integral_float_model_ladder_entry_is_read_as_its_int(tmp_path):
+    # loaded, and evaluate wrote a 30.0 header into confusion_f.csv
+    def mutate(payload):
+        payload["header"]["frame_rates_hz"][0] = 30.0
+    assert _corrupt_model(tmp_path, mutate) == EXIT_OK
+    header = (tmp_path / "eval" / "confusion_f.csv").read_text().splitlines()[0]
+    assert header.split(",")[1] == "30"
+
+
 def test_nan_grid_velocity_is_schema_error_with_line(tmp_path, capsys):
     out = gen(tmp_path, count=2)
     lines = (out / "grids.csv").read_text().splitlines()
@@ -614,6 +623,20 @@ def test_compare_refuses_a_bad_margin_before_the_scenario(tmp_path, capsys, marg
     assert run(["compare", "--scenario", scenario, "--margin", margin,
                 "--out", tmp_path / "cmp"]) == EXIT_ARGUMENT
     assert capsys.readouterr().err == "error: margin must be >= 0\n"
+
+
+@pytest.mark.parametrize("margin", ["-1", "nan"])
+@pytest.mark.parametrize("command", ["gen-synthetic", "label"])
+def test_a_bad_margin_is_refused_before_any_file_is_read_or_written(
+        tmp_path, capsys, command, margin):
+    # gen-synthetic wrote grids.csv, then exited 2; label read the grid file
+    # first, so a missing one exited 4
+    argv = {"gen-synthetic": ["--count", 2],
+            "label": ["--grids", tmp_path / "missing.csv"]}[command]
+    out = tmp_path / "out"
+    assert run([command, *argv, "--margin", margin, "--out", out]) == EXIT_ARGUMENT
+    assert capsys.readouterr().err == "error: margin must be >= 0\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jitter", ["150", "100", "-5", "nan"])

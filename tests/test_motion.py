@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adastream.errors import ArgumentError
 from adastream.motion import (SPEM_LIMIT_DEGPS, VelocityEstimator, deg_per_sec,
-                              normalize_velocities, normalize_velocity)
-from oracles import DequeVelocityEstimator
+                              normalize_velocities)
+from oracles import DequeVelocityEstimator, normalize_velocity
 
 # Samples that a left-to-right sum from 0.0 treats apart: zeros of both
 # signs, subnormals, values whose sums overflow to inf, and inf itself.
@@ -38,15 +38,13 @@ def test_conversion_overflows_to_inf_without_a_warning():
 
 
 def test_normalize_endpoints():
-    assert normalize_velocity(0.0) == 0.0
-    assert normalize_velocity(80.0) == 1.0
-    assert normalize_velocity(200.0) == 1.0
+    assert normalize_velocities([0.0, 80.0, 200.0]).tolist() == [0.0, 1.0, 1.0]
 
 
 @given(st.floats(min_value=0.0, max_value=500.0),
        st.floats(min_value=0.0, max_value=500.0))
 def test_normalize_monotone_and_bounded(a, b):
-    na, nb = normalize_velocity(a), normalize_velocity(b)
+    na, nb = normalize_velocities([a, b]).tolist()
     assert 0.0 <= na <= 1.0
     if a <= b:
         assert na <= nb

@@ -309,6 +309,9 @@ def _set(payload, keys, value):
     (("header", "feature_schema_version"), 2, "feature_schema_version 2"),
     (("header", "seed"), "abc", "bad model"),
     (("header", "frame_rates_hz"), [60, 30], "bad model"),
+    # both loaded, and evaluate then blamed the training file for its targets
+    (("header", "frame_rates_hz", 0), True, "frame_rates_hz must be a list of numbers"),
+    (("header", "resolution_lines", 0), 360.5, "resolution_lines must hold integers"),
 ])
 def test_corrupt_model_shapes_and_headers_rejected(tmp_path, keys, value, message):
     import json
