@@ -78,8 +78,9 @@ class TransitionGraph:
             raise ArgumentError(f"frame-rate weights must be {n_f}x{n_f}")
         if rw.shape != (n_r, n_r):
             raise ArgumentError(f"resolution weights must be {n_r}x{n_r}")
-        if fw.min() < 0 or rw.min() < 0:
-            raise ArgumentError("transition weights must be >= 0")
+        if not (np.isfinite(fw).all() and np.isfinite(rw).all()
+                and fw.min() >= 0 and rw.min() >= 0):
+            raise ArgumentError("transition weights must be finite and >= 0")
         if np.any(np.diag(fw) <= 0) or np.any(np.diag(rw) <= 0):
             raise ArgumentError("self-transition weights must be positive")
         rates = np.array(self.ladder.frame_rates_hz)
@@ -96,14 +97,12 @@ class TransitionGraph:
         rw.setflags(write=False)
         object.__setattr__(self, "frame_rate_weights", fw)
         object.__setattr__(self, "resolution_weights", rw)
-        object.__setattr__(self, "_log_fw", _log_weights(fw))
-        object.__setattr__(self, "_log_rw", _log_weights(rw))
         # Both chains' log weights stacked into one (2, k, k) block, k the
         # larger class count. Padding is -inf, so no path reaches a pad class.
         k = max(n_f, n_r)
         log_w_pair = np.full((2, k, k), -np.inf)
-        log_w_pair[0, :n_f, :n_f] = self._log_fw
-        log_w_pair[1, :n_r, :n_r] = self._log_rw
+        log_w_pair[0, :n_f, :n_f] = _log_weights(fw)
+        log_w_pair[1, :n_r, :n_r] = _log_weights(rw)
         object.__setattr__(self, "_log_w_pair", log_w_pair)
 
 
@@ -133,11 +132,12 @@ class ControllerState:
 def initial_state(graph: TransitionGraph, mode: VideoMode) -> ControllerState:
     """State anchored at ``mode``: its score is 0, others carry the log
     transition weight from it (blocked states are -inf)."""
-    graph.ladder.require_mode(mode)
-    fi = graph.ladder.frame_rate_index(mode.frame_rate_hz)
-    ri = graph.ladder.height_index(mode.height)
-    return ControllerState(graph._log_fw[fi].copy(), graph._log_rw[ri].copy(),
-                           mode, 0.0)
+    ladder, log_w = graph.ladder, graph._log_w_pair
+    ladder.require_mode(mode)
+    fi = ladder.frame_rate_index(mode.frame_rate_hz)
+    ri = ladder.height_index(mode.height)
+    return ControllerState(log_w[0, fi, :ladder.n_frame_rates].copy(),
+                           log_w[1, ri, :ladder.n_heights].copy(), mode, 0.0)
 
 
 def _max_plus(graph: TransitionGraph, score_f: np.ndarray, score_r: np.ndarray,

@@ -109,11 +109,6 @@ class QualityGrid:
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
-    def quality(self, mode: VideoMode) -> float:
-        fi = self.ladder.frame_rate_index(mode.frame_rate_hz)
-        hi = self.ladder.height_index(mode.height)
-        return float(self.q[fi, hi])
-
 
 def synthetic_quality(mode: VideoMode, bitrate_bps: float, velocity_degps: float,
                       params: SyntheticQualityParams = SyntheticQualityParams()) -> float:

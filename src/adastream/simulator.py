@@ -109,16 +109,15 @@ class GridQualitySource:
     """
 
     def __init__(self, grids):
-        self.grids = list(grids)
-        if not self.grids:
+        grids = list(grids)
+        if not grids:
             raise ArgumentError("GridQualitySource needs at least one grid")
-        self.ladder = self.grids[0].ladder
-        if any(g.ladder != self.ladder for g in self.grids):
+        self.ladder = grids[0].ladder
+        if any(g.ladder != self.ladder for g in grids):
             raise ArgumentError("GridQualitySource needs grids on one ladder")
-        self._q = np.stack([g.q for g in self.grids])
-        self._bitrates = np.array([g.bitrate_bps for g in self.grids], dtype=float)
-        self._velocities = np.array([g.velocity_degps for g in self.grids],
-                                    dtype=float)
+        self._q = np.stack([g.q for g in grids])
+        self._bitrates = np.array([g.bitrate_bps for g in grids], dtype=float)
+        self._velocities = np.array([g.velocity_degps for g in grids], dtype=float)
 
     def _nearest(self, bitrate_bps: float, velocities) -> np.ndarray:
         """Index of the nearest grid for each velocity."""
@@ -129,7 +128,9 @@ class GridQualitySource:
         return nearest[np.argmin(velocity_gap, axis=1)]
 
     def __call__(self, mode: VideoMode, bitrate_bps: float, velocity_degps: float) -> float:
-        return self.grids[int(self._nearest(bitrate_bps, [velocity_degps])[0])].quality(mode)
+        return float(self._q[self._nearest(bitrate_bps, [velocity_degps])[0],
+                             self.ladder.frame_rate_index(mode.frame_rate_hz),
+                             self.ladder.height_index(mode.height)])
 
     def surface(self, ladder: Ladder, bitrate_bps: float, velocities) -> np.ndarray:
         q = self._q[self._nearest(bitrate_bps, velocities)]
@@ -203,6 +204,8 @@ class Scenario:
         times = [t for t, _ in bitrate_schedule]
         if times[0] != 0.0:
             raise ConfigError("bitrate schedule has a gap: it must start at t=0")
+        if not all(math.isfinite(t) for t in times):
+            raise ConfigError("bitrate schedule start times must be finite")
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
             raise ConfigError("bitrate schedule times must be nondecreasing")
         if not all(0 < b <= MAX_BITRATE_BPS for _, b in bitrate_schedule):
@@ -246,9 +249,6 @@ class Scenario:
         """Index of the bitrate-schedule entry in force at time t (the last
         one starting at or before it); elementwise on an array of times."""
         return np.maximum(np.searchsorted(self._schedule_starts, t, side="right") - 1, 0)
-
-    def bitrate_at(self, t: float) -> float:
-        return self.bitrate_schedule[int(self.schedule_index(t))][1]
 
     def bandwidth_at(self, t):
         """Normalized bandwidth in force at time t; elementwise on an array
@@ -441,7 +441,10 @@ class PredictorControllerPolicy:
 
     Every window starts the chains at ``initial_state(graph, mode)``, the
     state that ``decide`` leaves at the mode it picks, so the mode is all
-    that carries from one window to the next."""
+    that carries from one window to the next. The bandwidth column is the
+    rate in force at each frame of the window that just ended, not
+    ``bitrate_bps``, the rate at the boundary that the oracle policies
+    select at: after a schedule change it lags by up to one window."""
 
     def __init__(self, model: PredictorModel, graph: TransitionGraph):
         # The controller reads class i of a head as the graph's i-th rung.
@@ -628,7 +631,8 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
             f"{GOP_LENGTH_S} s GOP")
     # The bit budget latches the schedule at the GOP boundary; mid-GOP
     # schedule changes take effect at the next GOP.
-    targets = [scenario.bitrate_at(w * GOP_LENGTH_S) for w in range(n_windows)]
+    targets = [scenario.bitrate_schedule[i][1] for i in
+               scenario.schedule_index(np.arange(n_windows) * GOP_LENGTH_S).tolist()]
 
     ladder = policy.ladder
     mode = baseline_mode(targets[0], ladder)

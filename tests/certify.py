@@ -213,12 +213,14 @@ class CertifyingPolicy(PredictorControllerPolicy):
             raise AssertionError("certificate emissions differ from the engine's")
         oracle = normalized_max_plus(self.graph, start.score_f, start.score_r,
                                      *emit)
+        log_w = self.graph._log_w_pair
+        n_f, n_r = self.ladder.n_frame_rates, self.ladder.n_heights
         self.decisions.append(Decision(
             len(self.decisions),
             chain_certificate(start.score_f, end.score_f, emit[0], emit_other[0],
-                              self.graph._log_fw, oracle[0]),
+                              log_w[0, :n_f, :n_f], oracle[0]),
             chain_certificate(start.score_r, end.score_r, emit[1], emit_other[1],
-                              self.graph._log_rw, oracle[1])))
+                              log_w[1, :n_r, :n_r], oracle[1])))
         return new_mode
 
 

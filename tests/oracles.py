@@ -5,10 +5,11 @@ explicit tie-break chains, sharing no code with the library's stacked
 selection kernel; the per-grid savings curve and the cell-loop oracle policy
 build on it. The quality oracles keep the scalar synthetic formula in Python
 floats, one cell at a time, and the scalar tercile rule of the velocity
-bands. The session and grid-lookup oracles keep the frame-at-a-time
-engine, with one quality cell per frame and the deque velocity average
-summed one sample at a time, the scalar velocity compression, and the
-linear nearest-grid scan that the library's window engine, velocity and
+bands, and read one cell of a grid. The session and grid-lookup oracles
+keep the frame-at-a-time engine, with one quality cell per frame, the
+schedule read one time at a time and the deque velocity average summed one
+sample at a time, the scalar velocity compression, and the linear
+nearest-grid scan that the library's window engine, velocity and
 compression kernels and stacked lookup replaced. The
 controller oracle keeps the max-plus recursion that re-anchored each chain's
 best score at 0 after every frame. The feature oracles keep the
@@ -134,6 +135,12 @@ def quality_value(frame_rate_hz, height, bitrate_bps, velocity_degps,
     return min(max(q, 0.0), JOD_MAX)
 
 
+def grid_cell(grid, mode):
+    """The JOD of one mode of a grid, as ``QualityGrid.quality`` read it."""
+    return float(grid.q[grid.ladder.frame_rate_index(mode.frame_rate_hz),
+                        grid.ladder.height_index(mode.height)])
+
+
 def cell_quality(source, mode, bitrate_bps, velocity_degps):
     """One cell of a quality source: the scalar formula for the synthetic
     source, the grid source's own one-cell lookup otherwise."""
@@ -210,6 +217,11 @@ def nearest_grid_scan(grids, bitrate_bps, velocity_degps):
         return (abs(g.bitrate_bps - bitrate_bps) / bitrate_bps,
                 abs(g.velocity_degps - velocity_degps))
     return min(grids, key=distance)
+
+
+def bitrate_at(scenario, t):
+    """The rate of the bitrate-schedule entry in force at one time t."""
+    return scenario.bitrate_schedule[int(scenario.schedule_index(t))][1]
 
 
 class DequeVelocityEstimator:
@@ -295,7 +307,7 @@ def per_frame_session(scenario, policy, quality_source, *,
             f"{GOP_LENGTH_S} s GOP")
 
     ladder = policy.ladder
-    mode = baseline_mode(scenario.bitrate_at(0.0), ladder)
+    mode = baseline_mode(bitrate_at(scenario, 0.0), ladder)
     ladder.require_mode(mode)
     carried = isinstance(policy, PredictorControllerPolicy)
     if carried:
@@ -315,7 +327,7 @@ def per_frame_session(scenario, policy, quality_source, *,
 
     for w in range(n_windows):
         window_start = w * GOP_LENGTH_S
-        target_bitrate_bps = scenario.bitrate_at(window_start)
+        target_bitrate_bps = bitrate_at(scenario, window_start)
         frames_in_gop = round(mode.frame_rate_hz * GOP_LENGTH_S)
         budget = allocate_bits(target_bitrate_bps, frames_in_gop, iframe_multiplier)
         if rng is not None:
@@ -334,7 +346,7 @@ def per_frame_session(scenario, policy, quality_source, *,
             velocity = estimator.update(sample.to_deg_per_sec(), t)
             content = FeatureVector(*[float(v) for v in scenario.content_features[rec]])
             fv = content.with_context(normalize_velocity(velocity),
-                                      normalize_bandwidth(scenario.bitrate_at(t)))
+                                      normalize_bandwidth(bitrate_at(scenario, t)))
             if carried:
                 probs_f, probs_r = forward(policy.model, fv)
                 state = step(policy.graph, state, probs_f, probs_r,
@@ -359,7 +371,7 @@ def per_frame_session(scenario, policy, quality_source, *,
         else:
             new_mode = policy.decide_mode(
                 scenario, mode, np.array(times), np.array(records), velocities,
-                scenario.bitrate_at((w + 1) * GOP_LENGTH_S))
+                bitrate_at(scenario, (w + 1) * GOP_LENGTH_S))
         ladder.require_mode(new_mode)
         if new_mode.frame_rate_hz != mode.frame_rate_hz:
             switch_f += 1

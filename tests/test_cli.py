@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import adastream
 from adastream.cli import (EXIT_ARGUMENT, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main)
+from adastream.controller import default_transition_graph
 
 
 def run(args):
@@ -201,21 +202,38 @@ def test_decision_period_unlike_gop_is_config_error(tmp_path, period):
     assert not (tmp_path / "sim" / "summary.json").exists()
 
 
-@pytest.mark.parametrize("rate", [5e18, 1e19])
-def test_schedule_rate_beyond_int64_budgets_is_schema_error(tmp_path, capsys, rate):
-    # a GOP budget of such a rate does not fit the int64 frame budgets
+def _simulate_and_compare_refuse_schedule(tmp_path, schedule):
+    """Give a generated scenario ``schedule``; simulate and compare must both
+    exit 3. Returns the scenario's path."""
     out = gen(tmp_path, count=4)
     model_dir = tmp_path / "model"
     assert run(["train", "--data", out / "training.csv", "--out", model_dir,
                 "--epochs", 1]) == EXIT_OK
     scenario = out / "scenario_000.json"
     payload = json.loads(scenario.read_text())
-    payload["bitrate_schedule"] = [[0, rate]]
+    payload["bitrate_schedule"] = schedule
     scenario.write_text(json.dumps(payload))
     assert run(["simulate", "--scenario", scenario, "--model",
                 model_dir / "model.json", "--out", tmp_path / "sim"]) == EXIT_SCHEMA
     assert run(["compare", "--scenario", scenario,
                 "--out", tmp_path / "cmp"]) == EXIT_SCHEMA
+    return scenario
+
+
+@pytest.mark.parametrize("start", [float("nan"), float("inf")])
+def test_non_finite_schedule_start_is_schema_error(tmp_path, capsys, start):
+    # a NaN start loaded and hid the later entries: every window played the
+    # first rate; an infinite start loaded and never took effect
+    scenario = _simulate_and_compare_refuse_schedule(
+        tmp_path, [[0, 3e6], [start, 1e6], [4.0, 5e5]])
+    err = capsys.readouterr().err
+    assert err.count(f"{scenario}: bitrate schedule start times must be finite") == 2
+
+
+@pytest.mark.parametrize("rate", [5e18, 1e19])
+def test_schedule_rate_beyond_int64_budgets_is_schema_error(tmp_path, capsys, rate):
+    # a GOP budget of such a rate does not fit the int64 frame budgets
+    scenario = _simulate_and_compare_refuse_schedule(tmp_path, [[0, rate]])
     err = capsys.readouterr().err
     assert err.count(f"{scenario}: bitrate schedule rates must be") == 2
 
@@ -494,6 +512,33 @@ def test_bad_config_fails_every_subcommand_first(tmp_path, capsys, command):
     assert run([command, *SUBCOMMANDS[command], "--out", out,
                 "--config", cfg]) == EXIT_SCHEMA
     assert f"error: {cfg}: unknown key 'unexpected'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _default_weights_with(key, value):
+    """The default viterbi matrix ``key`` with one diagonal entry set to
+    ``value``: [0][0] of the frame-rate matrix, [2][2] of the resolution
+    matrix."""
+    weights = getattr(default_transition_graph(), key).tolist()
+    i = 0 if key == "frame_rate_weights" else 2
+    weights[i][i] = value
+    return weights
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("key", ["frame_rate_weights", "resolution_weights"])
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_non_finite_transition_weight_fails_every_subcommand(tmp_path, capsys,
+                                                            command, key, value):
+    # such a config loaded, ran the first five subcommands, and then
+    # simulate ended in an IndexError traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"viterbi": {key: _default_weights_with(key, value)}}))
+    out = tmp_path / "out"
+    assert run([command, *SUBCOMMANDS[command], "--out", out,
+                "--config", cfg]) == EXIT_SCHEMA
+    assert (f"error: {cfg}: bad viterbi section: transition weights must be "
+            "finite") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -919,6 +964,9 @@ def valid_configs(draw):
 # bpp_ref / bpp underflows to 0: gen-synthetic ended in a math domain error
 @example(config={"bitrates": [2e7], "synthetic": {"bpp_ref": 5e-324}}, seed=0,
          must_run=True)
+# a NaN self-weight: the config loaded and simulate ended in an IndexError
+@example(config={"viterbi": {"frame_rate_weights": _default_weights_with(
+    "frame_rate_weights", float("nan"))}}, seed=0, must_run=False)
 # a ladder without 60 Hz or 720 lines: the baselines take the nearest rungs
 @example(config={"frame_rates": [24, 25, 50, 144], "resolutions": [480, 1080]},
          seed=0, must_run=True)

@@ -320,7 +320,7 @@ def test_recursion_equals_the_re_anchoring_oracle(seed, n_rows, rate, start, flo
     certified = True
     for start_scores, scores, old, e, log_w in zip(
             (state.score_f, state.score_r), (new.score_f, new.score_r), oracle,
-            emit, (g._log_fw, g._log_rw)):
+            emit, (g._log_w_pair[0, :10, :10], g._log_w_pair[1, :5, :5])):
         assert not np.isnan(scores).any()
         # Blocked classes are -inf in both; a NaN pad entry would have
         # reached every score through the max.

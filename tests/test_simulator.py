@@ -107,9 +107,9 @@ def test_scenario_validation():
         with pytest.raises(ArgumentError, match="fov_horizontal_deg"):
             Scenario(**_scenario_arrays(fov_horizontal_deg=fov))
     sc = make_scenario(duration_s=4.0, bitrate_schedule=((0.0, 2e6), (2.0, 4e6)))
-    assert sc.bitrate_at(0.0) == 2e6
-    assert sc.bitrate_at(1.99) == 2e6
-    assert sc.bitrate_at(2.0) == 4e6
+    assert oracles.bitrate_at(sc, 0.0) == 2e6
+    assert oracles.bitrate_at(sc, 1.99) == 2e6
+    assert oracles.bitrate_at(sc, 2.0) == 4e6
 
 
 def test_schedule_gap_rejected():
@@ -117,6 +117,8 @@ def test_schedule_gap_rejected():
         make_scenario(bitrate_schedule=((0.5, 2e6),))
     with pytest.raises(ConfigError):
         make_scenario(bitrate_schedule=())
+    with pytest.raises(ConfigError, match="nondecreasing"):
+        make_scenario(bitrate_schedule=((0.0, 3e6), (4.0, 1e6), (2.0, 5e5)))
 
 
 def test_scenario_shorter_than_gop_rejected():
@@ -215,6 +217,13 @@ def test_scenario_rejects_non_finite_values():
         Scenario(**_scenario_arrays(bitrate_schedule=((0.0, 3e6), (1.0, np.inf))))
     with pytest.raises(ConfigError):
         Scenario(**_scenario_arrays(bitrate_schedule=((0.0, np.nan),)))
+    # a NaN start time hid every later entry from the schedule lookup, and
+    # an infinite one never took effect
+    for start in (np.nan, np.inf):
+        for schedule in (((0.0, 3e6), (start, 1e6), (4.0, 5e5)),
+                         ((0.0, 3e6), (2.0, 1e6), (start, 5e5))):
+            with pytest.raises(ConfigError, match="start times must be finite"):
+                Scenario(**_scenario_arrays(bitrate_schedule=schedule))
     # a GOP budget of such a rate would overflow the int64 frame budgets
     for rate in (5e18, 1e19, np.nextafter(simulator.MAX_BITRATE_BPS, np.inf)):
         with pytest.raises(ConfigError, match="at most"):
@@ -439,7 +448,7 @@ def check_trace_invariants(scenario, trace, banded=True):
         # mode is constant within a GOP, so resolution changes only at
         # GOP boundaries (which carry the I-frame)
         assert len({(fr.frame_rate_hz, fr.height) for fr in frames}) == 1
-        target = scenario.bitrate_at(frames[0].timestamp_s)
+        target = oracles.bitrate_at(scenario, frames[0].timestamp_s)
         assert sum(fr.frame_bits for fr in frames) == round(target * 2.0)
     for a, b in zip(trace.windows, trace.windows[1:]):
         assert b.start_s == pytest.approx(a.start_s + 2.0)
@@ -460,7 +469,7 @@ def check_trace_columns(scenario, trace, jitter_pct=0.0):
         for win, n in zip(trace.windows, counts):
             start, end = end, end + n
             assert (sum(trace.frame_bits[start:end])
-                    == round(scenario.bitrate_at(win.start_s) * GOP_LENGTH_S))
+                    == round(oracles.bitrate_at(scenario, win.start_s) * GOP_LENGTH_S))
 
 
 def test_oracle_session_invariants():
@@ -658,8 +667,8 @@ def test_grid_quality_source():
              for b in (2e6, 4e6) for v in (0.0, 40.0)]
     source = GridQualitySource(grids)
     mode = VideoMode(60, 720)
-    assert source(mode, 2e6, 1.0) == grids[0].quality(mode)
-    assert source(mode, 4e6, 39.0) == grids[3].quality(mode)
+    assert source(mode, 2e6, 1.0) == oracles.grid_cell(grids[0], mode)
+    assert source(mode, 4e6, 39.0) == oracles.grid_cell(grids[3], mode)
     with pytest.raises(ArgumentError):
         GridQualitySource([])
 
@@ -684,9 +693,9 @@ def test_grid_lookup_matches_linear_scan(points, bitrate, velocity):
     grids = [_surface_grid(b, v, i) for i, (b, v) in enumerate(points)]
     source = GridQualitySource(grids)
     expected = nearest_grid_scan(grids, bitrate, velocity)
-    nearest = source.grids.index(expected)
+    nearest = grids.index(expected)
     for mode in (VideoMode(30, 360), VideoMode(90, 864)):
-        assert source(mode, bitrate, velocity) == expected.quality(mode)
+        assert source(mode, bitrate, velocity) == oracles.grid_cell(expected, mode)
     # the same grid, not only an equal value: mark it and look again
     marked = list(grids)
     marked[nearest] = QualityGrid("marked", expected.velocity_degps,
