@@ -7,11 +7,13 @@ barely perceptible. Tie-breaking is deterministic so labels are reproducible:
 the max-quality pick prefers lower objective cost and then lower frame rate,
 the efficient pick prefers higher quality and then lower frame rate.
 
-Selection runs on a stack of grids on one ladder, one array pass per
-margin; selecting from a single grid is the stack of one. To select from
-part of a ladder, select from grids on that sub-ladder: the
-resolution-only baseline picks from the one-rate sub-ladder at its frame
-rate.
+Selection runs on a ``(N, n_f, n_h)`` stack of JOD tables on one ladder,
+one array pass per margin; selecting from a single grid is the stack of
+one. The grid-list entry points stack their grids, which must share a
+ladder; the simulator's oracle policy selects straight from a quality
+source's surface. To select from part of a ladder, select from a stack on
+that sub-ladder: the resolution-only baseline picks from the one-rate
+sub-ladder at its frame rate.
 """
 
 from __future__ import annotations
@@ -85,9 +87,18 @@ def _cell_tables(ladder: Ladder):
     return tables
 
 
-def _select(grids, margins) -> _Selection:
-    """Margin selection over a stack of grids on one ladder: one pass for
-    the maxima and one per margin for the efficient modes.
+def _stack(grids) -> tuple[np.ndarray, Ladder]:
+    """The ``(N, n_f, n_h)`` stack of the grids' tables and their one ladder."""
+    ladder = grids[0].ladder
+    if any(g.ladder != ladder for g in grids):
+        raise ArgumentError("selection needs grids on one ladder")
+    return np.stack([g.q for g in grids]), ladder
+
+
+def _select(q, ladder: Ladder, margins) -> _Selection:
+    """Margin selection over a ``(N, n_f, n_h)`` stack of JOD tables on
+    ``ladder``: one pass for the maxima and one per margin for the
+    efficient modes.
 
     With the cells in ascending (cost, frame rate) order, the first
     maximum of a row is the max-quality mode with ties to lower cost, then
@@ -97,11 +108,8 @@ def _select(grids, margins) -> _Selection:
     """
     if not all(m >= 0 for m in margins):
         raise ArgumentError("margin must be >= 0")
-    ladder = grids[0].ladder
-    if any(g.ladder != ladder for g in grids):
-        raise ArgumentError("selection needs grids on one ladder")
     cells, cost, f, h, pps = _cell_tables(ladder)
-    q = np.stack([g.q for g in grids]).reshape(len(grids), -1)[:, cells]
+    q = q.reshape(len(q), -1)[:, cells]
     rows = np.arange(len(q))
     best = q.argmax(axis=1)
     q_star = q[rows, best]
@@ -117,7 +125,7 @@ def _select(grids, margins) -> _Selection:
 def _labels(grids, margin_jod: float) -> list[LabeledClip]:
     if not grids:
         return []
-    sel = _select(grids, (margin_jod,))
+    sel = _select(*_stack(grids), (margin_jod,))
     return [LabeledClip(g.clip_id, g.bitrate_bps, g.velocity_degps,
                         VideoMode(bf, bh), VideoMode(ef, eh), qs, qe, margin_jod)
             for g, bf, bh, qs, ef, eh, qe in zip(
@@ -127,7 +135,7 @@ def _labels(grids, margin_jod: float) -> list[LabeledClip]:
 
 def select_max_quality(grid: QualityGrid) -> tuple[VideoMode, float]:
     """Mode maximizing quality; ties go to lower objective cost, then lower f."""
-    sel = _select([grid], ())
+    sel = _select(*_stack([grid]), ())
     return VideoMode(int(sel.best_f[0]), int(sel.best_h[0])), float(sel.q_star[0])
 
 
@@ -165,7 +173,7 @@ def savings_curve(grids, margins) -> dict[float, dict[float, float]]:
     per_bitrate: dict[float, list[int]] = {}
     for i, g in enumerate(grids):
         per_bitrate.setdefault(float(g.bitrate_bps), []).append(i)
-    savings = _select(grids, margins).savings_pct
+    savings = _select(*_stack(grids), margins).savings_pct
     return {bitrate: {m: float(np.mean(savings[j, per_bitrate[bitrate]]))
                       for j, m in enumerate(margins)}
             for bitrate in sorted(per_bitrate)}

@@ -261,9 +261,9 @@ def save_model(model: PredictorModel, path) -> None:
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
     }
+    # ``dumps`` without an indent runs the C encoder; ``dump`` never does.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path, ladder: Ladder | None = None) -> PredictorModel:

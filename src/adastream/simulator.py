@@ -24,12 +24,24 @@ reads content: it builds the ``(n, 7)`` feature matrix, one row per frame in
 force and the velocities, so a patch scenario extracts features only for
 the records that a decision reads.
 
+One pass plays a list of policies on one ladder: ``run_session`` passes
+one and ``compare_baselines`` its three. A branch is the set of policies
+that have played the same frame rates so far. As policies keep no state,
+a branch shares each window's times, bit budget, records, velocities and
+surface; each member reads the column of its own mode, writes its own
+window record and makes its own decision. When the members pick different
+frame rates the branch splits, and each new branch gets a copy of the
+velocity estimator and jitter generator as they stand before the next
+window.
+
 A quality source answers in surfaces: ``surface(ladder, bitrate_bps,
 velocities)`` returns the ``(n, n_f, n_h)`` JOD of every ladder cell at each
-velocity. The engine makes one call per window with the window's frame
-velocities and averages the column of the window's mode, summed in frame
-order; an oracle policy makes one call per decision with the boundary
-velocity.
+velocity. The engine makes one call per branch and window with the window's
+frame velocities and averages the column of each member's mode, summed in
+frame order; an oracle policy makes one call per decision with the boundary
+velocity and selects straight from it. The grid source looks up the
+nearest bitrate, then the nearest velocity after clamping the velocity into
+the range of the grids at that bitrate.
 
 The trace is columnar. It keeps the windows and one column of per-frame
 bits. A window stores its index, mode and mean JOD; its start time, pixel
@@ -48,6 +60,7 @@ fits in int64. Optional per-frame jitter reintroduces encoder-like deviation.
 from __future__ import annotations
 
 import base64
+import copy
 import json
 import math
 import string
@@ -61,14 +74,16 @@ from .errors import ArgumentError, ConfigError, SchemaError
 from .features import (CONTENT_FEATURE_KEYS, FEATURE_NAMES, PATCH_SIZE,
                        extract_features, feature_range_error,
                        normalize_bandwidth)
-from .labeler import DEFAULT_MARGIN_JOD, select_efficient
+# ``select_efficient`` is no longer called here either; the benchmark's
+# tracer test reads it from this module.
+from .labeler import DEFAULT_MARGIN_JOD, _select, select_efficient  # noqa: F401
 from .ladder import (DEFAULT_LADDER, Ladder, VideoMode, pixels_per_second,
                      width_for_height)
 from .motion import VelocityEstimator, deg_per_sec, normalize_velocities
 # ``forward`` is no longer called here; it stays importable from this module
 # because the benchmark tracer patches it at this call site.
 from .predictor import PredictorModel, forward, forward_batch  # noqa: F401
-from .quality import QualityGrid, SyntheticQualityParams, synthetic_surface
+from .quality import SyntheticQualityParams, synthetic_surface
 
 # A window is one GOP and one controller decision.
 GOP_LENGTH_S = DECISION_PERIOD_S
@@ -98,14 +113,23 @@ class SyntheticQualitySource:
         return synthetic_surface(ladder, bitrate_bps, velocities, self.params)
 
 
+# The distinct bitrates whose lookup candidates a GridQualitySource keeps.
+_CANDIDATE_CACHE_SIZE = 64
+
+
 class GridQualitySource:
     """Quality oracle that looks up the nearest ingested grid by bitrate and
     velocity.
 
-    Nearest means the smallest relative bitrate distance, then among the
-    grids at that distance the smallest velocity distance, then the first
-    in list order. The grids share one ladder and are stacked into one
-    ``(N, n_f, n_h)`` array, so a surface is one lookup for all velocities.
+    Nearest means the smallest relative bitrate distance; those grids are
+    the candidates. Among them it means the smallest distance to the
+    velocity clamped into the candidates' velocity range, then the first
+    in list order. Unclamped, a velocity of 1e300 or inf is equally far
+    from every grid and would look up the first. The grids share one
+    ladder and are stacked into one ``(N, n_f, n_h)`` array, so a surface
+    is one lookup for all velocities. The candidates of the last
+    ``_CANDIDATE_CACHE_SIZE`` distinct bitrates are kept with their
+    velocities and range; a schedule has few rates.
     """
 
     def __init__(self, grids):
@@ -118,13 +142,28 @@ class GridQualitySource:
         self._q = np.stack([g.q for g in grids])
         self._bitrates = np.array([g.bitrate_bps for g in grids], dtype=float)
         self._velocities = np.array([g.velocity_degps for g in grids], dtype=float)
+        self._candidates: dict[float, tuple] = {}
+
+    def _candidates_at(self, bitrate_bps: float) -> tuple:
+        """The candidates' indices and velocities, and the slowest and
+        fastest of those velocities."""
+        found = self._candidates.get(bitrate_bps)
+        if found is None:
+            bitrate_gap = np.abs(self._bitrates - bitrate_bps) / bitrate_bps
+            nearest = np.flatnonzero(bitrate_gap == bitrate_gap.min())
+            velocities = self._velocities[nearest]
+            found = (nearest, velocities, velocities.min(), velocities.max())
+            if len(self._candidates) == _CANDIDATE_CACHE_SIZE:
+                del self._candidates[next(iter(self._candidates))]
+            self._candidates[bitrate_bps] = found
+        return found
 
     def _nearest(self, bitrate_bps: float, velocities) -> np.ndarray:
         """Index of the nearest grid for each velocity."""
-        bitrate_gap = np.abs(self._bitrates - bitrate_bps) / bitrate_bps
-        nearest = np.flatnonzero(bitrate_gap == bitrate_gap.min())
-        velocity_gap = np.abs(self._velocities[nearest]
-                              - np.asarray(velocities, dtype=float)[:, None])
+        nearest, grid_velocities, slowest, fastest = self._candidates_at(bitrate_bps)
+        clamped = np.minimum(np.maximum(np.asarray(velocities, dtype=float),
+                                        slowest), fastest)
+        velocity_gap = np.abs(grid_velocities - clamped[:, None])
         return nearest[np.argmin(velocity_gap, axis=1)]
 
     def __call__(self, mode: VideoMode, bitrate_bps: float, velocity_degps: float) -> float:
@@ -256,22 +295,33 @@ class Scenario:
         return self._schedule_bandwidth[self.schedule_index(t)]
 
 
+# One frame of a scenario file as ``json.dumps(sort_keys=True, indent=1)``
+# lays it out: the content row's values fill the fields by position.
+_FRAME_JSON = "".join((
+    '  {{\n   "features": {{\n',
+    ",\n".join(f'    "{key}": {{{CONTENT_FEATURE_KEYS.index(key)}!r}}'
+               for key in sorted(CONTENT_FEATURE_KEYS)),
+    '\n   }},\n   "mean_ndc_magnitude": {m!r},\n   "timestamp": {t!r}\n  }}'))
+
+
 def scenario_to_json(scenario: Scenario, path) -> None:
-    table = scenario.content_features.tolist()
-    payload = {
+    """The scenario as sorted JSON with a one-space indent. The frames come
+    from ``_FRAME_JSON``: their values are finite floats, which JSON writes
+    as their ``repr``."""
+    # The keys that sort before "frames", without the closing "\n}".
+    head = json.dumps({
+        "bitrate_schedule": [[t, b] for t, b in scenario.bitrate_schedule],
         "duration_s": scenario.duration_s,
         "fov_horizontal_deg": scenario.fov_horizontal_deg,
-        "reference_rate_hz": scenario.reference_rate_hz,
-        "bitrate_schedule": [[t, b] for t, b in scenario.bitrate_schedule],
-        "frames": [
-            {"timestamp": t, "mean_ndc_magnitude": m,
-             "features": dict(zip(CONTENT_FEATURE_KEYS, row))}
-            for t, m, row in zip(scenario.timestamps.tolist(),
-                                 scenario.ndc_magnitudes.tolist(), table)
-        ],
-    }
+    }, sort_keys=True, indent=1)[:-2]
+    frames = ",\n".join(
+        _FRAME_JSON.format(*row, m=m, t=t)
+        for t, m, row in zip(scenario.timestamps.tolist(),
+                             scenario.ndc_magnitudes.tolist(),
+                             scenario.content_features.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        fh.write(f'{head},\n "frames": [\n{frames}\n ],\n "reference_rate_hz": '
+                 f'{json.dumps(scenario.reference_rate_hz)}\n}}\n')
 
 
 def _number(value, where: str) -> float:
@@ -489,9 +539,9 @@ class OracleQualityPolicy:
 
     def decide_mode(self, scenario, mode, times, records, velocities, bitrate_bps):
         ladder = self._picks_from
-        q = self.quality_source.surface(ladder, bitrate_bps, velocities[-1:])[0]
-        grid = QualityGrid("session", velocities[-1], bitrate_bps, q, ladder)
-        return select_efficient(grid, self.margin_jod).efficient_mode
+        q = self.quality_source.surface(ladder, bitrate_bps, velocities[-1:])
+        picked = _select(q, ladder, (self.margin_jod,))
+        return VideoMode(int(picked.eff_f[0, 0]), int(picked.eff_h[0, 0]))
 
 
 class FixedBaselinePolicy:
@@ -621,9 +671,33 @@ def _session_summary(windows: list[WindowRecord], frame_bits: list[int],
         sum(a.height != b.height for a, b in zip(windows, windows[1:])))
 
 
-def _run_with_policy(scenario: Scenario, policy, quality_source,
-                     *, iframe_multiplier: int = IFRAME_BIT_MULTIPLIER,
-                     jitter_pct: float = 0.0, seed: int = 0) -> SessionTrace:
+@dataclass
+class _Branch:
+    """The policies, by index, that have played the same frame rates so
+    far, with the velocity estimator and jitter generator of that history."""
+
+    members: list[int]
+    estimator: VelocityEstimator
+    rng: np.random.Generator | None
+
+    def split(self, modes: list[VideoMode]) -> list[_Branch]:
+        """One branch per frame rate that the members' next modes play, in
+        the order of their first members. The first keeps this branch's
+        state; each other one gets a copy of it."""
+        groups: dict[int, list[int]] = {}
+        for m in self.members:
+            groups.setdefault(modes[m].frame_rate_hz, []).append(m)
+        first, *rest = groups.values()
+        return [_Branch(first, self.estimator, self.rng)] + [
+            _Branch(members, copy.deepcopy(self.estimator), copy.deepcopy(self.rng))
+            for members in rest]
+
+
+def _run_policies(scenario: Scenario, policies, quality_source,
+                  *, iframe_multiplier: int = IFRAME_BIT_MULTIPLIER,
+                  jitter_pct: float = 0.0, seed: int = 0) -> list[SessionTrace]:
+    """One session per policy, played window by window in one pass; the
+    policies share one ladder."""
     n_windows = int(math.floor(scenario.duration_s / GOP_LENGTH_S + 1e-9))
     if n_windows < 1:
         raise ArgumentError(
@@ -634,48 +708,63 @@ def _run_with_policy(scenario: Scenario, policy, quality_source,
     targets = [scenario.bitrate_schedule[i][1] for i in
                scenario.schedule_index(np.arange(n_windows) * GOP_LENGTH_S).tolist()]
 
-    ladder = policy.ladder
-    mode = baseline_mode(targets[0], ladder)
+    ladder = policies[0].ladder
+    if any(policy.ladder != ladder for policy in policies):
+        raise ArgumentError("the policies of one run must share a ladder")
+    modes = [baseline_mode(targets[0], ladder)] * len(policies)
 
     check_jitter_pct(jitter_pct)
-    rng = np.random.default_rng(seed) if jitter_pct > 0 else None
     # Motion of every reference record, each over one reference tick.
     record_degps = deg_per_sec(scenario.ndc_magnitudes,
                                1.0 / scenario.reference_rate_hz,
                                scenario.fov_horizontal_deg)
-    estimator = VelocityEstimator()
+    branches = [_Branch(list(range(len(policies))), VelocityEstimator(),
+                        np.random.default_rng(seed) if jitter_pct > 0 else None)]
 
-    frame_bits: list[int] = []
-    windows: list[WindowRecord] = []
+    frame_bits: list[list[int]] = [[] for _ in policies]
+    windows: list[list[WindowRecord]] = [[] for _ in policies]
     for w, target_bitrate_bps in enumerate(targets):
-        times = _window_times(w * GOP_LENGTH_S, mode.frame_rate_hz)
-        budget = allocate_bits(target_bitrate_bps, times.size, iframe_multiplier)
-        if rng is not None:
-            scale = rng.uniform(1.0 - jitter_pct / 100.0,
-                                1.0 + jitter_pct / 100.0, times.size)
-            budget = np.maximum(1, np.rint(budget * scale)).astype(np.int64)
+        for branch in branches:
+            frame_rate = modes[branch.members[0]].frame_rate_hz
+            times = _window_times(w * GOP_LENGTH_S, frame_rate)
+            budget = allocate_bits(target_bitrate_bps, times.size, iframe_multiplier)
+            if branch.rng is not None:
+                scale = branch.rng.uniform(1.0 - jitter_pct / 100.0,
+                                           1.0 + jitter_pct / 100.0, times.size)
+                budget = np.maximum(1, np.rint(budget * scale)).astype(np.int64)
+            bits = budget.tolist()
 
-        records = scenario.sample_index(times)
-        velocities = estimator.update_window(record_degps[records], times)
-        surface = quality_source.surface(ladder, target_bitrate_bps, velocities)
-        # Summed in frame order from 0.0: np.sum's pairwise order would
-        # change the last bits of the window mean.
-        column = surface[:, ladder.frame_rate_index(mode.frame_rate_hz),
-                         ladder.height_index(mode.height)]
-        window_quality = float(np.add.accumulate(np.concatenate(([0.0], column)))[-1])
+            records = scenario.sample_index(times)
+            velocities = branch.estimator.update_window(record_degps[records], times)
+            surface = quality_source.surface(ladder, target_bitrate_bps, velocities)
+            at_rate = surface[:, ladder.frame_rate_index(frame_rate)]
+            for m in branch.members:
+                height = modes[m].height
+                # Summed in frame order from 0.0: np.sum's pairwise order
+                # would change the last bits of the window mean.
+                column = at_rate[:, ladder.height_index(height)]
+                window_quality = float(np.add.accumulate(np.concatenate(([0.0], column)))[-1])
+                frame_bits[m].extend(bits)
+                windows[m].append(WindowRecord(w, frame_rate, height,
+                                               window_quality / times.size))
 
-        frame_bits.extend(budget.tolist())
-        windows.append(WindowRecord(w, mode.frame_rate_hz, mode.height,
-                                    window_quality / times.size))
+            if w + 1 == n_windows:
+                continue  # no decision after the final window
+            velocity_list = velocities.tolist()
+            for m in branch.members:
+                modes[m] = policies[m].decide_mode(scenario, modes[m], times, records,
+                                                   velocity_list, targets[w + 1])
+                ladder.require_mode(modes[m])
+        branches = [part for branch in branches for part in branch.split(modes)]
 
-        if w + 1 == n_windows:
-            break  # no decision after the final window
-        mode = policy.decide_mode(scenario, mode, times, records,
-                                  velocities.tolist(), targets[w + 1])
-        ladder.require_mode(mode)
+    return [SessionTrace(tuple(wins), tuple(bits), _session_summary(wins, bits, targets))
+            for wins, bits in zip(windows, frame_bits)]
 
-    return SessionTrace(tuple(windows), tuple(frame_bits),
-                        _session_summary(windows, frame_bits, targets))
+
+def _run_with_policy(scenario: Scenario, policy, quality_source,
+                     **kwargs) -> SessionTrace:
+    """The session of one policy."""
+    return _run_policies(scenario, [policy], quality_source, **kwargs)[0]
 
 
 def run_session(scenario: Scenario, model: PredictorModel, graph: TransitionGraph,
@@ -704,8 +793,8 @@ def compare_baselines(scenario: Scenario, quality_source,
         "full_adaptive": OracleQualityPolicy(
             quality_source, margin_jod, ladder=ladder),
     }
-    return {name: _run_with_policy(scenario, policy, quality_source, **kwargs)
-            for name, policy in policies.items()}
+    traces = _run_policies(scenario, list(policies.values()), quality_source, **kwargs)
+    return dict(zip(policies, traces))
 
 
 # ---------------------------------------------------------------------------

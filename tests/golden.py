@@ -15,11 +15,16 @@ manifests of two trees are equal exactly when their outputs are. The corpus:
 - ``train --seed 7`` and ``evaluate`` on its training rows;
 - ``simulate`` and ``compare --seed 7`` on the three generated scenarios and
   on the benchmark's patch scenarios (``adabench.inputs.patch_scenario_json``)
-  at seeds 1, 2, 3, 5 and 901.
+  at seeds 1, 2, 3, 5 and 901;
+- ``compare_baselines`` on the same eight scenarios with a
+  ``GridQualitySource`` of the generated grids, at jitter 0 and at 5% with
+  seed 3: each policy's window CSV and the summaries as JSON. The CLI's
+  ``compare`` runs only the synthetic source. On the patch scenarios the
+  full-adaptive policy leaves the baseline's frame rate.
 
 The patch scenario files are inputs, so they stay out of the manifest. The
-script uses no CLI flag that is newer than the corpus itself. Pytest does not
-collect it.
+script uses no CLI flag and no library name that is newer than the corpus
+itself. Pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -27,11 +32,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 PATCH_SEEDS = (1, 2, 3, 5, 901)
+GRID_JITTERS_PCT = (0.0, 5.0)
 TOKEN = "OUT"
 
 
@@ -74,6 +81,29 @@ def build(out: Path) -> None:
              "--model", model, "--seed", 7)
         _cli(corpus, f"compare_{scenario.stem}", "compare", "--scenario", scenario,
              "--seed", 7)
+    _grid_compare(corpus, gen / "grids.csv", scenarios)
+
+
+def _grid_compare(corpus: Path, grids: Path, scenarios) -> None:
+    """``compare_baselines`` on each scenario with the grids as the quality
+    source."""
+    from adastream.quality import load_grids
+    from adastream.simulator import (GridQualitySource, compare_baselines,
+                                     scenario_from_json, summary_dict,
+                                     write_window_csv)
+
+    source = GridQualitySource(load_grids(grids))
+    for path in scenarios:
+        scenario = scenario_from_json(path)
+        for jitter in GRID_JITTERS_PCT:
+            step_dir = corpus / f"grid_compare_{path.stem}_jitter{jitter:g}"
+            step_dir.mkdir()
+            traces = compare_baselines(scenario, source, jitter_pct=jitter, seed=3)
+            for name, trace in traces.items():
+                write_window_csv(trace, step_dir / f"{name}_windows.csv")
+            summaries = {name: summary_dict(trace) for name, trace in traces.items()}
+            (step_dir / "summary.json").write_text(
+                json.dumps(summaries, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
 def manifest(corpus: Path) -> list[str]:

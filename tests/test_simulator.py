@@ -1,6 +1,7 @@
 import base64
 import functools
 import json
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -21,7 +22,7 @@ from adastream.simulator import (GOP_LENGTH_S, FixedBaselinePolicy,
                                  GridQualitySource, OracleQualityPolicy,
                                  PredictorControllerPolicy, Scenario,
                                  SyntheticQualitySource, _run_with_policy,
-                                 allocate_bits, baseline_mode,
+                                 allocate_bits, baseline_frame_rate, baseline_mode,
                                  compare_baselines, run_session,
                                  scenario_from_json, scenario_to_json)
 from adastream.synth import make_scenario
@@ -722,6 +723,50 @@ def test_grid_source_ladders():
         GridQualitySource([grid, make_synthetic_grid(3e6, 10.0, ladder=sub)])
 
 
+def _flat_grid(index, bitrate, velocity):
+    """A grid whose every cell reads ``index``, so a lookup names it."""
+    return QualityGrid(f"g{index}", velocity, bitrate,
+                       np.full((DEFAULT_LADDER.n_frame_rates, DEFAULT_LADDER.n_heights),
+                               float(index)))
+
+
+@pytest.mark.parametrize("bitrate, velocity, expected", [
+    (3e6, 80.0, 2), (3e6, 1e300, 2), (3e6, math.inf, 2), (3e6, 39.0, 1),
+    # the range is that of the grids at the nearest bitrate
+    (6e6, math.inf, 4), (6e6, 5.0, 3), (6e6, 0.0, 3)])
+def test_lookup_clamps_the_velocity_into_the_range_of_the_nearest_bitrate(
+        bitrate, velocity, expected):
+    """Unclamped, every gap to 1e300 or inf rounds to one value, and the
+    first grid, the slowest, would win."""
+    grids = [_flat_grid(i, b, v) for i, (b, v) in enumerate(
+        [(3e6, 0.0), (3e6, 40.0), (3e6, 80.0), (6e6, 20.0), (6e6, 60.0)])]
+    source = GridQualitySource(grids)
+    assert nearest_grid_scan(grids, bitrate, velocity) is grids[expected]
+    assert source(VideoMode(60, 720), bitrate, velocity) == expected
+    surface = source.surface(DEFAULT_LADDER, bitrate, [velocity, 0.0, velocity])
+    assert surface[[0, 2]].tolist() == [grids[expected].q.tolist()] * 2
+    assert np.array_equal(surface[1], nearest_grid_scan(grids, bitrate, 0.0).q)
+
+
+def test_grid_source_answers_seen_bitrates_as_a_fresh_source():
+    grids = synth.grids_for_clips(synth.sample_clips(6, 2))
+    velocities = [0.0, 12.5, 33.0, 95.0, math.inf]
+
+    def fresh(bitrate):
+        return GridQualitySource(grids).surface(DEFAULT_LADDER, bitrate, velocities)
+
+    source = GridQualitySource(grids)
+    for bitrate in (2e6, 4.5e6, 2e6, 4.5e6):
+        assert np.array_equal(source.surface(DEFAULT_LADDER, bitrate, velocities),
+                              fresh(bitrate))
+    # past its bound the cache drops its oldest bitrate and still answers
+    size = simulator._CANDIDATE_CACHE_SIZE
+    for bitrate in np.linspace(1e6, 8e6, size + 5).tolist() + [2e6]:
+        assert np.array_equal(source.surface(DEFAULT_LADDER, bitrate, velocities),
+                              fresh(bitrate))
+    assert len(source._candidates) == size
+
+
 @settings(max_examples=60, deadline=None)
 @given(bitrate=st.floats(5e5, 1e7), velocity=st.floats(0.0, 120.0),
        margin=st.sampled_from([0.0, 0.1, 0.25, 1.0]),
@@ -837,6 +882,63 @@ def test_window_engine_equals_per_frame_engine_every_policy(policy, source_kind)
         bitrate_schedule=((0.0, 6e6), (3.1, 2e6), (5.0, 3.5e6)))
     source = SOURCE if source_kind == "synthetic" else _grid_source()
     _assert_engines_agree(scenario, policy, source)
+
+
+def _per_frame_baselines(source, ladder):
+    """``compare_baselines``'s three policies, with the cell-loop oracle."""
+    return {"fixed": FixedBaselinePolicy(ladder),
+            "resolution_adaptive": CellLoopOraclePolicy(
+                source, frame_rates=(baseline_frame_rate(ladder),), ladder=ladder),
+            "full_adaptive": CellLoopOraclePolicy(source, ladder=ladder)}
+
+
+# full_adaptive leaves the baseline rate after the first window, and later
+# comes back to it on a branch of its own; or it keeps the baseline rate,
+# so the three policies play one branch.
+_BRANCHINGS = {
+    "split": dict(velocity_degps=20.0,
+                  bitrate_schedule=((0.0, 6e6), (3.1, 2e6), (5.0, 3.5e6))),
+    "one_branch": dict(velocity_degps=17.5, bitrate_schedule=((0.0, 2e6),)),
+}
+_NO_60_HZ = Ladder((30, 50, 70, 90, 110), (360, 480, 720, 864, 1080))
+
+
+@functools.lru_cache(maxsize=None)
+def _synthetic_grid_source():
+    """Grids of the synthetic surface, so the grid source branches as the
+    synthetic source does."""
+    return GridQualitySource([
+        make_synthetic_grid(b, float(v), clip_id=f"s{b}-{v}")
+        for b in (1e6, 2e6, 3.5e6, 6e6) for v in range(0, 81, 10)])
+
+
+@pytest.mark.parametrize("jitter_pct", [0.0, 5.0])
+@pytest.mark.parametrize("source_kind", ["synthetic", "grid"])
+@pytest.mark.parametrize("branching, ladder", [
+    ("split", DEFAULT_LADDER), ("one_branch", DEFAULT_LADDER), ("split", _NO_60_HZ)])
+def test_compare_baselines_equals_per_frame_sessions(branching, ladder, source_kind,
+                                                     jitter_pct):
+    scenario = make_scenario(duration_s=8.0, seed=9, **_BRANCHINGS[branching])
+    source = SOURCE if source_kind == "synthetic" else _synthetic_grid_source()
+    kwargs = {"jitter_pct": jitter_pct, "seed": 3}
+    traces = compare_baselines(scenario, source, ladder=ladder, **kwargs)
+    for name, policy in _per_frame_baselines(source, ladder).items():
+        assert traces[name] == per_frame_session(scenario, policy, source, **kwargs)
+    rates = [w.frame_rate_hz for w in traces["full_adaptive"].windows]
+    baseline = baseline_frame_rate(ladder)
+    assert rates[0] == baseline
+    if branching == "one_branch":
+        assert set(rates) == {baseline}
+    else:
+        assert rates[1] != baseline
+        assert ladder is _NO_60_HZ or baseline in rates[2:]
+
+
+def test_policies_of_one_run_share_a_ladder():
+    with pytest.raises(ArgumentError, match="share a ladder"):
+        simulator._run_policies(make_scenario(duration_s=4.0, seed=1),
+                                [FixedBaselinePolicy(), FixedBaselinePolicy(_NO_60_HZ)],
+                                SOURCE)
 
 
 def _with_magnitudes(edit):
