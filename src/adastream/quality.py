@@ -127,16 +127,34 @@ def synthetic_surface(ladder: Ladder, bitrate_bps: float, velocities,
     Equal bit for bit, in every cell, to the scalar formula evaluated in
     Python floats: the power and log2 terms come from ``math`` once per
     height and once per cell; numpy only adds, subtracts, multiplies and
-    clamps, which it rounds as Python does. A rate too small for the top
-    cell, or a spatial loss beyond the float range, is an ArgumentError.
+    clamps, which it rounds as Python does. A negative or NaN velocity, a
+    rate that is not positive and finite or too small for the top cell, or
+    a spatial loss beyond the float range, is an ArgumentError.
     """
+    return _surface(ladder, bitrate_bps, velocities, params, params.content_detail)
+
+
+def _velocity_array(velocities) -> np.ndarray:
+    """The velocities as a 1-D float array; each must be >= 0 (inf is legal)."""
     v = np.asarray(velocities, dtype=float)
     if v.ndim != 1:
         raise ArgumentError("velocities must be a 1-D sequence")
-    if np.any(v < 0):
-        raise ArgumentError("velocity must be >= 0")
-    if bitrate_bps <= 0:
-        raise ArgumentError("bitrate must be positive")
+    refused = v[~(v >= 0)]
+    if refused.size:
+        raise ArgumentError(f"velocity must be >= 0, got {float(refused[0])!r}")
+    return v
+
+
+def _surface(ladder: Ladder, bitrate_bps: float, velocities,
+             params: SyntheticQualityParams, detail) -> np.ndarray:
+    """:func:`synthetic_surface` at ``detail``, one content detail or one
+    per velocity; the other parameters come from ``params``. The terms that
+    do not depend on the velocity are computed once: the spatial deficit of
+    each height and the coding ratio of each cell."""
+    v = _velocity_array(velocities)
+    if not 0 < bitrate_bps < math.inf:
+        raise ArgumentError("bitrate must be positive and finite, got "
+                            f"{float(bitrate_bps)!r}")
     # The costliest cell has the fewest bits per pixel, so the largest ratio.
     f, w, h = ladder.frame_rates_hz[-1], ladder.widths[-1], ladder.heights[-1]
     bpp = float(bitrate_bps) / (f * w * h)
@@ -144,7 +162,6 @@ def synthetic_surface(ladder: Ladder, bitrate_bps: float, velocities,
         raise ArgumentError(f"bitrate {float(bitrate_bps)!r} bps is too small: "
                             f"{bpp!r} bits per pixel at {h} lines and {f} Hz")
 
-    detail = params.content_detail
     interval_excess = np.array([1.0 / f - 1.0 / params.reference_rate_hz
                                 for f in ladder.frame_rates_hz])
     try:
@@ -155,13 +172,16 @@ def synthetic_surface(ladder: Ladder, bitrate_bps: float, velocities,
     if not all(math.isfinite(params.alpha_spatial * d) for d in deficits):
         raise ArgumentError("alpha_spatial and spatial_exponent put the spatial loss "
                             f"beyond the float range at {ladder.heights} lines")
-    loss_spatial = np.array([params.alpha_spatial * detail * d for d in deficits])
     # No coding loss at a ratio <= 1, which includes one that underflows to 0.
-    loss_coding = np.array([[
-        params.alpha_coding * (math.log2(r) if r > 1.0 else 0.0) * (0.5 + 0.5 * detail)
+    log2_ratios = np.array([[
+        math.log2(r) if r > 1.0 else 0.0
         for h, w in zip(ladder.heights, ladder.widths)
         for r in [params.bpp_ref / (bitrate_bps / (f * w * h))]]
         for f in ladder.frame_rates_hz])
+    # (1, 1, 1) for one detail, (n, 1, 1) for one per velocity
+    detail = np.reshape(np.asarray(detail, dtype=float), (-1, 1, 1))
+    loss_spatial = (params.alpha_spatial * detail) * np.array(deficits)
+    loss_coding = (params.alpha_coding * log2_ratios) * (0.5 + 0.5 * detail)
     loss_temporal = (params.alpha_temporal
                      * np.minimum(v, SPEM_LIMIT_DEGPS))[:, None] * interval_excess
     q = JOD_MAX - loss_temporal[:, :, None] - loss_spatial - loss_coding
@@ -182,6 +202,11 @@ def load_grids(path, ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
     sorted by both. Each cell is stored as its row is read, and a clip id may
     not hold a comma, quote or line break.
 
+    Two memos, keyed by exact field text, skip the parsing and checks that
+    text already passed: a row's first three fields (clip id, velocity and
+    bitrate), and the cell of a (frame rate, height) pair. A row whose text
+    misses them takes every check, in the same order.
+
     Fails atomically: either every group in the file is complete and valid,
     or a :class:`SchemaError` is raised and nothing is returned.
     """
@@ -196,28 +221,36 @@ def load_grids(path, ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
             raise SchemaError(
                 f"{path}: bad header {header!r}, expected {list(GRID_CSV_HEADER)}")
 
-        # (clip_id, bitrate) -> (velocity, q); NaN marks a cell not yet read
-        groups: dict[tuple[str, float], tuple[float, np.ndarray]] = {}
+        n_heights = ladder.n_heights
+        n_cells = ladder.n_frame_rates * n_heights
+        # (clip_id, bitrate) -> (velocity, cells); None marks a cell not yet read
+        groups: dict[tuple[str, float], tuple[float, list]] = {}
+        leads: dict[tuple[str, str, str], tuple[str, list]] = {}  # -> (clip_id, cells)
+        cell_at: dict[tuple[str, str], int] = {}  # -> flat cell index
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(GRID_CSV_HEADER):
                 raise SchemaError(f"{path}:{lineno}: expected "
                                   f"{len(GRID_CSV_HEADER)} columns, got {len(row)}")
-            clip_id = row[0].strip()
+            lead = leads.get((row[0], row[1], row[2]))
+            cell = cell_at.get((row[3], row[4]))
             try:
-                velocity = float(row[1])
-                bitrate = float(row[2])
-                f = int(row[3])
-                h = int(row[4])
+                if lead is None:
+                    velocity = float(row[1])
+                    bitrate = float(row[2])
+                if cell is None:
+                    f = int(row[3])
+                    h = int(row[4])
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
-            if not (math.isfinite(velocity) and velocity >= 0.0):
-                raise SchemaError(f"{path}:{lineno}: velocity {row[1]!r} must be "
-                                  "finite and >= 0")
-            if not (math.isfinite(bitrate) and bitrate > 0.0):
-                raise SchemaError(f"{path}:{lineno}: bitrate {row[2]!r} must be "
-                                  "finite and > 0")
+            if lead is None:
+                if not (math.isfinite(velocity) and velocity >= 0.0):
+                    raise SchemaError(f"{path}:{lineno}: velocity {row[1]!r} must be "
+                                      "finite and >= 0")
+                if not (math.isfinite(bitrate) and bitrate > 0.0):
+                    raise SchemaError(f"{path}:{lineno}: bitrate {row[2]!r} must be "
+                                      "finite and > 0")
             try:
                 jod = float(row[5])
             except ValueError:
@@ -226,32 +259,38 @@ def load_grids(path, ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
             if not math.isfinite(jod) or not 0.0 <= jod <= JOD_MAX:
                 raise SchemaError(
                     f"{path}:{lineno}: jod {jod} out of range [0, {JOD_MAX}]")
-            try:
-                cell = ladder.frame_rate_index(f), ladder.height_index(h)
-            except ArgumentError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+            if cell is None:
+                try:
+                    cell = ladder.frame_rate_index(f) * n_heights + ladder.height_index(h)
+                except ArgumentError as exc:
+                    raise SchemaError(f"{path}:{lineno}: {exc}") from None
+                cell_at[row[3], row[4]] = cell
 
-            key = (clip_id, bitrate)
-            if key not in groups:  # so every clip id is checked at its first row
-                if any(c in clip_id for c in ',"\r\n'):
-                    raise SchemaError(f"{path}:{lineno}: clip id {clip_id!r} holds "
-                                      "a comma, quote or line break")
-                groups[key] = (velocity, np.full(
-                    (ladder.n_frame_rates, ladder.n_heights), np.nan))
-            first_velocity, q = groups[key]
-            if first_velocity != velocity:
+            if lead is None:
+                clip_id = row[0].strip()
+                key = (clip_id, bitrate)
+                if key not in groups:  # so every clip id is checked at its first row
+                    if any(c in clip_id for c in ',"\r\n'):
+                        raise SchemaError(f"{path}:{lineno}: clip id {clip_id!r} holds "
+                                          "a comma, quote or line break")
+                    groups[key] = (velocity, [None] * n_cells)
+                first_velocity, cells = groups[key]
+                if first_velocity != velocity:
+                    raise SchemaError(
+                        f"{path}:{lineno}: clip {clip_id!r} at {bitrate} bps mixes "
+                        f"velocities {first_velocity} and {velocity}")
+                lead = leads[row[0], row[1], row[2]] = (clip_id, cells)
+            clip_id, cells = lead
+            if cells[cell] is not None:
                 raise SchemaError(
-                    f"{path}:{lineno}: clip {clip_id!r} at {bitrate} bps mixes "
-                    f"velocities {first_velocity} and {velocity}")
-            if not math.isnan(q[cell]):
-                raise SchemaError(
-                    f"{path}:{lineno}: duplicate cell ({f} Hz, {h} lines) "
-                    f"for clip {clip_id!r}")
-            q[cell] = jod
+                    f"{path}:{lineno}: duplicate cell ({int(row[3])} Hz, "
+                    f"{int(row[4])} lines) for clip {clip_id!r}")
+            cells[cell] = jod
 
     grids = []
     for clip_id, bitrate in sorted(groups):
-        velocity, q = groups[(clip_id, bitrate)]
+        velocity, cells = groups[(clip_id, bitrate)]
+        q = np.array(cells, dtype=float).reshape(ladder.n_frame_rates, n_heights)
         missing = np.argwhere(np.isnan(q))
         if len(missing):
             fi, hi = missing[0]

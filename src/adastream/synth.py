@@ -21,7 +21,7 @@ from .labeler import LabeledClip, label_grids, select_efficient  # noqa: F401
 from .ladder import DEFAULT_LADDER, Ladder
 from .motion import SPEM_LIMIT_DEGPS, normalize_velocities
 from .predictor import TrainingExample
-from .quality import QualityGrid, SyntheticQualityParams, make_synthetic_grid
+from .quality import QualityGrid, SyntheticQualityParams, _surface, _velocity_array
 from .simulator import Scenario
 
 FEATURE_JITTER = 0.01  # std. dev. of the noise on a scenario's content rows
@@ -51,13 +51,38 @@ def sample_clips(count: int, seed: int) -> list[SyntheticClip]:
 def grids_for_clips(clips, bitrates=DEFAULT_BITRATES_BPS,
                     base_params: SyntheticQualityParams = SyntheticQualityParams(),
                     ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
-    grids = []
+    """One grid per clip and bitrate, clip-major: one surface per bitrate
+    for all clips, each clip at its own content detail.
+
+    Invalid input raises what one ``make_synthetic_grid`` call per grid, in
+    this order, raised first. Those calls checked a clip's detail, then its
+    velocity at the clip's first grid. The bitrate checks depend on no clip,
+    so they ran at the first clip that passed its own.
+    """
+    clips, bitrates = list(clips), list(bitrates)
+    passed, refusal = [], None
     for clip in clips:
-        params = replace(base_params, content_detail=clip.content_detail)
-        for bitrate in bitrates:
-            grids.append(make_synthetic_grid(bitrate, clip.velocity_degps, params,
-                                             ladder, clip_id=clip.clip_id))
-    return grids
+        detail, velocity = clip.content_detail, clip.velocity_degps
+        try:
+            # a float detail in [0, 1] and a velocity >= 0 pass these checks
+            if not (type(detail) is float and 0.0 <= detail <= 1.0):
+                replace(base_params, content_detail=detail)
+            if bitrates and not velocity >= 0:
+                _velocity_array([velocity])
+        except ArgumentError as exc:
+            refusal = exc
+            break
+        passed.append(clip)
+    surfaces = []
+    if passed:
+        velocities = [clip.velocity_degps for clip in passed]
+        details = [clip.content_detail for clip in passed]
+        surfaces = [_surface(ladder, bitrate, velocities, base_params, details)
+                    for bitrate in bitrates]
+    if refusal is not None:
+        raise refusal
+    return [QualityGrid(clip.clip_id, clip.velocity_degps, bitrate, q[i], ladder)
+            for i, clip in enumerate(passed) for bitrate, q in zip(bitrates, surfaces)]
 
 
 def content_features_for_detail(detail: float, rng: np.random.Generator) -> FeatureVector:

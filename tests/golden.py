@@ -11,7 +11,12 @@ OUT, and OUT in a subcommand's stdout reads as a fixed token, so the
 manifests of two trees are equal exactly when their outputs are. The corpus:
 
 - ``gen-synthetic --count 150 --seed 7 --scenarios 3``;
-- ``label`` on its grids;
+- ``label`` on its grids, and on a respelled copy of them
+  (``respelled_grid_file`` with seed 7: padded clip ids, respelled
+  numbers, shuffled rows, blank lines and CRLF line ends);
+- ``gen-synthetic --count 150 --seed 7`` and ``label`` on its grids under
+  ``CONFIG``: a four-by-two ladder, two bitrates and other synthetic
+  constants;
 - ``train --seed 7`` and ``evaluate`` on its training rows;
 - ``simulate`` and ``compare --seed 7`` on the three generated scenarios and
   on the benchmark's patch scenarios (``adabench.inputs.patch_scenario_json``)
@@ -22,9 +27,10 @@ manifests of two trees are equal exactly when their outputs are. The corpus:
   ``compare`` runs only the synthetic source. On the patch scenarios the
   full-adaptive policy leaves the baseline's frame rate.
 
-The patch scenario files are inputs, so they stay out of the manifest. The
-script uses no CLI flag and no library name that is newer than the corpus
-itself. Pytest does not collect it.
+The patch scenario files, the respelled grids and the config are inputs,
+so they stay out of the manifest. The script uses no CLI flag and no
+library name that is newer than the corpus itself. Pytest does not collect
+it; the reader fuzz tests import its ``respelled_grid_file``.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -40,6 +47,46 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 PATCH_SEEDS = (1, 2, 3, 5, 901)
 GRID_JITTERS_PCT = (0.0, 5.0)
 TOKEN = "OUT"
+CONFIG = {"frame_rates": [24, 25, 50, 144], "resolutions": [480, 1080],
+          "bitrates": [1500000.0, 5000000.0],
+          "synthetic": {"alpha_temporal": 1.3, "alpha_spatial": 2.0,
+                        "alpha_coding": 1.8, "bpp_ref": 0.07,
+                        "spatial_exponent": 1.1, "content_detail": 0.4}}
+
+
+def respellings(text: str, integral: bool) -> list[str]:
+    """Other spellings of a number field that Python reads as the same
+    number: ``+30``, `` 1080``, ``3e6``, ``7.50``."""
+    spellings = [f"+{text}", f" {text}", f"{text} "]
+    if integral:
+        return spellings + [f"0{text}"]
+    mantissa, exponent = f"{float(text):.16e}".split("e")
+    spellings.append(f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent)}")
+    if "." in text and "e" not in text:
+        spellings.append(f"{text}0")
+    return spellings
+
+
+def respelled_grid_file(data: bytes, rnd: random.Random, share: float,
+                        shuffle: bool, blank_lines: int, end: str) -> bytes:
+    """A grid file written by ``write_grids_csv``, with the same grids in
+    other text: each row's clip id padded with spaces and each of its
+    number fields respelled with chance ``share``, the rows shuffled or
+    not, ``blank_lines`` blank lines inserted after the header, and ``end``
+    ending every line."""
+    header, *rows = (line.split(",") for line in data.decode("utf-8").splitlines())
+    for row in rows:
+        if rnd.random() < share:
+            row[0] = f" {row[0]} "
+        for j in range(1, 6):
+            if rnd.random() < share:
+                row[j] = rnd.choice(respellings(row[j], integral=j in (3, 4)))
+    if shuffle:
+        rnd.shuffle(rows)
+    lines = [",".join(row) for row in [header, *rows]]
+    for _ in range(blank_lines):
+        lines.insert(rnd.randint(1, len(lines)), "")
+    return "".join(line + end for line in lines).encode("utf-8")
 
 
 def _cli(out: Path, step: str, *argv) -> None:
@@ -67,6 +114,16 @@ def build(out: Path) -> None:
     _cli(corpus, "gen-synthetic", "gen-synthetic", "--count", 150, "--seed", 7,
          "--scenarios", 3)
     _cli(corpus, "label", "label", "--grids", gen / "grids.csv")
+    respelled = inputs / "grids_respelled.csv"
+    respelled.write_bytes(respelled_grid_file((gen / "grids.csv").read_bytes(),
+                                              random.Random(7), 0.5, True, 5, "\r\n"))
+    _cli(corpus, "label_respelled", "label", "--grids", respelled)
+    config = inputs / "config.json"
+    config.write_text(json.dumps(CONFIG), encoding="utf-8")
+    _cli(corpus, "gen-synthetic_config", "gen-synthetic", "--config", config,
+         "--count", 150, "--seed", 7)
+    _cli(corpus, "label_config", "label", "--config", config,
+         "--grids", corpus / "gen-synthetic_config" / "grids.csv")
     _cli(corpus, "train", "train", "--data", gen / "training.csv", "--seed", 7)
     model = corpus / "train" / "model.json"
     _cli(corpus, "evaluate", "evaluate", "--model", model,

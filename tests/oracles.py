@@ -20,20 +20,24 @@ features of every patch record at read time (with the library's kernel
 unless told otherwise, so that it tests laziness alone).
 The trainer and writer oracles keep the per-layer Adam loop, the row-at-a-time
 grid writer, the scenario writer that read the content table per value and
-the frame-trace writer that wrote one row per ``FrameRecord``.
+the frame-trace writer that wrote one row per ``FrameRecord``. The grid
+dataset oracles keep one synthetic grid built at a time and the grid reader
+that parsed every field of every row.
 """
 
 import base64
+import csv
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import dctn
 
 from adastream.controller import decide, initial_state, step
-from adastream.errors import ArgumentError, DivergenceError
+from adastream.errors import (ArgumentError, DivergenceError, SchemaError,
+                              utf8_lines)
 from adastream.features import (EDGE_THRESHOLD, PATCH_SIZE, FeatureVector,
                                 extract_features, normalize_bandwidth)
 from adastream.ladder import (DEFAULT_LADDER, VideoMode, pixels_per_second,
@@ -42,7 +46,7 @@ from adastream.motion import SPEM_LIMIT_DEGPS, WINDOW_SECONDS, deg_per_sec
 from adastream.predictor import (TrainConfig, forward, loss_and_gradients,
                                  new_model)
 from adastream.quality import (GRID_CSV_HEADER, JOD_MAX, QualityGrid,
-                               SyntheticQualityParams)
+                               SyntheticQualityParams, make_synthetic_grid)
 from adastream.simulator import (GOP_LENGTH_S, IFRAME_BIT_MULTIPLIER,
                                  FrameRecord,
                                  OracleQualityPolicy, PredictorControllerPolicy,
@@ -143,11 +147,12 @@ def grid_cell(grid, mode):
 
 def cell_quality(source, mode, bitrate_bps, velocity_degps):
     """One cell of a quality source: the scalar formula for the synthetic
-    source, the grid source's own one-cell lookup otherwise."""
+    source. A grid source is given as the grids it was built from, and its
+    cell is read from the grid that the linear scan finds nearest."""
     if isinstance(source, SyntheticQualitySource):
         return quality_value(mode.frame_rate_hz, mode.height, bitrate_bps,
                              velocity_degps, source.params)
-    return source(mode, bitrate_bps, velocity_degps)
+    return grid_cell(nearest_grid_scan(source, bitrate_bps, velocity_degps), mode)
 
 
 def velocity_band_edges(velocities):
@@ -167,7 +172,8 @@ def velocity_band(velocity, edges):
 
 class CellLoopOraclePolicy(OracleQualityPolicy):
     """The oracle policy as it decided before quality surfaces: one
-    quality-source call per ladder cell, then a brute-force selection."""
+    ``cell_quality`` read per ladder cell, then a brute-force selection. Its
+    quality source is the synthetic source, or a grid source's grids."""
 
     def decide_mode(self, scenario, mode, times, records, velocities, bitrate_bps):
         velocity_degps = velocities[-1]
@@ -293,6 +299,8 @@ def per_frame_session(scenario, policy, quality_source, *,
                       iframe_multiplier=IFRAME_BIT_MULTIPLIER,
                       jitter_pct=0.0, seed=0):
     """The frame-at-a-time session engine that the window engine replaced.
+    ``quality_source`` is the synthetic source or a grid source's grids, as
+    ``cell_quality`` reads them.
 
     Every frame samples its record, builds a validated MotionSample and
     FeatureVector and accounts its quality and bits. A predictor policy's
@@ -583,3 +591,101 @@ def per_value_scenario_to_json(scenario, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# Grid dataset oracles
+
+
+def per_clip_grids(clips, bitrates, base_params=SyntheticQualityParams(),
+                   ladder=DEFAULT_LADDER):
+    """Synthetic grids as ``synth.grids_for_clips`` built them before its
+    bulk surface: one ``make_synthetic_grid`` call per clip and bitrate."""
+    grids = []
+    for clip in clips:
+        params = replace(base_params, content_detail=clip.content_detail)
+        for bitrate in bitrates:
+            grids.append(make_synthetic_grid(bitrate, clip.velocity_degps, params,
+                                             ladder, clip_id=clip.clip_id))
+    return grids
+
+
+def row_at_a_time_load_grids(path, ladder=DEFAULT_LADDER):
+    """The grid reader before its memos: every row parses and checks all
+    six fields, and each cell goes into the group's NaN-filled array."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(utf8_lines(fh, path))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, expected header "
+                              f"{','.join(GRID_CSV_HEADER)}") from None
+        if tuple(h.strip() for h in header) != GRID_CSV_HEADER:
+            raise SchemaError(
+                f"{path}: bad header {header!r}, expected {list(GRID_CSV_HEADER)}")
+
+        # (clip_id, bitrate) -> (velocity, q); NaN marks a cell not yet read
+        groups = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(GRID_CSV_HEADER):
+                raise SchemaError(f"{path}:{lineno}: expected "
+                                  f"{len(GRID_CSV_HEADER)} columns, got {len(row)}")
+            clip_id = row[0].strip()
+            try:
+                velocity = float(row[1])
+                bitrate = float(row[2])
+                f = int(row[3])
+                h = int(row[4])
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
+            if not (math.isfinite(velocity) and velocity >= 0.0):
+                raise SchemaError(f"{path}:{lineno}: velocity {row[1]!r} must be "
+                                  "finite and >= 0")
+            if not (math.isfinite(bitrate) and bitrate > 0.0):
+                raise SchemaError(f"{path}:{lineno}: bitrate {row[2]!r} must be "
+                                  "finite and > 0")
+            try:
+                jod = float(row[5])
+            except ValueError:
+                raise SchemaError(
+                    f"{path}:{lineno}: non-numeric jod value {row[5]!r}") from None
+            if not math.isfinite(jod) or not 0.0 <= jod <= JOD_MAX:
+                raise SchemaError(
+                    f"{path}:{lineno}: jod {jod} out of range [0, {JOD_MAX}]")
+            try:
+                cell = ladder.frame_rate_index(f), ladder.height_index(h)
+            except ArgumentError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+
+            key = (clip_id, bitrate)
+            if key not in groups:  # so every clip id is checked at its first row
+                if any(c in clip_id for c in ',"\r\n'):
+                    raise SchemaError(f"{path}:{lineno}: clip id {clip_id!r} holds "
+                                      "a comma, quote or line break")
+                groups[key] = (velocity, np.full(
+                    (ladder.n_frame_rates, ladder.n_heights), np.nan))
+            first_velocity, q = groups[key]
+            if first_velocity != velocity:
+                raise SchemaError(
+                    f"{path}:{lineno}: clip {clip_id!r} at {bitrate} bps mixes "
+                    f"velocities {first_velocity} and {velocity}")
+            if not math.isnan(q[cell]):
+                raise SchemaError(
+                    f"{path}:{lineno}: duplicate cell ({f} Hz, {h} lines) "
+                    f"for clip {clip_id!r}")
+            q[cell] = jod
+
+    grids = []
+    for clip_id, bitrate in sorted(groups):
+        velocity, q = groups[(clip_id, bitrate)]
+        missing = np.argwhere(np.isnan(q))
+        if len(missing):
+            fi, hi = missing[0]
+            raise SchemaError(
+                f"{path}: incomplete grid for clip {clip_id!r} at {bitrate} bps: "
+                f"{q.size - len(missing)}/{q.size} cells, first missing "
+                f"({ladder.frame_rates_hz[fi]} Hz, {ladder.heights[hi]} lines)")
+        grids.append(QualityGrid(clip_id, velocity, bitrate, q, ladder))
+    return grids

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adastream.errors import ArgumentError, SchemaError
 from adastream.ladder import DEFAULT_LADDER, Ladder, VideoMode
@@ -11,7 +11,8 @@ from adastream.quality import (GRID_CSV_HEADER, QualityGrid,
                                SyntheticQualityParams, load_grids,
                                make_synthetic_grid, synthetic_quality,
                                synthetic_surface, write_grids_csv)
-from oracles import quality_value, row_at_a_time_grids_csv
+from adastream.synth import SyntheticClip, grids_for_clips
+from oracles import per_clip_grids, quality_value, row_at_a_time_grids_csv
 
 # Hand-evaluated surface point, frozen from an independent step-by-step
 # calculation: temporal loss 40*(1/30 - 1/166) = 1.0923694779116466,
@@ -148,6 +149,25 @@ def test_synthetic_quality_equals_quality_value_off_the_ladder(f, h, bitrate,
             == np.float64(quality_value(f, h, bitrate, velocity, params)).tobytes())
 
 
+@pytest.mark.parametrize("velocities, named", [
+    ([float("nan")], "nan"), ([3.0, float("nan"), -1.0], "nan"),
+    ([3.0, -1e-300], "-1e-300")])
+def test_surface_refuses_a_nan_or_negative_velocity_naming_it(velocities, named):
+    # a NaN velocity passed ``v < 0`` and gave NaN JODs
+    message = f"velocity must be >= 0, got {named}$"
+    with pytest.raises(ArgumentError, match=message):
+        synthetic_surface(DEFAULT_LADDER, 3e6, velocities)
+    with pytest.raises(ArgumentError, match=message):
+        synthetic_quality(VideoMode(60, 720), 3e6, float(named))
+
+
+@pytest.mark.parametrize("bitrate", [0.0, -1.0, float("inf"), float("nan")])
+def test_surface_refuses_a_rate_that_is_not_positive_and_finite(bitrate):
+    with pytest.raises(ArgumentError, match="bitrate must be positive and finite, "
+                                            f"got {bitrate!r}"):
+        synthetic_surface(DEFAULT_LADDER, bitrate, [3.0])
+
+
 def test_synthetic_surface_input_validation():
     with pytest.raises(ArgumentError):
         synthetic_surface(DEFAULT_LADDER, 4e6, [3.0, -1.0])
@@ -178,6 +198,75 @@ def test_coding_loss_is_zero_where_the_bits_per_pixel_ratio_underflows():
     no_coding = synthetic_surface(DEFAULT_LADDER, 2e7, velocities,
                                   SyntheticQualityParams(alpha_coding=0.0))
     assert surface.tobytes() == no_coding.tobytes()
+
+
+_GOOD_DETAILS = st.one_of(st.sampled_from([0.0, 1.0, 0, 1]), st.floats(0.0, 1.0))
+_BAD_DETAILS = st.sampled_from([float("nan"), float("inf"), -0.1, 1.5, True, "0.5"])
+_GOOD_VELOCITIES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 80.0, 80.5, 1e300, float("inf")]),
+    st.floats(0.0, 200.0))
+_BAD_VELOCITIES = st.sampled_from([float("nan"), -1.0, -5e-324])
+_GOOD_BITRATES = st.one_of(st.sampled_from([1e6, 2e6, 3e6, 4e6]), st.floats(1e4, 1e9))
+_BAD_BITRATES = st.sampled_from([0.0, -1.0, float("inf"), float("nan"), 5e-324])
+
+
+def _mostly(good, bad):
+    """``good``, and one draw in twenty from ``bad``."""
+    return st.one_of(*[good] * 19, bad)
+
+
+@st.composite
+def _synthetic_inputs(draw):
+    """Clips, bitrates, parameters and a ladder, now and then with an
+    invalid detail, velocity or bitrate."""
+    clips = [SyntheticClip(f"c{i}", velocity, detail) for i, (velocity, detail)
+             in enumerate(draw(st.lists(st.tuples(
+                 _mostly(_GOOD_VELOCITIES, _BAD_VELOCITIES),
+                 _mostly(_GOOD_DETAILS, _BAD_DETAILS)), max_size=8)))]
+    bitrates = draw(st.lists(_mostly(_GOOD_BITRATES, _BAD_BITRATES), max_size=4))
+    params = draw(st.sampled_from([
+        SyntheticQualityParams(),
+        SyntheticQualityParams(alpha_temporal=1.7, alpha_spatial=3.1, alpha_coding=0.9,
+                               bpp_ref=0.08, spatial_exponent=1.3, content_detail=0.2)]))
+    return clips, bitrates, params, draw(st.sampled_from([DEFAULT_LADDER, SMALL_LADDER]))
+
+
+def _built(build, *args):
+    """Every grid's fields and JOD bytes, or the type and message of the
+    exception that building raised."""
+    try:
+        return [(g.clip_id, g.velocity_degps, g.bitrate_bps, g.ladder, g.q.tobytes())
+                for g in build(*args)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_NAN = float("nan")
+_PRECEDENCE = [  # clips as (velocity, detail), bitrates, the refusal
+    ([(1.0, 0.5), (2.0, _NAN)], [3e6, float("inf")],
+     "bitrate must be positive and finite, got inf"),  # at the first clip's grids
+    ([(1.0, 0.5), (_NAN, 0.5)], [], None),             # no grid checks a velocity
+    ([(-1.0, 0.5), (1.0, 2.0)], [0.0], "velocity must be >= 0, got -1.0"),
+    ([(1.0, 2.0), (-1.0, 0.5)], [0.0], "content_detail must be in [0, 1]")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_synthetic_inputs())
+@example(inputs=([SyntheticClip("c", 1.0, 0.5)], [2e6], SyntheticQualityParams(),
+                 DEFAULT_LADDER))
+@example(inputs=([], [2e6], SyntheticQualityParams(), DEFAULT_LADDER))
+def test_grids_for_clips_equals_one_grid_at_a_time(inputs):
+    assert _built(grids_for_clips, *inputs) == _built(per_clip_grids, *inputs)
+
+
+@pytest.mark.parametrize("clips, bitrates, refusal", _PRECEDENCE)
+def test_grids_for_clips_refuses_what_one_grid_at_a_time_refused_first(
+        clips, bitrates, refusal):
+    inputs = ([SyntheticClip(f"c{i}", v, d) for i, (v, d) in enumerate(clips)],
+              bitrates, SyntheticQualityParams(), DEFAULT_LADDER)
+    built = _built(grids_for_clips, *inputs)
+    assert built == _built(per_clip_grids, *inputs)
+    assert built == ([] if refusal is None else (ArgumentError, refusal))
 
 
 def test_grid_invariants():

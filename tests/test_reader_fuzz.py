@@ -1,19 +1,27 @@
 """Reader fuzz tests for the model JSON, config JSON, grids CSV and training
 CSV: every mutated file exits 0, 2, 3 or 4 through the CLI, never with a
 traceback. The scenario JSON has its own in tests/test_scenario_json.py,
-whose pool of odd values the JSON tests here share."""
+whose pool of odd values the JSON tests here share. The grid reader also
+reads every mutated grid file as the row-at-a-time reader did."""
 
 import copy
 import csv
 import io
 import json
+import random
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adastream.cli import EXIT_ARGUMENT, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
 from adastream.config import DEFAULT_CONFIG
+from adastream.errors import SchemaError
+from adastream.quality import load_grids
+from golden import respelled_grid_file
+from oracles import row_at_a_time_load_grids
 from test_cli import _five_inputs
 from test_scenario_json import _ODD_VALUES, fuzz_base_payload
 
@@ -262,3 +270,39 @@ def test_mutated_csv_exits_cleanly(tmp_path_factory, corpus, kind, data):
     base = corpus[kind].read_bytes()
     mutated = data.draw(st.one_of(mutated_csv(base), mutated_bytes(base)))
     _assert_clean(kind, mutated, corpus, tmp_path_factory)
+
+
+# ---------------------------------------------------------------------------
+# the grid reader against the row-at-a-time reader
+
+
+@st.composite
+def respelled_csv(draw, data: bytes):
+    """The grid file in other text, as ``golden.respelled_grid_file``
+    writes it, with a drawn share of its fields respelled."""
+    return respelled_grid_file(
+        data, random.Random(draw(st.integers(0, 2**32))),
+        draw(st.sampled_from([0.0, 0.02, 0.5, 1.0])), draw(st.booleans()),
+        draw(st.integers(0, 3)), draw(st.sampled_from(["\n", "\r\n"])))
+
+
+def _read_grids(read, path):
+    """Every grid's fields and JOD bytes, or the SchemaError message."""
+    try:
+        return [(g.clip_id, g.velocity_degps, g.bitrate_bps, g.q.tobytes())
+                for g in read(path)]
+    except SchemaError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_grid_reader_equals_row_at_a_time_reader(corpus, data):
+    base = corpus["grids"].read_bytes()
+    mutated = data.draw(st.one_of(mutated_csv(base), mutated_bytes(base),
+                                  respelled_csv(base)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grids.csv"
+        path.write_bytes(mutated)
+        assert (_read_grids(load_grids, path)
+                == _read_grids(row_at_a_time_load_grids, path))
