@@ -11,6 +11,7 @@ plain float64 numpy, so a fixed seed reproduces weights bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,31 +96,37 @@ def new_model(seed: int = 0, hidden_sizes=DEFAULT_HIDDEN_SIZES,
     return PredictorModel(weights, biases, ladder, seed)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _forward_pass(model: PredictorModel, x: np.ndarray, in_place: bool = False):
+    """The input of every layer, the ``(..., n_out)`` output buffer and the
+    two heads' distributions.
 
-
-def _forward_pass(model: PredictorModel, x: np.ndarray):
-    """Returns per-layer activations plus the two head distributions."""
+    The buffer holds the frame-rate head's logits first. Each head is
+    shifted by its own maximum, ``exp`` runs once over the whole buffer, and
+    each head is divided by its sum into a new array or, with ``in_place``,
+    into its view of the buffer.
+    """
     acts = [x]
     h = x
-    n_layers = len(model.weights)
+    last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
-        h = z if i == n_layers - 1 else np.maximum(z, 0.0)
-        acts.append(h)
+        h = h @ w
+        h += b
+        if i < last:
+            np.maximum(h, 0.0, out=h)
+            acts.append(h)
     nf = model.ladder.n_frame_rates
-    p_f = _softmax(h[..., :nf])
-    p_r = _softmax(h[..., nf:])
-    return acts, p_f, p_r
+    heads = (h[..., :nf], h[..., nf:])
+    for head in heads:
+        np.subtract(head, np.maximum.reduce(head, axis=-1, keepdims=True), out=head)
+    np.exp(h, out=h)
+    return acts, h, [np.divide(head, np.add.reduce(head, axis=-1, keepdims=True),
+                               out=head if in_place else None) for head in heads]
 
 
 def forward_batch(model: PredictorModel, x: np.ndarray):
     model.validate()
     x = np.asarray(x, dtype=float)
-    _, p_f, p_r = _forward_pass(model, x)
+    _, _, (p_f, p_r) = _forward_pass(model, x)
     return p_f, p_r
 
 
@@ -129,35 +136,58 @@ def forward(model: PredictorModel, features: FeatureVector):
     return p_f[0], p_r[0]
 
 
+def _targets(ladder: Ladder, yf_idx, yr_idx):
+    """One-hot rows over both heads' ``n_out`` columns, and each row's two
+    target columns as a ``(2, n)`` array. A class index off its head raises
+    ``IndexError``; a negative one counts from the head's end."""
+    nf = ladder.n_frame_rates
+    cols = np.stack([np.arange(nf)[yf_idx], nf + np.arange(ladder.n_heights)[yr_idx]])
+    onehot = np.zeros((cols.shape[1], nf + ladder.n_heights))
+    onehot[np.arange(cols.shape[1]), cols] = 1.0
+    return onehot, cols
+
+
+def _loss_and_gradients_into(model: PredictorModel, x: np.ndarray,
+                             onehot: np.ndarray, pick: np.ndarray,
+                             grads_w, grads_b) -> float:
+    """The minibatch kernel: the loss of the ``k`` rows of ``x``, with every
+    layer's gradients written into ``grads_w`` and ``grads_b``.
+
+    ``onehot`` holds the rows' targets; ``pick`` is a ``(2, k)`` array of
+    flat indices into a ``(k, n_out)`` buffer, at each row's two targets.
+    """
+    k = x.shape[0]
+    acts, p, _ = _forward_pass(model, x, in_place=True)
+    eps = 1e-300  # guards log(0) without disturbing the gradient
+    logs = p.take(pick)  # C-contiguous whatever the layout of pick
+    logs += eps
+    np.log(logs, out=logs)
+    log_f, log_r = np.add.reduce(logs, axis=1).tolist()
+
+    np.subtract(p, onehot, out=p)
+    p /= k
+    delta = p
+    for i in range(len(model.weights) - 1, -1, -1):
+        np.matmul(acts[i].T, delta, out=grads_w[i])
+        np.add.reduce(delta, axis=0, out=grads_b[i])
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (acts[i] > 0)
+    return -(log_f + log_r) / k
+
+
 def loss_and_gradients(model: PredictorModel, x: np.ndarray,
                        yf_idx: np.ndarray, yr_idx: np.ndarray):
     """Mean summed cross-entropy of both heads, with gradients per parameter.
 
-    Gradients are exact analytic backprop; the test suite checks them against
-    central finite differences.
+    Gradients are exact analytic backprop, from the kernel that training
+    runs; the test suite checks them against central finite differences.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    nf = model.ladder.n_frame_rates
-    acts, p_f, p_r = _forward_pass(model, x)
-
-    eps = 1e-300  # guards log(0) without disturbing the gradient
-    loss = float(-(np.log(p_f[np.arange(n), yf_idx] + eps).sum()
-                   + np.log(p_r[np.arange(n), yr_idx] + eps).sum()) / n)
-
-    d_logits = np.concatenate([p_f, p_r], axis=1)
-    d_logits[np.arange(n), yf_idx] -= 1.0
-    d_logits[np.arange(n), nf + yr_idx] -= 1.0
-    d_logits /= n
-
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    delta = d_logits
-    for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ model.weights[i].T) * (acts[i] > 0)
+    onehot, cols = _targets(model.ladder, yf_idx, yr_idx)
+    pick = cols + np.arange(x.shape[0]) * onehot.shape[1]
+    grads_w = [np.empty_like(w) for w in model.weights]
+    grads_b = [np.empty_like(b) for b in model.biases]
+    loss = _loss_and_gradients_into(model, x, onehot, pick, grads_w, grads_b)
     return loss, grads_w, grads_b
 
 
@@ -168,9 +198,11 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
     """Adam on minibatches; deterministic given the seed.
 
     Every weight and bias is a view into one flat parameter vector, the
-    weights first, and each step gathers the gradients into a matching flat
-    buffer, so the Adam update is a few elementwise operations on whole
-    vectors. They apply the same operations to the same operands as a
+    weights first, and the kernel writes each step's gradients into views of
+    a matching flat buffer, so the Adam update is a few elementwise
+    operations on whole vectors. Each epoch gathers its shuffled rows,
+    one-hot targets and loss indices once, and each minibatch is a slice of
+    them. The steps apply the same operations to the same operands as a
     per-layer update, so the weights are the same bits.
     """
     x = np.asarray(x, dtype=float)
@@ -185,39 +217,50 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
 
     model = new_model(config.seed, config.hidden_sizes, ladder)
     rng = np.random.default_rng(config.seed)
+    batch_size = config.batch_size
+    onehot, cols = _targets(ladder, yf_idx, yr_idx)
+    # a row's offset in its minibatch's (k, n_out) buffer, flattened
+    offsets = np.arange(n) % batch_size * onehot.shape[1]
 
     params = model.weights + model.biases
     n_layers = len(params) // 2
     theta = np.concatenate([p.ravel() for p in params])
-    views = [part.reshape(p.shape) for p, part in zip(
-        params, np.split(theta, np.cumsum([p.size for p in params])[:-1]))]
-    model.weights, model.biases = views[:n_layers], views[n_layers:]
-    n_weights = sum(w.size for w in model.weights)
     grad = np.empty_like(theta)
+    splits = np.cumsum([p.size for p in params])[:-1]
+    views, grad_views = ([part.reshape(p.shape) for p, part in
+                          zip(params, np.split(flat, splits))] for flat in (theta, grad))
+    model.weights, model.biases = views[:n_layers], views[n_layers:]
+    grads_w, grads_b = grad_views[:n_layers], grad_views[n_layers:]
+    n_weights = sum(w.size for w in model.weights)
 
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    buf = np.empty_like(theta)
+    update = np.empty_like(theta)
     t = 0
 
     for epoch in range(config.epochs):
         order = rng.permutation(n)
+        xs, targets = x[order], onehot[order]
+        picks = offsets + cols.take(order, axis=1)
         epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            loss, gw, gb = loss_and_gradients(model, x[batch],
-                                              yf_idx[batch], yr_idx[batch])
-            if not np.isfinite(loss):
+        for start in range(0, n, batch_size):
+            stop = min(start + batch_size, n)
+            loss = _loss_and_gradients_into(model, xs[start:stop], targets[start:stop],
+                                            picks[:, start:stop], grads_w, grads_b)
+            if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            epoch_loss += loss * len(batch)
+            epoch_loss += loss * (stop - start)
             t += 1
-            scale = config.learning_rate * np.sqrt(1 - beta2 ** t) / (1 - beta1 ** t)
-            np.concatenate([g.ravel() for g in gw + gb], out=grad)
+            scale = config.learning_rate * math.sqrt(1 - beta2 ** t) / (1 - beta1 ** t)
             m *= beta1
-            m += (1 - beta1) * grad
+            m += np.multiply(1 - beta1, grad, out=buf)
             v *= beta2
-            v += (1 - beta2) * grad ** 2
-            theta -= scale * m / (np.sqrt(v) + adam_eps)
+            v += np.multiply(1 - beta2, np.square(grad, out=buf), out=buf)
+            np.sqrt(v, out=buf)
+            buf += adam_eps
+            theta -= np.divide(np.multiply(scale, m, out=update), buf, out=update)
         if not np.isfinite(theta[:n_weights]).all():
             raise DivergenceError(f"non-finite weights at epoch {epoch}")
         if loss_history is not None:

@@ -102,9 +102,12 @@ class QualityGrid:
         expected = (self.ladder.n_frame_rates, self.ladder.n_heights)
         if q.shape != expected:
             raise ArgumentError(f"grid shape {q.shape} != expected {expected}")
-        if not np.all(np.isfinite(q)):
+        # min and max carry a NaN or an infinity through, so one pass each
+        # finds the non-finite cells before the range check
+        lo, hi = q.min(), q.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ArgumentError("grid contains non-finite JOD values")
-        if q.min() < 0.0 or q.max() > JOD_MAX:
+        if lo < 0.0 or hi > JOD_MAX:
             raise ArgumentError("JOD values must lie in [0, 10]")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)

@@ -18,6 +18,11 @@ manifests of two trees are equal exactly when their outputs are. The corpus:
   ``CONFIG``: a four-by-two ladder, two bitrates and other synthetic
   constants;
 - ``train --seed 7`` and ``evaluate`` on its training rows;
+- ``train --seed 7`` on the same rows with odd minibatch shapes: one row
+  per step for 2 epochs, one step of every row for 3 epochs (a batch
+  size above the row count), and no held-out rows;
+- ``train --seed 7`` and ``evaluate`` under ``CONFIG``, whose heads have 4
+  and 2 classes;
 - ``simulate`` and ``compare --seed 7`` on the three generated scenarios and
   on the benchmark's patch scenarios (``adabench.inputs.patch_scenario_json``)
   at seeds 1, 2, 3, 5 and 901;
@@ -128,6 +133,15 @@ def build(out: Path) -> None:
     model = corpus / "train" / "model.json"
     _cli(corpus, "evaluate", "evaluate", "--model", model,
          "--data", gen / "training.csv")
+    for step, *argv in (("train_batch1", "--batch-size", 1, "--epochs", 2),
+                        ("train_batch1000", "--batch-size", 1000, "--epochs", 3),
+                        ("train_holdout0", "--holdout", 0)):
+        _cli(corpus, step, "train", "--data", gen / "training.csv", "--seed", 7, *argv)
+    _cli(corpus, "train_config", "train", "--config", config, "--seed", 7,
+         "--data", corpus / "gen-synthetic_config" / "training.csv")
+    _cli(corpus, "evaluate_config", "evaluate", "--config", config,
+         "--model", corpus / "train_config" / "model.json",
+         "--data", corpus / "gen-synthetic_config" / "training.csv")
 
     scenarios = sorted(gen.glob("scenario_*.json"))
     for seed in PATCH_SEEDS:

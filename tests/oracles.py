@@ -18,7 +18,8 @@ high-frequency ratio of a full ``dctn`` of the mean-subtracted patch, and
 the eager scenario reader, which extracted the
 features of every patch record at read time (with the library's kernel
 unless told otherwise, so that it tests laziness alone).
-The trainer and writer oracles keep the per-layer Adam loop, the row-at-a-time
+The trainer and writer oracles keep the per-layer Adam loop over the
+per-layer forward and backward pass, the row-at-a-time
 grid writer, the scenario writer that read the content table per value and
 the frame-trace writer that wrote one row per ``FrameRecord``. The grid
 dataset oracles keep one synthetic grid built at a time and the grid reader
@@ -43,8 +44,7 @@ from adastream.features import (EDGE_THRESHOLD, PATCH_SIZE, FeatureVector,
 from adastream.ladder import (DEFAULT_LADDER, VideoMode, pixels_per_second,
                              width_for_height)
 from adastream.motion import SPEM_LIMIT_DEGPS, WINDOW_SECONDS, deg_per_sec
-from adastream.predictor import (TrainConfig, forward, loss_and_gradients,
-                                 new_model)
+from adastream.predictor import TrainConfig, forward, new_model
 from adastream.quality import (GRID_CSV_HEADER, JOD_MAX, QualityGrid,
                                SyntheticQualityParams, make_synthetic_grid)
 from adastream.simulator import (GOP_LENGTH_S, IFRAME_BIT_MULTIPLIER,
@@ -500,10 +500,61 @@ def eager_scenario_from_json(path, kernel=extract_features):
 # Trainer and writer oracles
 
 
+def _softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def per_layer_forward(model, x):
+    """Per-layer activations, the output logits last, plus the two head
+    distributions, each head's softmax in its own array."""
+    acts = [x]
+    h = x
+    n_layers = len(model.weights)
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ w + b
+        h = z if i == n_layers - 1 else np.maximum(z, 0.0)
+        acts.append(h)
+    nf = model.ladder.n_frame_rates
+    return acts, _softmax(h[..., :nf]), _softmax(h[..., nf:])
+
+
+def per_layer_loss_and_gradients(model, x, yf_idx, yr_idx):
+    """Mean summed cross-entropy of both heads, with gradients per layer:
+    the logit gradient as one concatenated copy of both heads, the targets
+    subtracted by fancy index, and every gradient a new array."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    nf = model.ladder.n_frame_rates
+    acts, p_f, p_r = per_layer_forward(model, x)
+
+    eps = 1e-300  # guards log(0) without disturbing the gradient
+    loss = float(-(np.log(p_f[np.arange(n), yf_idx] + eps).sum()
+                   + np.log(p_r[np.arange(n), yr_idx] + eps).sum()) / n)
+
+    d_logits = np.concatenate([p_f, p_r], axis=1)
+    d_logits[np.arange(n), yf_idx] -= 1.0
+    d_logits[np.arange(n), nf + yr_idx] -= 1.0
+    d_logits /= n
+
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    delta = d_logits
+    for i in range(len(model.weights) - 1, -1, -1):
+        grads_w[i] = acts[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (acts[i] > 0)
+    return loss, grads_w, grads_b
+
+
 def per_layer_train_arrays(x, yf_idx, yr_idx, config=TrainConfig(),
                            ladder=DEFAULT_LADDER, loss_history=None):
     """Adam as the trainer ran it before the flat parameter vector: four
-    lists of per-layer moments, updated one weight and one bias at a time."""
+    lists of per-layer moments, updated one weight and one bias at a time,
+    with each minibatch gathered from the rows and its gradients from
+    :func:`per_layer_loss_and_gradients`."""
     x = np.asarray(x, dtype=float)
     yf_idx = np.asarray(yf_idx, dtype=int)
     yr_idx = np.asarray(yr_idx, dtype=int)
@@ -526,8 +577,8 @@ def per_layer_train_arrays(x, yf_idx, yr_idx, config=TrainConfig(),
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            loss, gw, gb = loss_and_gradients(model, x[batch],
-                                              yf_idx[batch], yr_idx[batch])
+            loss, gw, gb = per_layer_loss_and_gradients(
+                model, x[batch], yf_idx[batch], yr_idx[batch])
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss * len(batch)

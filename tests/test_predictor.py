@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adastream.errors import ArgumentError, DivergenceError, ModelCorruptError, SchemaError
 from adastream.features import FeatureVector
@@ -10,7 +10,7 @@ from adastream.predictor import (PredictorModel, TrainConfig, TrainingExample,
                                  loss_and_gradients, new_model, predict_classes,
                                  read_training_csv, save_model, train,
                                  train_arrays, write_training_csv)
-from oracles import per_layer_train_arrays
+from oracles import per_layer_loss_and_gradients, per_layer_train_arrays
 
 
 def fv(*values):
@@ -172,10 +172,10 @@ def _random_rows(seed, n):
             rng.integers(0, 5, n))
 
 
-def _assert_same_training(x, yf, yr, config):
+def _assert_same_training(x, yf, yr, config, ladder=DEFAULT_LADDER):
     got_history, want_history = [], []
-    got = train_arrays(x, yf, yr, config, loss_history=got_history)
-    want = per_layer_train_arrays(x, yf, yr, config, loss_history=want_history)
+    got = train_arrays(x, yf, yr, config, ladder, loss_history=got_history)
+    want = per_layer_train_arrays(x, yf, yr, config, ladder, loss_history=want_history)
     assert got_history == want_history
     assert len(got.weights) == len(want.weights)
     for a, b in zip(got.weights + got.biases, want.weights + want.biases):
@@ -191,6 +191,46 @@ def test_flat_adam_equals_per_layer_adam(seed, hidden, batch_size, n, epochs):
     x, yf, yr = _random_rows(seed, n)
     _assert_same_training(x, yf, yr, TrainConfig(
         epochs=epochs, batch_size=batch_size, seed=seed, hidden_sizes=hidden))
+
+
+# the golden corpus's config ladder: heads of 4 and 2 classes
+LADDER_4X2 = Ladder((24, 25, 50, 144), (480, 1080))
+
+
+def _same_bits(got, want):
+    return (len(got) == len(want)
+            and all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                    for a, b in zip(got, want)))
+
+
+@pytest.mark.parametrize("ladder", [DEFAULT_LADDER, LADDER_4X2], ids=["10x5", "4x2"])
+@pytest.mark.parametrize("hidden", [(8,), (64, 64), (16, 16, 16)])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 80))
+@example(seed=0, k=1)
+@example(seed=1, k=5)
+@example(seed=2, k=32)
+@example(seed=3, k=33)
+def test_loss_and_gradients_equal_the_per_layer_oracle(ladder, hidden, seed, k):
+    rng = np.random.default_rng(seed)
+    model = new_model(seed, hidden, ladder)
+    for b in model.biases:
+        b += rng.normal(0.0, 0.1, b.shape)
+    x = rng.uniform(0, 1, (k, 7))
+    yf = rng.integers(0, ladder.n_frame_rates, k)
+    yr = rng.integers(0, ladder.n_heights, k)
+    loss, gw, gb = loss_and_gradients(model, x, yf, yr)
+    want_loss, want_w, want_b = per_layer_loss_and_gradients(model, x, yf, yr)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert _same_bits(gw, want_w) and _same_bits(gb, want_b)
+
+
+@pytest.mark.parametrize("batch_size, n", [(1, 9), (4, 30), (64, 30)])
+def test_flat_adam_equals_per_layer_adam_on_a_4x2_ladder(batch_size, n):
+    x, _, _ = _random_rows(3, n)
+    yf, yr = np.arange(n) % 4, np.arange(n) % 2
+    _assert_same_training(x, yf, yr, TrainConfig(epochs=3, batch_size=batch_size,
+                                                 seed=3), LADDER_4X2)
 
 
 def test_flat_adam_equals_per_layer_adam_at_cli_defaults():

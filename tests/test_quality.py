@@ -279,6 +279,24 @@ def test_grid_invariants():
         QualityGrid("x", 0.0, 1e6, np.full((9, 5), 5.0))
 
 
+@pytest.mark.parametrize("cells, message", [
+    ((np.nan, -1.0), "grid contains non-finite JOD values"),
+    ((-1.0, np.nan), "grid contains non-finite JOD values"),
+    ((np.inf, 11.0), "grid contains non-finite JOD values"),
+    ((-np.inf, 5.0), "grid contains non-finite JOD values"),
+    ((-1.0, 11.0), r"JOD values must lie in \[0, 10\]"),
+    ((10.0, -1e-300), r"JOD values must lie in \[0, 10\]"),
+    ((0.0, 10.0), None)])
+def test_grid_names_a_non_finite_cell_before_one_out_of_range(cells, message):
+    q = np.full((10, 5), 5.0)
+    q[3, 1], q[7, 4] = cells
+    if message is None:
+        assert QualityGrid("x", 0.0, 1e6, q).q.tobytes() == q.tobytes()
+        return
+    with pytest.raises(ArgumentError, match=f"^{message}$"):
+        QualityGrid("x", 0.0, 1e6, q)
+
+
 @pytest.mark.parametrize("velocity,bitrate,message", [
     (float("nan"), 3e6, "velocity must be >= 0, got nan"),
     (-1e-300, 3e6, "velocity must be >= 0"),
