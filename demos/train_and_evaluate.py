@@ -34,14 +34,13 @@ def main():
     rng = np.random.default_rng(SEED)
     order = rng.permutation(len(examples))
     n_hold = len(examples) // 5
-    holdout = [examples[i] for i in order[:n_hold]]
-    training = [examples[i] for i in order[n_hold:]]
+    holdout = examples.take(order[:n_hold])
+    training = examples.take(order[n_hold:])
 
     model = train(training, TrainConfig(epochs=60, seed=SEED))
-    x = np.stack([ex.features.as_array() for ex in holdout])
-    truth_f = [ex.target_f for ex in holdout]
-    truth_r = [ex.target_r for ex in holdout]
-    pred_f, pred_r = predict_classes(model, x)
+    truth_f = holdout.target_f.tolist()
+    truth_r = holdout.target_r.tolist()
+    pred_f, pred_r = predict_classes(model, holdout.x)
 
     print(f"\nheld-out relative errors ({n_hold} examples):")
     print(f"  frame rate : model {relative_error(pred_f, truth_f):6.2f}%   "

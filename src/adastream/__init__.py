@@ -19,7 +19,7 @@ from .ladder import (DEFAULT_LADDER, FRAME_RATES_HZ, RESOLUTION_LINES, Ladder,
                      VideoMode, objective_cost, pixels_per_second)
 from .metrics import confusion_matrix, relative_error
 from .motion import SPEM_LIMIT_DEGPS, VelocityEstimator
-from .predictor import (PredictorModel, TrainConfig, TrainingExample, forward,
+from .predictor import (PredictorModel, TrainConfig, TrainingSet, forward,
                         load_model, save_model, train)
 from .quality import (QualityGrid, SyntheticQualityParams, load_grids,
                       make_synthetic_grid, synthetic_quality)
@@ -37,7 +37,7 @@ __all__ = [
     "LabeledClip", "Ladder", "ModelCorruptError",
     "PredictorModel", "QualityGrid", "RESOLUTION_LINES", "SPEM_LIMIT_DEGPS",
     "Scenario", "SchemaError", "SessionTrace", "SyntheticQualityParams",
-    "SyntheticQualitySource", "TrainConfig", "TrainingExample",
+    "SyntheticQualitySource", "TrainConfig", "TrainingSet",
     "TransitionGraph", "VelocityEstimator", "VideoMode", "allocate_bits",
     "compare_baselines", "confusion_matrix", "decide",
     "default_transition_graph", "extract_features", "forward", "initial_state",

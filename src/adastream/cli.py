@@ -23,6 +23,7 @@ from . import labeler, metrics, predictor, quality, simulator, synth
 from .config import load_config
 from .errors import (ArgumentError, ConfigError, ContractError, DivergenceError,
                      ModelCorruptError, SchemaError)
+from .features import FEATURE_NAMES
 from .motion import SPEM_LIMIT_DEGPS
 
 EXIT_OK = 0
@@ -93,17 +94,16 @@ def cmd_label(args, cfg, out: Path) -> int:
     return EXIT_OK
 
 
-def _evaluation_payload(model, examples) -> dict:
-    x = np.stack([ex.features.as_array() for ex in examples])
-    truth_f = [ex.target_f for ex in examples]
-    truth_r = [ex.target_r for ex in examples]
-    pred_f, pred_r = predictor.predict_classes(model, x)
+def _evaluation_payload(model, rows) -> dict:
+    truth_f = rows.target_f.tolist()
+    truth_r = rows.target_r.tolist()
+    pred_f, pred_r = predictor.predict_classes(model, rows.x)
 
     maj_f = _majority(truth_f)
     maj_r = _majority(truth_r)
 
-    band_of = labeler.velocity_bands([_denormalize_velocity(ex.features.norm_velocity)
-                                      for ex in examples])
+    velocities = rows.x[:, FEATURE_NAMES.index("norm_velocity")].tolist()
+    band_of = labeler.velocity_bands([_denormalize_velocity(v) for v in velocities])
     bands: dict[str, dict] = {}
     for band, name in enumerate(("low", "mid", "high")):
         idx = np.flatnonzero(band_of == band).tolist()
@@ -115,7 +115,7 @@ def _evaluation_payload(model, examples) -> dict:
                 [pred_r[i] for i in idx], [truth_r[i] for i in idx])
 
     return {
-        "n_examples": len(examples),
+        "n_examples": len(rows),
         "frame_rate_error_pct": metrics.relative_error(pred_f, truth_f),
         "resolution_error_pct": metrics.relative_error(pred_r, truth_r),
         "majority_class_frame_rate_error_pct": metrics.relative_error(
@@ -140,8 +140,8 @@ def cmd_train(args, cfg, out: Path) -> int:
     rng = np.random.default_rng(args.seed)
     order = rng.permutation(len(examples))
     n_holdout = int(round(args.holdout * len(examples)))
-    holdout = [examples[i] for i in order[:n_holdout]]
-    training = [examples[i] for i in order[n_holdout:]]
+    holdout = examples.take(order[:n_holdout])
+    training = examples.take(order[n_holdout:])
     if not training:
         raise ArgumentError("holdout fraction leaves no training rows")
 

@@ -71,7 +71,10 @@ class FeatureVector:
             raise ArgumentError(error[1])
 
     def with_context(self, norm_velocity: float, norm_bandwidth: float) -> "FeatureVector":
-        """Attach the velocity and bandwidth context to content features."""
+        """Attach the velocity and bandwidth context to content features.
+
+        Nothing in the package calls this; it stays while the benchmark's
+        tracer still patches it."""
         return replace(self, norm_velocity=norm_velocity,
                        norm_bandwidth=norm_bandwidth)
 
@@ -100,8 +103,10 @@ _LOW_DCT.setflags(write=False)
 def extract_features(patch: np.ndarray) -> FeatureVector:
     """Content features of a 128x128 luma patch with values in [0, 1].
 
-    The velocity and bandwidth context fields are left at zero; callers
-    attach them with :meth:`FeatureVector.with_context`.
+    The velocity and bandwidth context fields are left at zero. The
+    session engine fills a window's context columns beside the content
+    (``PredictorControllerPolicy.decide_mode``), and training rows carry
+    theirs in ``predictor.TrainingSet``.
     """
     patch = np.asarray(patch, dtype=float)
     if patch.shape != (PATCH_SIZE, PATCH_SIZE):

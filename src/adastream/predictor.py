@@ -18,21 +18,74 @@ import numpy as np
 
 from .errors import (ArgumentError, DivergenceError, ModelCorruptError, SchemaError,
                      json_numbers, utf8_lines)
-from .features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION, FeatureVector
+from .features import (FEATURE_NAMES, FEATURE_SCHEMA_VERSION, FeatureVector,
+                       feature_range_error)
 from .ladder import DEFAULT_LADDER, Ladder, ladder_values
 
 DEFAULT_LEARNING_RATE = 3e-3
 DEFAULT_HIDDEN_SIZES = (64, 64)
 
 
-@dataclass(frozen=True)
-class TrainingExample:
-    features: FeatureVector
-    target_f: int  # frame rate class, Hz
-    target_r: int  # resolution class, lines
+@dataclass(frozen=True, eq=False)
+class TrainingSet:
+    """Training rows as one table: ``x`` holds the features in
+    ``FEATURE_NAMES`` order, one row each, and ``target_f`` and ``target_r``
+    each row's frame-rate (Hz) and resolution (lines) class. All three are
+    read-only copies of what the constructor is given, and every feature
+    value is in its range."""
 
-    def indices(self, ladder: Ladder) -> tuple[int, int]:
-        return ladder.frame_rate_index(self.target_f), ladder.height_index(self.target_r)
+    x: np.ndarray
+    target_f: np.ndarray
+    target_r: np.ndarray
+
+    def __post_init__(self):
+        x = np.array(self.x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != len(FEATURE_NAMES):
+            raise ArgumentError(f"training rows must hold the {len(FEATURE_NAMES)} "
+                                f"features, got an array of shape {x.shape}")
+        columns = [x]
+        for name in ("target_f", "target_r"):
+            column = np.array(getattr(self, name))
+            if column.shape != (len(x),) or (column.size and column.dtype.kind != "i"):
+                raise ArgumentError(f"{name} must hold one integer class per row "
+                                    f"of {len(x)}, got {column.dtype} of shape "
+                                    f"{column.shape}")
+            columns.append(column.astype(int, copy=False))
+        error = feature_range_error(x)
+        if error is not None:
+            raise ArgumentError(error[1])
+        for name, column in zip(("x", "target_f", "target_r"), columns):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def take(self, indices) -> "TrainingSet":
+        """The rows at ``indices``, in their order."""
+        return TrainingSet(self.x[indices], self.target_f[indices], self.target_r[indices])
+
+
+def _class_indices(ladder: Ladder, target_f, target_r):
+    """Each row's index in both heads of ``ladder``, and the first row with a
+    class off the ladder as ``(row, message)``, or None. A row's frame rate
+    is checked before its resolution. The classes may be any integers,
+    beyond 64 bits too; a message quotes the value as given."""
+    indices, off = [], []
+    for values, classes in ((target_f, ladder.frame_rates_hz), (target_r, ladder.heights)):
+        values, classes = np.asarray(values), np.array(classes)
+        index = np.minimum(np.searchsorted(classes, values), len(classes) - 1)
+        indices.append(index)
+        off.append(classes[index] != values)
+    bad = off[0] | off[1]
+    if not bad.any():
+        return tuple(indices), None
+    row = int(bad.argmax())
+    try:  # one of the two raises, with the ladder's message
+        ladder.frame_rate_index(target_f[row])
+        ladder.height_index(target_r[row])
+    except ArgumentError as exc:
+        return None, (row, str(exc))
 
 
 @dataclass(frozen=True)
@@ -126,6 +179,9 @@ def _forward_pass(model: PredictorModel, x: np.ndarray, in_place: bool = False):
 def forward_batch(model: PredictorModel, x: np.ndarray):
     model.validate()
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (len(FEATURE_NAMES),):
+        raise ArgumentError(f"feature rows must hold the {len(FEATURE_NAMES)} "
+                            f"features, got an array of shape {x.shape}")
     _, _, (p_f, p_r) = _forward_pass(model, x)
     return p_f, p_r
 
@@ -136,12 +192,24 @@ def forward(model: PredictorModel, features: FeatureVector):
     return p_f[0], p_r[0]
 
 
-def _targets(ladder: Ladder, yf_idx, yr_idx):
+def _targets(ladder: Ladder, n: int, yf_idx, yr_idx):
     """One-hot rows over both heads' ``n_out`` columns, and each row's two
-    target columns as a ``(2, n)`` array. A class index off its head raises
-    ``IndexError``; a negative one counts from the head's end."""
+    target columns as a ``(2, n)`` array. Each head needs one class index
+    per row of ``n``, in ``[0, classes)``."""
     nf = ladder.n_frame_rates
-    cols = np.stack([np.arange(nf)[yf_idx], nf + np.arange(ladder.n_heights)[yr_idx]])
+    yf_idx, yr_idx = np.asarray(yf_idx, dtype=int), np.asarray(yr_idx, dtype=int)
+    if yf_idx.shape != (n,) or yr_idx.shape != (n,):
+        raise ArgumentError(f"{n} rows need as many targets per head, got "
+                            f"{yf_idx.size} frame-rate and {yr_idx.size} "
+                            "resolution targets")
+    for head, index, classes in (("frame-rate", yf_idx, nf),
+                                 ("resolution", yr_idx, ladder.n_heights)):
+        off = (index < 0) | (index >= classes)
+        if off.any():
+            row = int(off.argmax())
+            raise ArgumentError(f"{head} head has {classes} classes, but row {row} "
+                                f"targets class index {index[row]}")
+    cols = np.stack([yf_idx, nf + yr_idx])
     onehot = np.zeros((cols.shape[1], nf + ladder.n_heights))
     onehot[np.arange(cols.shape[1]), cols] = 1.0
     return onehot, cols
@@ -183,7 +251,7 @@ def loss_and_gradients(model: PredictorModel, x: np.ndarray,
     runs; the test suite checks them against central finite differences.
     """
     x = np.asarray(x, dtype=float)
-    onehot, cols = _targets(model.ladder, yf_idx, yr_idx)
+    onehot, cols = _targets(model.ladder, x.shape[0], yf_idx, yr_idx)
     pick = cols + np.arange(x.shape[0]) * onehot.shape[1]
     grads_w = [np.empty_like(w) for w in model.weights]
     grads_b = [np.empty_like(b) for b in model.biases]
@@ -206,8 +274,6 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
     per-layer update, so the weights are the same bits.
     """
     x = np.asarray(x, dtype=float)
-    yf_idx = np.asarray(yf_idx, dtype=int)
-    yr_idx = np.asarray(yr_idx, dtype=int)
     n = x.shape[0]
     if n == 0:
         raise ArgumentError("training set is empty")
@@ -218,7 +284,7 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
     model = new_model(config.seed, config.hidden_sizes, ladder)
     rng = np.random.default_rng(config.seed)
     batch_size = config.batch_size
-    onehot, cols = _targets(ladder, yf_idx, yr_idx)
+    onehot, cols = _targets(ladder, n, yf_idx, yr_idx)
     # a row's offset in its minibatch's (k, n_out) buffer, flattened
     offsets = np.arange(n) % batch_size * onehot.shape[1]
 
@@ -268,17 +334,16 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
     return model
 
 
-def train(examples, config: TrainConfig = TrainConfig(),
+def train(rows: TrainingSet, config: TrainConfig = TrainConfig(),
           ladder: Ladder = DEFAULT_LADDER,
           loss_history: list | None = None) -> PredictorModel:
-    examples = list(examples)
-    if not examples:
+    """:func:`train_arrays` on the rows, their classes read on ``ladder``."""
+    if len(rows) == 0:
         raise ArgumentError("training set is empty")
-    x = np.stack([ex.features.as_array() for ex in examples])
-    idx = [ex.indices(ladder) for ex in examples]
-    yf = np.array([i[0] for i in idx])
-    yr = np.array([i[1] for i in idx])
-    return train_arrays(x, yf, yr, config, ladder, loss_history)
+    indices, error = _class_indices(ladder, rows.target_f, rows.target_r)
+    if error is not None:
+        raise ArgumentError(error[1])
+    return train_arrays(rows.x, *indices, config, ladder, loss_history)
 
 
 def predict_classes(model: PredictorModel, x: np.ndarray):
@@ -374,20 +439,25 @@ def load_model(path, ladder: Ladder | None = None) -> PredictorModel:
 TRAINING_CSV_HEADER = FEATURE_NAMES + ("target_f", "target_r")
 
 
-def write_training_csv(examples, path) -> None:
+def write_training_csv(rows: TrainingSet, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TRAINING_CSV_HEADER) + "\n")
-        for ex in examples:
-            feats = ",".join(repr(float(v)) for v in ex.features.as_array())
-            fh.write(f"{feats},{ex.target_f},{ex.target_r}\n")
+        for feats, target_f, target_r in zip(rows.x.tolist(), rows.target_f.tolist(),
+                                             rows.target_r.tolist()):
+            fh.write(f"{','.join(map(repr, feats))},{target_f},{target_r}\n")
 
 
-def read_training_csv(path, ladder: Ladder = DEFAULT_LADDER) -> list[TrainingExample]:
-    """Training rows of a CSV file; every feature must be a valid
-    FeatureVector value and every target a class of ``ladder``."""
+def read_training_csv(path, ladder: Ladder = DEFAULT_LADDER) -> TrainingSet:
+    """Training rows of a CSV file; every feature must be in its range and
+    every target a class of ``ladder``.
+
+    The rows are parsed first and checked in bulk. A refusal names the
+    earliest bad line; within a line, a wrong column count or a parse error
+    comes first, then a feature out of range, then a class off the ladder.
+    """
     import csv
 
-    examples = []
+    xs, target_f, target_r, linenos = [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(utf8_lines(fh, path))
         try:
@@ -400,22 +470,35 @@ def read_training_csv(path, ladder: Ladder = DEFAULT_LADDER) -> list[TrainingExa
                 if i >= len(header) or header[i].strip() != name:
                     raise SchemaError(f"{path}: bad or missing column {name!r}")
             raise SchemaError(f"{path}: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TRAINING_CSV_HEADER):
-                raise SchemaError(f"{path}:{lineno}: expected "
-                                  f"{len(TRAINING_CSV_HEADER)} columns")
-            try:
-                values = [float(v) for v in row[:-2]]
-                target_f = int(row[-2])
-                target_r = int(row[-1])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
-            try:
-                example = TrainingExample(FeatureVector(*values), target_f, target_r)
-                example.indices(ladder)
-            except ArgumentError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
-            examples.append(example)
-    return examples
+        # A line that does not parse ends the rows; it is refused after the
+        # lines before it are checked.
+        failure = None
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(TRAINING_CSV_HEADER):
+                    raise SchemaError(f"{path}:{lineno}: expected "
+                                      f"{len(TRAINING_CSV_HEADER)} columns")
+                try:
+                    values = [float(v) for v in row[:-2]]
+                    classes = int(row[-2]), int(row[-1])
+                except ValueError as exc:
+                    raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
+                xs += values
+                target_f.append(classes[0])
+                target_r.append(classes[1])
+                linenos.append(lineno)
+        except (SchemaError, csv.Error) as exc:
+            failure = exc
+
+    x = np.array(xs, dtype=float).reshape(-1, len(FEATURE_NAMES))
+    errors = [error for error in (feature_range_error(x),
+                                  _class_indices(ladder, target_f, target_r)[1])
+              if error is not None]
+    if errors:  # the earlier row; a range error on a tie
+        row, message = min(errors, key=lambda error: error[0])
+        raise SchemaError(f"{path}:{linenos[row]}: {message}")
+    if failure is not None:
+        raise failure
+    return TrainingSet(x, target_f, target_r)

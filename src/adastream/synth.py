@@ -14,17 +14,26 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArgumentError
-from .features import CONTENT_FEATURE_KEYS, FeatureVector, normalize_bandwidth
+from .features import (BANDWIDTH_CEILING_BPS, CONTENT_FEATURE_KEYS, FEATURE_NAMES,
+                       FeatureVector)
 # ``select_efficient`` is no longer called here; it stays importable from
 # this module because the benchmark tracer patches it at this call site.
 from .labeler import LabeledClip, label_grids, select_efficient  # noqa: F401
 from .ladder import DEFAULT_LADDER, Ladder
 from .motion import SPEM_LIMIT_DEGPS, normalize_velocities
-from .predictor import TrainingExample
+from .predictor import TrainingSet
 from .quality import QualityGrid, SyntheticQualityParams, _surface, _velocity_array
 from .simulator import Scenario
 
 FEATURE_JITTER = 0.01  # std. dev. of the noise on a scenario's content rows
+# A content feature at detail d: offset + slope * d plus normal noise of
+# the given std. dev., floored at 0 and, where the feature's range ends at
+# 1, capped at 1. An offset of -0.0 adds nothing, not even to a -0.0.
+_CONTENT_OFFSET = np.array([0.35, 0.05, 0.02, -0.0, -0.0])
+_CONTENT_SLOPE = np.array([0.3, 0.30, 0.18, 0.65, 0.55])
+_CONTENT_NOISE = np.array([0.03, 0.02, 0.01, 0.04, 0.04])
+_CONTENT_CAPPED = np.array([name in ("mean_luma", "high_freq_ratio", "edge_density")
+                            for name in CONTENT_FEATURE_KEYS])
 DEFAULT_BITRATES_BPS: tuple[float, ...] = (2_000_000.0, 3_000_000.0, 4_000_000.0)
 
 
@@ -85,33 +94,38 @@ def grids_for_clips(clips, bitrates=DEFAULT_BITRATES_BPS,
             for i, clip in enumerate(passed) for bitrate, q in zip(bitrates, surfaces)]
 
 
+def _content_rows(details, rng: np.random.Generator) -> np.ndarray:
+    """Content features consistent with each detail level, with mild
+    jitter: one ``(n, 5)`` draw of noise, row by row. Floor and cap are
+    ``max(v, 0.0)`` and ``min(v, 1.0)``, which keep a -0.0."""
+    details = np.asarray(details, dtype=float)
+    rows = _CONTENT_SLOPE * details[:, None]
+    rows += _CONTENT_OFFSET
+    rows += rng.normal(0.0, _CONTENT_NOISE, rows.shape)
+    np.copyto(rows, 0.0, where=rows < 0.0)
+    np.copyto(rows, 1.0, where=(rows > 1.0) & _CONTENT_CAPPED)
+    return rows
+
+
 def content_features_for_detail(detail: float, rng: np.random.Generator) -> FeatureVector:
     """Content features consistent with a detail level, with mild jitter."""
-    def clip01(v):
-        return float(min(max(v, 0.0), 1.0))
-
-    mean_luma = clip01(0.35 + 0.3 * detail + rng.normal(0.0, 0.03))
-    rms_contrast = float(max(0.05 + 0.30 * detail + rng.normal(0.0, 0.02), 0.0))
-    gradient_energy = float(max(0.02 + 0.18 * detail + rng.normal(0.0, 0.01), 0.0))
-    high_freq_ratio = clip01(0.65 * detail + rng.normal(0.0, 0.04))
-    edge_density = clip01(0.55 * detail + rng.normal(0.0, 0.04))
-    return FeatureVector(mean_luma, rms_contrast, gradient_energy,
-                         high_freq_ratio, edge_density)
+    return FeatureVector(*_content_rows([detail], rng)[0].tolist())
 
 
-def training_examples(clips, labels: list[LabeledClip], seed: int) -> list[TrainingExample]:
+def training_examples(clips, labels: list[LabeledClip], seed: int) -> TrainingSet:
     """One training row per label, features synthesized from the clip detail."""
     detail_by_clip = {c.clip_id: c.content_detail for c in clips}
-    velocities = normalize_velocities([lab.velocity_degps for lab in labels])
+    x = np.empty((len(labels), len(FEATURE_NAMES)))
+    velocity, bandwidth = (FEATURE_NAMES.index(name)
+                           for name in ("norm_velocity", "norm_bandwidth"))
+    x[:, velocity] = normalize_velocities([lab.velocity_degps for lab in labels])
+    x[:, bandwidth] = np.minimum(np.array([lab.bitrate_bps for lab in labels],
+                                          dtype=float) / BANDWIDTH_CEILING_BPS, 1.0)
     rng = np.random.default_rng(seed)
-    examples = []
-    for lab, norm_velocity in zip(labels, velocities.tolist()):
-        detail = detail_by_clip[lab.clip_id]
-        content = content_features_for_detail(detail, rng)
-        fv = content.with_context(norm_velocity, normalize_bandwidth(lab.bitrate_bps))
-        examples.append(TrainingExample(fv, lab.efficient_mode.frame_rate_hz,
-                                        lab.efficient_mode.height))
-    return examples
+    x[:, :len(CONTENT_FEATURE_KEYS)] = _content_rows(
+        [detail_by_clip[lab.clip_id] for lab in labels], rng)
+    return TrainingSet(x, [lab.efficient_mode.frame_rate_hz for lab in labels],
+                       [lab.efficient_mode.height for lab in labels])
 
 
 def labels_for_grids(grids) -> list[LabeledClip]:

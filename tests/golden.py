@@ -17,7 +17,10 @@ manifests of two trees are equal exactly when their outputs are. The corpus:
 - ``gen-synthetic --count 150 --seed 7`` and ``label`` on its grids under
   ``CONFIG``: a four-by-two ladder, two bitrates and other synthetic
   constants;
-- ``train --seed 7`` and ``evaluate`` on its training rows;
+- ``train --seed 7`` and ``evaluate`` on its training rows, and on a
+  respelled copy of them (``respelled_training_file`` with seed 7: padded
+  and respelled numbers such as ``+5e-1``, blank lines and CRLF line ends,
+  the rows in their order), whose model must equal the plain one;
 - ``train --seed 7`` on the same rows with odd minibatch shapes: one row
   per step for 2 epochs, one step of every row for 3 epochs (a batch
   size above the row count), and no held-out rows;
@@ -32,10 +35,11 @@ manifests of two trees are equal exactly when their outputs are. The corpus:
   ``compare`` runs only the synthetic source. On the patch scenarios the
   full-adaptive policy leaves the baseline's frame rate.
 
-The patch scenario files, the respelled grids and the config are inputs,
-so they stay out of the manifest. The script uses no CLI flag and no
-library name that is newer than the corpus itself. Pytest does not collect
-it; the reader fuzz tests import its ``respelled_grid_file``.
+The patch scenario files, the respelled grids and training rows and the
+config are inputs, so they stay out of the manifest. The script uses no
+CLI flag and no library name that is newer than the corpus itself. Pytest
+does not collect it; the reader fuzz tests import its two respelling
+functions.
 """
 
 from __future__ import annotations
@@ -94,6 +98,29 @@ def respelled_grid_file(data: bytes, rnd: random.Random, share: float,
     return "".join(line + end for line in lines).encode("utf-8")
 
 
+def respelled_training_file(data: bytes, rnd: random.Random, share: float,
+                            blank_lines: int, end: str) -> bytes:
+    """A training file written by ``write_training_csv``, with the same rows
+    in the same order in other text: each field, with chance ``share``,
+    spelled another way (``respellings``), then given a ``+`` sign or a
+    space on either side, so ``0.5`` may read ``+5e-1`` or `` 0.50 ``;
+    ``blank_lines`` blank lines inserted after the header, and ``end``
+    ending every line. Every field must be a number >= 0."""
+    header, *rows = (line.split(",") for line in data.decode("utf-8").splitlines())
+    width = len(header)
+    for row in rows:
+        for j, text in enumerate(row):
+            if rnd.random() < share:
+                text = rnd.choice([text, *(s for s in respellings(text, j >= width - 2)
+                                           if s == s.strip(" +"))])
+                sign = rnd.choice(["", "+"])
+                row[j] = f"{rnd.choice(['', ' '])}{sign}{text}{rnd.choice(['', ' '])}"
+    lines = [",".join(row) for row in [header, *rows]]
+    for _ in range(blank_lines):
+        lines.insert(rnd.randint(1, len(lines)), "")
+    return "".join(line + end for line in lines).encode("utf-8")
+
+
 def _cli(out: Path, step: str, *argv) -> None:
     """Run one subcommand with its outputs in ``out / step``, and keep its
     stdout as ``out / step / stdout``."""
@@ -133,6 +160,12 @@ def build(out: Path) -> None:
     model = corpus / "train" / "model.json"
     _cli(corpus, "evaluate", "evaluate", "--model", model,
          "--data", gen / "training.csv")
+    respelled = inputs / "training_respelled.csv"
+    respelled.write_bytes(respelled_training_file((gen / "training.csv").read_bytes(),
+                                                  random.Random(7), 0.5, 5, "\r\n"))
+    _cli(corpus, "train_respelled", "train", "--data", respelled, "--seed", 7)
+    _cli(corpus, "evaluate_respelled", "evaluate", "--model",
+         corpus / "train_respelled" / "model.json", "--data", respelled)
     for step, *argv in (("train_batch1", "--batch-size", 1, "--epochs", 2),
                         ("train_batch1000", "--batch-size", 1000, "--epochs", 3),
                         ("train_holdout0", "--holdout", 0)):

@@ -23,7 +23,9 @@ per-layer forward and backward pass, the row-at-a-time
 grid writer, the scenario writer that read the content table per value and
 the frame-trace writer that wrote one row per ``FrameRecord``. The grid
 dataset oracles keep one synthetic grid built at a time and the grid reader
-that parsed every field of every row.
+that parsed every field of every row. The training-row oracles keep the
+rows synthesized one ``FeatureVector`` at a time, with five scalar noise
+draws each, and the training reader that checked each row as it read it.
 """
 
 import base64
@@ -43,8 +45,10 @@ from adastream.features import (EDGE_THRESHOLD, PATCH_SIZE, FeatureVector,
                                 extract_features, normalize_bandwidth)
 from adastream.ladder import (DEFAULT_LADDER, VideoMode, pixels_per_second,
                              width_for_height)
-from adastream.motion import SPEM_LIMIT_DEGPS, WINDOW_SECONDS, deg_per_sec
-from adastream.predictor import TrainConfig, forward, new_model
+from adastream.motion import (SPEM_LIMIT_DEGPS, WINDOW_SECONDS, deg_per_sec,
+                              normalize_velocities)
+from adastream.predictor import (TRAINING_CSV_HEADER, TrainConfig, TrainingSet,
+                                 forward, new_model)
 from adastream.quality import (GRID_CSV_HEADER, JOD_MAX, QualityGrid,
                                SyntheticQualityParams, make_synthetic_grid)
 from adastream.simulator import (GOP_LENGTH_S, IFRAME_BIT_MULTIPLIER,
@@ -740,3 +744,77 @@ def row_at_a_time_load_grids(path, ladder=DEFAULT_LADDER):
                 f"({ladder.frame_rates_hz[fi]} Hz, {ladder.heights[hi]} lines)")
         grids.append(QualityGrid(clip_id, velocity, bitrate, q, ladder))
     return grids
+
+
+# ---------------------------------------------------------------------------
+# Training-row oracles
+
+
+def per_row_content_features(detail, rng):
+    """Content features for one detail level, one scalar draw per feature."""
+    def clip01(v):
+        return float(min(max(v, 0.0), 1.0))
+
+    mean_luma = clip01(0.35 + 0.3 * detail + rng.normal(0.0, 0.03))
+    rms_contrast = float(max(0.05 + 0.30 * detail + rng.normal(0.0, 0.02), 0.0))
+    gradient_energy = float(max(0.02 + 0.18 * detail + rng.normal(0.0, 0.01), 0.0))
+    high_freq_ratio = clip01(0.65 * detail + rng.normal(0.0, 0.04))
+    edge_density = clip01(0.55 * detail + rng.normal(0.0, 0.04))
+    return FeatureVector(mean_luma, rms_contrast, gradient_energy,
+                         high_freq_ratio, edge_density)
+
+
+def per_row_training_examples(clips, labels, seed):
+    """``synth.training_examples`` as it built its rows before the table:
+    two checked ``FeatureVector`` per label, stacked at the end."""
+    detail_by_clip = {c.clip_id: c.content_detail for c in clips}
+    velocities = normalize_velocities([lab.velocity_degps for lab in labels])
+    rng = np.random.default_rng(seed)
+    rows, target_f, target_r = [], [], []
+    for lab, norm_velocity in zip(labels, velocities.tolist()):
+        content = per_row_content_features(detail_by_clip[lab.clip_id], rng)
+        fv = content.with_context(norm_velocity, normalize_bandwidth(lab.bitrate_bps))
+        rows.append(fv.as_array())
+        target_f.append(lab.efficient_mode.frame_rate_hz)
+        target_r.append(lab.efficient_mode.height)
+    return TrainingSet(np.array(rows).reshape(-1, 7), target_f, target_r)
+
+
+def row_at_a_time_read_training_csv(path, ladder=DEFAULT_LADDER):
+    """The training reader before the bulk checks: each row is parsed, then
+    checked as a ``FeatureVector`` and on the ladder, before the next is
+    read."""
+    rows, target_f, target_r = [], [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(utf8_lines(fh, path))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty training file") from None
+        if tuple(h.strip() for h in header) != TRAINING_CSV_HEADER:
+            expected = list(TRAINING_CSV_HEADER)
+            for i, name in enumerate(expected):
+                if i >= len(header) or header[i].strip() != name:
+                    raise SchemaError(f"{path}: bad or missing column {name!r}")
+            raise SchemaError(f"{path}: bad header {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(TRAINING_CSV_HEADER):
+                raise SchemaError(f"{path}:{lineno}: expected "
+                                  f"{len(TRAINING_CSV_HEADER)} columns")
+            try:
+                values = [float(v) for v in row[:-2]]
+                f = int(row[-2])
+                r = int(row[-1])
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
+            try:
+                rows.append(FeatureVector(*values).as_array())
+                ladder.frame_rate_index(f)
+                ladder.height_index(r)
+            except ArgumentError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+            target_f.append(f)
+            target_r.append(r)
+    return TrainingSet(np.array(rows).reshape(-1, 7), target_f, target_r)

@@ -220,14 +220,13 @@ def test_08_trained_predictor_beats_majority():
         rng = np.random.default_rng(7)
         order = rng.permutation(len(examples))
         n_holdout = len(examples) // 5
-        holdout = [examples[i] for i in order[:n_holdout]]
-        training = [examples[i] for i in order[n_holdout:]]
+        holdout = examples.take(order[:n_holdout])
+        training = examples.take(order[n_holdout:])
         model = train(training, TrainConfig(epochs=60, seed=7))
 
-        x = np.stack([ex.features.as_array() for ex in holdout])
-        truth_f = [ex.target_f for ex in holdout]
-        truth_r = [ex.target_r for ex in holdout]
-        pred_f, pred_r = predict_classes(model, x)
+        truth_f = holdout.target_f.tolist()
+        truth_r = holdout.target_r.tolist()
+        pred_f, pred_r = predict_classes(model, holdout.x)
 
         def majority(values):
             counts = {}

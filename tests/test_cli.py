@@ -736,7 +736,7 @@ def test_training_and_scenario_flags_reach_their_settings(tmp_path):
         "scenario_000.json", "scenario_001.json"]
     rows = adastream.predictor.read_training_csv(out / "training.csv")
     # train shuffles its rows by the seed before it holds any out
-    rows = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+    rows = rows.take(np.random.default_rng(3).permutation(len(rows)))
     assert run(["train", "--data", out / "training.csv", "--out", tmp_path / "m",
                 "--epochs", 2, "--lr", 0.01, "--batch-size", 5, "--seed", 3,
                 "--holdout", 0]) == EXIT_OK

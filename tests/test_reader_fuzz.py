@@ -1,8 +1,9 @@
 """Reader fuzz tests for the model JSON, config JSON, grids CSV and training
 CSV: every mutated file exits 0, 2, 3 or 4 through the CLI, never with a
 traceback. The scenario JSON has its own in tests/test_scenario_json.py,
-whose pool of odd values the JSON tests here share. The grid reader also
-reads every mutated grid file as the row-at-a-time reader did."""
+whose pool of odd values the JSON tests here share. The grid and training
+readers also read every mutated file as their row-at-a-time readers did,
+and a respelled training file trains the same model as the plain one."""
 
 import copy
 import csv
@@ -19,9 +20,10 @@ from hypothesis import given, settings, strategies as st
 from adastream.cli import EXIT_ARGUMENT, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
 from adastream.config import DEFAULT_CONFIG
 from adastream.errors import SchemaError
+from adastream.predictor import read_training_csv
 from adastream.quality import load_grids
-from golden import respelled_grid_file
-from oracles import row_at_a_time_load_grids
+from golden import respelled_grid_file, respelled_training_file
+from oracles import row_at_a_time_load_grids, row_at_a_time_read_training_csv
 from test_cli import _five_inputs
 from test_scenario_json import _ODD_VALUES, fuzz_base_payload
 
@@ -320,3 +322,69 @@ def test_grid_reader_equals_row_at_a_time_reader(corpus, data):
         path.write_bytes(mutated)
         assert (_read_grids(load_grids, path)
                 == _read_grids(row_at_a_time_load_grids, path))
+
+
+# ---------------------------------------------------------------------------
+# the training reader against the row-at-a-time reader
+
+
+@pytest.fixture(scope="module")
+def training_rows(tmp_path_factory):
+    """A training file of 60 rows, longer than one 8 KB chunk of text."""
+    root = tmp_path_factory.mktemp("training")
+    assert run(["gen-synthetic", "--out", root, "--count", 20, "--seed", 7,
+                "--scenarios", 0]) == EXIT_OK
+    return root / "training.csv"
+
+
+@st.composite
+def respelled_training(draw, data: bytes):
+    """The training file in other text, as ``golden.respelled_training_file``
+    writes it, with a drawn share of its fields respelled."""
+    return respelled_training_file(
+        data, random.Random(draw(st.integers(0, 2**32))),
+        draw(st.sampled_from([0.0, 0.02, 0.5, 1.0])), draw(st.integers(0, 3)),
+        draw(st.sampled_from(["\n", "\r\n"])))
+
+
+def _read_training(read, path):
+    """The table's bytes and classes, or the error's type and message."""
+    try:
+        rows = read(path)
+    except Exception as exc:  # both readers must fail alike, whatever the error
+        return type(exc), str(exc)
+    return rows.x.tobytes(), rows.target_f.tolist(), rows.target_r.tolist()
+
+
+@pytest.mark.parametrize("base", ["corpus", "training_rows"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_training_reader_equals_row_at_a_time_reader(request, base, data):
+    path = request.getfixturevalue(base)
+    source = (path["training"] if base == "corpus" else path).read_bytes()
+    mutated = data.draw(st.one_of(mutated_csv(source), mutated_bytes(source),
+                                  respelled_training(source)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "training.csv"
+        path.write_bytes(mutated)
+        assert (_read_training(read_training_csv, path)
+                == _read_training(row_at_a_time_read_training_csv, path))
+
+
+@pytest.mark.parametrize("seed, share, blank_lines, end", [
+    (7, 0.5, 5, "\r\n"), (1, 1.0, 0, "\n"), (2, 0.1, 2, "\r\n")])
+def test_respelled_training_file_trains_the_same_model(tmp_path, training_rows, seed,
+                                                       share, blank_lines, end):
+    respelled = tmp_path / "respelled.csv"
+    respelled.write_bytes(respelled_training_file(
+        training_rows.read_bytes(), random.Random(seed), share, blank_lines, end))
+    outputs = []
+    for data in (training_rows, respelled):
+        out = tmp_path / data.stem
+        assert run(["train", "--data", data, "--out", out, "--seed", 7,
+                    "--epochs", 3]) == EXIT_OK
+        assert run(["evaluate", "--model", out / "model.json", "--data", data,
+                    "--out", out / "eval"]) == EXIT_OK
+        outputs.append([(out / name).read_bytes() for name in
+                        ("model.json", "metrics.json", "eval/metrics.json")])
+    assert outputs[0] == outputs[1]
