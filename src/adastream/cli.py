@@ -22,7 +22,7 @@ import numpy as np
 from . import labeler, metrics, predictor, quality, simulator, synth
 from .config import load_config
 from .errors import (ArgumentError, ConfigError, ContractError, DivergenceError,
-                     ModelCorruptError, SchemaError)
+                     ModelCorruptError, SchemaError, write_text)
 from .features import FEATURE_NAMES
 from .motion import SPEM_LIMIT_DEGPS
 
@@ -53,9 +53,7 @@ def _non_negative_int(text: str) -> int:
 
 
 def _write_json(payload: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _label_outputs(grids, margin: float, out: Path) -> list:

@@ -23,14 +23,13 @@ Recognized keys (all optional)::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .controller import (DECISION_PERIOD_S, EMISSION_FLOOR, TransitionGraph,
                          default_transition_graph)
-from .errors import ArgumentError, ConfigError, json_numbers
+from .errors import ArgumentError, ConfigError, json_numbers, read_json
 from .ladder import DEFAULT_LADDER, Ladder, ladder_values
 from .quality import SyntheticQualityParams, synthetic_surface
 from .simulator import IFRAME_BIT_MULTIPLIER, check_jitter_pct
@@ -97,11 +96,7 @@ def _float_range_int(text: str) -> int:
 def load_config(path=None) -> Config:
     if path is None:
         return DEFAULT_CONFIG
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh, parse_int=_float_range_int)
-        except ValueError as exc:  # also bad UTF-8 and over-long integers
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    raw = read_json(path, ConfigError, "JSON", parse_int=_float_range_int)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config root must be an object")
     _reject_unknown(raw, ("resolutions", "frame_rates", "bitrates",

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, write_text
 from .ladder import Ladder, VideoMode, objective_cost, pixels_per_second
 from .quality import QualityGrid
 
@@ -209,30 +209,23 @@ LABEL_CSV_HEADER = ("clip_id", "bitrate_bps", "velocity_degps", "best_f", "best_
 
 
 def write_labels_csv(labels, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(LABEL_CSV_HEADER) + "\n")
-        for lab in labels:
-            fh.write(f"{lab.clip_id},{float(lab.bitrate_bps)!r},"
-                     f"{float(lab.velocity_degps)!r},"
-                     f"{lab.best_mode.frame_rate_hz},{lab.best_mode.height},"
-                     f"{lab.efficient_mode.frame_rate_hz},{lab.efficient_mode.height},"
-                     f"{float(lab.q_star)!r},{float(lab.q_efficient)!r},"
-                     f"{float(lab.savings_pct)!r}\n")
+    rows = [f"{lab.clip_id},{float(lab.bitrate_bps)!r},{float(lab.velocity_degps)!r},"
+            f"{lab.best_mode.frame_rate_hz},{lab.best_mode.height},"
+            f"{lab.efficient_mode.frame_rate_hz},{lab.efficient_mode.height},"
+            f"{float(lab.q_star)!r},{float(lab.q_efficient)!r},"
+            f"{float(lab.savings_pct)!r}\n" for lab in labels]
+    write_text(path, ",".join(LABEL_CSV_HEADER) + "\n" + "".join(rows))
 
 
 def write_savings_csv(curve, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("bitrate_bps,margin_jod,mean_savings_pct\n")
-        for bitrate in sorted(curve):
-            for margin in sorted(curve[bitrate]):
-                fh.write(f"{float(bitrate)!r},{float(margin)!r},"
-                         f"{float(curve[bitrate][margin])!r}\n")
+    rows = [f"{float(bitrate)!r},{float(margin)!r},{float(curve[bitrate][margin])!r}\n"
+            for bitrate in sorted(curve) for margin in sorted(curve[bitrate])]
+    write_text(path, "bitrate_bps,margin_jod,mean_savings_pct\n" + "".join(rows))
 
 
 def write_distribution_csv(hist, path) -> None:
     band_names = ("low", "mid", "high")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("bitrate_bps,velocity_band,frame_rate_hz,resolution_lines,count\n")
-        for key in sorted(hist):
-            bitrate, band, f, h = key
-            fh.write(f"{float(bitrate)!r},{band_names[band]},{f},{h},{hist[key]}\n")
+    rows = [f"{float(bitrate)!r},{band_names[band]},{f},{h},{hist[bitrate, band, f, h]}\n"
+            for bitrate, band, f, h in sorted(hist)]
+    write_text(path, "bitrate_bps,velocity_band,frame_rate_hz,resolution_lines,count\n"
+               + "".join(rows))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, write_text
 
 
 def relative_error(predicted, truth) -> float:
@@ -53,8 +53,7 @@ def confusion_matrix(predicted, truth, classes) -> np.ndarray:
 
 def write_confusion_csv(matrix: np.ndarray, classes, path) -> None:
     classes = list(classes)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("true_class," + ",".join(str(c) for c in classes) + "\n")
-        for i, c in enumerate(classes):
-            row = ",".join(repr(float(v)) for v in matrix[i])
-            fh.write(f"{c},{row}\n")
+    rows = [f"{c}," + ",".join(repr(float(v)) for v in matrix[i]) + "\n"
+            for i, c in enumerate(classes)]
+    write_text(path, "true_class," + ",".join(str(c) for c in classes) + "\n"
+               + "".join(rows))

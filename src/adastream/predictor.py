@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ArgumentError, DivergenceError, ModelCorruptError, SchemaError,
-                     json_numbers, utf8_lines)
+                     csv_rows, json_numbers, read_json, write_text)
 from .features import (FEATURE_NAMES, FEATURE_SCHEMA_VERSION, FeatureVector,
                        feature_range_error)
 from .ladder import DEFAULT_LADDER, Ladder, ladder_values
@@ -39,7 +39,10 @@ class TrainingSet:
     target_r: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float)
+        try:
+            x = np.array(self.x, dtype=float)
+        except (TypeError, ValueError) as exc:  # text, or ragged rows
+            raise ArgumentError(f"training rows must be numbers: {exc}") from None
         if x.ndim != 2 or x.shape[1] != len(FEATURE_NAMES):
             raise ArgumentError(f"training rows must hold the {len(FEATURE_NAMES)} "
                                 f"features, got an array of shape {x.shape}")
@@ -274,12 +277,12 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
     per-layer update, so the weights are the same bits.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    if n == 0:
-        raise ArgumentError("training set is empty")
     if x.ndim != 2 or x.shape[1] != len(FEATURE_NAMES):
         raise ArgumentError(f"training rows must hold the {len(FEATURE_NAMES)} "
                             f"features, got an array of shape {x.shape}")
+    n = x.shape[0]
+    if n == 0:
+        raise ArgumentError("training set is empty")
 
     model = new_model(config.seed, config.hidden_sizes, ladder)
     rng = np.random.default_rng(config.seed)
@@ -370,17 +373,12 @@ def save_model(model: PredictorModel, path) -> None:
         "biases": [b.tolist() for b in model.biases],
     }
     # ``dumps`` without an indent runs the C encoder; ``dump`` never does.
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    write_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path, ladder: Ladder | None = None) -> PredictorModel:
     """The model in ``path``, on its file's ladder, which must equal ``ladder``."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # also bad UTF-8 and over-long integers
-            raise SchemaError(f"{path}: not valid model JSON: {exc}") from None
+    payload = read_json(path, SchemaError, "model JSON")
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: model root must be an object")
     for key in ("header", "weights", "biases"):
@@ -440,11 +438,10 @@ TRAINING_CSV_HEADER = FEATURE_NAMES + ("target_f", "target_r")
 
 
 def write_training_csv(rows: TrainingSet, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(TRAINING_CSV_HEADER) + "\n")
-        for feats, target_f, target_r in zip(rows.x.tolist(), rows.target_f.tolist(),
-                                             rows.target_r.tolist()):
-            fh.write(f"{','.join(map(repr, feats))},{target_f},{target_r}\n")
+    lines = [f"{','.join(map(repr, feats))},{target_f},{target_r}\n"
+             for feats, target_f, target_r in zip(rows.x.tolist(), rows.target_f.tolist(),
+                                                  rows.target_r.tolist())]
+    write_text(path, ",".join(TRAINING_CSV_HEADER) + "\n" + "".join(lines))
 
 
 def read_training_csv(path, ladder: Ladder = DEFAULT_LADDER) -> TrainingSet:
@@ -455,42 +452,39 @@ def read_training_csv(path, ladder: Ladder = DEFAULT_LADDER) -> TrainingSet:
     earliest bad line; within a line, a wrong column count or a parse error
     comes first, then a feature out of range, then a class off the ladder.
     """
-    import csv
-
     xs, target_f, target_r, linenos = [], [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(utf8_lines(fh, path))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty training file") from None
-        if tuple(h.strip() for h in header) != TRAINING_CSV_HEADER:
-            expected = list(TRAINING_CSV_HEADER)
-            for i, name in enumerate(expected):
-                if i >= len(header) or header[i].strip() != name:
-                    raise SchemaError(f"{path}: bad or missing column {name!r}")
-            raise SchemaError(f"{path}: bad header {header!r}")
-        # A line that does not parse ends the rows; it is refused after the
-        # lines before it are checked.
-        failure = None
-        try:
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(TRAINING_CSV_HEADER):
-                    raise SchemaError(f"{path}:{lineno}: expected "
-                                      f"{len(TRAINING_CSV_HEADER)} columns")
-                try:
-                    values = [float(v) for v in row[:-2]]
-                    classes = int(row[-2]), int(row[-1])
-                except ValueError as exc:
-                    raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
-                xs += values
-                target_f.append(classes[0])
-                target_r.append(classes[1])
-                linenos.append(lineno)
-        except (SchemaError, csv.Error) as exc:
-            failure = exc
+    rows = csv_rows(path)
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty training file") from None
+    if tuple(h.strip() for h in header) != TRAINING_CSV_HEADER:
+        expected = list(TRAINING_CSV_HEADER)
+        for i, name in enumerate(expected):
+            if i >= len(header) or header[i].strip() != name:
+                raise SchemaError(f"{path}: bad or missing column {name!r}")
+        raise SchemaError(f"{path}: bad header {header!r}")
+    # A line that does not parse ends the rows; it is refused after the
+    # lines before it are checked.
+    failure = None
+    try:
+        for lineno, row in rows:
+            if not row:
+                continue
+            if len(row) != len(TRAINING_CSV_HEADER):
+                raise SchemaError(f"{path}:{lineno}: expected "
+                                  f"{len(TRAINING_CSV_HEADER)} columns")
+            try:
+                values = [float(v) for v in row[:-2]]
+                classes = int(row[-2]), int(row[-1])
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
+            xs += values
+            target_f.append(classes[0])
+            target_r.append(classes[1])
+            linenos.append(lineno)
+    except SchemaError as exc:
+        failure = exc
 
     x = np.array(xs, dtype=float).reshape(-1, len(FEATURE_NAMES))
     errors = [error for error in (feature_range_error(x),

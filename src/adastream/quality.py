@@ -24,18 +24,19 @@ grid-backed source stacks its grids and picks the nearest one per velocity.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ArgumentError, SchemaError, utf8_lines
+from .errors import ArgumentError, SchemaError, csv_rows, write_text
 from .ladder import DEFAULT_LADDER, Ladder, VideoMode
 from .motion import SPEM_LIMIT_DEGPS  # velocities above it are perceptually capped
 
 JOD_MAX = 10.0
+# The frame rate at which the synthetic surface's temporal loss vanishes.
+TEMPORAL_ASYMPTOTE_HZ = 166
 
 GRID_CSV_HEADER = ("clip_id", "velocity_degps", "bitrate_bps",
                    "frame_rate_hz", "resolution_lines", "jod")
@@ -56,7 +57,6 @@ class SyntheticQualityParams:
     bpp_ref: float = 0.05          # bits/pixel above which coding loss vanishes
     spatial_exponent: float = 0.8
     content_detail: float = 0.5    # 0 = flat content, 1 = highly detailed
-    reference_rate_hz: int = 166   # temporal asymptote; fixed
 
     def __post_init__(self):
         for f in fields(self):
@@ -76,8 +76,6 @@ class SyntheticQualityParams:
             raise ArgumentError("bpp_ref must be positive")
         if not 0.0 <= self.content_detail <= 1.0:
             raise ArgumentError("content_detail must be in [0, 1]")
-        if self.reference_rate_hz != 166:
-            raise ArgumentError("reference_rate_hz is fixed at 166")
 
 
 @dataclass(frozen=True)
@@ -165,7 +163,7 @@ def _surface(ladder: Ladder, bitrate_bps: float, velocities,
         raise ArgumentError(f"bitrate {float(bitrate_bps)!r} bps is too small: "
                             f"{bpp!r} bits per pixel at {h} lines and {f} Hz")
 
-    interval_excess = np.array([1.0 / f - 1.0 / params.reference_rate_hz
+    interval_excess = np.array([1.0 / f - 1.0 / TEMPORAL_ASYMPTOTE_HZ
                                 for f in ladder.frame_rates_hz])
     try:
         deficits = [1.0 - (h / 1080.0) ** params.spatial_exponent for h in ladder.heights]
@@ -213,82 +211,81 @@ def load_grids(path, ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
     Fails atomically: either every group in the file is complete and valid,
     or a :class:`SchemaError` is raised and nothing is returned.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(utf8_lines(fh, path))
+    rows = csv_rows(path)
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, expected header "
+                          f"{','.join(GRID_CSV_HEADER)}") from None
+    if tuple(h.strip() for h in header) != GRID_CSV_HEADER:
+        raise SchemaError(
+            f"{path}: bad header {header!r}, expected {list(GRID_CSV_HEADER)}")
+
+    n_heights = ladder.n_heights
+    n_cells = ladder.n_frame_rates * n_heights
+    # (clip_id, bitrate) -> (velocity, cells); None marks a cell not yet read
+    groups: dict[tuple[str, float], tuple[float, list]] = {}
+    leads: dict[tuple[str, str, str], tuple[str, list]] = {}  # -> (clip_id, cells)
+    cell_at: dict[tuple[str, str], int] = {}  # -> flat cell index
+    for lineno, row in rows:
+        if not row:
+            continue
+        if len(row) != len(GRID_CSV_HEADER):
+            raise SchemaError(f"{path}:{lineno}: expected "
+                              f"{len(GRID_CSV_HEADER)} columns, got {len(row)}")
+        lead = leads.get((row[0], row[1], row[2]))
+        cell = cell_at.get((row[3], row[4]))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected header "
-                              f"{','.join(GRID_CSV_HEADER)}") from None
-        if tuple(h.strip() for h in header) != GRID_CSV_HEADER:
-            raise SchemaError(
-                f"{path}: bad header {header!r}, expected {list(GRID_CSV_HEADER)}")
-
-        n_heights = ladder.n_heights
-        n_cells = ladder.n_frame_rates * n_heights
-        # (clip_id, bitrate) -> (velocity, cells); None marks a cell not yet read
-        groups: dict[tuple[str, float], tuple[float, list]] = {}
-        leads: dict[tuple[str, str, str], tuple[str, list]] = {}  # -> (clip_id, cells)
-        cell_at: dict[tuple[str, str], int] = {}  # -> flat cell index
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(GRID_CSV_HEADER):
-                raise SchemaError(f"{path}:{lineno}: expected "
-                                  f"{len(GRID_CSV_HEADER)} columns, got {len(row)}")
-            lead = leads.get((row[0], row[1], row[2]))
-            cell = cell_at.get((row[3], row[4]))
-            try:
-                if lead is None:
-                    velocity = float(row[1])
-                    bitrate = float(row[2])
-                if cell is None:
-                    f = int(row[3])
-                    h = int(row[4])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
             if lead is None:
-                if not (math.isfinite(velocity) and velocity >= 0.0):
-                    raise SchemaError(f"{path}:{lineno}: velocity {row[1]!r} must be "
-                                      "finite and >= 0")
-                if not (math.isfinite(bitrate) and bitrate > 0.0):
-                    raise SchemaError(f"{path}:{lineno}: bitrate {row[2]!r} must be "
-                                      "finite and > 0")
-            try:
-                jod = float(row[5])
-            except ValueError:
-                raise SchemaError(
-                    f"{path}:{lineno}: non-numeric jod value {row[5]!r}") from None
-            if not math.isfinite(jod) or not 0.0 <= jod <= JOD_MAX:
-                raise SchemaError(
-                    f"{path}:{lineno}: jod {jod} out of range [0, {JOD_MAX}]")
+                velocity = float(row[1])
+                bitrate = float(row[2])
             if cell is None:
-                try:
-                    cell = ladder.frame_rate_index(f) * n_heights + ladder.height_index(h)
-                except ArgumentError as exc:
-                    raise SchemaError(f"{path}:{lineno}: {exc}") from None
-                cell_at[row[3], row[4]] = cell
+                f = int(row[3])
+                h = int(row[4])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
+        if lead is None:
+            if not (math.isfinite(velocity) and velocity >= 0.0):
+                raise SchemaError(f"{path}:{lineno}: velocity {row[1]!r} must be "
+                                  "finite and >= 0")
+            if not (math.isfinite(bitrate) and bitrate > 0.0):
+                raise SchemaError(f"{path}:{lineno}: bitrate {row[2]!r} must be "
+                                  "finite and > 0")
+        try:
+            jod = float(row[5])
+        except ValueError:
+            raise SchemaError(
+                f"{path}:{lineno}: non-numeric jod value {row[5]!r}") from None
+        if not math.isfinite(jod) or not 0.0 <= jod <= JOD_MAX:
+            raise SchemaError(
+                f"{path}:{lineno}: jod {jod} out of range [0, {JOD_MAX}]")
+        if cell is None:
+            try:
+                cell = ladder.frame_rate_index(f) * n_heights + ladder.height_index(h)
+            except ArgumentError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+            cell_at[row[3], row[4]] = cell
 
-            if lead is None:
-                clip_id = row[0].strip()
-                key = (clip_id, bitrate)
-                if key not in groups:  # so every clip id is checked at its first row
-                    if any(c in clip_id for c in ',"\r\n'):
-                        raise SchemaError(f"{path}:{lineno}: clip id {clip_id!r} holds "
-                                          "a comma, quote or line break")
-                    groups[key] = (velocity, [None] * n_cells)
-                first_velocity, cells = groups[key]
-                if first_velocity != velocity:
-                    raise SchemaError(
-                        f"{path}:{lineno}: clip {clip_id!r} at {bitrate} bps mixes "
-                        f"velocities {first_velocity} and {velocity}")
-                lead = leads[row[0], row[1], row[2]] = (clip_id, cells)
-            clip_id, cells = lead
-            if cells[cell] is not None:
+        if lead is None:
+            clip_id = row[0].strip()
+            key = (clip_id, bitrate)
+            if key not in groups:  # so every clip id is checked at its first row
+                if any(c in clip_id for c in ',"\r\n'):
+                    raise SchemaError(f"{path}:{lineno}: clip id {clip_id!r} holds "
+                                      "a comma, quote or line break")
+                groups[key] = (velocity, [None] * n_cells)
+            first_velocity, cells = groups[key]
+            if first_velocity != velocity:
                 raise SchemaError(
-                    f"{path}:{lineno}: duplicate cell ({int(row[3])} Hz, "
-                    f"{int(row[4])} lines) for clip {clip_id!r}")
-            cells[cell] = jod
+                    f"{path}:{lineno}: clip {clip_id!r} at {bitrate} bps mixes "
+                    f"velocities {first_velocity} and {velocity}")
+            lead = leads[row[0], row[1], row[2]] = (clip_id, cells)
+        clip_id, cells = lead
+        if cells[cell] is not None:
+            raise SchemaError(
+                f"{path}:{lineno}: duplicate cell ({int(row[3])} Hz, "
+                f"{int(row[4])} lines) for clip {clip_id!r}")
+        cells[cell] = jod
 
     grids = []
     for clip_id, bitrate in sorted(groups):
@@ -318,5 +315,4 @@ def write_grids_csv(grids, path) -> None:
                   f"{float(grid.bitrate_bps)!r},")
         lines.extend(f"{prefix}{fh}{q!r}"
                      for fh, q in zip(cells, grid.q.ravel().tolist()))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")

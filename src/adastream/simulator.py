@@ -70,7 +70,7 @@ import numpy as np
 
 from .controller import (DECISION_PERIOD_S, TransitionGraph, decide,
                          initial_state, step_window)
-from .errors import ArgumentError, ConfigError, SchemaError
+from .errors import ArgumentError, ConfigError, SchemaError, read_json, write_text
 from .features import (CONTENT_FEATURE_KEYS, FEATURE_NAMES, PATCH_SIZE,
                        extract_features, feature_range_error,
                        normalize_bandwidth)
@@ -263,7 +263,9 @@ class Scenario:
         """Content rows of the given record indices, in their order,
         extracting the features of any patch record not read before."""
         records = np.asarray(records, dtype=np.intp)
-        for i in np.unique(records[np.isnan(self._content[:, 0][records])]).tolist():
+        pending = np.zeros(len(self._content), dtype=bool)
+        pending[records[np.isnan(self._content[records, 0])]] = True
+        for i in np.flatnonzero(pending).tolist():
             patch = self._patches.pop(i)
             if isinstance(patch, str):
                 patch = _patch_pixels(base64.b64decode(patch))
@@ -319,9 +321,8 @@ def scenario_to_json(scenario: Scenario, path) -> None:
         for t, m, row in zip(scenario.timestamps.tolist(),
                              scenario.ndc_magnitudes.tolist(),
                              scenario.content_features.tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{head},\n "frames": [\n{frames}\n ],\n "reference_rate_hz": '
-                 f'{json.dumps(scenario.reference_rate_hz)}\n}}\n')
+    write_text(path, f'{head},\n "frames": [\n{frames}\n ],\n "reference_rate_hz": '
+                     f'{json.dumps(scenario.reference_rate_hz)}\n}}\n')
 
 
 def _number(value, where: str) -> float:
@@ -388,11 +389,7 @@ def _frame_content(frame: dict, where: str):
 
 def scenario_from_json(path) -> Scenario:
     numbers = ("duration_s", "fov_horizontal_deg", "reference_rate_hz")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # also bad UTF-8 and over-long integers
-            raise SchemaError(f"{path}: not valid scenario JSON: {exc}") from None
+    payload = read_json(path, SchemaError, "scenario JSON")
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: scenario root must be an object")
     for key in (*numbers, "bitrate_schedule", "frames"):
@@ -810,18 +807,15 @@ def write_frame_csv(trace: SessionTrace, path) -> None:
         rows.append(f"{times[0]!r}{mode}{bits[0]},1,{win.index}\n")
         p_tail = f",0,{win.index}\n"
         rows.extend(f"{t!r}{mode}{b}{p_tail}" for t, b in zip(times[1:], bits[1:]))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(rows))
+    write_text(path, "".join(rows))
 
 
 def write_window_csv(trace: SessionTrace, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("window,start_s,frame_rate_hz,resolution_lines,"
-                 "mean_quality_jod,pixels_per_second\n")
-        for win in trace.windows:
-            fh.write(f"{win.index},{float(win.start_s)!r},{win.frame_rate_hz},"
-                     f"{win.height},{float(win.mean_quality_jod)!r},"
-                     f"{win.pixels_per_second}\n")
+    rows = [f"{win.index},{float(win.start_s)!r},{win.frame_rate_hz},{win.height},"
+            f"{float(win.mean_quality_jod)!r},{win.pixels_per_second}\n"
+            for win in trace.windows]
+    write_text(path, "window,start_s,frame_rate_hz,resolution_lines,"
+               "mean_quality_jod,pixels_per_second\n" + "".join(rows))
 
 
 def summary_dict(trace: SessionTrace) -> dict:

@@ -40,6 +40,11 @@ config are inputs, so they stay out of the manifest. The script uses no
 CLI flag and no library name that is newer than the corpus itself. Pytest
 does not collect it; the reader fuzz tests import its two respelling
 functions.
+
+CI compares the base tree's manifest with this tree's through
+``identity_problems``: an output may change only if
+``tests/identity_exceptions.txt`` lists its path with a reason, and a
+listed output must change. The next change empties the file.
 """
 
 from __future__ import annotations
@@ -214,6 +219,29 @@ def manifest(corpus: Path) -> list[str]:
     return sorted(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
                   f"{path.relative_to(corpus).as_posix()}"
                   for path in corpus.rglob("*") if path.is_file())
+
+
+def identity_problems(base: str, head: str, exceptions: str) -> list[str]:
+    """Why a head manifest may not replace its base's, given the text of
+    ``identity_exceptions.txt``: one ``path<TAB>reason`` line per output
+    that is meant to change, blank lines aside. A path whose entry changed,
+    appeared or went away must be listed; a listed path must have changed."""
+    def entries(text):
+        return dict(line.split("  ", 1)[::-1] for line in text.splitlines() if line)
+
+    base_entries, head_entries = entries(base), entries(head)
+    changed = {path for path in base_entries.keys() | head_entries.keys()
+               if base_entries.get(path) != head_entries.get(path)}
+    listed, problems = set(), []
+    for number, line in enumerate(exceptions.splitlines(), 1):
+        path, _, reason = line.partition("\t")
+        if path.strip() and reason.strip():
+            listed.add(path)
+        elif line.strip():
+            problems.append(f"exceptions line {number}: expected path<TAB>reason")
+    problems += [f"{path}: changed, but not listed" for path in sorted(changed - listed)]
+    problems += [f"{path}: listed, but unchanged" for path in sorted(listed - changed)]
+    return problems
 
 
 def main(argv=None) -> int:

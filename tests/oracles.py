@@ -29,7 +29,6 @@ draws each, and the training reader that checked each row as it read it.
 """
 
 import base64
-import csv
 import json
 import math
 from collections import deque
@@ -39,8 +38,7 @@ import numpy as np
 from scipy.fft import dctn
 
 from adastream.controller import decide, initial_state, step
-from adastream.errors import (ArgumentError, DivergenceError, SchemaError,
-                              utf8_lines)
+from adastream.errors import ArgumentError, DivergenceError, SchemaError, csv_rows
 from adastream.features import (EDGE_THRESHOLD, PATCH_SIZE, FeatureVector,
                                 extract_features, normalize_bandwidth)
 from adastream.ladder import (DEFAULT_LADDER, VideoMode, pixels_per_second,
@@ -49,8 +47,9 @@ from adastream.motion import (SPEM_LIMIT_DEGPS, WINDOW_SECONDS, deg_per_sec,
                               normalize_velocities)
 from adastream.predictor import (TRAINING_CSV_HEADER, TrainConfig, TrainingSet,
                                  forward, new_model)
-from adastream.quality import (GRID_CSV_HEADER, JOD_MAX, QualityGrid,
-                               SyntheticQualityParams, make_synthetic_grid)
+from adastream.quality import (GRID_CSV_HEADER, JOD_MAX, TEMPORAL_ASYMPTOTE_HZ,
+                               QualityGrid, SyntheticQualityParams,
+                               make_synthetic_grid)
 from adastream.simulator import (GOP_LENGTH_S, IFRAME_BIT_MULTIPLIER,
                                  FrameRecord,
                                  OracleQualityPolicy, PredictorControllerPolicy,
@@ -133,7 +132,7 @@ def quality_value(frame_rate_hz, height, bitrate_bps, velocity_degps,
     detail = params.content_detail
     v_eff = min(velocity_degps, SPEM_LIMIT_DEGPS)
     loss_temporal = params.alpha_temporal * v_eff * (
-        1.0 / frame_rate_hz - 1.0 / params.reference_rate_hz)
+        1.0 / frame_rate_hz - 1.0 / TEMPORAL_ASYMPTOTE_HZ)
     loss_spatial = params.alpha_spatial * detail * (
         1.0 - (height / 1080.0) ** params.spatial_exponent)
     bpp = bitrate_bps / (frame_rate_hz * width_for_height(height) * height)
@@ -668,69 +667,68 @@ def per_clip_grids(clips, bitrates, base_params=SyntheticQualityParams(),
 def row_at_a_time_load_grids(path, ladder=DEFAULT_LADDER):
     """The grid reader before its memos: every row parses and checks all
     six fields, and each cell goes into the group's NaN-filled array."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(utf8_lines(fh, path))
+    rows = csv_rows(path)
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, expected header "
+                          f"{','.join(GRID_CSV_HEADER)}") from None
+    if tuple(h.strip() for h in header) != GRID_CSV_HEADER:
+        raise SchemaError(
+            f"{path}: bad header {header!r}, expected {list(GRID_CSV_HEADER)}")
+
+    # (clip_id, bitrate) -> (velocity, q); NaN marks a cell not yet read
+    groups = {}
+    for lineno, row in rows:
+        if not row:
+            continue
+        if len(row) != len(GRID_CSV_HEADER):
+            raise SchemaError(f"{path}:{lineno}: expected "
+                              f"{len(GRID_CSV_HEADER)} columns, got {len(row)}")
+        clip_id = row[0].strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected header "
-                              f"{','.join(GRID_CSV_HEADER)}") from None
-        if tuple(h.strip() for h in header) != GRID_CSV_HEADER:
+            velocity = float(row[1])
+            bitrate = float(row[2])
+            f = int(row[3])
+            h = int(row[4])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
+        if not (math.isfinite(velocity) and velocity >= 0.0):
+            raise SchemaError(f"{path}:{lineno}: velocity {row[1]!r} must be "
+                              "finite and >= 0")
+        if not (math.isfinite(bitrate) and bitrate > 0.0):
+            raise SchemaError(f"{path}:{lineno}: bitrate {row[2]!r} must be "
+                              "finite and > 0")
+        try:
+            jod = float(row[5])
+        except ValueError:
             raise SchemaError(
-                f"{path}: bad header {header!r}, expected {list(GRID_CSV_HEADER)}")
+                f"{path}:{lineno}: non-numeric jod value {row[5]!r}") from None
+        if not math.isfinite(jod) or not 0.0 <= jod <= JOD_MAX:
+            raise SchemaError(
+                f"{path}:{lineno}: jod {jod} out of range [0, {JOD_MAX}]")
+        try:
+            cell = ladder.frame_rate_index(f), ladder.height_index(h)
+        except ArgumentError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
 
-        # (clip_id, bitrate) -> (velocity, q); NaN marks a cell not yet read
-        groups = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(GRID_CSV_HEADER):
-                raise SchemaError(f"{path}:{lineno}: expected "
-                                  f"{len(GRID_CSV_HEADER)} columns, got {len(row)}")
-            clip_id = row[0].strip()
-            try:
-                velocity = float(row[1])
-                bitrate = float(row[2])
-                f = int(row[3])
-                h = int(row[4])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
-            if not (math.isfinite(velocity) and velocity >= 0.0):
-                raise SchemaError(f"{path}:{lineno}: velocity {row[1]!r} must be "
-                                  "finite and >= 0")
-            if not (math.isfinite(bitrate) and bitrate > 0.0):
-                raise SchemaError(f"{path}:{lineno}: bitrate {row[2]!r} must be "
-                                  "finite and > 0")
-            try:
-                jod = float(row[5])
-            except ValueError:
-                raise SchemaError(
-                    f"{path}:{lineno}: non-numeric jod value {row[5]!r}") from None
-            if not math.isfinite(jod) or not 0.0 <= jod <= JOD_MAX:
-                raise SchemaError(
-                    f"{path}:{lineno}: jod {jod} out of range [0, {JOD_MAX}]")
-            try:
-                cell = ladder.frame_rate_index(f), ladder.height_index(h)
-            except ArgumentError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
-
-            key = (clip_id, bitrate)
-            if key not in groups:  # so every clip id is checked at its first row
-                if any(c in clip_id for c in ',"\r\n'):
-                    raise SchemaError(f"{path}:{lineno}: clip id {clip_id!r} holds "
-                                      "a comma, quote or line break")
-                groups[key] = (velocity, np.full(
-                    (ladder.n_frame_rates, ladder.n_heights), np.nan))
-            first_velocity, q = groups[key]
-            if first_velocity != velocity:
-                raise SchemaError(
-                    f"{path}:{lineno}: clip {clip_id!r} at {bitrate} bps mixes "
-                    f"velocities {first_velocity} and {velocity}")
-            if not math.isnan(q[cell]):
-                raise SchemaError(
-                    f"{path}:{lineno}: duplicate cell ({f} Hz, {h} lines) "
-                    f"for clip {clip_id!r}")
-            q[cell] = jod
+        key = (clip_id, bitrate)
+        if key not in groups:  # so every clip id is checked at its first row
+            if any(c in clip_id for c in ',"\r\n'):
+                raise SchemaError(f"{path}:{lineno}: clip id {clip_id!r} holds "
+                                  "a comma, quote or line break")
+            groups[key] = (velocity, np.full(
+                (ladder.n_frame_rates, ladder.n_heights), np.nan))
+        first_velocity, q = groups[key]
+        if first_velocity != velocity:
+            raise SchemaError(
+                f"{path}:{lineno}: clip {clip_id!r} at {bitrate} bps mixes "
+                f"velocities {first_velocity} and {velocity}")
+        if not math.isnan(q[cell]):
+            raise SchemaError(
+                f"{path}:{lineno}: duplicate cell ({f} Hz, {h} lines) "
+                f"for clip {clip_id!r}")
+        q[cell] = jod
 
     grids = []
     for clip_id, bitrate in sorted(groups):
@@ -785,36 +783,35 @@ def row_at_a_time_read_training_csv(path, ladder=DEFAULT_LADDER):
     checked as a ``FeatureVector`` and on the ladder, before the next is
     read."""
     rows, target_f, target_r = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(utf8_lines(fh, path))
+    records = csv_rows(path)
+    try:
+        _, header = next(records)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty training file") from None
+    if tuple(h.strip() for h in header) != TRAINING_CSV_HEADER:
+        expected = list(TRAINING_CSV_HEADER)
+        for i, name in enumerate(expected):
+            if i >= len(header) or header[i].strip() != name:
+                raise SchemaError(f"{path}: bad or missing column {name!r}")
+        raise SchemaError(f"{path}: bad header {header!r}")
+    for lineno, row in records:
+        if not row:
+            continue
+        if len(row) != len(TRAINING_CSV_HEADER):
+            raise SchemaError(f"{path}:{lineno}: expected "
+                              f"{len(TRAINING_CSV_HEADER)} columns")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty training file") from None
-        if tuple(h.strip() for h in header) != TRAINING_CSV_HEADER:
-            expected = list(TRAINING_CSV_HEADER)
-            for i, name in enumerate(expected):
-                if i >= len(header) or header[i].strip() != name:
-                    raise SchemaError(f"{path}: bad or missing column {name!r}")
-            raise SchemaError(f"{path}: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TRAINING_CSV_HEADER):
-                raise SchemaError(f"{path}:{lineno}: expected "
-                                  f"{len(TRAINING_CSV_HEADER)} columns")
-            try:
-                values = [float(v) for v in row[:-2]]
-                f = int(row[-2])
-                r = int(row[-1])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
-            try:
-                rows.append(FeatureVector(*values).as_array())
-                ladder.frame_rate_index(f)
-                ladder.height_index(r)
-            except ArgumentError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
-            target_f.append(f)
-            target_r.append(r)
+            values = [float(v) for v in row[:-2]]
+            f = int(row[-2])
+            r = int(row[-1])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
+        try:
+            rows.append(FeatureVector(*values).as_array())
+            ladder.frame_rate_index(f)
+            ladder.height_index(r)
+        except ArgumentError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
+        target_f.append(f)
+        target_r.append(r)
     return TrainingSet(np.array(rows).reshape(-1, 7), target_f, target_r)

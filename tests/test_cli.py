@@ -314,6 +314,24 @@ def test_nan_grid_velocity_is_schema_error_with_line(tmp_path, capsys):
     assert "grids.csv:4: velocity 'nan'" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("name, row, command", [
+    ("grids.csv", "c" * 200_000 + ",0.0,3000000.0,30,360,5.0", "label"),
+    ("training.csv", "0." + "1" * 200_000 + ",0.2,0.1,0.3,0.4,0.8,0.5,30,360", "train"),
+], ids=["long_clip_id", "long_feature"])
+def test_over_long_csv_field_is_schema_error_with_line(tmp_path, capsys, name, row,
+                                                      command):
+    # the CSV parser refuses a field over 131,072 characters; both exited 1
+    # with a csv.Error traceback
+    gen_out = gen(tmp_path, count=1)
+    path = tmp_path / name
+    header = (gen_out / name).read_text().splitlines()[0]
+    path.write_text(f"{header}\n{row}\n")
+    flag = "--grids" if command == "label" else "--data"
+    assert run([command, flag, path, "--out", tmp_path / "x"]) == EXIT_SCHEMA
+    assert f"{path}:2: field larger than field limit" in capsys.readouterr().err
+
+
 def _edit_training_row(path, line, column, value):
     lines = path.read_text().splitlines()
     fields = lines[line - 1].split(",")

@@ -90,6 +90,14 @@ def test_unknown_keys_rejected(tmp_path):
         load_config(write_config(tmp_path, {"viterbi": {"oops": 1}}))
 
 
+
+def test_the_temporal_asymptote_is_no_setting(tmp_path):
+    # the surface's 166 Hz asymptote was a synthetic key with one legal value
+    path = write_config(tmp_path, {"synthetic": {"reference_rate_hz": 166}})
+    with pytest.raises(ConfigError, match="synthetic: unknown key 'reference_rate_hz'"):
+        load_config(path)
+
+
 def test_invalid_json_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{nope")

@@ -308,6 +308,19 @@ def test_train_arrays_refuses_rows_of_another_width(shape):
         train_arrays(np.zeros(shape), np.arange(8) % 10, np.arange(8) % 5)
 
 
+
+def test_train_arrays_refuses_a_scalar():
+    # it read x.shape[0] first: IndexError
+    with pytest.raises(ArgumentError, match=r"got an array of shape \(\)"):
+        train_arrays(np.float64(1.0), [0], [0])
+
+
+def test_training_set_refuses_rows_that_are_not_numbers():
+    # numpy's ValueError: could not convert string to float
+    with pytest.raises(ArgumentError, match="training rows must be numbers"):
+        TrainingSet([["a"] * 7], [30], [360])
+
+
 def test_model_round_trip(tmp_path, rng):
     examples = _separable_examples(rng, n=40)
     model = train(examples, TrainConfig(epochs=3, batch_size=8, seed=4))

@@ -95,8 +95,6 @@ def test_params_validation():
     with pytest.raises(ArgumentError):
         SyntheticQualityParams(content_detail=1.5)
     with pytest.raises(ArgumentError):
-        SyntheticQualityParams(reference_rate_hz=167)
-    with pytest.raises(ArgumentError):
         SyntheticQualityParams(bpp_ref=0.0)
 
 

@@ -109,6 +109,9 @@ _ODD_CELLS = st.sampled_from([
     "9" * 5000, "0.5", "30.0", "True", " 1", "1,2", '"', "é"])
 
 
+_CSV_FIELD_LIMIT = csv.field_size_limit()
+
+
 def _csv_rows(data: bytes):
     return list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
 
@@ -122,17 +125,19 @@ def _csv_text(rows) -> bytes:
 @st.composite
 def mutated_csv(draw, data: bytes):
     """The CSV after one to three random mutations: a dropped or reordered
-    column, a cell of another type or NaN, a dropped or repeated row, or a
-    truncated line. Each mutation changes the data rows alone, except the
-    ``header`` kind, which drops, reorders or replaces a column of the
-    header, drops it or truncates it; so most mutated files get past the
-    header to the row checks."""
+    column, a cell of another type or NaN, a cell longer than the CSV
+    parser's field limit, a dropped or repeated row, or a truncated line.
+    Each mutation changes the data rows alone, except the ``header`` kind,
+    which drops, reorders or replaces a column of the header, drops it or
+    truncates it; so most mutated files get past the header to the row
+    checks."""
     rows = _csv_rows(data)
     for _ in range(draw(st.integers(1, 3))):
         width = max(len(r) for r in rows) if rows else 0
         # hypothesis draws the first kind most often, so it is a row mutation
         kind = draw(st.sampled_from(["cell", "nan", "drop_column", "reorder",
-                                     "drop_row", "repeat_row", "truncate", "header"]))
+                                     "drop_row", "repeat_row", "truncate", "long",
+                                     "header"]))
         if not rows or not width:
             break
         if kind == "header":
@@ -154,6 +159,8 @@ def mutated_csv(draw, data: bytes):
                 r[:] = [r[k] for k in order if k < len(r)]
         elif kind in ("cell", "nan") and j < len(rows[i]):
             rows[i][j] = "nan" if kind == "nan" else draw(_ODD_CELLS)
+        elif kind == "long" and j < len(rows[i]):
+            rows[i][j] = "0." + "1" * _CSV_FIELD_LIMIT
         elif kind == "drop_row":
             del rows[i]
         elif kind == "repeat_row":
