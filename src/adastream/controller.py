@@ -158,10 +158,13 @@ def _max_plus(graph: TransitionGraph, score_f: np.ndarray, score_r: np.ndarray,
     emissions[:, 0, :n_f] = emit_f
     emissions[:, 1, :n_r] = emit_r
     paths = np.empty((2, k, k))
+    # Bound once, outside the frame loop: the same ufuncs on the same
+    # operands in the same order as ``scores += row``, so the same bits.
+    column, add, best = scores[:, :, None], np.add, np.maximum.reduce
     for row in emissions:
-        np.add(scores[:, :, None], log_w, out=paths)
-        np.maximum.reduce(paths, axis=1, out=scores)
-        scores += row
+        add(column, log_w, out=paths)
+        best(paths, axis=1, out=scores)
+        add(scores, row, out=scores)
     return scores[0, :n_f].copy(), scores[1, :n_r].copy()
 
 

@@ -54,12 +54,14 @@ def json_numbers(value) -> bool:
 
 def read_json(path, error, what: str, **json_kwargs):
     """The JSON value in ``path``. Text that is not UTF-8 or not valid JSON,
-    or that a ``json_kwargs`` hook refuses, raises ``error`` naming the
-    file and ``what`` it should hold."""
+    that nests deeper than the parser recurses, or that a ``json_kwargs``
+    hook refuses, raises ``error`` naming the file and ``what`` it should
+    hold."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, **json_kwargs)
-        except ValueError as exc:  # also bad UTF-8 and over-long integers
+        # ValueError also covers bad UTF-8 and over-long integers
+        except (ValueError, RecursionError) as exc:
             raise error(f"{path}: not valid {what}: {exc}") from None
 
 

@@ -136,13 +136,26 @@ def synthetic_surface(ladder: Ladder, bitrate_bps: float, velocities,
 
 
 def _velocity_array(velocities) -> np.ndarray:
-    """The velocities as a 1-D float array; each must be >= 0 (inf is legal)."""
+    """The velocities as a 1-D float array; each must be >= 0 (inf is legal).
+    One pass checks them all, as ``np.minimum`` carries a NaN through; the
+    refused value is looked for only on failure."""
     v = np.asarray(velocities, dtype=float)
     if v.ndim != 1:
         raise ArgumentError("velocities must be a 1-D sequence")
-    refused = v[~(v >= 0)]
-    if refused.size:
-        raise ArgumentError(f"velocity must be >= 0, got {float(refused[0])!r}")
+    if v.size and not np.minimum.reduce(v) >= 0:
+        raise ArgumentError(f"velocity must be >= 0, got {float(v[~(v >= 0)][0])!r}")
+    return v
+
+
+def surface_velocities(bitrate_bps: float, velocities) -> np.ndarray:
+    """The velocities of a ``surface`` call as a 1-D float array, after the
+    refusals that every quality source makes, in this order: the velocities
+    of :func:`_velocity_array`, then a bitrate that is not positive and
+    finite."""
+    v = _velocity_array(velocities)
+    if not 0 < bitrate_bps < math.inf:
+        raise ArgumentError("bitrate must be positive and finite, got "
+                            f"{float(bitrate_bps)!r}")
     return v
 
 
@@ -152,10 +165,7 @@ def _surface(ladder: Ladder, bitrate_bps: float, velocities,
     per velocity; the other parameters come from ``params``. The terms that
     do not depend on the velocity are computed once: the spatial deficit of
     each height and the coding ratio of each cell."""
-    v = _velocity_array(velocities)
-    if not 0 < bitrate_bps < math.inf:
-        raise ArgumentError("bitrate must be positive and finite, got "
-                            f"{float(bitrate_bps)!r}")
+    v = surface_velocities(bitrate_bps, velocities)
     # The costliest cell has the fewest bits per pixel, so the largest ratio.
     f, w, h = ladder.frame_rates_hz[-1], ladder.widths[-1], ladder.heights[-1]
     bpp = float(bitrate_bps) / (f * w * h)

@@ -36,12 +36,16 @@ window.
 
 A quality source answers in surfaces: ``surface(ladder, bitrate_bps,
 velocities)`` returns the ``(n, n_f, n_h)`` JOD of every ladder cell at each
-velocity. The engine makes one call per branch and window with the window's
-frame velocities and averages the column of each member's mode, summed in
-frame order; an oracle policy makes one call per decision with the boundary
-velocity and selects straight from it. The grid source looks up the
-nearest bitrate, then the nearest velocity after clamping the velocity into
-the range of the grids at that bitrate.
+velocity. The engine makes one call per branch and window, on the one-rate
+ladder of the branch's rate, with the window's frame velocities, and
+averages the column of each member's height, summed in frame order. The
+first window at each target bitrate is graded on the whole ladder instead,
+so a source refuses the ladder, or a bitrate on it, where a whole-ladder
+lookup would. An oracle policy makes one call per decision with the
+boundary velocity and selects straight from it. Both sources refuse bad
+velocities and bitrates by one rule, ``quality.surface_velocities``. The
+grid source looks up the nearest bitrate, then the nearest velocity after
+clamping the velocity into the range of the grids at that bitrate.
 
 The trace is columnar. It keeps the windows and one column of per-frame
 bits. A window stores its index, mode and mean JOD; its start time, pixel
@@ -83,7 +87,8 @@ from .motion import VelocityEstimator, deg_per_sec, normalize_velocities
 # ``forward`` is no longer called here; it stays importable from this module
 # because the benchmark tracer patches it at this call site.
 from .predictor import PredictorModel, forward, forward_batch  # noqa: F401
-from .quality import SyntheticQualityParams, synthetic_surface
+from .quality import (SyntheticQualityParams, surface_velocities,
+                      synthetic_surface)
 
 # A window is one GOP and one controller decision.
 GOP_LENGTH_S = DECISION_PERIOD_S
@@ -159,12 +164,13 @@ class GridQualitySource:
         return found
 
     def _nearest(self, bitrate_bps: float, velocities) -> np.ndarray:
-        """Index of the nearest grid for each velocity."""
+        """Index of the nearest grid for each velocity, after the refusals
+        that every quality source makes."""
+        velocities = surface_velocities(bitrate_bps, velocities)
         nearest, grid_velocities, slowest, fastest = self._candidates_at(bitrate_bps)
-        clamped = np.minimum(np.maximum(np.asarray(velocities, dtype=float),
-                                        slowest), fastest)
+        clamped = np.minimum(np.maximum(velocities, slowest), fastest)
         velocity_gap = np.abs(grid_velocities - clamped[:, None])
-        return nearest[np.argmin(velocity_gap, axis=1)]
+        return nearest[velocity_gap.argmin(axis=1)]
 
     def __call__(self, mode: VideoMode, bitrate_bps: float, velocity_degps: float) -> float:
         return float(self._q[self._nearest(bitrate_bps, [velocity_degps])[0],
@@ -172,9 +178,14 @@ class GridQualitySource:
                              self.ladder.height_index(mode.height)])
 
     def surface(self, ladder: Ladder, bitrate_bps: float, velocities) -> np.ndarray:
-        q = self._q[self._nearest(bitrate_bps, velocities)]
-        if ladder != self.ladder:
-            q = q[:, [self.ladder.frame_rate_index(f) for f in ladder.frame_rates_hz]]
+        """A sub-ladder's surface is one gather of its rates, and a second
+        one of its heights only where they differ from the grids'."""
+        nearest = self._nearest(bitrate_bps, velocities)
+        if ladder == self.ladder:
+            return self._q[nearest]
+        rate_indices = [self.ladder.frame_rate_index(f) for f in ladder.frame_rates_hz]
+        q = self._q[nearest[:, None], rate_indices]
+        if ladder.heights != self.ladder.heights:
             q = q[:, :, [self.ladder.height_index(h) for h in ladder.heights]]
         return q
 
@@ -709,6 +720,13 @@ def _run_policies(scenario: Scenario, policies, quality_source,
     if any(policy.ladder != ladder for policy in policies):
         raise ArgumentError("the policies of one run must share a ladder")
     modes = [baseline_mode(targets[0], ladder)] * len(policies)
+    # A branch is graded on the one-rate ladder of the frame rate it plays,
+    # built the first time that rate is graded, except at the first window
+    # of each target bitrate: that lookup is on the whole ladder, so
+    # whatever a source refuses of a ladder at a bitrate, it refuses at
+    # that window.
+    rate_ladders: dict[int, Ladder] = {}
+    seen_bitrates: set[float] = set()
 
     check_jitter_pct(jitter_pct)
     # Motion of every reference record, each over one reference tick.
@@ -733,8 +751,17 @@ def _run_policies(scenario: Scenario, policies, quality_source,
 
             records = scenario.sample_index(times)
             velocities = branch.estimator.update_window(record_degps[records], times)
-            surface = quality_source.surface(ladder, target_bitrate_bps, velocities)
-            at_rate = surface[:, ladder.frame_rate_index(frame_rate)]
+            if target_bitrate_bps in seen_bitrates:
+                one_rate = rate_ladders.get(frame_rate)
+                if one_rate is None:
+                    one_rate = rate_ladders[frame_rate] = Ladder((frame_rate,),
+                                                                 ladder.heights)
+                at_rate = quality_source.surface(one_rate, target_bitrate_bps,
+                                                 velocities)[:, 0]
+            else:
+                seen_bitrates.add(target_bitrate_bps)
+                surface = quality_source.surface(ladder, target_bitrate_bps, velocities)
+                at_rate = surface[:, ladder.frame_rate_index(frame_rate)]
             for m in branch.members:
                 height = modes[m].height
                 # Summed in frame order from 0.0: np.sum's pairwise order

@@ -511,6 +511,26 @@ def test_model_seed_of_5000_digits_is_schema_error(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+# A file of 100,000 "[" and then 100,000 "]" ended each of these reads in a
+# RecursionError traceback (exit 1).
+@pytest.mark.parametrize("reader, what", [
+    (lambda out, deep: ["label", "--grids", out / "grids.csv", "--config", deep],
+     "JSON"),
+    (lambda out, deep: ["evaluate", "--model", deep, "--data", out / "training.csv"],
+     "model JSON"),
+    (lambda out, deep: ["simulate", "--scenario", deep, "--model", deep],
+     "scenario JSON"),
+], ids=["config", "model", "scenario"])
+def test_json_nested_past_the_recursion_limit_is_schema_error(tmp_path, capsys,
+                                                              reader, what):
+    out = gen(tmp_path, count=2)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert run([*reader(out, deep), "--out", tmp_path / "x"]) == EXIT_SCHEMA
+    assert (f"error: {deep}: not valid {what}: maximum recursion depth exceeded"
+            in capsys.readouterr().err)
+
+
 SUBCOMMANDS = {
     "gen-synthetic": [],
     "label": ["--grids", "grids.csv"],

@@ -2,7 +2,9 @@ import base64
 import functools
 import json
 import math
+import re
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -26,6 +28,7 @@ from adastream.simulator import (GOP_LENGTH_S, FixedBaselinePolicy,
                                  compare_baselines, run_session,
                                  scenario_from_json, scenario_to_json)
 from adastream.synth import make_scenario
+import golden
 import oracles
 from oracles import (CellLoopOraclePolicy, eager_scenario_from_json,
                      nearest_grid_scan, per_frame_session, record_frame_csv)
@@ -630,13 +633,16 @@ def test_fixed_policy_raster_rate_is_constant():
 
 class _SignedZeroSource:
     """Surfaces of -0.0, 0.0, subnormal and ordinary JODs, some all -0.0,
-    kept so that a test can sum each window's column itself."""
+    kept with the ladder each was asked on, so that a test can sum each
+    window's column itself."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.surfaces = []
+        self.ladders = []
 
     def surface(self, ladder, bitrate_bps, velocities):
+        self.ladders.append(ladder)
         shape = (len(velocities), ladder.n_frame_rates, ladder.n_heights)
         pool = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.5, 7.25])
         q = pool[self.rng.integers(0, pool.size, shape)]
@@ -653,13 +659,108 @@ def test_window_quality_is_the_frame_order_sum_from_zero(seed):
     source = _SignedZeroSource(seed)
     trace = _run_with_policy(make_scenario(duration_s=8.0, seed=7),
                              FixedBaselinePolicy(), source)
-    for window, q in zip(trace.windows, source.surfaces, strict=True):
+    for window, q, ladder in zip(trace.windows, source.surfaces, source.ladders,
+                                 strict=True):
         total = 0.0
-        for v in q[:, DEFAULT_LADDER.frame_rate_index(window.frame_rate_hz),
-                   DEFAULT_LADDER.height_index(window.height)].tolist():
+        for v in q[:, ladder.frame_rate_index(window.frame_rate_hz),
+                   ladder.height_index(window.height)].tolist():
             total += v
         assert (np.float64(window.mean_quality_jod).tobytes()
                 == np.float64(total / q.shape[0]).tobytes())
+
+
+class _WholeLadderSurfaces:
+    """A quality source that answers as ``inner`` does, and keeps for each
+    call the whole-ladder surface at the same bitrate and velocities."""
+
+    def __init__(self, inner, ladder):
+        self.inner, self.ladder, self.whole = inner, ladder, []
+
+    def surface(self, ladder, bitrate_bps, velocities):
+        self.whole.append(self.inner.surface(self.ladder, bitrate_bps, velocities))
+        return self.inner.surface(ladder, bitrate_bps, velocities)
+
+
+_GOLDEN_LADDER = Ladder(tuple(golden.CONFIG["frame_rates"]),
+                        tuple(golden.CONFIG["resolutions"]))
+_GOLDEN_PARAMS = SyntheticQualityParams(**golden.CONFIG["synthetic"])
+
+
+@functools.lru_cache(maxsize=None)
+def _one_ladder_sources(ladder, params):
+    """The synthetic source and a grid source of its grids, on ``ladder``."""
+    grids = [make_synthetic_grid(b, float(v), params, ladder, f"s{b}-{v}")
+             for b in (1e6, 2e6, 3.5e6, 6e6) for v in range(0, 81, 10)]
+    return {"synthetic": SyntheticQualitySource(params),
+            "grid": GridQualitySource(grids)}
+
+
+@pytest.mark.parametrize("jitter_pct", [0.0, 5.0])
+@pytest.mark.parametrize("source_kind", ["synthetic", "grid"])
+@pytest.mark.parametrize("ladder, params", [
+    (DEFAULT_LADDER, SyntheticQualityParams()), (_GOLDEN_LADDER, _GOLDEN_PARAMS)],
+    ids=["default", "golden_config"])
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "full_adaptive"])
+def test_window_quality_is_the_whole_ladder_column_sum(ladder, params, source_kind,
+                                                       jitter_pct, adaptive):
+    # The engine grades a window on the one-rate ladder of its rate, or on
+    # the whole ladder at the first window of a target rate; either way it
+    # is the frame-order sum from 0.0 of the whole-ladder surface's column.
+    inner = _one_ladder_sources(ladder, params)[source_kind]
+    source = _WholeLadderSurfaces(inner, ladder)
+    policy = (OracleQualityPolicy(inner, ladder=ladder) if adaptive
+              else FixedBaselinePolicy(ladder))
+    scenario = make_scenario(
+        duration_s=12.0, seed=9, velocity_degps=lambda t: 70.0 * abs(np.sin(t)),
+        bitrate_schedule=((0.0, 6e6), (3.1, 2e6), (5.0, 3.5e6), (9.0, 6e6)))
+    trace = _run_with_policy(scenario, policy, source, jitter_pct=jitter_pct, seed=3)
+    if adaptive:
+        assert len({w.frame_rate_hz for w in trace.windows}) > 1
+    for window, q in zip(trace.windows, source.whole, strict=True):
+        total = 0.0
+        for v in q[:, ladder.frame_rate_index(window.frame_rate_hz),
+                   ladder.height_index(window.height)].tolist():
+            total += v
+        assert (np.float64(window.mean_quality_jod).tobytes()
+                == np.float64(total / q.shape[0]).tobytes())
+
+
+class _Lookups:
+    """A quality source that answers as ``inner`` does and keeps the
+    ladder of each call, so a test can tell which call raised."""
+
+    def __init__(self, inner):
+        self.inner, self.ladders = inner, []
+
+    def surface(self, ladder, bitrate_bps, velocities):
+        self.ladders.append(ladder)
+        return self.inner.surface(ladder, bitrate_bps, velocities)
+
+
+def test_grid_source_refuses_the_engine_ladder_at_the_first_window():
+    narrow = Ladder((30, 40, 50, 60, 70), DEFAULT_LADDER.heights)
+    source = _Lookups(GridQualitySource(
+        [make_synthetic_grid(3e6, float(v), ladder=narrow) for v in (0, 40)]))
+    with pytest.raises(ArgumentError) as refused:
+        run_session(session_fixture(), _trained_model(), default_transition_graph(),
+                    source)
+    assert str(refused.value) == ("frame rate 80 Hz is not on the ladder "
+                                  "(30, 40, 50, 60, 70)")
+    assert source.ladders == [DEFAULT_LADDER]
+
+
+def test_a_bitrate_the_whole_ladder_refuses_is_refused_at_its_first_window():
+    # At 10 kbps the costliest cell, 1080p120, has a coding ratio beyond the
+    # float range, and 720p60, the cell that the window plays, does not: the
+    # window is graded on the whole ladder, as the first at its rate.
+    source = _Lookups(SyntheticQualitySource(SyntheticQualityParams(bpp_ref=1e304)))
+    scenario = make_scenario(duration_s=8.0, seed=9,
+                             bitrate_schedule=((0.0, 6e6), (4.0, 1e4)))
+    with pytest.raises(ArgumentError, match=r"^bitrate 10000\.0 bps is too small: "
+                       r".* at 1080 lines and 120 Hz$"):
+        _run_with_policy(scenario, FixedBaselinePolicy(), source)
+    assert source.ladders == [DEFAULT_LADDER, Ladder((60,), DEFAULT_LADDER.heights),
+                              DEFAULT_LADDER]
 
 
 def test_grid_quality_source():
@@ -721,6 +822,28 @@ def test_grid_source_ladders():
             DEFAULT_LADDER, 3e6, [10.0])
     with pytest.raises(ArgumentError, match="one ladder"):
         GridQualitySource([grid, make_synthetic_grid(3e6, 10.0, ladder=sub)])
+
+
+@pytest.mark.parametrize("bitrate, velocities", [
+    (3e6, [math.nan]), (3e6, [5.0, -1.0, math.nan]), (3e6, [[1.0, 2.0]]),
+    (0.0, [5.0]), (math.inf, [5.0]), (math.nan, [5.0]), (-3e6, [5.0]),
+    (math.nan, [-0.5]),  # the velocities are checked first
+])
+def test_quality_sources_refuse_alike(bitrate, velocities):
+    # the grid source returned a grid for the first three, divided by zero
+    # at 0 and inf, and raised numpy's "zero-size array" error at NaN
+    grid_source = GridQualitySource([make_synthetic_grid(3e6, 10.0)])
+    messages = []
+    for source in (SOURCE, grid_source):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError) as refused:
+                source.surface(DEFAULT_LADDER, bitrate, velocities)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+    if np.shape(velocities) == (1,):  # and so does a one-cell lookup
+        with pytest.raises(ArgumentError, match=f"^{re.escape(messages[0])}$"):
+            grid_source(VideoMode(60, 720), bitrate, velocities[0])
 
 
 def _flat_grid(index, bitrate, velocity):
