@@ -248,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the mode predictor")
     common(p)
     p.add_argument("--data", required=True, help="training CSV path")
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--batch-size", type=int, default=32)
+    train_defaults = predictor.TrainConfig()
+    p.add_argument("--epochs", type=int, default=train_defaults.epochs)
+    p.add_argument("--batch-size", type=int, default=train_defaults.batch_size)
     p.add_argument("--lr", type=float, default=predictor.DEFAULT_LEARNING_RATE)
     p.add_argument("--holdout", type=float, default=0.2,
                    help="held-out fraction for reporting")

@@ -9,7 +9,6 @@ Recognized keys (all optional)::
       "viterbi": {
         "frame_rate_weights": [[...], ...],   # full matrix, row = from-state
         "resolution_weights": [[...], ...],
-        "decision_period_s": 2.0,             # only 2.0, the fixed window length
         "emission_floor": 1e-12
       },
       "synthetic": {
@@ -27,8 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .controller import (DECISION_PERIOD_S, EMISSION_FLOOR, TransitionGraph,
-                         default_transition_graph)
+from .controller import EMISSION_FLOOR, TransitionGraph, default_transition_graph
 from .errors import ArgumentError, ConfigError, json_numbers, read_json
 from .ladder import DEFAULT_LADDER, Ladder, ladder_values
 from .quality import SyntheticQualityParams, synthetic_surface
@@ -117,17 +115,10 @@ def load_config(path=None) -> Config:
                           f"positive numbers, got {list(bitrates)}")
 
     viterbi = _section(raw, "viterbi", path)
-    _reject_unknown(viterbi, ("frame_rate_weights", "resolution_weights",
-                              "decision_period_s", "emission_floor"),
-                    f"{path}: viterbi")
     where = f"{path}: viterbi"
-    period = float(_number(viterbi, "decision_period_s", DECISION_PERIOD_S, where))
+    _reject_unknown(viterbi, ("frame_rate_weights", "resolution_weights",
+                              "emission_floor"), where)
     floor = float(_number(viterbi, "emission_floor", EMISSION_FLOOR, where))
-    if period != DECISION_PERIOD_S:
-        raise ConfigError(
-            f"{path}: viterbi.decision_period_s is {period} s, but the "
-            f"simulator decides once per {DECISION_PERIOD_S} s GOP; it must be "
-            f"{DECISION_PERIOD_S}")
     default_graph = default_transition_graph(ladder)
     for key in ("frame_rate_weights", "resolution_weights"):
         if not json_numbers(viterbi.get(key, [])):

@@ -36,7 +36,6 @@ best path's moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -62,8 +61,6 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TransitionGraph:
     """Transition weight matrices for the two chains."""
-
-    decision_period_s: ClassVar[float] = DECISION_PERIOD_S
 
     frame_rate_weights: np.ndarray  # (n_f, n_f)
     resolution_weights: np.ndarray  # (n_r, n_r)

@@ -82,11 +82,21 @@ class FeatureVector:
         return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
 
 
-def normalize_bandwidth(bitrate_bps: float) -> float:
-    """Scale a bitrate by the 6 Mbps ceiling, clipping at 1."""
-    if bitrate_bps < 0:
-        raise ArgumentError("bitrate must be >= 0")
-    return min(bitrate_bps / BANDWIDTH_CEILING_BPS, 1.0)
+def check_bitrate(bitrate_bps: float) -> None:
+    """The one bitrate rule: a rate must be positive and finite."""
+    if not 0 < bitrate_bps < math.inf:
+        raise ArgumentError("bitrate must be positive and finite, got "
+                            f"{float(bitrate_bps)!r}")
+
+
+def normalize_bandwidth(bitrate_bps):
+    """Scale each bitrate by the 6 Mbps ceiling, clipping at 1; elementwise.
+    Checking the smallest and largest checks all, as both carry a NaN."""
+    b = np.asarray(bitrate_bps, dtype=float)
+    if b.size:
+        check_bitrate(b.min())
+        check_bitrate(b.max())
+    return np.minimum(b / BANDWIDTH_CEILING_BPS, 1.0)
 
 
 # The low-frequency rows of the orthonormal DCT-II matrix: row k is

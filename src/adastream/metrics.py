@@ -20,8 +20,11 @@ def relative_error(predicted, truth) -> float:
             f"length mismatch: {predicted.shape} vs {truth.shape}")
     if predicted.size == 0:
         raise ArgumentError("relative_error needs at least one value")
-    if np.any(predicted <= 0) or np.any(truth <= 0):
-        raise ArgumentError("values must be strictly positive")
+    for values in (predicted, truth):
+        bad = values[~((values > 0) & (values < np.inf))]
+        if bad.size:
+            raise ArgumentError("values must be strictly positive and finite, "
+                                f"got {float(bad[0])!r}")
     mean_abs_log = float(np.mean(np.abs(np.log(predicted) - np.log(truth))))
     return (np.exp(mean_abs_log) - 1.0) * 100.0
 

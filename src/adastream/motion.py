@@ -33,12 +33,22 @@ def deg_per_sec(mean_ndc_magnitude, frame_interval_s, fov_horizontal_deg):
         return mean_ndc_magnitude * (fov_horizontal_deg / 2.0) / frame_interval_s
 
 
+def velocity_array(velocities_degps) -> np.ndarray:
+    """The one velocity rule: the velocities as a 1-D float array, each
+    >= 0 (inf is legal). One pass checks them all, as ``np.minimum`` carries
+    a NaN through; the refused value is looked for only on failure."""
+    v = np.asarray(velocities_degps, dtype=float)
+    if v.ndim != 1:
+        raise ArgumentError("velocities must be a 1-D sequence")
+    if v.size and not np.minimum.reduce(v) >= 0:
+        raise ArgumentError(f"velocity must be >= 0, got {float(v[~(v >= 0)][0])!r}")
+    return v
+
+
 def normalize_velocities(velocities_degps) -> np.ndarray:
     """Log-compress each velocity into [0, 1], saturating at 80 deg/s:
     ``log1p(min(v, 80)) / log1p(80)``."""
-    v = np.asarray(velocities_degps, dtype=float)
-    if (v < 0).any():
-        raise ArgumentError("velocity must be >= 0")
+    v = velocity_array(velocities_degps)
     capped = np.minimum(v, SPEM_LIMIT_DEGPS).tolist()
     return np.array(list(map(math.log1p, capped))) / math.log1p(SPEM_LIMIT_DEGPS)
 
@@ -70,8 +80,7 @@ class VelocityEstimator:
         if v.ndim != 1 or v.shape != t.shape:
             raise ArgumentError("velocities and timestamps must be 1-D and "
                                 "of one length")
-        if (v < 0).any():
-            raise ArgumentError("velocity must be >= 0")
+        velocity_array(v)
         if np.isnan(t).any():
             raise ArgumentError("timestamps must not be NaN")
         if t.size == 0:

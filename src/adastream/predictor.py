@@ -26,6 +26,19 @@ DEFAULT_LEARNING_RATE = 3e-3
 DEFAULT_HIDDEN_SIZES = (64, 64)
 
 
+def _feature_rows(x) -> np.ndarray:
+    """``x`` as a 2-D float array, a row of the features each, copied only
+    if it is not one; text, ragged rows or another shape are refused."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:  # text, or ragged rows
+        raise ArgumentError(f"training rows must be numbers: {exc}") from None
+    if x.ndim != 2 or x.shape[1] != len(FEATURE_NAMES):
+        raise ArgumentError(f"training rows must hold the {len(FEATURE_NAMES)} "
+                            f"features, got an array of shape {x.shape}")
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class TrainingSet:
     """Training rows as one table: ``x`` holds the features in
@@ -39,13 +52,7 @@ class TrainingSet:
     target_r: np.ndarray
 
     def __post_init__(self):
-        try:
-            x = np.array(self.x, dtype=float)
-        except (TypeError, ValueError) as exc:  # text, or ragged rows
-            raise ArgumentError(f"training rows must be numbers: {exc}") from None
-        if x.ndim != 2 or x.shape[1] != len(FEATURE_NAMES):
-            raise ArgumentError(f"training rows must hold the {len(FEATURE_NAMES)} "
-                                f"features, got an array of shape {x.shape}")
+        x = _feature_rows(self.x).copy()
         columns = [x]
         for name in ("target_f", "target_r"):
             column = np.array(getattr(self, name))
@@ -180,11 +187,15 @@ def _forward_pass(model: PredictorModel, x: np.ndarray, in_place: bool = False):
 
 
 def forward_batch(model: PredictorModel, x: np.ndarray):
+    """Both heads' class probabilities for each row of finite features."""
     model.validate()
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (len(FEATURE_NAMES),):
         raise ArgumentError(f"feature rows must hold the {len(FEATURE_NAMES)} "
                             f"features, got an array of shape {x.shape}")
+    if not np.isfinite(x).all():  # one pass; the bad value is found on failure
+        bad = tuple(np.argwhere(~np.isfinite(x))[0])
+        raise ArgumentError(f"{FEATURE_NAMES[bad[-1]]} must be finite, got {x[bad]}")
     _, _, (p_f, p_r) = _forward_pass(model, x)
     return p_f, p_r
 
@@ -276,10 +287,7 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
     them. The steps apply the same operations to the same operands as a
     per-layer update, so the weights are the same bits.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != len(FEATURE_NAMES):
-        raise ArgumentError(f"training rows must hold the {len(FEATURE_NAMES)} "
-                            f"features, got an array of shape {x.shape}")
+    x = _feature_rows(x)
     n = x.shape[0]
     if n == 0:
         raise ArgumentError("training set is empty")
@@ -341,8 +349,6 @@ def train(rows: TrainingSet, config: TrainConfig = TrainConfig(),
           ladder: Ladder = DEFAULT_LADDER,
           loss_history: list | None = None) -> PredictorModel:
     """:func:`train_arrays` on the rows, their classes read on ``ladder``."""
-    if len(rows) == 0:
-        raise ArgumentError("training set is empty")
     indices, error = _class_indices(ladder, rows.target_f, rows.target_r)
     if error is not None:
         raise ArgumentError(error[1])

@@ -31,8 +31,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ArgumentError, SchemaError, csv_rows, write_text
+from .features import check_bitrate
 from .ladder import DEFAULT_LADDER, Ladder, VideoMode
-from .motion import SPEM_LIMIT_DEGPS  # velocities above it are perceptually capped
+from .motion import SPEM_LIMIT_DEGPS, velocity_array  # perceived motion caps at it
 
 JOD_MAX = 10.0
 # The frame rate at which the synthetic surface's temporal loss vanishes.
@@ -89,13 +90,10 @@ class QualityGrid:
     ladder: Ladder = DEFAULT_LADDER
 
     def __post_init__(self):
-        # An infinite velocity is legal: huge motion magnitudes give one.
+        # A scalar test per grid, cheaper than an array; inf is a legal velocity.
         if not self.velocity_degps >= 0:
-            raise ArgumentError(
-                f"velocity must be >= 0, got {self.velocity_degps!r}")
-        if not 0 < self.bitrate_bps < math.inf:
-            raise ArgumentError("bitrate must be positive and finite, got "
-                                f"{self.bitrate_bps!r}")
+            velocity_array([self.velocity_degps])
+        check_bitrate(self.bitrate_bps)
         q = np.array(self.q, dtype=float)
         expected = (self.ladder.n_frame_rates, self.ladder.n_heights)
         if q.shape != expected:
@@ -135,27 +133,13 @@ def synthetic_surface(ladder: Ladder, bitrate_bps: float, velocities,
     return _surface(ladder, bitrate_bps, velocities, params, params.content_detail)
 
 
-def _velocity_array(velocities) -> np.ndarray:
-    """The velocities as a 1-D float array; each must be >= 0 (inf is legal).
-    One pass checks them all, as ``np.minimum`` carries a NaN through; the
-    refused value is looked for only on failure."""
-    v = np.asarray(velocities, dtype=float)
-    if v.ndim != 1:
-        raise ArgumentError("velocities must be a 1-D sequence")
-    if v.size and not np.minimum.reduce(v) >= 0:
-        raise ArgumentError(f"velocity must be >= 0, got {float(v[~(v >= 0)][0])!r}")
-    return v
-
-
 def surface_velocities(bitrate_bps: float, velocities) -> np.ndarray:
     """The velocities of a ``surface`` call as a 1-D float array, after the
-    refusals that every quality source makes, in this order: the velocities
-    of :func:`_velocity_array`, then a bitrate that is not positive and
-    finite."""
-    v = _velocity_array(velocities)
-    if not 0 < bitrate_bps < math.inf:
-        raise ArgumentError("bitrate must be positive and finite, got "
-                            f"{float(bitrate_bps)!r}")
+    refusals that every quality source makes, in this order: the velocity
+    rule, ``motion.velocity_array``, then the bitrate rule,
+    ``features.check_bitrate``."""
+    v = velocity_array(velocities)
+    check_bitrate(bitrate_bps)
     return v
 
 

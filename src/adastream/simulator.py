@@ -43,8 +43,8 @@ first window at each target bitrate is graded on the whole ladder instead,
 so a source refuses the ladder, or a bitrate on it, where a whole-ladder
 lookup would. An oracle policy makes one call per decision with the
 boundary velocity and selects straight from it. Both sources refuse bad
-velocities and bitrates by one rule, ``quality.surface_velocities``. The
-grid source looks up the nearest bitrate, then the nearest velocity after
+velocities and bitrates through ``quality.surface_velocities``. The grid
+source looks up the nearest bitrate, then the nearest velocity after
 clamping the velocity into the range of the grids at that bitrate.
 
 The trace is columnar. It keeps the windows and one column of per-frame
@@ -76,7 +76,7 @@ from .controller import (DECISION_PERIOD_S, TransitionGraph, decide,
                          initial_state, step_window)
 from .errors import ArgumentError, ConfigError, SchemaError, read_json, write_text
 from .features import (CONTENT_FEATURE_KEYS, FEATURE_NAMES, PATCH_SIZE,
-                       extract_features, feature_range_error,
+                       check_bitrate, extract_features, feature_range_error,
                        normalize_bandwidth)
 # ``select_efficient`` is no longer called here either; the benchmark's
 # tracer test reads it from this module.
@@ -267,8 +267,7 @@ class Scenario:
         self.ndc_magnitudes = mags         # (n,)
         self._content = feats              # (n, 5) in CONTENT_FEATURE_KEYS order
         self._schedule_starts = np.array(times, dtype=float)
-        self._schedule_bandwidth = np.array([normalize_bandwidth(b)
-                                             for _, b in bitrate_schedule])
+        self._schedule_bandwidth = normalize_bandwidth([b for _, b in bitrate_schedule])
 
     def content_rows(self, records) -> np.ndarray:
         """Content rows of the given record indices, in their order,
@@ -466,6 +465,7 @@ def allocate_bits(target_bitrate_bps: float, frames_in_gop: int,
     assigned to the last P-frame, so the GOP total is exactly
     target_bitrate * GOP_LENGTH_S (rounded to an integer number of bits).
     """
+    check_bitrate(target_bitrate_bps)
     if frames_in_gop < 1:
         raise ArgumentError("frames_in_gop must be >= 1")
     if iframe_multiplier < 1:

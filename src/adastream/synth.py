@@ -14,15 +14,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArgumentError
-from .features import (BANDWIDTH_CEILING_BPS, CONTENT_FEATURE_KEYS, FEATURE_NAMES,
-                       FeatureVector)
+from .features import (CONTENT_FEATURE_KEYS, FEATURE_NAMES, FeatureVector,
+                       normalize_bandwidth)
 # ``select_efficient`` is no longer called here; it stays importable from
 # this module because the benchmark tracer patches it at this call site.
 from .labeler import LabeledClip, label_grids, select_efficient  # noqa: F401
 from .ladder import DEFAULT_LADDER, Ladder
-from .motion import SPEM_LIMIT_DEGPS, normalize_velocities
+from .motion import SPEM_LIMIT_DEGPS, normalize_velocities, velocity_array
 from .predictor import TrainingSet
-from .quality import QualityGrid, SyntheticQualityParams, _surface, _velocity_array
+from .quality import QualityGrid, SyntheticQualityParams, _surface
 from .simulator import Scenario
 
 FEATURE_JITTER = 0.01  # std. dev. of the noise on a scenario's content rows
@@ -77,7 +77,7 @@ def grids_for_clips(clips, bitrates=DEFAULT_BITRATES_BPS,
             if not (type(detail) is float and 0.0 <= detail <= 1.0):
                 replace(base_params, content_detail=detail)
             if bitrates and not velocity >= 0:
-                _velocity_array([velocity])
+                velocity_array([velocity])
         except ArgumentError as exc:
             refusal = exc
             break
@@ -119,8 +119,7 @@ def training_examples(clips, labels: list[LabeledClip], seed: int) -> TrainingSe
     velocity, bandwidth = (FEATURE_NAMES.index(name)
                            for name in ("norm_velocity", "norm_bandwidth"))
     x[:, velocity] = normalize_velocities([lab.velocity_degps for lab in labels])
-    x[:, bandwidth] = np.minimum(np.array([lab.bitrate_bps for lab in labels],
-                                          dtype=float) / BANDWIDTH_CEILING_BPS, 1.0)
+    x[:, bandwidth] = normalize_bandwidth([lab.bitrate_bps for lab in labels])
     rng = np.random.default_rng(seed)
     x[:, :len(CONTENT_FEATURE_KEYS)] = _content_rows(
         [detail_by_clip[lab.clip_id] for lab in labels], rng)
@@ -152,8 +151,7 @@ def make_scenario(duration_s: float = 8.0, fov_horizontal_deg: float = 90.0,
         v = np.array([float(velocity_degps(t)) for t in ts])
     else:
         v = np.full(n, float(velocity_degps))
-    if v.min() < 0:
-        raise ArgumentError("velocity profile must be >= 0")
+    velocity_array(v)
     mags = v / reference_rate_hz / (fov_horizontal_deg / 2.0)
 
     base = content_features_for_detail(content_detail, rng).as_array()

@@ -29,14 +29,18 @@ manifests of two trees are equal exactly when their outputs are. The corpus:
 - ``simulate`` and ``compare --seed 7`` on the three generated scenarios and
   on the benchmark's patch scenarios (``adabench.inputs.patch_scenario_json``)
   at seeds 1, 2, 3, 5 and 901;
+- ``simulate --seed 7`` on two stepped scenarios, ``make_scenario(duration_s=8,
+  velocity_degps=30, bitrate_schedule=((0, 3e6), (4.0, X)), seed=1)`` for X
+  = 1 Mbps and 6 Mbps: each steps at a window boundary, where the
+  predictor's bandwidth column lags the rate by one window;
 - ``compare_baselines`` on the same eight scenarios with a
   ``GridQualitySource`` of the generated grids, at jitter 0 and at 5% with
   seed 3: each policy's window CSV and the summaries as JSON. The CLI's
   ``compare`` runs only the synthetic source. On the patch scenarios the
   full-adaptive policy leaves the baseline's frame rate.
 
-The patch scenario files, the respelled grids and training rows and the
-config are inputs, so they stay out of the manifest. The script uses no
+The patch and stepped scenario files, the respelled grids and training
+rows and the config are inputs, so they stay out of the manifest. The script uses no
 CLI flag and no library name that is newer than the corpus itself. Pytest
 does not collect it; the reader fuzz tests import its two respelling
 functions.
@@ -59,6 +63,7 @@ from pathlib import Path
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 PATCH_SEEDS = (1, 2, 3, 5, 901)
+STEP_RATES_BPS = (1e6, 6e6)  # the rates after a step down and a step up from 3 Mbps
 GRID_JITTERS_PCT = (0.0, 5.0)
 TOKEN = "OUT"
 CONFIG = {"frame_rates": [24, 25, 50, 144], "resolutions": [480, 1080],
@@ -191,6 +196,22 @@ def build(out: Path) -> None:
         _cli(corpus, f"compare_{scenario.stem}", "compare", "--scenario", scenario,
              "--seed", 7)
     _grid_compare(corpus, gen / "grids.csv", scenarios)
+    _stepped_simulate(corpus, inputs, model)
+
+
+def _stepped_simulate(corpus: Path, inputs: Path, model: Path) -> None:
+    """``simulate`` on a scenario whose rate steps from 3 Mbps to each of
+    ``STEP_RATES_BPS`` at 4 s."""
+    from adastream.simulator import scenario_to_json
+    from adastream.synth import make_scenario
+
+    for rate in STEP_RATES_BPS:
+        scenario = inputs / f"stepped_{rate / 1e6:g}mbps.json"
+        scenario_to_json(make_scenario(duration_s=8, velocity_degps=30, seed=1,
+                                       bitrate_schedule=((0, 3e6), (4.0, rate))),
+                         scenario)
+        _cli(corpus, f"simulate_{scenario.stem}", "simulate", "--scenario", scenario,
+             "--model", model, "--seed", 7)
 
 
 def _grid_compare(corpus: Path, grids: Path, scenarios) -> None:

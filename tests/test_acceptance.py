@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from adastream.cli import main as cli_main
-from adastream.controller import default_transition_graph, decide, initial_state, step
+from adastream.controller import (DECISION_PERIOD_S, decide, default_transition_graph,
+                                  initial_state, step)
 from adastream.labeler import savings_curve, select_efficient
 from adastream.ladder import DEFAULT_LADDER, VideoMode
 from adastream.metrics import relative_error
@@ -128,7 +129,7 @@ def test_05_controller_hard_constraints():
         rng = np.random.default_rng(7)
         streams = 10_000
         steps_per_window = 4
-        dt = graph.decision_period_s / steps_per_window
+        dt = DECISION_PERIOD_S / steps_per_window
         emis_f = rng.dirichlet(np.ones(10), size=(streams, 2, steps_per_window))
         emis_r = rng.dirichlet(np.ones(5), size=(streams, 2, steps_per_window))
         start_f = rng.integers(0, len(rates), streams)

@@ -1,0 +1,229 @@
+"""The library's refusal contract, on its public numeric entry points.
+
+Each callable below, given NaN, +-inf, negatives, zero, empty inputs or
+wrong shapes, returns a finite result or raises an ``AdastreamError``.
+The CLI's readers refuse such values before they reach these calls, so
+this contract concerns the library alone. This module imports no test
+oracle and no scipy: CI also runs it with scipy blocked.
+
+Exemptions, each checked where it applies:
+
+- ``VelocityEstimator.update_window``: a mean may be +inf. An infinite
+  velocity is legal (huge motion magnitudes give one), and so is a window
+  whose sum overflows; ``normalize_velocities`` maps either to 1.
+- ``allocate_bits``: a rate whose GOP budget is beyond int64 raises
+  ``OverflowError``. ``Scenario`` bounds every schedule rate by
+  ``MAX_BITRATE_BPS``, so the engine never passes one.
+- ``train_arrays``: a class index beyond int64 raises ``OverflowError``
+  from numpy's conversion. ``train`` passes indices into its ladder.
+- ``forward_batch``: a row holding a value beyond 1e150 in magnitude may
+  overflow a layer and give NaN probabilities. Every feature the package
+  builds is at most 1.
+- ``relative_error``: the result is +inf when the mean absolute log-ratio
+  is beyond ``log`` of the largest float, as for 1e308 against 1e-308.
+- Ragged nested lists are not arrays. numpy's conversion refuses them with
+  a ``ValueError``, except in the training-row conversion of
+  ``TrainingSet`` and ``train_arrays``, which maps them to an
+  ``ArgumentError``; only those two are given ragged rows here.
+- ``relative_error`` takes two iterables of class values; a bare number is
+  no iterable, and ``list()`` refuses it with a ``TypeError``. It is given
+  lists here, of any length and nesting depth up to 2.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from adastream.errors import AdastreamError, ArgumentError
+from adastream.features import FEATURE_NAMES, normalize_bandwidth
+from adastream.ladder import DEFAULT_LADDER
+from adastream.metrics import relative_error
+from adastream.motion import VelocityEstimator, normalize_velocities
+from adastream.predictor import (PredictorModel, TrainConfig, TrainingSet,
+                                 forward_batch, new_model, train_arrays)
+from adastream.quality import make_synthetic_grid, synthetic_surface
+from adastream.simulator import GOP_LENGTH_S, GridQualitySource, allocate_bits
+
+NAN, INF = math.nan, math.inf
+SPECIAL = (0.0, -0.0, -1.0, 1.0, NAN, INF, -INF, 5e-324, 1e150,
+           float(np.finfo(float).max))
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats())
+# 0-d to 3-d, any side empty
+ARRAYS = hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                            max_side=4), elements=VALUES)
+VECTORS = st.one_of(ARRAYS, st.lists(VALUES, max_size=6))
+N_FEATURES = len(FEATURE_NAMES)
+# Mostly rows of the features, and some of another width or depth
+ROWS = st.one_of(
+    hnp.arrays(float, st.tuples(st.integers(0, 6), st.just(N_FEATURES)),
+               elements=VALUES),
+    ARRAYS,
+    st.sampled_from([N_FEATURES - 1, N_FEATURES]).flatmap(
+        lambda width: st.lists(st.lists(VALUES, min_size=width, max_size=width),
+                               max_size=4)))
+CLASS = st.one_of(st.integers(-2, 12), st.integers())  # the ladder's 10, or any
+CLASSES = st.lists(CLASS, max_size=7)
+MODEL = new_model(0, (4,))
+GRID_SOURCE = GridQualitySource([make_synthetic_grid(b, v) for b in (2e6, 4e6)
+                                 for v in (5.0, 40.0)])
+SMALL_TRAINING = TrainConfig(epochs=1, batch_size=3, hidden_sizes=(4,))
+
+
+def _finite(result) -> bool:
+    if isinstance(result, PredictorModel):
+        parts = result.weights + result.biases
+    elif isinstance(result, TrainingSet):
+        parts = [result.x]
+    elif isinstance(result, tuple):
+        parts = list(result)
+    else:
+        parts = [result]
+    return all(np.isfinite(np.asarray(part, dtype=float)).all() for part in parts)
+
+
+def _result(call, *args):
+    """What the call returns, or None if it raised an AdastreamError."""
+    try:
+        return call(*args)
+    except AdastreamError:
+        return None
+
+
+def _holds(call, *args) -> None:
+    result = _result(call, *args)
+    assert result is None or _finite(result)
+
+
+# ---------------------------------------------------------------------------
+# The probes that passed a NaN or infinity through, one call each
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: VelocityEstimator().update_window([NAN], [0.0]), "nan"),
+    (lambda: normalize_velocities([NAN]), "nan"),
+    (lambda: normalize_bandwidth(NAN), "nan"),
+    (lambda: normalize_bandwidth([3e6, NAN]), "nan"),
+    (lambda: normalize_bandwidth(0.0), "0.0"),
+    (lambda: normalize_bandwidth(INF), "inf"),
+    (lambda: normalize_bandwidth(-INF), "-inf"),
+    (lambda: allocate_bits(NAN, 5), "nan"),
+    (lambda: allocate_bits(INF, 5), "inf"),
+    (lambda: forward_batch(MODEL, np.full((3, N_FEATURES), NAN)), "nan"),
+    (lambda: forward_batch(MODEL, [[0.5] * 6 + [INF]]), "inf"),
+    (lambda: relative_error([NAN], [1]), "nan"),
+    (lambda: relative_error([1], [INF]), "inf"),
+], ids=["update_window_nan", "normalize_velocities_nan", "normalize_bandwidth_nan",
+        "normalize_bandwidth_array_nan", "normalize_bandwidth_zero",
+        "normalize_bandwidth_inf", "normalize_bandwidth_minus_inf",
+        "allocate_bits_nan", "allocate_bits_inf", "forward_batch_nan",
+        "forward_batch_inf", "relative_error_nan", "relative_error_inf"])
+def test_a_non_finite_value_is_refused_by_name(call, value):
+    with pytest.raises(ArgumentError, match=f"got {value}$"):
+        call()
+
+
+def test_a_refused_window_leaves_the_estimator_unchanged():
+    estimator = VelocityEstimator()
+    estimator.update(1.0, 0.0)
+    with pytest.raises(ArgumentError):
+        estimator.update_window([2.0, NAN], [0.1, 0.2])
+    assert estimator.update(3.0, 0.1) == 2.0
+
+
+# ---------------------------------------------------------------------------
+# The harness
+
+
+@settings(max_examples=200, deadline=None)
+@given(velocities=VECTORS)
+def test_normalize_velocities(velocities):
+    _holds(normalize_velocities, velocities)
+
+
+@settings(max_examples=200, deadline=None)
+@given(velocities=VECTORS, timestamps=VECTORS)
+def test_update_window(velocities, timestamps):
+    with np.errstate(over="ignore"):
+        means = _result(VelocityEstimator().update_window, velocities, timestamps)
+        if means is None or _finite(means):
+            return
+        # exempt: an infinite velocity, or a window sum that overflows
+        assert not np.isfinite(np.sum(velocities))
+    assert (means >= 0).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(bitrates=st.one_of(VALUES, VECTORS))
+def test_normalize_bandwidth(bitrates):
+    _holds(normalize_bandwidth, bitrates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bitrate=VALUES, frames=st.integers(-2, 300), multiplier=st.integers(-2, 10))
+def test_allocate_bits(bitrate, frames, multiplier):
+    try:
+        _holds(allocate_bits, bitrate, frames, multiplier)
+    except OverflowError:  # exempt: a GOP budget beyond int64
+        assert bitrate * GOP_LENGTH_S >= 2.0 ** 63
+
+
+@settings(max_examples=200, deadline=None)
+@given(bitrate=VALUES, velocities=VECTORS)
+def test_synthetic_surface(bitrate, velocities):
+    _holds(synthetic_surface, DEFAULT_LADDER, bitrate, velocities)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bitrate=VALUES, velocities=VECTORS)
+def test_grid_source_surface(bitrate, velocities):
+    _holds(GRID_SOURCE.surface, DEFAULT_LADDER, bitrate, velocities)
+
+
+RAGGED_ROWS = st.lists(st.lists(VALUES, max_size=N_FEATURES + 1), min_size=2, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(ROWS, RAGGED_ROWS), target_f=CLASSES, target_r=CLASSES)
+def test_training_set(x, target_f, target_r):
+    _holds(TrainingSet, x, target_f, target_r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.one_of(ROWS, RAGGED_ROWS), data=st.data())
+def test_train_arrays(x, data):
+    n = len(x) if isinstance(x, list) or x.ndim else 0
+    classes = st.lists(CLASS, min_size=n, max_size=n)
+    yf, yr = data.draw(st.one_of(classes, CLASSES)), data.draw(classes)
+    try:
+        with np.errstate(all="ignore"):
+            _holds(train_arrays, x, yf, yr, SMALL_TRAINING)
+    except OverflowError:  # exempt: a class index beyond int64
+        assert max(map(abs, yf + yr)) > np.iinfo(np.int64).max
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(ROWS, ARRAYS))
+def test_forward_batch(x):
+    with np.errstate(all="ignore"):
+        result = _result(forward_batch, MODEL, x)
+    if result is not None and not _finite(result):
+        # exempt: a value beyond 1e150 may overflow a layer
+        assert np.abs(x).max() > 1e150
+
+
+CLASS_LISTS = st.one_of(st.lists(VALUES, max_size=4),
+                        st.lists(st.lists(VALUES, min_size=1, max_size=1), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(predicted=CLASS_LISTS, truth=CLASS_LISTS)
+def test_relative_error(predicted, truth):
+    with np.errstate(over="ignore"):
+        result = _result(relative_error, predicted, truth)
+    if result is not None and not _finite(result):
+        # exempt: a mean log-ratio beyond the float range of exp
+        ratios = np.abs(np.log(predicted) - np.log(truth))
+        assert result == INF and ratios.mean() > math.log(np.finfo(float).max)

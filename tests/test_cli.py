@@ -187,9 +187,10 @@ def test_console_entry_point(tmp_path):
     assert "gen-synthetic" in result.stdout
 
 
-@pytest.mark.parametrize("period", [1.0, 3.0])
-def test_decision_period_unlike_gop_is_config_error(tmp_path, period):
-    # at 3.0 the run used to die mid-session; at 1.0 it silently ignored it
+@pytest.mark.parametrize("period", [1.0, 2.0, 3.0, "2", True])
+def test_decision_period_key_is_config_error(tmp_path, capsys, period):
+    # the period is no setting; at 3.0 a run once died mid-session, and at
+    # 1.0 it silently ignored it
     out = gen(tmp_path, count=4)
     model_dir = tmp_path / "model"
     assert run(["train", "--data", out / "training.csv", "--out", model_dir,
@@ -200,6 +201,8 @@ def test_decision_period_unlike_gop_is_config_error(tmp_path, period):
                 "--model", model_dir / "model.json", "--out", tmp_path / "sim",
                 "--config", cfg]) == EXIT_SCHEMA
     assert not (tmp_path / "sim" / "summary.json").exists()
+    assert (f"error: {cfg}: viterbi: unknown key 'decision_period_s'"
+            in capsys.readouterr().err)
 
 
 def _simulate_and_compare_refuse_schedule(tmp_path, schedule):
@@ -636,11 +639,9 @@ def test_non_number_model_value_is_schema_error(tmp_path, capsys, mutate, messag
 
 @pytest.mark.parametrize("viterbi, key", [
     ({"emission_floor": "1e-12"}, "emission_floor must be a number"),
-    ({"decision_period_s": "2"}, "decision_period_s must be a number"),
-    ({"decision_period_s": True}, "decision_period_s must be a number"),
     ({"frame_rate_weights": [["0"] * 10] * 10}, "frame_rate_weights must hold numbers"),
     ({"resolution_weights": [[True] * 5] * 5}, "resolution_weights must hold numbers"),
-], ids=["floor_text", "period_text", "period_true", "weights_text", "weights_true"])
+], ids=["floor_text", "weights_text", "weights_true"])
 def test_non_number_viterbi_value_is_config_error(tmp_path, capsys, viterbi, key):
     out = gen(tmp_path, count=2)
     cfg = tmp_path / "cfg.json"

@@ -17,7 +17,6 @@ def write_config(tmp_path, payload):
 def test_default_config():
     cfg = load_config(None)
     assert cfg.ladder.frame_rates_hz == (30, 40, 50, 60, 70, 80, 90, 100, 110, 120)
-    assert cfg.graph.decision_period_s == 2.0
     assert cfg.iframe_bit_multiplier == 4
 
 
@@ -47,19 +46,17 @@ def test_viterbi_override(tmp_path):
         "viterbi": {
             "frame_rate_weights": weights.tolist(),
             "resolution_weights": res.tolist(),
-            "decision_period_s": 2.0,
         }
     })
     cfg = load_config(path)
-    assert cfg.graph.decision_period_s == 2.0
     assert cfg.graph.frame_rate_weights[0, 1] == 0.4
 
 
-@pytest.mark.parametrize("period", [1.0, 3.0])
-def test_decision_period_must_equal_gop_length(tmp_path, period):
-    # a window is one GOP and one decision, so the two lengths are one setting
+@pytest.mark.parametrize("period", [1.0, 2.0, 3.0])
+def test_decision_period_is_not_a_config_key(tmp_path, period):
+    # a window is one GOP and one decision: controller.DECISION_PERIOD_S
     path = write_config(tmp_path, {"viterbi": {"decision_period_s": period}})
-    with pytest.raises(ConfigError, match="2.0 s GOP"):
+    with pytest.raises(ConfigError, match="viterbi: unknown key 'decision_period_s'"):
         load_config(path)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adastream.controller import (ControllerState, TransitionGraph,
+from adastream.controller import (DECISION_PERIOD_S, ControllerState, TransitionGraph,
                                   _step_window_log, decide,
                                   default_transition_graph, initial_state,
                                   step, step_window)
@@ -98,7 +98,8 @@ def test_graph_validation():
 
 def test_decision_period_is_the_gop_length():
     # a window is one GOP and one decision; no graph carries its own period
-    assert default_transition_graph().decision_period_s == GOP_LENGTH_S == 2.0
+    assert DECISION_PERIOD_S == GOP_LENGTH_S == 2.0
+    assert not hasattr(default_transition_graph(), "decision_period_s")
     g = graph()
     with pytest.raises(TypeError):
         TransitionGraph(g.frame_rate_weights, g.resolution_weights,

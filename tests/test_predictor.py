@@ -158,8 +158,9 @@ def test_training_is_bit_reproducible(rng):
 
 
 def test_empty_training_set_rejected():
-    with pytest.raises(ArgumentError):
-        train([], TrainConfig())
+    # train_arrays refuses it; train no longer repeats the check
+    with pytest.raises(ArgumentError, match="training set is empty"):
+        train(TrainingSet(np.empty((0, 7)), [], []), TrainConfig())
 
 
 def test_divergence_reports_epoch(rng):

@@ -57,7 +57,6 @@ def base_config():
             "bitrates": list(DEFAULT_CONFIG.bitrates_bps),
             "viterbi": {"frame_rate_weights": graph.frame_rate_weights.tolist(),
                         "resolution_weights": graph.resolution_weights.tolist(),
-                        "decision_period_s": 2.0,
                         "emission_floor": graph.emission_floor},
             "synthetic": asdict(DEFAULT_CONFIG.synthetic_params),
             "simulator": {"iframe_bit_multiplier": 4, "jitter_pct": 0.0}}
@@ -248,7 +247,7 @@ MODEL_HAND_MUTATIONS = {
 }
 CONFIG_HAND_MUTATIONS = {
     "weights_beyond_float": _set("viterbi", "frame_rate_weights", 10**400),
-    "period_beyond_float": _set("viterbi", "decision_period_s", 10**400),
+    "floor_beyond_float": _set("viterbi", "emission_floor", 10**400),
     "jitter_beyond_float": _set("simulator", "jitter_pct", -10**400),
     "detail_beyond_float": _set("synthetic", "content_detail", 10**400),
 }
