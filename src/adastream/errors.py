@@ -1,14 +1,19 @@
-"""Exception types shared across the package, and the file boundary.
+"""Exception types shared across the package, the array boundary and the
+file boundary.
 
 The CLI maps these onto distinct exit codes, so library code should raise
-the most specific class that applies. Every file the package reads or
-writes goes through the three helpers at the end: they read and write
-UTF-8, write ``\n`` line ends on every OS, and refuse a file that does not
-parse with the reader's error class, naming the file.
+the most specific class that applies. The numeric entry points of the
+refusal contract convert their array arguments with :func:`numeric_array`.
+Every file the package reads or writes goes through the three helpers at
+the end: they read and write UTF-8, write ``\n`` line ends on every OS, and
+refuse a file that does not parse with the reader's error class, naming
+the file.
 """
 
 import csv
 import json
+
+import numpy as np
 
 
 class AdastreamError(Exception):
@@ -37,6 +42,16 @@ class DivergenceError(AdastreamError, RuntimeError):
 
 class ModelCorruptError(AdastreamError, RuntimeError):
     """A model holds non-finite weights and cannot be evaluated."""
+
+
+def numeric_array(values, name: str, dtype=float) -> np.ndarray:
+    """``values`` as an array of ``dtype`` (None: numpy's choice), copied
+    only if it is not one. Text, ragged rows or an integer beyond the
+    dtype's range raise an :class:`ArgumentError` naming the argument."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ArgumentError(f"{name} must be numbers: {exc}") from None
 
 
 def json_numbers(value) -> bool:

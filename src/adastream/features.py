@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, numeric_array
 
 PATCH_SIZE = 128
 EDGE_THRESHOLD = 0.1
@@ -92,7 +92,7 @@ def check_bitrate(bitrate_bps: float) -> None:
 def normalize_bandwidth(bitrate_bps):
     """Scale each bitrate by the 6 Mbps ceiling, clipping at 1; elementwise.
     Checking the smallest and largest checks all, as both carry a NaN."""
-    b = np.asarray(bitrate_bps, dtype=float)
+    b = numeric_array(bitrate_bps, "bitrates")
     if b.size:
         check_bitrate(b.min())
         check_bitrate(b.max())

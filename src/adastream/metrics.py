@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArgumentError, write_text
+from .errors import ArgumentError, numeric_array, write_text
 
 
 def relative_error(predicted, truth) -> float:
@@ -13,11 +13,11 @@ def relative_error(predicted, truth) -> float:
     Computes ``(exp(mean |log p_i - log t_i|) - 1) * 100``. Symmetric in its
     arguments and invariant to scaling both lists by a common factor.
     """
-    predicted = np.asarray(list(predicted), dtype=float)
-    truth = np.asarray(list(truth), dtype=float)
-    if predicted.shape != truth.shape or predicted.ndim != 1:
-        raise ArgumentError(
-            f"length mismatch: {predicted.shape} vs {truth.shape}")
+    predicted = numeric_array(predicted, "predicted classes")
+    truth = numeric_array(truth, "true classes")
+    if predicted.ndim != 1 or predicted.shape != truth.shape:
+        raise ArgumentError("relative_error needs two 1-D lists of one length, "
+                            f"got shapes {predicted.shape} and {truth.shape}")
     if predicted.size == 0:
         raise ArgumentError("relative_error needs at least one value")
     for values in (predicted, truth):

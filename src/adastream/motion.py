@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, numeric_array
 
 SPEM_LIMIT_DEGPS = 80.0
 WINDOW_SECONDS = 0.5
@@ -37,7 +37,7 @@ def velocity_array(velocities_degps) -> np.ndarray:
     """The one velocity rule: the velocities as a 1-D float array, each
     >= 0 (inf is legal). One pass checks them all, as ``np.minimum`` carries
     a NaN through; the refused value is looked for only on failure."""
-    v = np.asarray(velocities_degps, dtype=float)
+    v = numeric_array(velocities_degps, "velocities")
     if v.ndim != 1:
         raise ArgumentError("velocities must be a 1-D sequence")
     if v.size and not np.minimum.reduce(v) >= 0:
@@ -75,8 +75,8 @@ class VelocityEstimator:
     def update_window(self, velocities_degps, timestamps_s) -> np.ndarray:
         """Add samples in time order and return the windowed mean after
         each one. The estimator is left unchanged if any sample is refused."""
-        v = np.asarray(velocities_degps, dtype=float)
-        t = np.asarray(timestamps_s, dtype=float)
+        v = numeric_array(velocities_degps, "velocities")
+        t = numeric_array(timestamps_s, "timestamps")
         if v.ndim != 1 or v.shape != t.shape:
             raise ArgumentError("velocities and timestamps must be 1-D and "
                                 "of one length")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ArgumentError, DivergenceError, ModelCorruptError, SchemaError,
-                     csv_rows, json_numbers, read_json, write_text)
+                     csv_rows, json_numbers, numeric_array, read_json, write_text)
 from .features import (FEATURE_NAMES, FEATURE_SCHEMA_VERSION, FeatureVector,
                        feature_range_error)
 from .ladder import DEFAULT_LADDER, Ladder, ladder_values
@@ -29,10 +29,7 @@ DEFAULT_HIDDEN_SIZES = (64, 64)
 def _feature_rows(x) -> np.ndarray:
     """``x`` as a 2-D float array, a row of the features each, copied only
     if it is not one; text, ragged rows or another shape are refused."""
-    try:
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:  # text, or ragged rows
-        raise ArgumentError(f"training rows must be numbers: {exc}") from None
+    x = numeric_array(x, "training rows")
     if x.ndim != 2 or x.shape[1] != len(FEATURE_NAMES):
         raise ArgumentError(f"training rows must hold the {len(FEATURE_NAMES)} "
                             f"features, got an array of shape {x.shape}")
@@ -55,12 +52,12 @@ class TrainingSet:
         x = _feature_rows(self.x).copy()
         columns = [x]
         for name in ("target_f", "target_r"):
-            column = np.array(getattr(self, name))
+            column = numeric_array(getattr(self, name), name, None)
             if column.shape != (len(x),) or (column.size and column.dtype.kind != "i"):
                 raise ArgumentError(f"{name} must hold one integer class per row "
                                     f"of {len(x)}, got {column.dtype} of shape "
                                     f"{column.shape}")
-            columns.append(column.astype(int, copy=False))
+            columns.append(column.astype(int))  # a copy, never the caller's array
         error = feature_range_error(x)
         if error is not None:
             raise ArgumentError(error[1])
@@ -189,7 +186,7 @@ def _forward_pass(model: PredictorModel, x: np.ndarray, in_place: bool = False):
 def forward_batch(model: PredictorModel, x: np.ndarray):
     """Both heads' class probabilities for each row of finite features."""
     model.validate()
-    x = np.asarray(x, dtype=float)
+    x = numeric_array(x, "feature rows")
     if x.shape[-1:] != (len(FEATURE_NAMES),):
         raise ArgumentError(f"feature rows must hold the {len(FEATURE_NAMES)} "
                             f"features, got an array of shape {x.shape}")
@@ -206,12 +203,23 @@ def forward(model: PredictorModel, features: FeatureVector):
     return p_f[0], p_r[0]
 
 
+def _class_index_array(values) -> np.ndarray:
+    """Class indices as an int array; indices beyond int64 stay the Python
+    ints they are, so that the range check can quote them."""
+    try:
+        return np.asarray(values, dtype=int)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+    except (TypeError, ValueError) as exc:  # text, None, NaN or ragged rows
+        raise ArgumentError(f"class indices must be integers: {exc}") from None
+
+
 def _targets(ladder: Ladder, n: int, yf_idx, yr_idx):
     """One-hot rows over both heads' ``n_out`` columns, and each row's two
     target columns as a ``(2, n)`` array. Each head needs one class index
     per row of ``n``, in ``[0, classes)``."""
     nf = ladder.n_frame_rates
-    yf_idx, yr_idx = np.asarray(yf_idx, dtype=int), np.asarray(yr_idx, dtype=int)
+    yf_idx, yr_idx = _class_index_array(yf_idx), _class_index_array(yr_idx)
     if yf_idx.shape != (n,) or yr_idx.shape != (n,):
         raise ArgumentError(f"{n} rows need as many targets per head, got "
                             f"{yf_idx.size} frame-rate and {yr_idx.size} "
@@ -264,7 +272,7 @@ def loss_and_gradients(model: PredictorModel, x: np.ndarray,
     Gradients are exact analytic backprop, from the kernel that training
     runs; the test suite checks them against central finite differences.
     """
-    x = np.asarray(x, dtype=float)
+    x = numeric_array(x, "feature rows")
     onehot, cols = _targets(model.ladder, x.shape[0], yf_idx, yr_idx)
     pick = cols + np.arange(x.shape[0]) * onehot.shape[1]
     grads_w = [np.empty_like(w) for w in model.weights]

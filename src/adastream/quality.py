@@ -17,9 +17,13 @@ every group on one ladder.
 
 Quality sources answer in whole surfaces: ``surface(ladder, bitrate_bps,
 velocities)`` returns an ``(n, n_f, n_h)`` array, the JOD of every ladder
-cell at each of ``n`` velocities. :func:`synthetic_surface` is the synthetic
-one, and :func:`synthetic_quality` is one cell of it; the simulator's
-grid-backed source stacks its grids and picks the nearest one per velocity.
+cell at each of ``n`` velocities. A lookup with no velocities makes every
+refusal of the ladder and the bitrate that one with velocities makes, then
+returns an empty ``(0, n_f, n_h)`` surface; the session engine makes one at
+the first window of each target bitrate. :func:`synthetic_surface` is the
+synthetic source, and :func:`synthetic_quality` is one cell of it; the
+simulator's grid-backed source stacks its grids and picks the nearest one
+per velocity.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ its 500 ms velocity average, which one ``VelocityEstimator.update_window``
 call gives for the whole window. The engine owns the mode and runs on the
 policy's ``ladder``; after every window but the last it asks the policy,
 which keeps no state, for the next one: ``decide_mode(scenario, mode,
-times, records, velocities, bitrate_bps)``, with the velocities as a list of
-floats and the bitrate in force at the boundary. Only the predictor policy
+times, records, velocities, bitrate_bps)``, with the velocities as a float
+array and the bitrate in force at the boundary. Only the predictor policy
 reads content: it builds the ``(n, 7)`` feature matrix, one row per frame in
 ``FEATURE_NAMES`` order, from the records' content rows, the bandwidth in
 force and the velocities, so a patch scenario extracts features only for
@@ -36,16 +36,16 @@ window.
 
 A quality source answers in surfaces: ``surface(ladder, bitrate_bps,
 velocities)`` returns the ``(n, n_f, n_h)`` JOD of every ladder cell at each
-velocity. The engine makes one call per branch and window, on the one-rate
-ladder of the branch's rate, with the window's frame velocities, and
-averages the column of each member's height, summed in frame order. The
-first window at each target bitrate is graded on the whole ladder instead,
-so a source refuses the ladder, or a bitrate on it, where a whole-ladder
-lookup would. An oracle policy makes one call per decision with the
-boundary velocity and selects straight from it. Both sources refuse bad
-velocities and bitrates through ``quality.surface_velocities``. The grid
-source looks up the nearest bitrate, then the nearest velocity after
-clamping the velocity into the range of the grids at that bitrate.
+velocity. The engine grades with one call per branch and window, on the
+one-rate ladder of the branch's rate, with the window's frame velocities,
+and averages the column of each member's height, summed in frame order;
+before that, at the first window of each target bitrate, a whole-ladder
+lookup with no velocities makes the source's refusals (see ``quality``).
+An oracle policy makes one call per decision with the boundary velocity
+and selects straight from it. Both sources refuse bad velocities and
+bitrates through ``quality.surface_velocities``. The grid source looks up
+the nearest bitrate, then the nearest velocity after clamping the velocity
+into the range of the grids at that bitrate.
 
 The trace is columnar. It keeps the windows and one column of per-frame
 bits. A window stores its index, mode and mean JOD; its start time, pixel
@@ -154,7 +154,9 @@ class GridQualitySource:
         fastest of those velocities."""
         found = self._candidates.get(bitrate_bps)
         if found is None:
-            bitrate_gap = np.abs(self._bitrates - bitrate_bps) / bitrate_bps
+            # A tiny rate puts every gap at inf, so every grid is a candidate.
+            with np.errstate(over="ignore"):
+                bitrate_gap = np.abs(self._bitrates - bitrate_bps) / bitrate_bps
             nearest = np.flatnonzero(bitrate_gap == bitrate_gap.min())
             velocities = self._velocities[nearest]
             found = (nearest, velocities, velocities.min(), velocities.max())
@@ -470,6 +472,9 @@ def allocate_bits(target_bitrate_bps: float, frames_in_gop: int,
         raise ArgumentError("frames_in_gop must be >= 1")
     if iframe_multiplier < 1:
         raise ArgumentError("iframe_multiplier must be >= 1")
+    if not target_bitrate_bps * GOP_LENGTH_S < 2.0 ** 63:
+        raise ArgumentError(f"bitrate {float(target_bitrate_bps)!r} bps puts a GOP "
+                            "budget beyond int64")
     total = round(target_bitrate_bps * GOP_LENGTH_S)
     denom = iframe_multiplier + (frames_in_gop - 1)
     if total < denom:
@@ -514,7 +519,7 @@ class PredictorControllerPolicy:
         self.ladder = graph.ladder
 
     def decide_mode(self, scenario: Scenario, mode: VideoMode, times: np.ndarray,
-                    records: np.ndarray, velocities: list[float],
+                    records: np.ndarray, velocities: np.ndarray,
                     bitrate_bps: float) -> VideoMode:
         x = np.empty((times.size, len(FEATURE_NAMES)))
         x[:, :len(CONTENT_FEATURE_KEYS)] = scenario.content_rows(records)
@@ -720,11 +725,9 @@ def _run_policies(scenario: Scenario, policies, quality_source,
     if any(policy.ladder != ladder for policy in policies):
         raise ArgumentError("the policies of one run must share a ladder")
     modes = [baseline_mode(targets[0], ladder)] * len(policies)
-    # A branch is graded on the one-rate ladder of the frame rate it plays,
-    # built the first time that rate is graded, except at the first window
-    # of each target bitrate: that lookup is on the whole ladder, so
-    # whatever a source refuses of a ladder at a bitrate, it refuses at
-    # that window.
+    # A branch is graded on the one-rate ladder of the frame rate it plays;
+    # the whole ladder is looked up, with no velocities, only at the first
+    # window of each target bitrate, for its refusals.
     rate_ladders: dict[int, Ladder] = {}
     seen_bitrates: set[float] = set()
 
@@ -751,17 +754,13 @@ def _run_policies(scenario: Scenario, policies, quality_source,
 
             records = scenario.sample_index(times)
             velocities = branch.estimator.update_window(record_degps[records], times)
-            if target_bitrate_bps in seen_bitrates:
-                one_rate = rate_ladders.get(frame_rate)
-                if one_rate is None:
-                    one_rate = rate_ladders[frame_rate] = Ladder((frame_rate,),
-                                                                 ladder.heights)
-                at_rate = quality_source.surface(one_rate, target_bitrate_bps,
-                                                 velocities)[:, 0]
-            else:
+            if target_bitrate_bps not in seen_bitrates:
                 seen_bitrates.add(target_bitrate_bps)
-                surface = quality_source.surface(ladder, target_bitrate_bps, velocities)
-                at_rate = surface[:, ladder.frame_rate_index(frame_rate)]
+                quality_source.surface(ladder, target_bitrate_bps, ())
+            one_rate = rate_ladders.get(frame_rate)
+            if one_rate is None:
+                one_rate = rate_ladders[frame_rate] = Ladder((frame_rate,), ladder.heights)
+            at_rate = quality_source.surface(one_rate, target_bitrate_bps, velocities)[:, 0]
             for m in branch.members:
                 height = modes[m].height
                 # Summed in frame order from 0.0: np.sum's pairwise order
@@ -774,10 +773,9 @@ def _run_policies(scenario: Scenario, policies, quality_source,
 
             if w + 1 == n_windows:
                 continue  # no decision after the final window
-            velocity_list = velocities.tolist()
             for m in branch.members:
                 modes[m] = policies[m].decide_mode(scenario, modes[m], times, records,
-                                                   velocity_list, targets[w + 1])
+                                                   velocities, targets[w + 1])
                 ladder.require_mode(modes[m])
         branches = [part for branch in branches for part in branch.split(modes)]
 

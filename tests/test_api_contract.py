@@ -1,36 +1,26 @@
 """The library's refusal contract, on its public numeric entry points.
 
-Each callable below, given NaN, +-inf, negatives, zero, empty inputs or
-wrong shapes, returns a finite result or raises an ``AdastreamError``.
-The CLI's readers refuse such values before they reach these calls, so
-this contract concerns the library alone. This module imports no test
-oracle and no scipy: CI also runs it with scipy blocked.
+Each callable below, given NaN, +-inf, negatives, zero, empty inputs,
+wrong shapes, bare numbers, ragged nested lists or text, returns a finite
+result without a warning or raises an ``AdastreamError``. The CLI's
+readers refuse such values before they reach these calls, so this contract
+concerns the library alone. This module imports no test oracle and no
+scipy: CI also runs it with scipy blocked.
 
 Exemptions, each checked where it applies:
 
 - ``VelocityEstimator.update_window``: a mean may be +inf. An infinite
   velocity is legal (huge motion magnitudes give one), and so is a window
   whose sum overflows; ``normalize_velocities`` maps either to 1.
-- ``allocate_bits``: a rate whose GOP budget is beyond int64 raises
-  ``OverflowError``. ``Scenario`` bounds every schedule rate by
-  ``MAX_BITRATE_BPS``, so the engine never passes one.
-- ``train_arrays``: a class index beyond int64 raises ``OverflowError``
-  from numpy's conversion. ``train`` passes indices into its ladder.
 - ``forward_batch``: a row holding a value beyond 1e150 in magnitude may
   overflow a layer and give NaN probabilities. Every feature the package
   builds is at most 1.
 - ``relative_error``: the result is +inf when the mean absolute log-ratio
   is beyond ``log`` of the largest float, as for 1e308 against 1e-308.
-- Ragged nested lists are not arrays. numpy's conversion refuses them with
-  a ``ValueError``, except in the training-row conversion of
-  ``TrainingSet`` and ``train_arrays``, which maps them to an
-  ``ArgumentError``; only those two are given ragged rows here.
-- ``relative_error`` takes two iterables of class values; a bare number is
-  no iterable, and ``list()`` refuses it with a ``TypeError``. It is given
-  lists here, of any length and nesting depth up to 2.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,7 +35,7 @@ from adastream.motion import VelocityEstimator, normalize_velocities
 from adastream.predictor import (PredictorModel, TrainConfig, TrainingSet,
                                  forward_batch, new_model, train_arrays)
 from adastream.quality import make_synthetic_grid, synthetic_surface
-from adastream.simulator import GOP_LENGTH_S, GridQualitySource, allocate_bits
+from adastream.simulator import GridQualitySource, allocate_bits
 
 NAN, INF = math.nan, math.inf
 SPECIAL = (0.0, -0.0, -1.0, 1.0, NAN, INF, -INF, 5e-324, 1e150,
@@ -54,18 +44,29 @@ VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats())
 # 0-d to 3-d, any side empty
 ARRAYS = hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
                                             max_side=4), elements=VALUES)
-VECTORS = st.one_of(ARRAYS, st.lists(VALUES, max_size=6))
+# No array: lists that mix numbers and lists (mostly ragged), or hold text
+# ("1e3" and "nan" convert, "a" does not) or None (which converts to NaN).
+NOT_ARRAYS = st.one_of(
+    st.lists(st.one_of(VALUES, st.lists(VALUES, max_size=2)), min_size=2, max_size=4),
+    st.lists(st.one_of(VALUES, st.text(max_size=3), st.none()), min_size=1, max_size=3))
+VECTORS = st.one_of(ARRAYS, st.lists(VALUES, max_size=6), VALUES, NOT_ARRAYS)
 N_FEATURES = len(FEATURE_NAMES)
-# Mostly rows of the features, and some of another width or depth
+# Mostly rows of the features, and some of another width or depth, ragged,
+# a bare number or no array
 ROWS = st.one_of(
     hnp.arrays(float, st.tuples(st.integers(0, 6), st.just(N_FEATURES)),
                elements=VALUES),
     ARRAYS,
     st.sampled_from([N_FEATURES - 1, N_FEATURES]).flatmap(
         lambda width: st.lists(st.lists(VALUES, min_size=width, max_size=width),
-                               max_size=4)))
+                               max_size=4)),
+    st.lists(st.lists(VALUES, max_size=N_FEATURES + 1), min_size=2, max_size=3),
+    VALUES, NOT_ARRAYS)
 CLASS = st.one_of(st.integers(-2, 12), st.integers())  # the ladder's 10, or any
-CLASSES = st.lists(CLASS, max_size=7)
+# Mostly lists of classes, and some bare classes or ragged lists
+CLASSES = st.one_of(st.lists(CLASS, max_size=7), CLASS,
+                    st.lists(st.one_of(CLASS, st.lists(CLASS, max_size=2)),
+                             min_size=2, max_size=3))
 MODEL = new_model(0, (4,))
 GRID_SOURCE = GridQualitySource([make_synthetic_grid(b, v) for b in (2e6, 4e6)
                                  for v in (5.0, 40.0)])
@@ -85,11 +86,14 @@ def _finite(result) -> bool:
 
 
 def _result(call, *args):
-    """What the call returns, or None if it raised an AdastreamError."""
-    try:
-        return call(*args)
-    except AdastreamError:
-        return None
+    """What the call returns, or None if it raised an AdastreamError. A
+    warning is an error: an accepted input warns nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call(*args)
+        except AdastreamError:
+            return None
 
 
 def _holds(call, *args) -> None:
@@ -125,6 +129,58 @@ def test_a_non_finite_value_is_refused_by_name(call, value):
         call()
 
 
+RAGGED = [[1.0], [1.0, 2.0]]
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: normalize_velocities(RAGGED), "velocities"),
+    (lambda: synthetic_surface(DEFAULT_LADDER, 3e6, RAGGED), "velocities"),
+    (lambda: GRID_SOURCE.surface(DEFAULT_LADDER, 3e6, RAGGED), "velocities"),
+    (lambda: forward_batch(MODEL, [[0.5] * N_FEATURES, [0.5]]), "feature rows"),
+    (lambda: relative_error(RAGGED, [1.0, 2.0]), "predicted classes"),
+    (lambda: VelocityEstimator().update_window([1.0, 2.0], [[0.0], [0.1, 0.2]]),
+     "timestamps"),
+    (lambda: normalize_bandwidth(["a"]), "bitrates"),
+    (lambda: TrainingSet(np.full((2, N_FEATURES), 0.5), RAGGED, [720, 720]),
+     "target_f"),
+], ids=["normalize_velocities", "synthetic_surface", "grid_source_surface",
+        "forward_batch", "relative_error", "update_window", "normalize_bandwidth",
+        "training_set_classes"])
+def test_a_value_that_is_no_numeric_array_is_refused_by_name(call, name):
+    with pytest.raises(ArgumentError, match=f"^{name} must be numbers: "):
+        call()
+
+
+def test_relative_error_refuses_bare_numbers():
+    with pytest.raises(ArgumentError, match=r"got shapes \(\) and \(\)$"):
+        relative_error(5.0, 5.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: allocate_bits(1e300, 5),
+     r"^bitrate 1e\+300 bps puts a GOP budget beyond int64$"),
+    (lambda: allocate_bits(float(np.finfo(float).max), 1),
+     r"^bitrate 1\.7976931348623157e\+308 bps puts"),
+    (lambda: train_arrays(np.zeros((1, N_FEATURES)), [10**30], [0], SMALL_TRAINING),
+     f"targets class index {10**30}$"),
+    (lambda: train_arrays(np.zeros((1, N_FEATURES)), [0], [-2**64], SMALL_TRAINING),
+     f"targets class index {-2**64}$"),
+], ids=["allocate_bits", "allocate_bits_max_float", "train_arrays_frame_rate",
+        "train_arrays_resolution"])
+def test_a_value_beyond_int64_is_refused_by_name(call, message):
+    with pytest.raises(ArgumentError, match=message):
+        call()
+
+
+def test_a_tiny_rate_looks_up_every_grid_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = GRID_SOURCE.surface(DEFAULT_LADDER, 5e-324, [1.0])
+    # Every relative bitrate gap is inf, so all four grids are candidates,
+    # and the first at the velocity nearest 1 deg/s is 2 Mbps at 5 deg/s.
+    assert q[0].tobytes() == make_synthetic_grid(2e6, 5.0).q.tobytes()
+
+
 def test_a_refused_window_leaves_the_estimator_unchanged():
     estimator = VelocityEstimator()
     estimator.update(1.0, 0.0)
@@ -151,7 +207,7 @@ def test_update_window(velocities, timestamps):
         if means is None or _finite(means):
             return
         # exempt: an infinite velocity, or a window sum that overflows
-        assert not np.isfinite(np.sum(velocities))
+        assert not np.isfinite(np.sum(np.asarray(velocities, dtype=float)))
     assert (means >= 0).all()
 
 
@@ -164,10 +220,7 @@ def test_normalize_bandwidth(bitrates):
 @settings(max_examples=200, deadline=None)
 @given(bitrate=VALUES, frames=st.integers(-2, 300), multiplier=st.integers(-2, 10))
 def test_allocate_bits(bitrate, frames, multiplier):
-    try:
-        _holds(allocate_bits, bitrate, frames, multiplier)
-    except OverflowError:  # exempt: a GOP budget beyond int64
-        assert bitrate * GOP_LENGTH_S >= 2.0 ** 63
+    _holds(allocate_bits, bitrate, frames, multiplier)
 
 
 @settings(max_examples=200, deadline=None)
@@ -182,26 +235,20 @@ def test_grid_source_surface(bitrate, velocities):
     _holds(GRID_SOURCE.surface, DEFAULT_LADDER, bitrate, velocities)
 
 
-RAGGED_ROWS = st.lists(st.lists(VALUES, max_size=N_FEATURES + 1), min_size=2, max_size=3)
-
-
 @settings(max_examples=200, deadline=None)
-@given(x=st.one_of(ROWS, RAGGED_ROWS), target_f=CLASSES, target_r=CLASSES)
+@given(x=ROWS, target_f=CLASSES, target_r=CLASSES)
 def test_training_set(x, target_f, target_r):
     _holds(TrainingSet, x, target_f, target_r)
 
 
 @settings(max_examples=100, deadline=None)
-@given(x=st.one_of(ROWS, RAGGED_ROWS), data=st.data())
+@given(x=ROWS, data=st.data())
 def test_train_arrays(x, data):
-    n = len(x) if isinstance(x, list) or x.ndim else 0
+    n = len(x) if isinstance(x, list) or np.ndim(x) else 0
     classes = st.lists(CLASS, min_size=n, max_size=n)
     yf, yr = data.draw(st.one_of(classes, CLASSES)), data.draw(classes)
-    try:
-        with np.errstate(all="ignore"):
-            _holds(train_arrays, x, yf, yr, SMALL_TRAINING)
-    except OverflowError:  # exempt: a class index beyond int64
-        assert max(map(abs, yf + yr)) > np.iinfo(np.int64).max
+    with np.errstate(all="ignore"):
+        _holds(train_arrays, x, yf, yr, SMALL_TRAINING)
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,11 +258,12 @@ def test_forward_batch(x):
         result = _result(forward_batch, MODEL, x)
     if result is not None and not _finite(result):
         # exempt: a value beyond 1e150 may overflow a layer
-        assert np.abs(x).max() > 1e150
+        assert np.abs(np.asarray(x, dtype=float)).max() > 1e150
 
 
 CLASS_LISTS = st.one_of(st.lists(VALUES, max_size=4),
-                        st.lists(st.lists(VALUES, min_size=1, max_size=1), max_size=3))
+                        st.lists(st.lists(VALUES, min_size=1, max_size=1), max_size=3),
+                        VALUES, NOT_ARRAYS)
 
 
 @settings(max_examples=200, deadline=None)
@@ -225,5 +273,6 @@ def test_relative_error(predicted, truth):
         result = _result(relative_error, predicted, truth)
     if result is not None and not _finite(result):
         # exempt: a mean log-ratio beyond the float range of exp
-        ratios = np.abs(np.log(predicted) - np.log(truth))
+        ratios = np.abs(np.log(np.asarray(predicted, dtype=float))
+                        - np.log(np.asarray(truth, dtype=float)))
         assert result == INF and ratios.mean() > math.log(np.finfo(float).max)

@@ -634,7 +634,7 @@ def test_fixed_policy_raster_rate_is_constant():
 class _SignedZeroSource:
     """Surfaces of -0.0, 0.0, subnormal and ordinary JODs, some all -0.0,
     kept with the ladder each was asked on, so that a test can sum each
-    window's column itself."""
+    window's column itself. A lookup with no velocities is not kept."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
@@ -642,8 +642,10 @@ class _SignedZeroSource:
         self.ladders = []
 
     def surface(self, ladder, bitrate_bps, velocities):
-        self.ladders.append(ladder)
         shape = (len(velocities), ladder.n_frame_rates, ladder.n_heights)
+        if not shape[0]:
+            return np.empty(shape)
+        self.ladders.append(ladder)
         pool = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.5, 7.25])
         q = pool[self.rng.integers(0, pool.size, shape)]
         q[self.rng.random(shape) < 0.5] = self.rng.uniform(-1.0, 10.0)
@@ -671,13 +673,15 @@ def test_window_quality_is_the_frame_order_sum_from_zero(seed):
 
 class _WholeLadderSurfaces:
     """A quality source that answers as ``inner`` does, and keeps for each
-    call the whole-ladder surface at the same bitrate and velocities."""
+    call with velocities the whole-ladder surface at the same bitrate and
+    velocities."""
 
     def __init__(self, inner, ladder):
         self.inner, self.ladder, self.whole = inner, ladder, []
 
     def surface(self, ladder, bitrate_bps, velocities):
-        self.whole.append(self.inner.surface(self.ladder, bitrate_bps, velocities))
+        if len(velocities):
+            self.whole.append(self.inner.surface(self.ladder, bitrate_bps, velocities))
         return self.inner.surface(ladder, bitrate_bps, velocities)
 
 
@@ -703,9 +707,8 @@ def _one_ladder_sources(ladder, params):
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "full_adaptive"])
 def test_window_quality_is_the_whole_ladder_column_sum(ladder, params, source_kind,
                                                        jitter_pct, adaptive):
-    # The engine grades a window on the one-rate ladder of its rate, or on
-    # the whole ladder at the first window of a target rate; either way it
-    # is the frame-order sum from 0.0 of the whole-ladder surface's column.
+    # The engine grades a window on the one-rate ladder of its rate; that is
+    # the frame-order sum from 0.0 of the whole-ladder surface's column.
     inner = _one_ladder_sources(ladder, params)[source_kind]
     source = _WholeLadderSurfaces(inner, ladder)
     policy = (OracleQualityPolicy(inner, ladder=ladder) if adaptive
@@ -752,15 +755,79 @@ def test_grid_source_refuses_the_engine_ladder_at_the_first_window():
 def test_a_bitrate_the_whole_ladder_refuses_is_refused_at_its_first_window():
     # At 10 kbps the costliest cell, 1080p120, has a coding ratio beyond the
     # float range, and 720p60, the cell that the window plays, does not: the
-    # window is graded on the whole ladder, as the first at its rate.
+    # first window at that rate looks up the whole ladder with no velocities.
     source = _Lookups(SyntheticQualitySource(SyntheticQualityParams(bpp_ref=1e304)))
     scenario = make_scenario(duration_s=8.0, seed=9,
                              bitrate_schedule=((0.0, 6e6), (4.0, 1e4)))
     with pytest.raises(ArgumentError, match=r"^bitrate 10000\.0 bps is too small: "
                        r".* at 1080 lines and 120 Hz$"):
         _run_with_policy(scenario, FixedBaselinePolicy(), source)
-    assert source.ladders == [DEFAULT_LADDER, Ladder((60,), DEFAULT_LADDER.heights),
-                              DEFAULT_LADDER]
+    at_60 = Ladder((60,), DEFAULT_LADDER.heights)
+    assert source.ladders == [DEFAULT_LADDER, at_60, at_60, DEFAULT_LADDER]
+
+
+def test_policies_receive_the_window_velocities_as_an_array():
+    received = []
+
+    class Recording(FixedBaselinePolicy):
+        def decide_mode(self, scenario, mode, times, records, velocities, bitrate_bps):
+            received.append(velocities)
+            return super().decide_mode(scenario, mode, times, records, velocities,
+                                       bitrate_bps)
+
+    _run_with_policy(make_scenario(duration_s=6.0, seed=9), Recording(), SOURCE)
+    assert [(type(v), v.dtype, v.shape) for v in received] == [
+        (np.ndarray, np.float64, (120,))] * 2
+
+
+_TINY_RATE_PARAMS = SyntheticQualityParams(bpp_ref=1e304)
+
+
+def _grids_on(ladder, params=SyntheticQualityParams()):
+    return GridQualitySource([make_synthetic_grid(3e6, float(v), params, ladder)
+                              for v in (0, 40)])
+
+
+# Each source on the engine's ladder.
+_NO_VELOCITY_SOURCES = {
+    "synthetic": SOURCE,
+    "synthetic_bpp_ref_1e304": SyntheticQualitySource(_TINY_RATE_PARAMS),
+    "grid": _grids_on(DEFAULT_LADDER),
+    "grid_bpp_ref_1e304": _grids_on(DEFAULT_LADDER, _TINY_RATE_PARAMS),
+    "grid_without_80_hz": _grids_on(Ladder((30, 40, 50, 60, 70), DEFAULT_LADDER.heights)),
+    "grid_without_1080": _grids_on(Ladder(DEFAULT_LADDER.frame_rates_hz,
+                                          DEFAULT_LADDER.heights[:-1])),
+}
+
+
+def _refused(kind, bitrate) -> bool:
+    """Whether a lookup refuses: every source a bitrate that is not
+    positive and finite, a grid ladder lacking 80 Hz or 1080 lines any
+    bitrate, and the synthetic surface whose bits-per-pixel reference is
+    1e304 10 kbps."""
+    return (not 0 < bitrate < math.inf or kind.startswith("grid_without")
+            or (kind, bitrate) == ("synthetic_bpp_ref_1e304", 1e4))
+
+
+@pytest.mark.parametrize("bitrate", [3e6, 1e4, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("kind", list(_NO_VELOCITY_SOURCES))
+def test_a_lookup_without_velocities_refuses_what_one_with_them_does(kind, bitrate):
+    # The engine takes a ladder's refusals at a new bitrate from this lookup.
+    source = _NO_VELOCITY_SOURCES[kind]
+
+    def outcome(velocities):
+        try:
+            return source.surface(DEFAULT_LADDER, bitrate, velocities)
+        except ArgumentError as exc:
+            return type(exc), str(exc)
+
+    with_velocity, without = outcome([20.0]), outcome(())
+    if _refused(kind, bitrate):
+        assert isinstance(with_velocity, tuple)
+        assert without == with_velocity
+    else:
+        assert with_velocity.shape == (1, *without.shape[1:])
+        assert without.shape == (0, DEFAULT_LADDER.n_frame_rates, DEFAULT_LADDER.n_heights)
 
 
 def test_grid_quality_source():
