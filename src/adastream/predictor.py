@@ -4,8 +4,9 @@ Architecture: 7 content/context features, two rectified hidden layers
 (64 units each by default), and a shared output layer split into two
 independent softmax heads, one over the 10 frame-rate classes and one over
 the 5 resolution classes. Training minimizes the summed cross-entropy of
-both heads with the Adam optimizer at a learning rate of 3e-3. Everything is
-plain float64 numpy, so a fixed seed reproduces weights bit for bit.
+both heads with the Adam optimizer, on minibatches of 128 rows at a learning
+rate of 1e-2 by default. Everything is plain float64 numpy, so a fixed seed
+reproduces weights bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .features import (FEATURE_NAMES, FEATURE_SCHEMA_VERSION, FeatureVector,
                        feature_range_error)
 from .ladder import DEFAULT_LADDER, Ladder, ladder_values
 
-DEFAULT_LEARNING_RATE = 3e-3
+DEFAULT_LEARNING_RATE = 1e-2
 DEFAULT_HIDDEN_SIZES = (64, 64)
 
 
@@ -99,7 +100,7 @@ def _class_indices(ladder: Ladder, target_f, target_r):
 class TrainConfig:
     learning_rate: float = DEFAULT_LEARNING_RATE
     epochs: int = 60
-    batch_size: int = 32
+    batch_size: int = 128
     seed: int = 0
     hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN_SIZES
 
@@ -205,13 +206,17 @@ def forward(model: PredictorModel, features: FeatureVector):
 
 def _class_index_array(values) -> np.ndarray:
     """Class indices as an int array; indices beyond int64 stay the Python
-    ints they are, so that the range check can quote them."""
+    ints they are, so that the range check can quote them. Floats, bools,
+    complex numbers, text and None are refused, whatever their values."""
+    index = numeric_array(values, "class indices", None)
+    integers = index.dtype.kind in "iu" or index.dtype.kind == "O" and all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in index.flat)
+    if index.size and not integers:
+        raise ArgumentError(f"class indices must be integers, got {index.dtype}")
     try:
-        return np.asarray(values, dtype=int)
+        return np.asarray(index.tolist(), dtype=int)
     except OverflowError:
-        return np.asarray(values, dtype=object)
-    except (TypeError, ValueError) as exc:  # text, None, NaN or ragged rows
-        raise ArgumentError(f"class indices must be integers: {exc}") from None
+        return index.astype(object)
 
 
 def _targets(ladder: Ladder, n: int, yf_idx, yr_idx):

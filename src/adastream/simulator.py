@@ -74,7 +74,8 @@ import numpy as np
 
 from .controller import (DECISION_PERIOD_S, TransitionGraph, decide,
                          initial_state, step_window)
-from .errors import ArgumentError, ConfigError, SchemaError, read_json, write_text
+from .errors import (ArgumentError, ConfigError, SchemaError, numeric_array, read_json,
+                     write_text)
 from .features import (CONTENT_FEATURE_KEYS, FEATURE_NAMES, PATCH_SIZE,
                        check_bitrate, extract_features, feature_range_error,
                        normalize_bandwidth)
@@ -222,7 +223,8 @@ class Scenario:
         if not MIN_REFERENCE_RATE_HZ <= reference_rate_hz < math.inf:
             raise ArgumentError(
                 f"reference rate must be finite and >= {MIN_REFERENCE_RATE_HZ} Hz")
-        ts = np.array(timestamps, dtype=float)
+        # copies: the frame arrays are frozen below and the content table written
+        ts = numeric_array(timestamps, "frame timestamps").copy()
         if ts.ndim != 1 or ts.size == 0:
             raise ArgumentError("scenario needs at least one frame record")
         if ts[0] != 0.0:
@@ -231,8 +233,8 @@ class Scenario:
             raise ArgumentError("frame timestamps must be finite")
         if np.any(np.diff(ts) <= 0):
             raise ArgumentError("frame timestamps must be strictly increasing")
-        mags = np.array(ndc_magnitudes, dtype=float)
-        feats = np.array(content_features, dtype=float)
+        mags = numeric_array(ndc_magnitudes, "ndc magnitudes").copy()
+        feats = numeric_array(content_features, "content features").copy()
         if mags.shape != ts.shape or feats.shape != (ts.size, len(CONTENT_FEATURE_KEYS)):
             raise ArgumentError("frame arrays have inconsistent shapes")
         if not np.all(np.isfinite(mags)):

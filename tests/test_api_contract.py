@@ -2,10 +2,11 @@
 
 Each callable below, given NaN, +-inf, negatives, zero, empty inputs,
 wrong shapes, bare numbers, ragged nested lists or text, returns a finite
-result without a warning or raises an ``AdastreamError``. The CLI's
-readers refuse such values before they reach these calls, so this contract
-concerns the library alone. This module imports no test oracle and no
-scipy: CI also runs it with scipy blocked.
+result without a warning or raises an ``AdastreamError``. A class index
+that numpy reads as a float, bool or complex number is refused, whatever
+its value. The CLI's readers refuse such values before they reach these
+calls, so this contract concerns the library alone. This module imports
+no test oracle and no scipy: CI also runs it with scipy blocked.
 
 Exemptions, each checked where it applies:
 
@@ -35,7 +36,7 @@ from adastream.motion import VelocityEstimator, normalize_velocities
 from adastream.predictor import (PredictorModel, TrainConfig, TrainingSet,
                                  forward_batch, new_model, train_arrays)
 from adastream.quality import make_synthetic_grid, synthetic_surface
-from adastream.simulator import GridQualitySource, allocate_bits
+from adastream.simulator import GridQualitySource, Scenario, allocate_bits
 
 NAN, INF = math.nan, math.inf
 SPECIAL = (0.0, -0.0, -1.0, 1.0, NAN, INF, -INF, 5e-324, 1e150,
@@ -62,7 +63,10 @@ ROWS = st.one_of(
                                max_size=4)),
     st.lists(st.lists(VALUES, max_size=N_FEATURES + 1), min_size=2, max_size=3),
     VALUES, NOT_ARRAYS)
-CLASS = st.one_of(st.integers(-2, 12), st.integers())  # the ladder's 10, or any
+# the ladder's 10, any integer, or a float, bool or complex number, which
+# are refused whatever their values
+CLASS = st.one_of(st.integers(-2, 12), st.integers(), st.floats(), st.booleans(),
+                  st.complex_numbers())
 # Mostly lists of classes, and some bare classes or ragged lists
 CLASSES = st.one_of(st.lists(CLASS, max_size=7), CLASS,
                     st.lists(st.one_of(CLASS, st.lists(CLASS, max_size=2)),
@@ -143,12 +147,47 @@ RAGGED = [[1.0], [1.0, 2.0]]
     (lambda: normalize_bandwidth(["a"]), "bitrates"),
     (lambda: TrainingSet(np.full((2, N_FEATURES), 0.5), RAGGED, [720, 720]),
      "target_f"),
+    (lambda: _scenario(timestamps=[[0.0], [0.1, 0.2]]), "frame timestamps"),
+    (lambda: _scenario(ndc_magnitudes=RAGGED), "ndc magnitudes"),
+    (lambda: _scenario(content_features=[[0.5] * 5, [0.5]]), "content features"),
 ], ids=["normalize_velocities", "synthetic_surface", "grid_source_surface",
         "forward_batch", "relative_error", "update_window", "normalize_bandwidth",
-        "training_set_classes"])
+        "training_set_classes", "scenario_timestamps", "scenario_magnitudes",
+        "scenario_content"])
 def test_a_value_that_is_no_numeric_array_is_refused_by_name(call, name):
     with pytest.raises(ArgumentError, match=f"^{name} must be numbers: "):
         call()
+
+
+def _scenario(**arrays):
+    """A two-record scenario, with any of its three arrays replaced."""
+    arrays = {"timestamps": [0.0, 0.1], "ndc_magnitudes": [0.0, 0.0],
+              "content_features": [[0.5] * 5] * 2, **arrays}
+    return Scenario(2.0, 90.0, 120.0, ((0.0, 3e6),), **arrays)
+
+
+@pytest.mark.parametrize("head", [0, 1], ids=["frame_rate", "resolution"])
+@pytest.mark.parametrize("classes, dtype", [
+    (np.array([1.7]), "float64"), ([1.0], "float64"), ([NAN], "float64"),
+    ([True], "bool"), (np.array([1 + 0j]), "complex128"), ([10**30, 1.5], "object"),
+], ids=["float_array", "integral_float", "nan", "bool", "complex", "big_int_and_float"])
+def test_train_arrays_refuses_classes_that_are_no_integers(head, classes, dtype):
+    targets = [[0], [0]]
+    targets[head] = classes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError, match=f"^class indices must be integers, "
+                                                f"got {dtype}$"):
+            train_arrays(np.full((1, N_FEATURES), 0.5), *targets, SMALL_TRAINING)
+
+
+def _not_integers(classes) -> bool:
+    """Whether numpy reads the classes as floats, bools or complex numbers."""
+    try:
+        classes = np.asarray(classes)
+    except ValueError:  # ragged
+        return False
+    return classes.size > 0 and classes.dtype.kind in "fbc"
 
 
 def test_relative_error_refuses_bare_numbers():
@@ -165,8 +204,11 @@ def test_relative_error_refuses_bare_numbers():
      f"targets class index {10**30}$"),
     (lambda: train_arrays(np.zeros((1, N_FEATURES)), [0], [-2**64], SMALL_TRAINING),
      f"targets class index {-2**64}$"),
+    (lambda: train_arrays(np.zeros((1, N_FEATURES)), np.array([2**63], dtype=np.uint64),
+                          [0], SMALL_TRAINING),
+     f"targets class index {2**63}$"),
 ], ids=["allocate_bits", "allocate_bits_max_float", "train_arrays_frame_rate",
-        "train_arrays_resolution"])
+        "train_arrays_resolution", "train_arrays_uint64"])
 def test_a_value_beyond_int64_is_refused_by_name(call, message):
     with pytest.raises(ArgumentError, match=message):
         call()
@@ -238,7 +280,10 @@ def test_grid_source_surface(bitrate, velocities):
 @settings(max_examples=200, deadline=None)
 @given(x=ROWS, target_f=CLASSES, target_r=CLASSES)
 def test_training_set(x, target_f, target_r):
-    _holds(TrainingSet, x, target_f, target_r)
+    result = _result(TrainingSet, x, target_f, target_r)
+    assert result is None or _finite(result)
+    if _not_integers(target_f) or _not_integers(target_r):
+        assert result is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -248,7 +293,10 @@ def test_train_arrays(x, data):
     classes = st.lists(CLASS, min_size=n, max_size=n)
     yf, yr = data.draw(st.one_of(classes, CLASSES)), data.draw(classes)
     with np.errstate(all="ignore"):
-        _holds(train_arrays, x, yf, yr, SMALL_TRAINING)
+        result = _result(train_arrays, x, yf, yr, SMALL_TRAINING)
+    assert result is None or _finite(result)
+    if _not_integers(yf) or _not_integers(yr):
+        assert result is None
 
 
 @settings(max_examples=200, deadline=None)

@@ -239,7 +239,7 @@ def test_flat_adam_equals_per_layer_adam_on_a_4x2_ladder(batch_size, n):
 
 
 def test_flat_adam_equals_per_layer_adam_at_cli_defaults():
-    # the CLI's shape: 360 rows, 12 minibatches per epoch, the last short
+    # the CLI's shape: 360 rows, 3 minibatches per epoch, the last short
     x, yf, yr = _random_rows(11, 360)
     _assert_same_training(x, yf, yr, TrainConfig(epochs=4, seed=5))
 
