@@ -9,8 +9,7 @@ streaming-session simulator with GOP and I-frame semantics.
 from .controller import (ControllerState, TransitionGraph, decide,
                          default_transition_graph, initial_state, step,
                          step_window)
-from .errors import (AdastreamError, ArgumentError, ConfigError, ContractError,
-                     DivergenceError, ModelCorruptError, SchemaError)
+from .errors import AdastreamError, ArgumentError, SchemaError
 from .features import FeatureVector, extract_features, normalize_bandwidth
 from .labeler import (DEFAULT_MARGIN_JOD, LabeledClip, label_grids,
                       savings_curve, select_efficient, select_max_quality,
@@ -31,10 +30,9 @@ from .simulator import (GridQualitySource, Scenario, SessionTrace,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdastreamError", "ArgumentError", "ConfigError", "ContractError",
-    "ControllerState", "DEFAULT_LADDER", "DEFAULT_MARGIN_JOD",
-    "DivergenceError", "FRAME_RATES_HZ", "FeatureVector", "GridQualitySource",
-    "LabeledClip", "Ladder", "ModelCorruptError",
+    "AdastreamError", "ArgumentError", "ControllerState", "DEFAULT_LADDER",
+    "DEFAULT_MARGIN_JOD", "FRAME_RATES_HZ", "FeatureVector", "GridQualitySource",
+    "LabeledClip", "Ladder",
     "PredictorModel", "QualityGrid", "RESOLUTION_LINES", "SPEM_LIMIT_DEGPS",
     "Scenario", "SchemaError", "SessionTrace", "SyntheticQualityParams",
     "SyntheticQualitySource", "TrainConfig", "TrainingSet",

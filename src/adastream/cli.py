@@ -21,8 +21,7 @@ import numpy as np
 
 from . import labeler, metrics, predictor, quality, simulator, synth
 from .config import load_config
-from .errors import (ArgumentError, ConfigError, ContractError, DivergenceError,
-                     ModelCorruptError, SchemaError, write_text)
+from .errors import ArgumentError, SchemaError, write_text
 from .features import FEATURE_NAMES
 from .motion import SPEM_LIMIT_DEGPS
 
@@ -287,10 +286,10 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return args.func(args, cfg, out)
-    except (ArgumentError, ContractError, DivergenceError, ModelCorruptError) as exc:
+    except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGUMENT
-    except (SchemaError, ConfigError) as exc:
+    except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except OSError as exc:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .controller import EMISSION_FLOOR, TransitionGraph, default_transition_graph
-from .errors import ArgumentError, ConfigError, json_numbers, read_json
+from .errors import ArgumentError, SchemaError, json_numbers, read_json
 from .ladder import DEFAULT_LADDER, Ladder, ladder_values
 from .quality import SyntheticQualityParams, synthetic_surface
 from .simulator import IFRAME_BIT_MULTIPLIER, check_jitter_pct
@@ -53,20 +53,20 @@ DEFAULT_CONFIG = Config(default_transition_graph(DEFAULT_LADDER))
 def _reject_unknown(section: dict, allowed, where: str) -> None:
     unknown = set(section) - set(allowed)
     if unknown:
-        raise ConfigError(f"{where}: unknown key {sorted(unknown)[0]!r}")
+        raise SchemaError(f"{where}: unknown key {sorted(unknown)[0]!r}")
 
 
 def _section(raw: dict, name: str, path) -> dict:
     section = raw.get(name, {})
     if not isinstance(section, dict):
-        raise ConfigError(f"{path}: {name} must be an object")
+        raise SchemaError(f"{path}: {name} must be an object")
     return section
 
 
 def _number(section: dict, key: str, default, where: str) -> float:
     value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+        raise SchemaError(f"{where}.{key} must be a number, got {value!r}")
     return value
 
 
@@ -75,7 +75,7 @@ def _ladder_values(raw: dict, key: str, default, path, integral: bool = True) ->
     try:
         return ladder_values(raw.get(key, default), key, integral)
     except ArgumentError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 _FLOAT_MAX = int(np.finfo(float).max)
@@ -86,7 +86,7 @@ def _float_range_int(text: str) -> int:
     integer beyond the float range is refused as it is read."""
     value = int(text)
     if abs(value) > _FLOAT_MAX:
-        raise ConfigError(f"integer {text[:12]}... of {len(text)} digits is "
+        raise SchemaError(f"integer {text[:12]}... of {len(text)} digits is "
                           "beyond the float range")
     return value
 
@@ -94,9 +94,9 @@ def _float_range_int(text: str) -> int:
 def load_config(path=None) -> Config:
     if path is None:
         return DEFAULT_CONFIG
-    raw = read_json(path, ConfigError, "JSON", parse_int=_float_range_int)
+    raw = read_json(path, "JSON", parse_int=_float_range_int)
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config root must be an object")
+        raise SchemaError(f"{path}: config root must be an object")
     _reject_unknown(raw, ("resolutions", "frame_rates", "bitrates",
                           "viterbi", "synthetic", "simulator"), str(path))
 
@@ -107,11 +107,11 @@ def load_config(path=None) -> Config:
             heights=_ladder_values(raw, "resolutions", DEFAULT_LADDER.heights, path),
         )
     except ArgumentError as exc:
-        raise ConfigError(f"{path}: bad ladder: {exc}") from None
+        raise SchemaError(f"{path}: bad ladder: {exc}") from None
     bitrates = _ladder_values(raw, "bitrates", DEFAULT_BITRATES_BPS, path,
                               integral=False)
     if not bitrates or min(bitrates) <= 0 or len(set(bitrates)) != len(bitrates):
-        raise ConfigError(f"{path}: bitrates must be a nonempty list of distinct "
+        raise SchemaError(f"{path}: bitrates must be a nonempty list of distinct "
                           f"positive numbers, got {list(bitrates)}")
 
     viterbi = _section(raw, "viterbi", path)
@@ -122,13 +122,13 @@ def load_config(path=None) -> Config:
     default_graph = default_transition_graph(ladder)
     for key in ("frame_rate_weights", "resolution_weights"):
         if not json_numbers(viterbi.get(key, [])):
-            raise ConfigError(f"{where}.{key} must hold numbers only")
+            raise SchemaError(f"{where}.{key} must hold numbers only")
     try:
         f_weights, r_weights = (
             np.array(viterbi.get(key, getattr(default_graph, key)), dtype=float)
             for key in ("frame_rate_weights", "resolution_weights"))
     except (TypeError, ValueError) as exc:  # ragged or non-numeric matrices
-        raise ConfigError(f"{path}: bad viterbi section: {exc}") from None
+        raise SchemaError(f"{path}: bad viterbi section: {exc}") from None
     try:
         graph = TransitionGraph(
             frame_rate_weights=f_weights,
@@ -137,7 +137,7 @@ def load_config(path=None) -> Config:
             emission_floor=floor,
         )
     except ArgumentError as exc:
-        raise ConfigError(f"{path}: bad viterbi section: {exc}") from None
+        raise SchemaError(f"{path}: bad viterbi section: {exc}") from None
 
     synthetic = _section(raw, "synthetic", path)
     param_names = [f.name for f in fields(SyntheticQualityParams)]
@@ -146,12 +146,12 @@ def load_config(path=None) -> Config:
         params = SyntheticQualityParams(**synthetic)
         synthetic_surface(ladder, np.finfo(float).max, [], params)
     except (ArgumentError, TypeError) as exc:
-        raise ConfigError(f"{path}: bad synthetic section: {exc}") from None
+        raise SchemaError(f"{path}: bad synthetic section: {exc}") from None
     for bitrate in bitrates:  # the surface refuses a rate too small for it
         try:
             synthetic_surface(ladder, bitrate, [], params)
         except ArgumentError as exc:
-            raise ConfigError(f"{path}: bitrates: {exc}") from None
+            raise SchemaError(f"{path}: bitrates: {exc}") from None
 
     simulator = _section(raw, "simulator", path)
     where = f"{path}: simulator"
@@ -159,14 +159,14 @@ def load_config(path=None) -> Config:
     multiplier = _number(simulator, "iframe_bit_multiplier", IFRAME_BIT_MULTIPLIER, where)
     jitter = float(_number(simulator, "jitter_pct", 0.0, where))
     if not float(multiplier).is_integer():
-        raise ConfigError(f"{where}.iframe_bit_multiplier must be an integer, "
+        raise SchemaError(f"{where}.iframe_bit_multiplier must be an integer, "
                           f"got {multiplier!r}")
     multiplier = int(multiplier)
     if multiplier < 1:
-        raise ConfigError(f"{path}: iframe_bit_multiplier must be >= 1")
+        raise SchemaError(f"{path}: iframe_bit_multiplier must be >= 1")
     try:
         check_jitter_pct(jitter)
     except ArgumentError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise SchemaError(f"{path}: {exc}") from None
 
     return Config(graph, params, multiplier, jitter, bitrates)

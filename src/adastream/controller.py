@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ContractError
+from .errors import ArgumentError
 from .ladder import DEFAULT_LADDER, Ladder, VideoMode
 
 DECISION_PERIOD_S = 2.0
@@ -257,7 +257,7 @@ def decide(graph: TransitionGraph, state: ControllerState) -> tuple[VideoMode, C
     log transition weight elsewhere) and the decision clock resets.
     """
     if state.time_since_decision + _TIME_EPS < DECISION_PERIOD_S:
-        raise ContractError(
+        raise ArgumentError(
             f"decide called after {state.time_since_decision:.3f} s, "
             f"decision period is {DECISION_PERIOD_S} s")
     ladder = graph.ladder

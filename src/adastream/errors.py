@@ -1,13 +1,15 @@
 """Exception types shared across the package, the array boundary and the
 file boundary.
 
-The CLI maps these onto distinct exit codes, so library code should raise
-the most specific class that applies. The numeric entry points of the
-refusal contract convert their array arguments with :func:`numeric_array`.
-Every file the package reads or writes goes through the three helpers at
-the end: they read and write UTF-8, write ``\n`` line ends on every OS, and
-refuse a file that does not parse with the reader's error class, naming
-the file.
+Each class is one exit code of the CLI. Library code raises
+:class:`ArgumentError` (exit 2) for a bad argument, whatever the reason it
+is bad, and :class:`SchemaError` (exit 3) for an input file or config that
+breaks its documented schema. The numeric entry points of the refusal
+contract convert their array arguments with :func:`numeric_array`. Every
+file the package reads or writes goes through the three helpers at the
+end: they read and write UTF-8, write ``\n`` line ends on every OS, and
+refuse a file that does not parse with a :class:`SchemaError` naming the
+file.
 """
 
 import csv
@@ -21,27 +23,14 @@ class AdastreamError(Exception):
 
 
 class ArgumentError(AdastreamError, ValueError):
-    """A caller passed an invalid argument (bad range, shape, or ordering)."""
+    """A caller passed an invalid argument: a bad value, shape or ordering,
+    a call before its time, or a model or training run that is not finite.
+    The CLI exits 2."""
 
 
 class SchemaError(AdastreamError, ValueError):
-    """An input file does not conform to its documented schema."""
-
-
-class ConfigError(AdastreamError, ValueError):
-    """A configuration file or override is inconsistent."""
-
-
-class ContractError(AdastreamError, RuntimeError):
-    """An operation was invoked outside its stated preconditions."""
-
-
-class DivergenceError(AdastreamError, RuntimeError):
-    """Training produced a non-finite loss."""
-
-
-class ModelCorruptError(AdastreamError, RuntimeError):
-    """A model holds non-finite weights and cannot be evaluated."""
+    """An input file or config does not conform to its documented schema.
+    The CLI exits 3."""
 
 
 def numeric_array(values, name: str, dtype=float) -> np.ndarray:
@@ -67,17 +56,17 @@ def json_numbers(value) -> bool:
     return True
 
 
-def read_json(path, error, what: str, **json_kwargs):
+def read_json(path, what: str, **json_kwargs):
     """The JSON value in ``path``. Text that is not UTF-8 or not valid JSON,
     that nests deeper than the parser recurses, or that a ``json_kwargs``
-    hook refuses, raises ``error`` naming the file and ``what`` it should
-    hold."""
+    hook refuses, raises :class:`SchemaError` naming the file and ``what``
+    it should hold."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, **json_kwargs)
         # ValueError also covers bad UTF-8 and over-long integers
         except (ValueError, RecursionError) as exc:
-            raise error(f"{path}: not valid {what}: {exc}") from None
+            raise SchemaError(f"{path}: not valid {what}: {exc}") from None
 
 
 def csv_rows(path):

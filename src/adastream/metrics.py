@@ -26,7 +26,12 @@ def relative_error(predicted, truth) -> float:
             raise ArgumentError("values must be strictly positive and finite, "
                                 f"got {float(bad[0])!r}")
     mean_abs_log = float(np.mean(np.abs(np.log(predicted) - np.log(truth))))
-    return (np.exp(mean_abs_log) - 1.0) * 100.0
+    with np.errstate(over="raise"):
+        try:
+            return (np.exp(mean_abs_log) - 1.0) * 100.0
+        except FloatingPointError:
+            raise ArgumentError("relative error is beyond the float range: mean "
+                                f"absolute log-ratio {mean_abs_log!r}") from None
 
 
 def confusion_matrix(predicted, truth, classes) -> np.ndarray:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ArgumentError, DivergenceError, ModelCorruptError, SchemaError,
-                     csv_rows, json_numbers, numeric_array, read_json, write_text)
+from .errors import (ArgumentError, SchemaError, csv_rows, json_numbers, numeric_array,
+                     read_json, write_text)
 from .features import (FEATURE_NAMES, FEATURE_SCHEMA_VERSION, FeatureVector,
                        feature_range_error)
 from .ladder import DEFAULT_LADDER, Ladder, ladder_values
@@ -135,12 +135,12 @@ class PredictorModel:
             return
         n_out = self.ladder.n_frame_rates + self.ladder.n_heights
         if self.weights[-1].shape[1] != n_out:
-            raise ModelCorruptError(
+            raise ArgumentError(
                 f"output layer emits {self.weights[-1].shape[1]} logits, "
                 f"ladder needs {n_out}")
         for w, b in zip(self.weights, self.biases):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ModelCorruptError("model holds non-finite weights")
+                raise ArgumentError("model holds non-finite weights")
         self._validated = True
 
 
@@ -340,7 +340,7 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
             loss = _loss_and_gradients_into(model, xs[start:stop], targets[start:stop],
                                             picks[:, start:stop], grads_w, grads_b)
             if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
+                raise ArgumentError(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss * (stop - start)
             t += 1
             scale = config.learning_rate * math.sqrt(1 - beta2 ** t) / (1 - beta1 ** t)
@@ -352,7 +352,7 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
             buf += adam_eps
             theta -= np.divide(np.multiply(scale, m, out=update), buf, out=update)
         if not np.isfinite(theta[:n_weights]).all():
-            raise DivergenceError(f"non-finite weights at epoch {epoch}")
+            raise ArgumentError(f"non-finite weights at epoch {epoch}")
         if loss_history is not None:
             loss_history.append(epoch_loss / n)
     return model
@@ -397,7 +397,7 @@ def save_model(model: PredictorModel, path) -> None:
 
 def load_model(path, ladder: Ladder | None = None) -> PredictorModel:
     """The model in ``path``, on its file's ladder, which must equal ``ladder``."""
-    payload = read_json(path, SchemaError, "model JSON")
+    payload = read_json(path, "model JSON")
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: model root must be an object")
     for key in ("header", "weights", "biases"):
@@ -448,7 +448,7 @@ def load_model(path, ladder: Ladder | None = None) -> PredictorModel:
     model = PredictorModel(weights, biases, model_ladder, seed)
     try:
         model.validate()
-    except ModelCorruptError as exc:
+    except ArgumentError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     return model
 

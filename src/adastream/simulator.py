@@ -74,8 +74,7 @@ import numpy as np
 
 from .controller import (DECISION_PERIOD_S, TransitionGraph, decide,
                          initial_state, step_window)
-from .errors import (ArgumentError, ConfigError, SchemaError, numeric_array, read_json,
-                     write_text)
+from .errors import ArgumentError, SchemaError, numeric_array, read_json, write_text
 from .features import (CONTENT_FEATURE_KEYS, FEATURE_NAMES, PATCH_SIZE,
                        check_bitrate, extract_features, feature_range_error,
                        normalize_bandwidth)
@@ -254,17 +253,23 @@ class Scenario:
             raise ArgumentError(f"{error[1]} in frame record {given[error[0]]}")
         feats[list(self._patches)] = math.nan  # pending until extracted
         if not bitrate_schedule:
-            raise ConfigError("bitrate schedule is empty")
+            raise ArgumentError("bitrate schedule is empty")
         times = [t for t, _ in bitrate_schedule]
         if times[0] != 0.0:
-            raise ConfigError("bitrate schedule has a gap: it must start at t=0")
+            raise ArgumentError("bitrate schedule has a gap: it must start at t=0")
         if not all(math.isfinite(t) for t in times):
-            raise ConfigError("bitrate schedule start times must be finite")
+            raise ArgumentError("bitrate schedule start times must be finite")
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-            raise ConfigError("bitrate schedule times must be nondecreasing")
+            raise ArgumentError("bitrate schedule times must be nondecreasing")
         if not all(0 < b <= MAX_BITRATE_BPS for _, b in bitrate_schedule):
-            raise ConfigError("bitrate schedule rates must be positive, finite "
-                              f"and at most {MAX_BITRATE_BPS:g} bps")
+            raise ArgumentError("bitrate schedule rates must be positive, finite "
+                                f"and at most {MAX_BITRATE_BPS:g} bps")
+        # Past its last record the engine holds that record's content and motion
+        # to the end; more than one reference tick of that is a gap.
+        if ts[-1] < duration_s - (1.0 / reference_rate_hz) * (1.0 + 1e-9):
+            raise ArgumentError(f"frame records end at {float(ts[-1])} s, more than "
+                                "one reference tick before duration_s "
+                                f"{duration_s} s")
         for arr in (ts, mags):
             arr.setflags(write=False)
         self.timestamps = ts               # (n,), strictly increasing, starts at 0
@@ -403,7 +408,7 @@ def _frame_content(frame: dict, where: str):
 
 def scenario_from_json(path) -> Scenario:
     numbers = ("duration_s", "fov_horizontal_deg", "reference_rate_hz")
-    payload = read_json(path, SchemaError, "scenario JSON")
+    payload = read_json(path, "scenario JSON")
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: scenario root must be an object")
     for key in (*numbers, "bitrate_schedule", "frames"):
@@ -434,7 +439,7 @@ def scenario_from_json(path) -> Scenario:
         raise SchemaError(f"{path}: bitrate_schedule must be a list of "
                           "[start_s, bps] pairs")
     try:
-        scenario = Scenario(
+        return Scenario(
             **{key: _number(payload[key], f"{path}: {key}") for key in numbers},
             bitrate_schedule=tuple(
                 (_number(t, f"{path}: bitrate_schedule"),
@@ -444,16 +449,8 @@ def scenario_from_json(path) -> Scenario:
             content_features=np.array(feats),
             patches=patches,
         )
-    except (ArgumentError, ConfigError) as exc:
+    except ArgumentError as exc:
         raise SchemaError(f"{path}: {exc}") from None
-    # Past its last record the engine holds that record's content and motion
-    # to the end; more than one reference tick of that is a gap.
-    tick = 1.0 / scenario.reference_rate_hz
-    if ts[-1] < scenario.duration_s - tick * (1.0 + 1e-9):
-        raise SchemaError(f"{path}: frame records end at {ts[-1]} s, more than "
-                          "one reference tick before duration_s "
-                          f"{scenario.duration_s} s")
-    return scenario
 
 
 # ---------------------------------------------------------------------------

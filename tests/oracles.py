@@ -38,7 +38,7 @@ import numpy as np
 from scipy.fft import dctn
 
 from adastream.controller import decide, initial_state, step
-from adastream.errors import ArgumentError, DivergenceError, SchemaError, csv_rows
+from adastream.errors import ArgumentError, SchemaError, csv_rows
 from adastream.features import (EDGE_THRESHOLD, PATCH_SIZE, FeatureVector,
                                 extract_features, normalize_bandwidth)
 from adastream.ladder import (DEFAULT_LADDER, VideoMode, pixels_per_second,
@@ -583,7 +583,7 @@ def per_layer_train_arrays(x, yf_idx, yr_idx, config=TrainConfig(),
             loss, gw, gb = per_layer_loss_and_gradients(
                 model, x[batch], yf_idx[batch], yr_idx[batch])
             if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
+                raise ArgumentError(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss * len(batch)
             t += 1
             scale = config.learning_rate * np.sqrt(1 - beta2 ** t) / (1 - beta1 ** t)
@@ -595,7 +595,7 @@ def per_layer_train_arrays(x, yf_idx, yr_idx, config=TrainConfig(),
                 v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
                 model.biases[i] -= scale * m_b[i] / (np.sqrt(v_b[i]) + adam_eps)
         if not np.all([np.all(np.isfinite(w)) for w in model.weights]):
-            raise DivergenceError(f"non-finite weights at epoch {epoch}")
+            raise ArgumentError(f"non-finite weights at epoch {epoch}")
         if loss_history is not None:
             loss_history.append(epoch_loss / n)
     return model

@@ -17,8 +17,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import adastream
+from adastream import cli
 from adastream.cli import (EXIT_ARGUMENT, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main)
 from adastream.controller import default_transition_graph
+from adastream.errors import AdastreamError, ArgumentError, SchemaError
 
 
 def run(args):
@@ -166,6 +168,20 @@ def test_exit_code_config_error(tmp_path):
     cfg.write_text('{"unexpected": 1}')
     assert run(["label", "--grids", out / "grids.csv", "--out", tmp_path / "x",
                 "--config", cfg]) == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("error, code", [(ArgumentError, EXIT_ARGUMENT),
+                                         (SchemaError, EXIT_SCHEMA)])
+def test_each_error_class_is_one_exit_code(tmp_path, capsys, monkeypatch, error, code):
+    # the package raises these two classes and no other
+    assert AdastreamError.__subclasses__() == [ArgumentError, SchemaError]
+
+    def refuse(args, cfg, out):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "cmd_gen_synthetic", refuse)
+    assert run(["gen-synthetic", "--out", tmp_path / "x"]) == code
+    assert capsys.readouterr().err == "error: refused\n"
 
 
 def test_unknown_subcommand_exits_2():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adastream.config import load_config
-from adastream.errors import ConfigError
+from adastream.errors import SchemaError
 from adastream.ladder import DEFAULT_LADDER
 
 
@@ -56,7 +56,7 @@ def test_viterbi_override(tmp_path):
 def test_decision_period_is_not_a_config_key(tmp_path, period):
     # a window is one GOP and one decision: controller.DECISION_PERIOD_S
     path = write_config(tmp_path, {"viterbi": {"decision_period_s": period}})
-    with pytest.raises(ConfigError, match="viterbi: unknown key 'decision_period_s'"):
+    with pytest.raises(SchemaError, match="viterbi: unknown key 'decision_period_s'"):
         load_config(path)
 
 
@@ -64,7 +64,8 @@ def test_bad_viterbi_rejected(tmp_path):
     weights = np.ones((10, 10))  # violates the 30 Hz zero rule
     path = write_config(tmp_path, {
         "viterbi": {"frame_rate_weights": weights.tolist()}})
-    with pytest.raises(ConfigError):
+    with pytest.raises(SchemaError, match="bad viterbi section: frame-rate moves beyond "
+                                          "30 Hz must have weight 0$"):
         load_config(path)
 
 
@@ -81,9 +82,9 @@ def test_synthetic_and_simulator_sections(tmp_path):
 
 
 def test_unknown_keys_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="unknown key"):
+    with pytest.raises(SchemaError, match="unknown key"):
         load_config(write_config(tmp_path, {"surprise": 1}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(SchemaError, match="viterbi: unknown key 'oops'$"):
         load_config(write_config(tmp_path, {"viterbi": {"oops": 1}}))
 
 
@@ -91,28 +92,32 @@ def test_unknown_keys_rejected(tmp_path):
 def test_the_temporal_asymptote_is_no_setting(tmp_path):
     # the surface's 166 Hz asymptote was a synthetic key with one legal value
     path = write_config(tmp_path, {"synthetic": {"reference_rate_hz": 166}})
-    with pytest.raises(ConfigError, match="synthetic: unknown key 'reference_rate_hz'"):
+    with pytest.raises(SchemaError, match="synthetic: unknown key 'reference_rate_hz'"):
         load_config(path)
 
 
 def test_invalid_json_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{nope")
-    with pytest.raises(ConfigError):
+    with pytest.raises(SchemaError, match=r"config\.json: not valid JSON: Expecting "):
         load_config(path)
 
 
 def test_bad_ladder_rejected(tmp_path):
-    with pytest.raises(ConfigError):
+    with pytest.raises(SchemaError, match="bad ladder: frame_rates_hz must be "
+                                          "strictly ascending$"):
         load_config(write_config(tmp_path, {"frame_rates": [60, 30]}))
 
 
 def test_ladder_values_must_be_finite_and_integral(tmp_path):
     path = tmp_path / "config.json"
-    for text in ('{"bitrates": [NaN]}', '{"frame_rates": [30.5, 60, 90]}',
-                 '{"resolutions": [360, true]}', '{"bitrates": [1' + '0' * 400 + ']}'):
+    for text, message in (
+            ('{"bitrates": [NaN]}', "bitrates must hold finite numbers, got nan$"),
+            ('{"frame_rates": [30.5, 60, 90]}', "frame_rates must hold integers, got 30.5$"),
+            ('{"resolutions": [360, true]}', "resolutions must be a list of numbers"),
+            ('{"bitrates": [1' + '0' * 400 + ']}', "of 401 digits is beyond the float range$")):
         path.write_text(text)
-        with pytest.raises(ConfigError):
+        with pytest.raises(SchemaError, match=message):
             load_config(path)
     cfg = load_config(write_config(tmp_path, {"frame_rates": [30.0, 60],
                                               "resolutions": [360, 720.0]}))
@@ -124,7 +129,7 @@ def test_ladder_values_must_be_finite_and_integral(tmp_path):
 @pytest.mark.parametrize("bitrates", [[0], [3e6, -1e6]], ids=["zero", "negative"])
 def test_bitrates_must_be_positive(tmp_path, bitrates):
     # the CLI tests cover an empty and a repeated list
-    with pytest.raises(ConfigError, match="bitrates"):
+    with pytest.raises(SchemaError, match="bitrates"):
         load_config(write_config(tmp_path, {"bitrates": bitrates}))
 
 

@@ -6,7 +6,7 @@ from adastream.controller import (DECISION_PERIOD_S, ControllerState, Transition
                                   _step_window_log, decide,
                                   default_transition_graph, initial_state,
                                   step, step_window)
-from adastream.errors import ArgumentError, ContractError
+from adastream.errors import ArgumentError
 from adastream.ladder import DEFAULT_LADDER, Ladder, VideoMode
 from adastream.simulator import GOP_LENGTH_S
 from certify import chain_certificate, weighted_emissions
@@ -162,7 +162,8 @@ def test_decide_before_period_is_contract_error():
     g = graph()
     state = initial_state(g, VideoMode(60, 720))
     state = step(g, state, UNIFORM_F, UNIFORM_R, 0.5)
-    with pytest.raises(ContractError):
+    with pytest.raises(ArgumentError, match=r"^decide called after 0\.500 s, "
+                                            r"decision period is 2\.0 s$"):
         decide(g, state)
 
 

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from adastream import labeler, motion, simulator, synth
 from adastream.config import load_config
 from adastream.controller import default_transition_graph
-from adastream.errors import ArgumentError, ConfigError, SchemaError
+from adastream.errors import ArgumentError, SchemaError
 from adastream.ladder import DEFAULT_LADDER, Ladder, VideoMode, objective_cost
 from adastream.predictor import TrainConfig, forward, forward_batch, train
 from adastream.quality import (QualityGrid, SyntheticQualityParams,
@@ -117,11 +117,12 @@ def test_scenario_validation():
 
 
 def test_schedule_gap_rejected():
-    with pytest.raises(ConfigError, match="gap"):
+    with pytest.raises(ArgumentError, match="^bitrate schedule has a gap"):
         make_scenario(bitrate_schedule=((0.5, 2e6),))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ArgumentError, match="^bitrate schedule is empty$"):
         make_scenario(bitrate_schedule=())
-    with pytest.raises(ConfigError, match="nondecreasing"):
+    with pytest.raises(ArgumentError, match="^bitrate schedule times must be "
+                                            "nondecreasing$"):
         make_scenario(bitrate_schedule=((0.0, 3e6), (4.0, 1e6), (2.0, 5e5)))
 
 
@@ -217,20 +218,24 @@ def test_scenario_rejects_non_finite_values():
     fields["ndc_magnitudes"][1] = np.nan
     with pytest.raises(ArgumentError, match="finite"):
         Scenario(**fields)
-    with pytest.raises(ConfigError, match="finite"):
+    with pytest.raises(ArgumentError, match="^bitrate schedule rates must be "
+                                            "positive, finite"):
         Scenario(**_scenario_arrays(bitrate_schedule=((0.0, 3e6), (1.0, np.inf))))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ArgumentError, match="^bitrate schedule rates must be "
+                                            "positive, finite and at most"):
         Scenario(**_scenario_arrays(bitrate_schedule=((0.0, np.nan),)))
     # a NaN start time hid every later entry from the schedule lookup, and
     # an infinite one never took effect
     for start in (np.nan, np.inf):
         for schedule in (((0.0, 3e6), (start, 1e6), (4.0, 5e5)),
                          ((0.0, 3e6), (2.0, 1e6), (start, 5e5))):
-            with pytest.raises(ConfigError, match="start times must be finite"):
+            with pytest.raises(ArgumentError,
+                               match="^bitrate schedule start times must be finite$"):
                 Scenario(**_scenario_arrays(bitrate_schedule=schedule))
     # a GOP budget of such a rate would overflow the int64 frame budgets
     for rate in (5e18, 1e19, np.nextafter(simulator.MAX_BITRATE_BPS, np.inf)):
-        with pytest.raises(ConfigError, match="at most"):
+        with pytest.raises(ArgumentError, match="^bitrate schedule rates must be "
+                                                "positive, finite and at most"):
             Scenario(**_scenario_arrays(bitrate_schedule=((0.0, 3e6), (1.0, rate))))
     Scenario(**_scenario_arrays(bitrate_schedule=((0.0, simulator.MAX_BITRATE_BPS),)))
     with pytest.raises(ArgumentError):
@@ -283,6 +288,18 @@ def _gap_payload(n_records, duration_s):
             "frames": [{"timestamp": i / 120.0, "mean_ndc_magnitude": 0.001,
                         "features": {k: 0.2 for k in simulator.CONTENT_FEATURE_KEYS}}
                        for i in range(n_records)]}
+
+
+def test_scenario_rejects_records_ending_before_duration():
+    # 121 records cover 1 s of 8 s; compare_baselines used to play 4 windows
+    short = _scenario_arrays(duration_s=8.0, timestamps=np.arange(121) / 120.0)
+    short["ndc_magnitudes"] = short["ndc_magnitudes"][:121]
+    short["content_features"] = short["content_features"][:121]
+    with pytest.raises(ArgumentError, match=r"^frame records end at 1\.0 s, more than "
+                       r"one reference tick before duration_s 8\.0 s$"):
+        Scenario(**short)
+    # up to one reference tick short is not a gap
+    assert Scenario(**_scenario_arrays(duration_s=2.0 + 1 / 120)).duration_s > 2.0
 
 
 def test_scenario_json_rejects_records_ending_before_duration(tmp_path):
