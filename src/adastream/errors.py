@@ -6,13 +6,14 @@ Each class is one exit code of the CLI. Library code raises
 is bad, and :class:`SchemaError` (exit 3) for an input file or config that
 breaks its documented schema. The numeric entry points of the refusal
 contract convert their array arguments with :func:`numeric_array`. Every
-file the package reads or writes goes through the three helpers at the
+file the package reads or writes goes through the four helpers at the
 end: they read and write UTF-8, write ``\n`` line ends on every OS, and
 refuse a file that does not parse with a :class:`SchemaError` naming the
 file.
 """
 
 import csv
+import itertools
 import json
 
 import numpy as np
@@ -69,19 +70,35 @@ def read_json(path, what: str, **json_kwargs):
             raise SchemaError(f"{path}: not valid {what}: {exc}") from None
 
 
-def csv_rows(path):
-    """``(number, row)`` for each record of a CSV file read as UTF-8,
-    numbered from 1. A byte that is not UTF-8, or a record the CSV parser
-    refuses (a field over its size limit), raises :class:`SchemaError`
-    naming the file, and the line for a refused record."""
+def csv_lines(path):
+    """``(number, line, row)`` for each record of a CSV file read as UTF-8,
+    numbered from 1. A plain line (no quote, carriage return or NUL, and no
+    longer than the parser's field limit) comes as its text without the line
+    end, and row None. From the first line that is not plain on, each record
+    comes as line None and the CSV parser's row, as an empty line does with
+    ``[]``. A byte that is not UTF-8, or a record the parser refuses, raises
+    :class:`SchemaError` naming the file, and the line for a refused record."""
+    limit = csv.field_size_limit()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            yield from enumerate(reader, 1)
+            for number, line in enumerate(fh, 1):
+                if '"' in line or "\r" in line or "\0" in line or len(line) > limit:
+                    reader = csv.reader(itertools.chain([line], fh))  # and the rest
+                    for record, row in enumerate(reader, number):
+                        yield record, None, row
+                    return
+                line = line.rstrip("\n")
+                yield (number, line, None) if line else (number, None, [])
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
         except csv.Error as exc:
-            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+            raise SchemaError(f"{path}:{number - 1 + reader.line_num}: {exc}") from None
+
+
+def csv_rows(path):
+    """``(number, row)`` for each record of :func:`csv_lines`."""
+    for number, line, row in csv_lines(path):
+        yield number, row if line is None else line.split(",")
 
 
 def write_text(path, text: str) -> None:

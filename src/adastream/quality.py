@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ArgumentError, SchemaError, csv_rows, write_text
+from .errors import ArgumentError, SchemaError, csv_lines, write_text
 from .features import check_bitrate
 from .ladder import DEFAULT_LADDER, Ladder, VideoMode
 from .motion import SPEM_LIMIT_DEGPS, velocity_array  # perceived motion caps at it
@@ -201,20 +201,22 @@ def load_grids(path, ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
     sorted by both. Each cell is stored as its row is read, and a clip id may
     not hold a comma, quote or line break.
 
-    Two memos, keyed by exact field text, skip the parsing and checks that
-    text already passed: a row's first three fields (clip id, velocity and
-    bitrate), and the cell of a (frame rate, height) pair. A row whose text
-    misses them takes every check, in the same order.
+    Two memos, keyed by exact text, skip the parsing and checks that text
+    already passed: a plain line's first three fields (clip id, velocity and
+    bitrate), split from its last three only when the memo misses, and the
+    cell of a (frame rate, height) pair. A row that misses them, or that the
+    CSV parser read (:func:`errors.csv_lines`), takes every check in order.
 
     Fails atomically: either every group in the file is complete and valid,
     or a :class:`SchemaError` is raised and nothing is returned.
     """
-    rows = csv_rows(path)
+    records = csv_lines(path)
     try:
-        _, header = next(rows)
+        _, line, header = next(records)
     except StopIteration:
         raise SchemaError(f"{path}: empty file, expected header "
                           f"{','.join(GRID_CSV_HEADER)}") from None
+    header = line.split(",") if header is None else header
     if tuple(h.strip() for h in header) != GRID_CSV_HEADER:
         raise SchemaError(
             f"{path}: bad header {header!r}, expected {list(GRID_CSV_HEADER)}")
@@ -223,23 +225,31 @@ def load_grids(path, ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
     n_cells = ladder.n_frame_rates * n_heights
     # (clip_id, bitrate) -> (velocity, cells); None marks a cell not yet read
     groups: dict[tuple[str, float], tuple[float, list]] = {}
-    leads: dict[tuple[str, str, str], tuple[str, list]] = {}  # -> (clip_id, cells)
+    leads: dict[str, tuple[str, list]] = {}  # lead text -> (clip_id, cells)
     cell_at: dict[tuple[str, str], int] = {}  # -> flat cell index
-    for lineno, row in rows:
-        if not row:
-            continue
-        if len(row) != len(GRID_CSV_HEADER):
-            raise SchemaError(f"{path}:{lineno}: expected "
-                              f"{len(GRID_CSV_HEADER)} columns, got {len(row)}")
-        lead = leads.get((row[0], row[1], row[2]))
-        cell = cell_at.get((row[3], row[4]))
+    for lineno, line, row in records:
+        lead = None
+        if line is not None:  # the lead's text, frame rate, height and JOD
+            parts = line.rsplit(",", 3)
+            lead = leads.get(parts[0])
+        if lead is not None:
+            _, f_text, h_text, jod_text = parts
+        else:  # a lead the memo misses, or a row of the CSV parser
+            row = line.split(",") if row is None else row
+            if not row:
+                continue
+            if len(row) != len(GRID_CSV_HEADER):
+                raise SchemaError(f"{path}:{lineno}: expected "
+                                  f"{len(GRID_CSV_HEADER)} columns, got {len(row)}")
+            _, _, _, f_text, h_text, jod_text = row
+        cell = cell_at.get((f_text, h_text))
         try:
             if lead is None:
                 velocity = float(row[1])
                 bitrate = float(row[2])
             if cell is None:
-                f = int(row[3])
-                h = int(row[4])
+                f = int(f_text)
+                h = int(h_text)
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: parse error: {exc}") from None
         if lead is None:
@@ -250,11 +260,11 @@ def load_grids(path, ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
                 raise SchemaError(f"{path}:{lineno}: bitrate {row[2]!r} must be "
                                   "finite and > 0")
         try:
-            jod = float(row[5])
+            jod = float(jod_text)
         except ValueError:
             raise SchemaError(
-                f"{path}:{lineno}: non-numeric jod value {row[5]!r}") from None
-        if not math.isfinite(jod) or not 0.0 <= jod <= JOD_MAX:
+                f"{path}:{lineno}: non-numeric jod value {jod_text!r}") from None
+        if not 0.0 <= jod <= JOD_MAX:  # also false for a NaN
             raise SchemaError(
                 f"{path}:{lineno}: jod {jod} out of range [0, {JOD_MAX}]")
         if cell is None:
@@ -262,7 +272,7 @@ def load_grids(path, ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
                 cell = ladder.frame_rate_index(f) * n_heights + ladder.height_index(h)
             except ArgumentError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from None
-            cell_at[row[3], row[4]] = cell
+            cell_at[f_text, h_text] = cell
 
         if lead is None:
             clip_id = row[0].strip()
@@ -277,25 +287,26 @@ def load_grids(path, ladder: Ladder = DEFAULT_LADDER) -> list[QualityGrid]:
                 raise SchemaError(
                     f"{path}:{lineno}: clip {clip_id!r} at {bitrate} bps mixes "
                     f"velocities {first_velocity} and {velocity}")
-            lead = leads[row[0], row[1], row[2]] = (clip_id, cells)
+            lead = (clip_id, cells)
+            if line is not None:
+                leads[parts[0]] = lead
         clip_id, cells = lead
         if cells[cell] is not None:
             raise SchemaError(
-                f"{path}:{lineno}: duplicate cell ({int(row[3])} Hz, "
-                f"{int(row[4])} lines) for clip {clip_id!r}")
+                f"{path}:{lineno}: duplicate cell ({int(f_text)} Hz, "
+                f"{int(h_text)} lines) for clip {clip_id!r}")
         cells[cell] = jod
 
     grids = []
     for clip_id, bitrate in sorted(groups):
         velocity, cells = groups[(clip_id, bitrate)]
-        q = np.array(cells, dtype=float).reshape(ladder.n_frame_rates, n_heights)
-        missing = np.argwhere(np.isnan(q))
-        if len(missing):
-            fi, hi = missing[0]
+        if None in cells:
+            fi, hi = divmod(cells.index(None), n_heights)
             raise SchemaError(
                 f"{path}: incomplete grid for clip {clip_id!r} at {bitrate} bps: "
-                f"{q.size - len(missing)}/{q.size} cells, first missing "
+                f"{n_cells - cells.count(None)}/{n_cells} cells, first missing "
                 f"({ladder.frame_rates_hz[fi]} Hz, {ladder.heights[hi]} lines)")
+        q = np.array(cells, dtype=float).reshape(ladder.n_frame_rates, n_heights)
         grids.append(QualityGrid(clip_id, velocity, bitrate, q, ladder))
     return grids
 

@@ -26,9 +26,11 @@ dataset oracles keep one synthetic grid built at a time and the grid reader
 that parsed every field of every row. The training-row oracles keep the
 rows synthesized one ``FeatureVector`` at a time, with five scalar noise
 draws each, and the training reader that checked each row as it read it.
+Both row-at-a-time readers read every line through ``csv.reader``.
 """
 
 import base64
+import csv
 import json
 import math
 from collections import deque
@@ -38,7 +40,7 @@ import numpy as np
 from scipy.fft import dctn
 
 from adastream.controller import decide, initial_state, step
-from adastream.errors import ArgumentError, SchemaError, csv_rows
+from adastream.errors import ArgumentError, SchemaError
 from adastream.features import (EDGE_THRESHOLD, PATCH_SIZE, FeatureVector,
                                 extract_features, normalize_bandwidth)
 from adastream.ladder import (DEFAULT_LADDER, VideoMode, pixels_per_second,
@@ -649,6 +651,23 @@ def per_value_scenario_to_json(scenario, path):
 
 # ---------------------------------------------------------------------------
 # Grid dataset oracles
+
+
+def csv_rows(path):
+    """``(number, row)`` for each record of a CSV file read as UTF-8,
+    numbered from 1, every line through ``csv.reader``, as the library's
+    readers read before plain lines were split at their commas. A byte
+    that is not UTF-8, or a record the CSV parser refuses, raises
+    :class:`SchemaError` naming the file, and the line for a refused
+    record."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from enumerate(reader, 1)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def per_clip_grids(clips, bitrates, base_params=SyntheticQualityParams(),

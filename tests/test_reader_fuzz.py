@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import random
+import re
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -21,7 +22,7 @@ from adastream.cli import EXIT_ARGUMENT, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
 from adastream.config import DEFAULT_CONFIG
 from adastream.errors import SchemaError
 from adastream.predictor import read_training_csv
-from adastream.quality import load_grids
+from adastream.quality import load_grids, make_synthetic_grid, write_grids_csv
 from golden import respelled_grid_file, respelled_training_file
 from oracles import row_at_a_time_load_grids, row_at_a_time_read_training_csv
 from test_cli import _five_inputs
@@ -328,6 +329,113 @@ def test_grid_reader_equals_row_at_a_time_reader(corpus, data):
         path.write_bytes(mutated)
         assert (_read_grids(load_grids, path)
                 == _read_grids(row_at_a_time_load_grids, path))
+
+
+@pytest.fixture(scope="module")
+def eight_grids(tmp_path_factory):
+    """A grid file of 8 grids, 401 lines, over two 8 KB chunks of text."""
+    path = tmp_path_factory.mktemp("eight") / "grids.csv"
+    write_grids_csv([make_synthetic_grid(2e6 * (1 + i % 2), 3.0 * i, clip_id=f"clip{i}")
+                     for i in range(8)], path)
+    data = path.read_bytes()
+    assert data.count(b"\n") == 401 and len(data) > 2 * 8192
+    return data
+
+
+def _edit(data: bytes, number: int, edit) -> bytes:
+    """``data`` with line ``number`` (from 1, with its line end) edited."""
+    lines = data.splitlines(keepends=True)
+    lines[number - 1] = edit(lines[number - 1])
+    return b"".join(lines)
+
+
+def _field(data: bytes, number: int, column: int, edit) -> bytes:
+    """``data`` with one field of line ``number`` edited."""
+    def edit_line(line):
+        fields = line.rstrip(b"\n").split(b",")
+        fields[column] = edit(fields[column])
+        return b",".join(fields) + line[len(line.rstrip(b"\n")):]
+    return _edit(data, number, edit_line)
+
+
+def _quoted(field: bytes) -> bytes:
+    return b'"' + field + b'"'
+
+
+def _x(field: bytes) -> bytes:
+    return b"x"
+
+
+# name -> (edit of the eight-grid file, the grids read or the error's pattern);
+# 8 grids is the file's own, 0 the empty list
+_EDGE_FILES = {
+    "crlf line ends": (lambda d: d.replace(b"\n", b"\r\n"), 8),
+    "bare cr line ends": (lambda d: d.replace(b"\n", b"\r"), 8),
+    "crlf line ends and a blank line": (
+        lambda d: _edit(d, 200, lambda line: b"\n" + line).replace(b"\n", b"\r\n"), 8),
+    "a bad jod on a crlf line": (
+        lambda d: _field(d, 200, 5, _x).replace(b"\n", b"\r\n"),
+        r"grids.csv:200: non-numeric jod value 'x'$"),
+    "a quoted header": (lambda d: _field(d, 1, 0, _quoted), 8),
+    "a quoted field mid-file": (lambda d: _field(d, 200, 5, _quoted), 8),
+    # records are numbered: the bad jod is on line 301 of the file
+    "a quoted line break, then a bad jod": (
+        lambda d: _field(_field(d, 300, 5, _x), 200, 5, lambda f: b'"' + f + b'\n"'),
+        r"grids.csv:300: non-numeric jod value 'x'$"),
+    "a quoted comma in a clip id": (
+        lambda d: _field(d, 200, 0, lambda f: b'"a,b"'),
+        r"grids.csv:200: clip id 'a,b' holds a comma, quote or line break$"),
+    "a blank first line": (lambda d: b"\n" + d, r"bad header \[\]"),
+    "a blank line": (lambda d: _edit(d, 200, lambda line: b"\n" + line), 8),
+    "a whitespace-only line": (lambda d: _edit(d, 200, lambda line: b" \t\n" + line),
+                               r"grids.csv:200: expected 6 columns, got 1$"),
+    "no final newline": (lambda d: d[:-1], 8),
+    "the header alone": (lambda d: d[:d.index(b"\n") + 1], 0),
+    "the header alone, no newline": (lambda d: d[:d.index(b"\n")], 0),
+    "a NUL in a field": (lambda d: _field(d, 200, 5, lambda f: f + b"\0"),
+                         r"grids.csv:200: "),
+    "a field over the limit": (
+        lambda d: _field(d, 200, 0, lambda f: b"c" * (_CSV_FIELD_LIMIT + 1)),
+        rf"grids.csv:200: field larger than field limit \({_CSV_FIELD_LIMIT}\)$"),
+    "a field over the limit after a quote": (
+        lambda d: _field(_field(d, 100, 5, _quoted), 200, 0,
+                         lambda f: b"c" * (_CSV_FIELD_LIMIT + 1)),
+        rf"grids.csv:200: field larger than field limit \({_CSV_FIELD_LIMIT}\)$"),
+    "a line over the limit of fields within it": (
+        lambda d: _field(d, 200, 1, lambda f: f + b"0" * (_CSV_FIELD_LIMIT - len(f))), 8),
+    "a byte that is not UTF-8 after a bad row": (
+        lambda d: _edit(_field(d, 3, 5, _x), 401, lambda line: b"\xff" + line),
+        r"grids.csv:3: non-numeric jod value 'x'$"),
+    "a byte that is not UTF-8 before a bad row": (
+        lambda d: _edit(_field(d, 3, 5, _x), 2, lambda line: b"\xff" + line),
+        r"grids.csv: not UTF-8 text: "),
+    "a bad jod on the last line": (lambda d: _field(d, 401, 5, _x),
+                                   r"grids.csv:401: non-numeric jod value 'x'$"),
+    "a bad jod on the last line, no final newline": (
+        lambda d: _field(d, 401, 5, _x)[:-1], r"grids.csv:401: non-numeric jod value 'x'$"),
+}
+
+
+@pytest.mark.parametrize("name", list(_EDGE_FILES))
+def test_grid_reader_equals_row_at_a_time_reader_at_the_edges(tmp_path, eight_grids,
+                                                              name):
+    edit, want = _EDGE_FILES[name]
+    path = tmp_path / "grids.csv"
+    path.write_bytes(edit(eight_grids))
+    got = _read_grids(load_grids, path)
+    assert got == _read_grids(row_at_a_time_load_grids, path)
+    if isinstance(want, int):
+        base = tmp_path / "base.csv"
+        base.write_bytes(eight_grids)
+        assert got == _read_grids(load_grids, base)[:want]
+    else:
+        assert re.search(want, got), got
+
+
+def test_a_field_over_the_limit_exits_3(tmp_path, eight_grids):
+    path = tmp_path / "grids.csv"
+    path.write_bytes(_EDGE_FILES["a field over the limit"][0](eight_grids))
+    assert run(["label", "--grids", path, "--out", tmp_path / "label"]) == EXIT_SCHEMA
 
 
 # ---------------------------------------------------------------------------
