@@ -5,7 +5,8 @@ Each class is one exit code of the CLI. Library code raises
 :class:`ArgumentError` (exit 2) for a bad argument, whatever the reason it
 is bad, and :class:`SchemaError` (exit 3) for an input file or config that
 breaks its documented schema. The numeric entry points of the refusal
-contract convert their array arguments with :func:`numeric_array`. Every
+contract convert their array arguments with :func:`numeric_array`, and
+check their integer arguments with :func:`check_integer`. Every
 file the package reads or writes goes through the four helpers at the
 end: they read and write UTF-8, write ``\n`` line ends on every OS, and
 refuse a file that does not parse with a :class:`SchemaError` naming the
@@ -42,6 +43,14 @@ def numeric_array(values, name: str, dtype=float) -> np.ndarray:
         return np.asarray(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ArgumentError(f"{name} must be numbers: {exc}") from None
+
+
+def check_integer(value, name: str, minimum: int) -> None:
+    """The one rule for an integer argument: an ``int`` or numpy integer,
+    not a bool, at least ``minimum``; else an :class:`ArgumentError`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def json_numbers(value) -> bool:

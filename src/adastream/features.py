@@ -15,6 +15,9 @@ The seven-value feature vector feeding the predictor; every value is finite,
 - edge_density: fraction of neighbor pairs whose luma step exceeds 0.1.
 - norm_velocity: log-compressed velocity feature from the motion pipeline.
 - norm_bandwidth: bitrate scaled by a 6 Mbps ceiling.
+
+``feature_rows`` alone lays the predictor's rows out from content rows, raw
+velocities (deg/s) and raw bitrates (bps), and scales the last two.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArgumentError, numeric_array
+from .motion import normalize_velocities
 
 PATCH_SIZE = 128
 EDGE_THRESHOLD = 0.1
@@ -99,6 +103,13 @@ def normalize_bandwidth(bitrate_bps):
     return np.minimum(b / BANDWIDTH_CEILING_BPS, 1.0)
 
 
+def feature_rows(content, velocities_degps, bitrates_bps) -> np.ndarray:
+    """The ``(n, 7)`` predictor rows in ``FEATURE_NAMES`` order: the ``(n, 5)``
+    content rows, the normalized velocities, then the normalized bitrates."""
+    return np.column_stack((content, normalize_velocities(velocities_degps),
+                            normalize_bandwidth(bitrates_bps)))
+
+
 # The low-frequency rows of the orthonormal DCT-II matrix: row k is
 # s_k cos(pi (2n + 1) k / 2N), s_0 = sqrt(1/N), s_k = sqrt(2/N) otherwise.
 # ``L @ d @ L.T`` is the low band of the 2-D transform of ``d``: every
@@ -113,10 +124,8 @@ _LOW_DCT.setflags(write=False)
 def extract_features(patch: np.ndarray) -> FeatureVector:
     """Content features of a 128x128 luma patch with values in [0, 1].
 
-    The velocity and bandwidth context fields are left at zero. The
-    session engine fills a window's context columns beside the content
-    (``PredictorControllerPolicy.decide_mode``), and training rows carry
-    theirs in ``predictor.TrainingSet``.
+    The velocity and bandwidth context fields are left at zero: the
+    predictor's rows take their context from ``feature_rows``.
     """
     patch = np.asarray(patch, dtype=float)
     if patch.shape != (PATCH_SIZE, PATCH_SIZE):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ArgumentError, SchemaError, csv_rows, json_numbers, numeric_array,
-                     read_json, write_text)
+from .errors import (ArgumentError, SchemaError, check_integer, csv_rows, json_numbers,
+                     numeric_array, read_json, write_text)
 from .features import (FEATURE_NAMES, FEATURE_SCHEMA_VERSION, FeatureVector,
                        feature_range_error)
 from .ladder import DEFAULT_LADDER, Ladder, ladder_values
@@ -27,12 +27,13 @@ DEFAULT_LEARNING_RATE = 1e-2
 DEFAULT_HIDDEN_SIZES = (64, 64)
 
 
-def _feature_rows(x) -> np.ndarray:
+def _feature_rows(x, name: str) -> np.ndarray:
     """``x`` as a 2-D float array, a row of the features each, copied only
-    if it is not one; text, ragged rows or another shape are refused."""
-    x = numeric_array(x, "training rows")
+    if it is not one; text, ragged rows or another shape are refused with
+    ``name`` in the message."""
+    x = numeric_array(x, name)
     if x.ndim != 2 or x.shape[1] != len(FEATURE_NAMES):
-        raise ArgumentError(f"training rows must hold the {len(FEATURE_NAMES)} "
+        raise ArgumentError(f"{name} must hold the {len(FEATURE_NAMES)} "
                             f"features, got an array of shape {x.shape}")
     return x
 
@@ -50,7 +51,7 @@ class TrainingSet:
     target_r: np.ndarray
 
     def __post_init__(self):
-        x = _feature_rows(self.x).copy()
+        x = _feature_rows(self.x, "training rows").copy()
         columns = [x]
         for name in ("target_f", "target_r"):
             column = numeric_array(getattr(self, name), name, None)
@@ -108,8 +109,10 @@ class TrainConfig:
         if not 0 < self.learning_rate < np.inf:
             raise ArgumentError("learning_rate must be positive and finite, "
                                 f"got {self.learning_rate}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ArgumentError("epochs and batch_size must be >= 1")
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            check_integer(getattr(self, name), name, minimum)
+        for size in self.hidden_sizes:
+            check_integer(size, "hidden size", 1)
 
 
 @dataclass
@@ -185,16 +188,19 @@ def _forward_pass(model: PredictorModel, x: np.ndarray, in_place: bool = False):
 
 
 def forward_batch(model: PredictorModel, x: np.ndarray):
-    """Both heads' class probabilities for each row of finite features."""
+    """Both heads' class probabilities for each row of features in range.
+    Weights that overflow, or that turned NaN after the model was validated,
+    give probabilities that are not finite; the first such row is refused."""
     model.validate()
-    x = numeric_array(x, "feature rows")
-    if x.shape[-1:] != (len(FEATURE_NAMES),):
-        raise ArgumentError(f"feature rows must hold the {len(FEATURE_NAMES)} "
-                            f"features, got an array of shape {x.shape}")
-    if not np.isfinite(x).all():  # one pass; the bad value is found on failure
-        bad = tuple(np.argwhere(~np.isfinite(x))[0])
-        raise ArgumentError(f"{FEATURE_NAMES[bad[-1]]} must be finite, got {x[bad]}")
-    _, _, (p_f, p_r) = _forward_pass(model, x)
+    x = _feature_rows(x, "feature rows")
+    error = feature_range_error(x)
+    if error is not None:
+        raise ArgumentError(error[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, h, (p_f, p_r) = _forward_pass(model, x)
+    if not np.isfinite(h).all():  # h is NaN where a probability is not finite
+        raise ArgumentError("the model's probabilities are not finite at feature "
+                            f"row {int(np.isfinite(h).all(axis=1).argmin())}")
     return p_f, p_r
 
 
@@ -219,10 +225,10 @@ def _class_index_array(values) -> np.ndarray:
         return index.astype(object)
 
 
-def _targets(ladder: Ladder, n: int, yf_idx, yr_idx):
-    """One-hot rows over both heads' ``n_out`` columns, and each row's two
-    target columns as a ``(2, n)`` array. Each head needs one class index
-    per row of ``n``, in ``[0, classes)``."""
+def _targets(ladder: Ladder, n: int, yf_idx, yr_idx) -> np.ndarray:
+    """Each row's two target columns of the output layer, as a ``(2, n)``
+    array. Each head needs one class index per row of ``n``, in
+    ``[0, classes)``."""
     nf = ladder.n_frame_rates
     yf_idx, yr_idx = _class_index_array(yf_idx), _class_index_array(yr_idx)
     if yf_idx.shape != (n,) or yr_idx.shape != (n,):
@@ -236,20 +242,16 @@ def _targets(ladder: Ladder, n: int, yf_idx, yr_idx):
             row = int(off.argmax())
             raise ArgumentError(f"{head} head has {classes} classes, but row {row} "
                                 f"targets class index {index[row]}")
-    cols = np.stack([yf_idx, nf + yr_idx])
-    onehot = np.zeros((cols.shape[1], nf + ladder.n_heights))
-    onehot[np.arange(cols.shape[1]), cols] = 1.0
-    return onehot, cols
+    return np.stack([yf_idx, nf + yr_idx])
 
 
-def _loss_and_gradients_into(model: PredictorModel, x: np.ndarray,
-                             onehot: np.ndarray, pick: np.ndarray,
+def _loss_and_gradients_into(model: PredictorModel, x: np.ndarray, pick: np.ndarray,
                              grads_w, grads_b) -> float:
     """The minibatch kernel: the loss of the ``k`` rows of ``x``, with every
     layer's gradients written into ``grads_w`` and ``grads_b``.
 
-    ``onehot`` holds the rows' targets; ``pick`` is a ``(2, k)`` array of
-    flat indices into a ``(k, n_out)`` buffer, at each row's two targets.
+    ``pick`` is a ``(2, k)`` array of flat indices into a ``(k, n_out)``
+    buffer, at each row's two targets.
     """
     k = x.shape[0]
     acts, p, _ = _forward_pass(model, x, in_place=True)
@@ -259,7 +261,7 @@ def _loss_and_gradients_into(model: PredictorModel, x: np.ndarray,
     np.log(logs, out=logs)
     log_f, log_r = np.add.reduce(logs, axis=1).tolist()
 
-    np.subtract(p, onehot, out=p)
+    p.reshape(-1)[pick] -= 1.0  # the softmax gradient: p minus the one-hot targets
     p /= k
     delta = p
     for i in range(len(model.weights) - 1, -1, -1):
@@ -278,11 +280,11 @@ def loss_and_gradients(model: PredictorModel, x: np.ndarray,
     runs; the test suite checks them against central finite differences.
     """
     x = numeric_array(x, "feature rows")
-    onehot, cols = _targets(model.ladder, x.shape[0], yf_idx, yr_idx)
-    pick = cols + np.arange(x.shape[0]) * onehot.shape[1]
+    pick = (_targets(model.ladder, x.shape[0], yf_idx, yr_idx)
+            + np.arange(x.shape[0]) * sum(model.head_sizes))
     grads_w = [np.empty_like(w) for w in model.weights]
     grads_b = [np.empty_like(b) for b in model.biases]
-    loss = _loss_and_gradients_into(model, x, onehot, pick, grads_w, grads_b)
+    loss = _loss_and_gradients_into(model, x, pick, grads_w, grads_b)
     return loss, grads_w, grads_b
 
 
@@ -295,12 +297,12 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
     Every weight and bias is a view into one flat parameter vector, the
     weights first, and the kernel writes each step's gradients into views of
     a matching flat buffer, so the Adam update is a few elementwise
-    operations on whole vectors. Each epoch gathers its shuffled rows,
-    one-hot targets and loss indices once, and each minibatch is a slice of
-    them. The steps apply the same operations to the same operands as a
-    per-layer update, so the weights are the same bits.
+    operations on whole vectors. Each epoch gathers its shuffled rows and
+    target indices once, and each minibatch is a slice of them. The steps
+    apply the same operations to the same operands as a per-layer update,
+    so the weights are the same bits.
     """
-    x = _feature_rows(x)
+    x = _feature_rows(x, "training rows")
     n = x.shape[0]
     if n == 0:
         raise ArgumentError("training set is empty")
@@ -308,9 +310,9 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
     model = new_model(config.seed, config.hidden_sizes, ladder)
     rng = np.random.default_rng(config.seed)
     batch_size = config.batch_size
-    onehot, cols = _targets(ladder, n, yf_idx, yr_idx)
+    cols = _targets(ladder, n, yf_idx, yr_idx)
     # a row's offset in its minibatch's (k, n_out) buffer, flattened
-    offsets = np.arange(n) % batch_size * onehot.shape[1]
+    offsets = np.arange(n) % batch_size * sum(model.head_sizes)
 
     params = model.weights + model.biases
     n_layers = len(params) // 2
@@ -332,13 +334,13 @@ def train_arrays(x: np.ndarray, yf_idx: np.ndarray, yr_idx: np.ndarray,
 
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        xs, targets = x[order], onehot[order]
+        xs = x[order]
         picks = offsets + cols.take(order, axis=1)
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
             stop = min(start + batch_size, n)
-            loss = _loss_and_gradients_into(model, xs[start:stop], targets[start:stop],
-                                            picks[:, start:stop], grads_w, grads_b)
+            loss = _loss_and_gradients_into(model, xs[start:stop], picks[:, start:stop],
+                                            grads_w, grads_b)
             if not math.isfinite(loss):
                 raise ArgumentError(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss * (stop - start)

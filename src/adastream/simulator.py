@@ -19,10 +19,10 @@ policy's ``ladder``; after every window but the last it asks the policy,
 which keeps no state, for the next one: ``decide_mode(scenario, mode,
 times, records, velocities, bitrate_bps)``, with the velocities as a float
 array and the bitrate in force at the boundary. Only the predictor policy
-reads content: it builds the ``(n, 7)`` feature matrix, one row per frame in
-``FEATURE_NAMES`` order, from the records' content rows, the bandwidth in
-force and the velocities, so a patch scenario extracts features only for
-the records that a decision reads.
+reads content: ``features.feature_rows`` builds its ``(n, 7)`` rows, one
+per frame, from the records' content rows, the velocities and
+``Scenario.bitrate_at`` the frame times, so a patch scenario extracts
+features only for the records that a decision reads.
 
 One pass plays a list of policies on one ladder: ``run_session`` passes
 one and ``compare_baselines`` its three. A branch is the set of policies
@@ -74,16 +74,16 @@ import numpy as np
 
 from .controller import (DECISION_PERIOD_S, TransitionGraph, decide,
                          initial_state, step_window)
-from .errors import ArgumentError, SchemaError, numeric_array, read_json, write_text
-from .features import (CONTENT_FEATURE_KEYS, FEATURE_NAMES, PATCH_SIZE,
-                       check_bitrate, extract_features, feature_range_error,
-                       normalize_bandwidth)
+from .errors import (ArgumentError, SchemaError, check_integer, numeric_array, read_json,
+                     write_text)
+from .features import (CONTENT_FEATURE_KEYS, PATCH_SIZE, check_bitrate,
+                       extract_features, feature_range_error, feature_rows)
 # ``select_efficient`` is no longer called here either; the benchmark's
 # tracer test reads it from this module.
 from .labeler import DEFAULT_MARGIN_JOD, _select, select_efficient  # noqa: F401
 from .ladder import (DEFAULT_LADDER, Ladder, VideoMode, pixels_per_second,
                      width_for_height)
-from .motion import VelocityEstimator, deg_per_sec, normalize_velocities
+from .motion import VelocityEstimator, deg_per_sec
 # ``forward`` is no longer called here; it stays importable from this module
 # because the benchmark tracer patches it at this call site.
 from .predictor import PredictorModel, forward, forward_batch  # noqa: F401
@@ -99,9 +99,6 @@ BASELINE_HEIGHTS = (720, 1080)  # below the threshold, at or above it
 MIN_REFERENCE_RATE_HZ = 120.0
 # A GOP budget of this rate, times a jitter scale below 2, fits in int64.
 MAX_BITRATE_BPS = 1e15
-
-_VELOCITY_COL = FEATURE_NAMES.index("norm_velocity")
-_BANDWIDTH_COL = FEATURE_NAMES.index("norm_bandwidth")
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,7 @@ class Scenario:
                     or not 0 <= key < ts.size):
                 raise ArgumentError(f"patch key {key!r} is not a record index "
                                     f"in [0, {ts.size})")
-        # Every given row, sampled or not: the predictor takes them unchecked.
+        # Every given row, sampled or not: a bad one fails the load, not a decision.
         given = np.delete(np.arange(ts.size), list(self._patches))
         error = feature_range_error(feats[given])
         if error is not None:
@@ -276,7 +273,7 @@ class Scenario:
         self.ndc_magnitudes = mags         # (n,)
         self._content = feats              # (n, 5) in CONTENT_FEATURE_KEYS order
         self._schedule_starts = np.array(times, dtype=float)
-        self._schedule_bandwidth = normalize_bandwidth([b for _, b in bitrate_schedule])
+        self._schedule_rates = np.array([b for _, b in bitrate_schedule], dtype=float)
 
     def content_rows(self, records) -> np.ndarray:
         """Content rows of the given record indices, in their order,
@@ -310,10 +307,9 @@ class Scenario:
         one starting at or before it); elementwise on an array of times."""
         return np.maximum(np.searchsorted(self._schedule_starts, t, side="right") - 1, 0)
 
-    def bandwidth_at(self, t):
-        """Normalized bandwidth in force at time t; elementwise on an array
-        of times."""
-        return self._schedule_bandwidth[self.schedule_index(t)]
+    def bitrate_at(self, t):
+        """The bitrate (bps) in force at time t; elementwise on an array of times."""
+        return self._schedule_rates[self.schedule_index(t)]
 
 
 # One frame of a scenario file as ``json.dumps(sort_keys=True, indent=1)``
@@ -467,10 +463,8 @@ def allocate_bits(target_bitrate_bps: float, frames_in_gop: int,
     target_bitrate * GOP_LENGTH_S (rounded to an integer number of bits).
     """
     check_bitrate(target_bitrate_bps)
-    if frames_in_gop < 1:
-        raise ArgumentError("frames_in_gop must be >= 1")
-    if iframe_multiplier < 1:
-        raise ArgumentError("iframe_multiplier must be >= 1")
+    check_integer(frames_in_gop, "frames_in_gop", 1)
+    check_integer(iframe_multiplier, "iframe_multiplier", 1)
     if not target_bitrate_bps * GOP_LENGTH_S < 2.0 ** 63:
         raise ArgumentError(f"bitrate {float(target_bitrate_bps)!r} bps puts a GOP "
                             "budget beyond int64")
@@ -503,8 +497,8 @@ class PredictorControllerPolicy:
 
     Every window starts the chains at ``initial_state(graph, mode)``, the
     state that ``decide`` leaves at the mode it picks, so the mode is all
-    that carries from one window to the next. The bandwidth column is the
-    rate in force at each frame of the window that just ended, not
+    that carries from one window to the next. The bandwidth column is
+    ``scenario.bitrate_at`` each frame of the window that just ended, not
     ``bitrate_bps``, the rate at the boundary that the oracle policies
     select at: after a schedule change it lags by up to one window."""
 
@@ -520,10 +514,8 @@ class PredictorControllerPolicy:
     def decide_mode(self, scenario: Scenario, mode: VideoMode, times: np.ndarray,
                     records: np.ndarray, velocities: np.ndarray,
                     bitrate_bps: float) -> VideoMode:
-        x = np.empty((times.size, len(FEATURE_NAMES)))
-        x[:, :len(CONTENT_FEATURE_KEYS)] = scenario.content_rows(records)
-        x[:, _BANDWIDTH_COL] = scenario.bandwidth_at(times)
-        x[:, _VELOCITY_COL] = normalize_velocities(velocities)
+        x = feature_rows(scenario.content_rows(records), velocities,
+                         scenario.bitrate_at(times))
         probs_f, probs_r = forward_batch(self.model, x)
         state = step_window(self.graph, initial_state(self.graph, mode),
                             probs_f, probs_r, 1.0 / mode.frame_rate_hz)
@@ -717,8 +709,7 @@ def _run_policies(scenario: Scenario, policies, quality_source,
             f"{GOP_LENGTH_S} s GOP")
     # The bit budget latches the schedule at the GOP boundary; mid-GOP
     # schedule changes take effect at the next GOP.
-    targets = [scenario.bitrate_schedule[i][1] for i in
-               scenario.schedule_index(np.arange(n_windows) * GOP_LENGTH_S).tolist()]
+    targets = scenario.bitrate_at(np.arange(n_windows) * GOP_LENGTH_S).tolist()
 
     ladder = policies[0].ladder
     if any(policy.ladder != ladder for policy in policies):

@@ -13,14 +13,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArgumentError
-from .features import (CONTENT_FEATURE_KEYS, FEATURE_NAMES, FeatureVector,
-                       normalize_bandwidth)
+from .errors import ArgumentError, check_integer
+from .features import CONTENT_FEATURE_KEYS, FeatureVector, feature_rows
 # ``select_efficient`` is no longer called here; it stays importable from
 # this module because the benchmark tracer patches it at this call site.
 from .labeler import LabeledClip, label_grids, select_efficient  # noqa: F401
 from .ladder import DEFAULT_LADDER, Ladder
-from .motion import SPEM_LIMIT_DEGPS, normalize_velocities, velocity_array
+from .motion import SPEM_LIMIT_DEGPS, velocity_array
 from .predictor import TrainingSet
 from .quality import QualityGrid, SyntheticQualityParams, _surface
 from .simulator import Scenario
@@ -46,8 +45,7 @@ class SyntheticClip:
 
 def sample_clips(count: int, seed: int) -> list[SyntheticClip]:
     """Velocity skews low, matching how motion distributes in rendered play."""
-    if count < 1:
-        raise ArgumentError("count must be >= 1")
+    check_integer(count, "count", 1)
     rng = np.random.default_rng(seed)
     clips = []
     for i in range(count):
@@ -115,14 +113,10 @@ def content_features_for_detail(detail: float, rng: np.random.Generator) -> Feat
 def training_examples(clips, labels: list[LabeledClip], seed: int) -> TrainingSet:
     """One training row per label, features synthesized from the clip detail."""
     detail_by_clip = {c.clip_id: c.content_detail for c in clips}
-    x = np.empty((len(labels), len(FEATURE_NAMES)))
-    velocity, bandwidth = (FEATURE_NAMES.index(name)
-                           for name in ("norm_velocity", "norm_bandwidth"))
-    x[:, velocity] = normalize_velocities([lab.velocity_degps for lab in labels])
-    x[:, bandwidth] = normalize_bandwidth([lab.bitrate_bps for lab in labels])
-    rng = np.random.default_rng(seed)
-    x[:, :len(CONTENT_FEATURE_KEYS)] = _content_rows(
-        [detail_by_clip[lab.clip_id] for lab in labels], rng)
+    content = _content_rows([detail_by_clip[lab.clip_id] for lab in labels],
+                            np.random.default_rng(seed))
+    x = feature_rows(content, [lab.velocity_degps for lab in labels],
+                     [lab.bitrate_bps for lab in labels])
     return TrainingSet(x, [lab.efficient_mode.frame_rate_hz for lab in labels],
                        [lab.efficient_mode.height for lab in labels])
 
@@ -142,8 +136,8 @@ def make_scenario(duration_s: float = 8.0, fov_horizontal_deg: float = 90.0,
     magnitude per reference tick is the displacement that yields the target
     velocity under the small-angle conversion.
     """
-    if duration_s <= 0:
-        raise ArgumentError("duration must be positive")
+    if not 0 < duration_s < np.inf:
+        raise ArgumentError("duration must be positive and finite")
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * reference_rate_hz)) + 1
     ts = np.arange(n) / reference_rate_hz

@@ -53,7 +53,7 @@ import numpy as np
 
 from adastream import controller, simulator
 from adastream.controller import default_transition_graph
-from adastream.features import PATCH_SIZE, FEATURE_NAMES
+from adastream.features import PATCH_SIZE, FEATURE_NAMES, normalize_bandwidth
 from adastream.predictor import forward_batch, load_model
 from adastream.simulator import (CONTENT_FEATURE_KEYS, PredictorControllerPolicy,
                                  SyntheticQualitySource, _run_with_policy,
@@ -195,7 +195,8 @@ class CertifyingPolicy(PredictorControllerPolicy):
         n_content = len(CONTENT_FEATURE_KEYS)
         x = np.empty((times.size, len(FEATURE_NAMES)))
         x[:, :n_content] = scenario.content_rows(records)
-        x[:, FEATURE_NAMES.index("norm_bandwidth")] = scenario.bandwidth_at(times)
+        x[:, FEATURE_NAMES.index("norm_bandwidth")] = normalize_bandwidth(
+            scenario.bitrate_at(times))
         x[:, FEATURE_NAMES.index("norm_velocity")] = [normalize_velocity(v)
                                                       for v in velocities]
         x_other = x.copy()

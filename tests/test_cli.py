@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -712,6 +713,26 @@ def test_run_time_refusal_names_the_scenario_file(tmp_path, capsys, command,
     assert capsys.readouterr().err.startswith(f"error: {scenario}: {message}")
     assert not (out / "summary.json").exists()
     assert not (out / "comparison.json").exists()
+
+
+def test_a_model_whose_weights_overflow_is_an_argument_error(tmp_path, capsys):
+    # finite weights of 1e300 loaded: evaluate exited 0 with metrics read off
+    # NaN probabilities, and simulate blamed the scenario's frame-rate
+    # emission; both printed RuntimeWarnings
+    scenario, model = _trained(tmp_path)
+    payload = json.loads(model.read_text())
+    payload["weights"] = [[[1e300] * len(row) for row in w] for w in payload["weights"]]
+    model.write_text(json.dumps(payload))
+    message = "the model's probabilities are not finite at feature row 0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["evaluate", "--model", model, "--data",
+                    scenario.parent / "training.csv", "--out", tmp_path / "eval"]
+                   ) == EXIT_ARGUMENT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run(["simulate", "--scenario", scenario, "--model", model,
+                    "--out", tmp_path / "sim"]) == EXIT_ARGUMENT
+        assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
 
 
 @pytest.mark.parametrize("margin", ["-1", "nan"])

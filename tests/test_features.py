@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adastream.errors import ArgumentError, SchemaError
 from adastream.features import (CONTENT_FEATURE_KEYS, FEATURE_NAMES,
-                                FeatureVector, extract_features,
+                                FeatureVector, extract_features, feature_rows,
                                 normalize_bandwidth)
-from adastream.predictor import TRAINING_CSV_HEADER, read_training_csv
+from adastream.motion import normalize_velocities
+from adastream.predictor import (TRAINING_CSV_HEADER, forward_batch, new_model,
+                                 read_training_csv)
 from adastream.simulator import Scenario
 from oracles import dctn_high_freq_ratio, reference_extract_features
 
@@ -112,6 +116,10 @@ def test_feature_vector_validation():
 
 
 _UNBOUNDED = ("rms_contrast", "gradient_energy")
+# Zero weights score any row in range, the largest float too, without overflow.
+_ZERO_MODEL = new_model(0, (4,))
+for _w in _ZERO_MODEL.weights:
+    _w[:] = 0.0
 
 
 def _range_errors(name, value, path):
@@ -124,7 +132,8 @@ def _range_errors(name, value, path):
                     + ",".join(repr(float(v)) for v in row) + ",60,720\n")
     content = np.full((2, len(CONTENT_FEATURE_KEYS)), 0.5)
     sites = {"FeatureVector": lambda: FeatureVector(*row),
-             "read_training_csv": lambda: read_training_csv(path)}
+             "read_training_csv": lambda: read_training_csv(path),
+             "forward_batch": lambda: forward_batch(_ZERO_MODEL, [row])}
     if name in CONTENT_FEATURE_KEYS:
         content[1] = row[:len(CONTENT_FEATURE_KEYS)]
         sites["Scenario"] = lambda: Scenario(1 / 120, 90.0, 120.0, ((0.0, 3e6),),
@@ -142,8 +151,8 @@ def _range_errors(name, value, path):
 @pytest.mark.parametrize("name, value", [
     pytest.param(name, value, id=f"{name}={float(value)}")
     for name in FEATURE_NAMES
-    for value in [np.nan, np.inf, -np.inf, -5e-324]
-    + ([] if name in _UNBOUNDED else [np.nextafter(1.0, 2.0)])])
+    for value in [np.nan, np.inf, -np.inf, -5e-324, -0.25]
+    + ([] if name in _UNBOUNDED else [np.nextafter(1.0, 2.0), 1.5])])
 def test_every_site_refuses_a_bad_feature_with_the_same_message(tmp_path, name,
                                                                 value):
     path = tmp_path / "training.csv"
@@ -153,6 +162,7 @@ def test_every_site_refuses_a_bad_feature_with_the_same_message(tmp_path, name,
              else ">= 0" if name in _UNBOUNDED else "in [0, 1.0]")
     assert core == f"{name} must be {bound}, got {float(value)}"
     assert errors["read_training_csv"] == f"{path}:2: {core}"
+    assert errors["forward_batch"] == core
     if name in CONTENT_FEATURE_KEYS:
         assert errors["Scenario"] == f"{core} in frame record 1"
 
@@ -172,6 +182,19 @@ def test_normalize_bandwidth():
     assert normalize_bandwidth(12_000_000.0) == 1.0
     with pytest.raises(ArgumentError):
         normalize_bandwidth(-1.0)
+
+
+def test_feature_rows_equal_the_per_row_build(rng):
+    content = rng.uniform(0.0, 1.0, (8, len(CONTENT_FEATURE_KEYS)))
+    velocities = [0.0, 80.0, 1e300, math.inf] * 2
+    bitrates = [5e-324, 1e6, 3e6, 5_999_999.0, 6e6, 6_000_001.0, 9e6, 1e15]
+    x = feature_rows(content, velocities, bitrates)
+    per_row = np.array([
+        FeatureVector(*row).with_context(float(normalize_velocities([v])[0]),
+                                         float(normalize_bandwidth(b))).as_array()
+        for row, v, b in zip(content.tolist(), velocities, bitrates)])
+    assert x.shape == (8, len(FEATURE_NAMES))
+    assert x.tobytes() == per_row.tobytes()
 
 
 def _patch(kind, seed, level, period):

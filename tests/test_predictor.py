@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,26 @@ def test_train_arrays_validation():
         TrainConfig(epochs=0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("epochs", 2.5, "epochs must be an integer >= 1, got 2.5"),  # TypeError in train
+    ("epochs", True, "epochs must be an integer >= 1, got True"),  # trained one epoch
+    ("batch_size", 2.5, "batch_size must be an integer >= 1, got 2.5"),  # TypeError
+    ("seed", -1, "seed must be an integer >= 0, got -1"),  # ValueError in train
+    ("hidden_sizes", (0,), "hidden size must be an integer >= 1, got 0"),  # ZeroDivisionError
+    ("hidden_sizes", (8, -1), "hidden size must be an integer >= 1, got -1"),  # ValueError
+], ids=["epochs_float", "epochs_bool", "batch_size_float", "seed_negative",
+        "hidden_zero", "hidden_negative"])
+def test_train_config_refuses_a_bad_count_by_name(field, value, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_takes_numpy_integers():
+    config = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), seed=np.uint8(3),
+                         hidden_sizes=(np.int64(4),))
+    assert config.epochs == 2 and config.hidden_sizes == (4,)
+
+
 @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf")])
 def test_learning_rate_must_be_finite(learning_rate):
     # both trained until the loss was non-finite
@@ -511,9 +532,36 @@ def test_loss_and_gradients_refuse_targets_off_their_head():
         loss_and_gradients(new_model(seed=0), np.zeros((1, 7)), [-1], [0])
 
 
-@pytest.mark.parametrize("shape", [(2, 5), (5,), ()])
+def test_forward_batch_refuses_weights_made_non_finite_after_validation():
+    # validate caches its verdict, so the NaN weight gave NaN probabilities
+    model = new_model(seed=0)
+    x = np.full((3, 7), 0.5)
+    forward_batch(model, x)
+    model.weights[1][0, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError, match="^the model's probabilities are not "
+                                                "finite at feature row 0$"):
+            forward_batch(model, x)
+
+
+def test_forward_batch_names_the_first_row_whose_probabilities_overflow():
+    # finite weights of 1e300 gave NaN probabilities and RuntimeWarnings; an
+    # all-zero row meets no weight and scores as uniform
+    model = new_model(seed=0)
+    for w in model.weights:
+        w[:] = 1e300
+    x = np.zeros((3, 7))
+    x[2] = 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError, match="finite at feature row 2$"):
+            forward_batch(model, x)
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (5,), (), (1, 1, 7)])
 def test_forward_batch_refuses_rows_of_another_width(shape):
-    # a (2, 5) array raised numpy's matmul ValueError
+    # a (2, 5) array raised numpy's matmul ValueError; (1, 1, 7) was scored
     with pytest.raises(ArgumentError, match=fr"7 features, got an array of shape "
                                             fr"{re.escape(str(shape))}$"):
         forward_batch(new_model(seed=0), np.zeros(shape))

@@ -75,6 +75,16 @@ def test_allocation_validation():
         allocate_bits(10.0, 120)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((3e6, 2.5), "frames_in_gop must be an integer >= 1, got 2.5"),  # TypeError
+    ((3e6, 10, 2.5), "iframe_multiplier must be an integer >= 1, got 2.5"),  # ran
+    ((3e6, True), "frames_in_gop must be an integer >= 1, got True"),
+], ids=["frames_float", "multiplier_float", "frames_bool"])
+def test_allocation_refuses_counts_that_are_no_integers(args, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        allocate_bits(*args)
+
+
 def test_resolution_changes_land_on_gop_opening_iframes():
     scenario = make_scenario(
         duration_s=16.0, seed=4,
@@ -114,6 +124,32 @@ def test_scenario_validation():
     assert oracles.bitrate_at(sc, 0.0) == 2e6
     assert oracles.bitrate_at(sc, 1.99) == 2e6
     assert oracles.bitrate_at(sc, 2.0) == 4e6
+
+
+@pytest.mark.parametrize("duration_s", [math.nan, math.inf, 0.0])
+def test_make_scenario_refuses_a_duration_as_scenario_does(duration_s):
+    # nan raised numpy's ValueError and inf an OverflowError
+    with pytest.raises(ArgumentError, match="^duration must be positive and finite$"):
+        make_scenario(duration_s=duration_s)
+
+
+@pytest.mark.parametrize("count, message", [
+    (2.5, "count must be an integer >= 1, got 2.5"),  # TypeError
+    (0, "count must be an integer >= 1, got 0"),
+], ids=["float", "zero"])
+def test_sample_clips_refuses_a_bad_count(count, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        synth.sample_clips(count, 0)
+
+
+def test_bitrate_at_is_the_rate_in_force_at_each_time():
+    # steps inside a window, and two at one window start (the later one holds)
+    schedule = ((0.0, 3e6), (3.0, 1e6), (4.0, 6e6), (4.0, 8e6), (7.5, 2e6))
+    scenario = make_scenario(duration_s=10.0, bitrate_schedule=schedule)
+    times = np.arange(0.0, 10.0, GOP_LENGTH_S / 2)  # each window's start and middle
+    in_force = [[b for start, b in schedule if start <= t][-1] for t in times.tolist()]
+    assert scenario.bitrate_at(times).tolist() == in_force
+    assert [float(scenario.bitrate_at(t)) for t in times.tolist()] == in_force
 
 
 def test_schedule_gap_rejected():
