@@ -235,18 +235,20 @@ def step(graph: TransitionGraph, state: ControllerState,
 
 
 def _argmax_class(scores: np.ndarray, current: int) -> int:
-    best = scores.max()
-    tied = np.flatnonzero(scores == best)
-    return current if current in tied else int(tied[0])
+    """The first maximum; the current class if it ties for it."""
+    scores = scores.tolist()
+    best = max(scores)
+    return current if scores[current] == best else scores.index(best)
 
 
 def _clamp_to_band(target: int, weights_row: np.ndarray, values) -> int:
-    """Nearest reachable class to the target; the target itself if reachable."""
-    allowed = np.flatnonzero(weights_row > 0)
-    if target in allowed:
+    """Nearest reachable class to the target, the first one on a tie; the
+    target itself if reachable."""
+    weights = weights_row.tolist()
+    if weights[target] > 0:
         return target
-    gaps = np.abs(np.array([values[i] for i in allowed]) - values[target])
-    return int(allowed[int(np.argmin(gaps))])
+    allowed = [i for i, w in enumerate(weights) if w > 0]
+    return min(allowed, key=lambda i: abs(values[i] - values[target]))
 
 
 def decide(graph: TransitionGraph, state: ControllerState) -> tuple[VideoMode, ControllerState]:

@@ -119,6 +119,29 @@ class SyntheticQualitySource:
 _CANDIDATE_CACHE_SIZE = 64
 
 
+def _split_points(velocities: np.ndarray, first: np.ndarray):
+    """Per adjacent pair of the ascending distinct ``velocities``, the least
+    float at which the nearest-grid rule picks the upper one: a smaller
+    gap, or an equal one with its first grid (``first``) earlier in list
+    order. ``np.nextafter`` steps find it from the midpoint. None, for the
+    scan, where a third velocity could round to a pair's gap: adjacent
+    ones closer than 2**-50 times the fastest, or an infinite one."""
+    lower, upper = velocities[:-1], velocities[1:]
+    if not np.all(upper - lower > velocities[-1] * 2.0 ** -50):
+        return None
+    upper_first = first[1:] < first[:-1]
+
+    def picks_upper(v):
+        return (upper - v < v - lower) | ((upper - v == v - lower) & upper_first)
+
+    splits = lower + (upper - lower) / 2
+    while not (picked := picks_upper(splits)).all():
+        splits[~picked] = np.nextafter(splits[~picked], np.inf)
+    while (picked := picks_upper(down := np.nextafter(splits, -np.inf))).any():
+        splits[picked] = down[picked]
+    return splits
+
+
 class GridQualitySource:
     """Quality oracle that looks up the nearest ingested grid by bitrate and
     velocity.
@@ -131,7 +154,8 @@ class GridQualitySource:
     ladder and are stacked into one ``(N, n_f, n_h)`` array, so a surface
     is one lookup for all velocities. The candidates of the last
     ``_CANDIDATE_CACHE_SIZE`` distinct bitrates are kept with their
-    velocities and range; a schedule has few rates.
+    velocities, range and ``_split_points``, so a lookup is one
+    ``searchsorted``; a schedule has few rates.
     """
 
     def __init__(self, grids):
@@ -147,8 +171,9 @@ class GridQualitySource:
         self._candidates: dict[float, tuple] = {}
 
     def _candidates_at(self, bitrate_bps: float) -> tuple:
-        """The candidates' indices and velocities, and the slowest and
-        fastest of those velocities."""
+        """The candidates' indices and velocities, the slowest and fastest
+        of those velocities, their split points (None where only the scan
+        keeps the rule) and the grid each interval between them picks."""
         found = self._candidates.get(bitrate_bps)
         if found is None:
             # A tiny rate puts every gap at inf, so every grid is a candidate.
@@ -156,7 +181,9 @@ class GridQualitySource:
                 bitrate_gap = np.abs(self._bitrates - bitrate_bps) / bitrate_bps
             nearest = np.flatnonzero(bitrate_gap == bitrate_gap.min())
             velocities = self._velocities[nearest]
-            found = (nearest, velocities, velocities.min(), velocities.max())
+            distinct, first = np.unique(velocities, return_index=True)
+            found = (nearest, velocities, distinct[0], distinct[-1],
+                     _split_points(distinct, first), nearest[first])
             if len(self._candidates) == _CANDIDATE_CACHE_SIZE:
                 del self._candidates[next(iter(self._candidates))]
             self._candidates[bitrate_bps] = found
@@ -166,8 +193,11 @@ class GridQualitySource:
         """Index of the nearest grid for each velocity, after the refusals
         that every quality source makes."""
         velocities = surface_velocities(bitrate_bps, velocities)
-        nearest, grid_velocities, slowest, fastest = self._candidates_at(bitrate_bps)
+        nearest, grid_velocities, slowest, fastest, splits, picks = (
+            self._candidates_at(bitrate_bps))
         clamped = np.minimum(np.maximum(velocities, slowest), fastest)
+        if splits is not None:
+            return picks[np.searchsorted(splits, clamped, side="right")]
         velocity_gap = np.abs(grid_velocities - clamped[:, None])
         return nearest[velocity_gap.argmin(axis=1)]
 
@@ -722,6 +752,7 @@ def _run_policies(scenario: Scenario, policies, quality_source,
     seen_bitrates: set[float] = set()
 
     check_jitter_pct(jitter_pct)
+    check_integer(seed, "seed", 0)
     # Motion of every reference record, each over one reference tick.
     record_degps = deg_per_sec(scenario.ndc_magnitudes,
                                1.0 / scenario.reference_rate_hz,

@@ -46,6 +46,7 @@ class SyntheticClip:
 def sample_clips(count: int, seed: int) -> list[SyntheticClip]:
     """Velocity skews low, matching how motion distributes in rendered play."""
     check_integer(count, "count", 1)
+    check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     clips = []
     for i in range(count):
@@ -112,6 +113,7 @@ def content_features_for_detail(detail: float, rng: np.random.Generator) -> Feat
 
 def training_examples(clips, labels: list[LabeledClip], seed: int) -> TrainingSet:
     """One training row per label, features synthesized from the clip detail."""
+    check_integer(seed, "seed", 0)
     detail_by_clip = {c.clip_id: c.content_detail for c in clips}
     content = _content_rows([detail_by_clip[lab.clip_id] for lab in labels],
                             np.random.default_rng(seed))
@@ -138,6 +140,7 @@ def make_scenario(duration_s: float = 8.0, fov_horizontal_deg: float = 90.0,
     """
     if not 0 < duration_s < np.inf:
         raise ArgumentError("duration must be positive and finite")
+    check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * reference_rate_hz)) + 1
     ts = np.arange(n) / reference_rate_hz

@@ -224,14 +224,17 @@ def normalized_max_plus(graph, score_f, score_r, emit_f, emit_r):
 def nearest_grid_scan(grids, bitrate_bps, velocity_degps):
     """Linear scan: smallest relative bitrate distance, then smallest
     distance to the velocity clamped into the velocity range of the grids
-    at that bitrate distance, then first in list order."""
+    at that bitrate distance, then first in list order. A grid at the
+    clamped velocity itself is at distance 0, also at inf, where the
+    difference is NaN."""
     def bitrate_gap(g):
         return abs(g.bitrate_bps - bitrate_bps) / bitrate_bps
     closest = min(map(bitrate_gap, grids))
     candidates = [g for g in grids if bitrate_gap(g) == closest]
     velocity = min(max(velocity_degps, min(g.velocity_degps for g in candidates)),
                    max(g.velocity_degps for g in candidates))
-    return min(candidates, key=lambda g: abs(g.velocity_degps - velocity))
+    return min(candidates, key=lambda g: (0.0 if g.velocity_degps == velocity
+                                          else abs(g.velocity_degps - velocity)))
 
 
 def bitrate_at(scenario, t):

@@ -257,6 +257,43 @@ def test_dead_chain_stays_put():
     assert mode.frame_rate_hz <= 60
 
 
+def _pick_with_arrays(scores, current, weights_row, values):
+    """The decision rule on arrays: the first maximum, the current class on
+    a tie; then the nearest allowed class, the first on a tie."""
+    tied = np.flatnonzero(scores == scores.max())
+    target = current if current in tied else int(tied[0])
+    allowed = np.flatnonzero(weights_row > 0)
+    if target in allowed:
+        return target
+    return int(allowed[np.argmin(np.abs(np.asarray(values)[allowed] - values[target]))])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decide_picks_as_the_array_rule(seed):
+    # scores on a small lattice with -inf, so maxima tie and ties straddle
+    # the band; a sparse band makes equidistant allowed classes
+    rng = np.random.default_rng(seed)
+    ladder = DEFAULT_LADDER
+    rates, rungs = np.array(ladder.frame_rates_hz), np.arange(ladder.n_heights)
+    w_f = rng.choice([0.0, 0.5, 1.0], (rates.size,) * 2)
+    w_r = rng.choice([0.0, 0.5, 1.0], (rungs.size,) * 2)
+    w_f[np.abs(rates[:, None] - rates) > 30] = 0.0
+    w_r[np.abs(rungs[:, None] - rungs) > 1] = 0.0
+    np.fill_diagonal(w_f, 1.0)
+    np.fill_diagonal(w_r, 1.0)
+    g = TransitionGraph(w_f, w_r, ladder)
+    lattice = [0.0, -1.0, -2.0, -np.inf]
+    for _ in range(60):
+        cur_f, cur_r = rng.integers(ladder.n_frame_rates), rng.integers(ladder.n_heights)
+        score_f = rng.choice(lattice, ladder.n_frame_rates)
+        score_r = rng.choice(lattice, ladder.n_heights)
+        mode = VideoMode(ladder.frame_rates_hz[cur_f], ladder.heights[cur_r])
+        picked, _ = decide(g, ControllerState(score_f, score_r, mode, DECISION_PERIOD_S))
+        pick_f = _pick_with_arrays(score_f, cur_f, w_f[cur_f], ladder.frame_rates_hz)
+        pick_r = _pick_with_arrays(score_r, cur_r, w_r[cur_r], ladder.heights)
+        assert picked == VideoMode(ladder.frame_rates_hz[pick_f], ladder.heights[pick_r])
+
+
 # ---------------------------------------------------------------------------
 # window kernel
 

@@ -142,6 +142,46 @@ def test_sample_clips_refuses_a_bad_count(count, message):
         synth.sample_clips(count, 0)
 
 
+_BAD_SEEDS = pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be an integer >= 0, got -1"),  # numpy's bare ValueError
+    (1.5, "seed must be an integer >= 0, got 1.5"),  # numpy's TypeError
+], ids=["negative", "float"])
+
+
+@_BAD_SEEDS
+def test_sample_clips_refuses_a_bad_seed(seed, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        synth.sample_clips(3, seed)
+
+
+@_BAD_SEEDS
+def test_make_scenario_refuses_a_bad_seed(seed, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        make_scenario(seed=seed)
+
+
+@_BAD_SEEDS
+def test_training_examples_refuses_a_bad_seed(seed, message):
+    clips = synth.sample_clips(2, 0)
+    labels = synth.labels_for_grids(synth.grids_for_clips(clips))
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        synth.training_examples(clips, labels, seed)
+
+
+@_BAD_SEEDS
+def test_run_session_refuses_a_bad_seed(seed, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        run_session(make_scenario(duration_s=4.0), _trained_model(),
+                    default_transition_graph(), SOURCE, jitter_pct=5.0, seed=seed)
+
+
+@_BAD_SEEDS
+def test_compare_baselines_refuses_a_bad_seed(seed, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        compare_baselines(make_scenario(duration_s=4.0), SOURCE, jitter_pct=5.0,
+                          seed=seed)
+
+
 def test_bitrate_at_is_the_rate_in_force_at_each_time():
     # steps inside a window, and two at one window start (the later one holds)
     schedule = ((0.0, 3e6), (3.0, 1e6), (4.0, 6e6), (4.0, 8e6), (7.5, 2e6))
@@ -989,6 +1029,55 @@ def test_lookup_clamps_the_velocity_into_the_range_of_the_nearest_bitrate(
     surface = source.surface(DEFAULT_LADDER, bitrate, [velocity, 0.0, velocity])
     assert surface[[0, 2]].tolist() == [grids[expected].q.tolist()] * 2
     assert np.array_equal(surface[1], nearest_grid_scan(grids, bitrate, 0.0).q)
+
+
+def _lookup_sets(rng):
+    """Grid velocity sets for the split-point lookup, each with whether it
+    must take the scan. Velocities repeat, and a set mixes 0.0 and -0.0."""
+    for step in (1.0, 0.5, 3.0, 1e6):
+        yield rng.integers(0, 6, 8) * step, False
+    yield np.concatenate([[0.0, -0.0, -0.0], rng.integers(0, 4, 4).astype(float)]), False
+    yield rng.uniform(0.0, 100.0, 6).round(rng.integers(0, 3)), False
+    # every gap to 2**53 from 1.0 and the floats just above it rounds alike
+    cluster = np.nextafter.accumulate([1.0] + [np.inf] * int(rng.integers(1, 4)))
+    yield np.concatenate([cluster, cluster, [2.0 ** 54, 0.0]]), True
+    yield np.concatenate([rng.integers(0, 5, 6).astype(float), [math.inf]]), True
+
+
+def _lookup_queries(velocities, rng):
+    """Each distinct velocity, each midpoint and one ulp either side of it,
+    0, 1e300, inf and a few draws across the range."""
+    finite = np.unique(velocities[np.isfinite(velocities)])
+    mids = finite[:-1] + (finite[1:] - finite[:-1]) / 2
+    queries = np.concatenate([np.unique(velocities), mids, np.nextafter(mids, -np.inf),
+                              np.nextafter(mids, np.inf), [0.0, 1e300, math.inf],
+                              rng.uniform(0.0, finite[-1] * 1.5, 4)])
+    return queries[queries >= 0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_split_point_lookup_matches_the_scan(seed):
+    """Each set is at 3 Mbps, mixed with three grids at 2 Mbps in a
+    shuffled list order, so a tie can go to a grid that is neither the
+    first of the list nor the first of its velocity."""
+    rng = np.random.default_rng(seed)
+    mode = VideoMode(60, 720)
+    for velocities, scanned in _lookup_sets(rng):
+        points = [(3e6, v) for v in velocities.tolist()]
+        points += [(2e6, float(v)) for v in rng.integers(0, 6, 3)]
+        grids = [_flat_grid(i / 2, *points[k])  # 14 grids at most
+                 for i, k in enumerate(rng.permutation(len(points)))]
+        source = GridQualitySource(grids)
+        queries = _lookup_queries(velocities, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the scan's inf - inf
+            surface = source.surface(DEFAULT_LADDER, 3e6, queries)
+            cells = [source(mode, 3e6, v) for v in queries.tolist()]
+        assert (source._candidates_at(3e6)[4] is None) == scanned
+        expected = [grids.index(nearest_grid_scan(grids, 3e6, v)) / 2
+                    for v in queries.tolist()]
+        assert surface[:, 0, 0].tolist() == expected
+        assert cells == expected
 
 
 def test_grid_source_answers_seen_bitrates_as_a_fresh_source():
