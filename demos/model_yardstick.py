@@ -11,17 +11,19 @@ its grid's best JOD minus the JOD of the mode the model picks. The protocol:
   defaults otherwise;
 - test on the rows of 300 fresh clips (``sample_clips(300, 1234)``, content
   from ``training_examples(..., 99)``), three bitrates each;
-- report the frame-rate error, the mean, p95 and maximum regret, the share
-  of rows within the labels' 0.25 JOD margin, and the picks' summed pixel
-  rate over the labels';
+- report the frame-rate and resolution errors, the mean, p95 and maximum
+  regret, the share of rows within the labels' 0.25 JOD margin, and the
+  picks' summed pixel rate over the labels';
 - take the median of each over the seeds, 1-4 by default.
 
     PYTHONPATH=src python demos/model_yardstick.py
     PYTHONPATH=src python demos/model_yardstick.py --seeds 1-10 \\
-        --batch-sizes 32,128 --lrs 3e-3,1e-2
+        --hidden-sizes 64x64,32x32 --batch-sizes 32,128 --lrs 1e-2,3e-2
 
-With ``--batch-sizes`` or ``--lrs``, it prints one row per pair, with the
-median time a training run took.
+With ``--hidden-sizes``, ``--batch-sizes`` or ``--lrs``, it prints one row
+per hidden-size, batch-size and learning-rate triple, with the median time
+a training run took. Hidden sizes are written ``32x32`` for two layers of
+32 units, and a comma separates nets.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from adastream.synth import grids_for_clips, sample_clips, training_examples
 TRAIN_CLIPS = 150
 TEST_CLIPS, TEST_CLIP_SEED, TEST_ROW_SEED = 300, 1234, 99
 PIXELS = "pixels / label's"
-COLUMNS = ("frame-rate error", "mean regret", "p95", "max", "within margin", PIXELS)
+COLUMNS = ("frame-rate error", "resolution error", "mean regret", "p95", "max",
+           "within margin", PIXELS)
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,8 @@ def grade(rows: Rows, pick: np.ndarray, margin: float = DEFAULT_MARGIN_JOD) -> d
     return {
         "frame-rate error": relative_error(np.take(ladder.frame_rates_hz, pick[0]),
                                            np.take(ladder.frame_rates_hz, rows.label[0])),
+        "resolution error": relative_error(np.take(ladder.heights, pick[1]),
+                                           np.take(ladder.heights, rows.label[1])),
         "mean regret": float(regret.mean()),
         "p95": float(np.percentile(regret, 95)),
         "max": float(regret.max()),
@@ -112,9 +117,9 @@ def medians(seeds, test: Rows, **config) -> tuple[dict, float]:
 
 
 def _format(row: dict) -> str:
-    return (f"{row['frame-rate error']:.1f}% | {row['mean regret']:.3f} | "
-            f"{row['p95']:.3f} | {row['max']:.3f} | {100 * row['within margin']:.1f}% | "
-            f"{row[PIXELS]:.2f}")
+    return (f"{row['frame-rate error']:.1f}% | {row['resolution error']:.1f}% | "
+            f"{row['mean regret']:.3f} | {row['p95']:.3f} | {row['max']:.3f} | "
+            f"{100 * row['within margin']:.1f}% | {row[PIXELS]:.2f}")
 
 
 def _seed_range(text: str) -> range:
@@ -122,9 +127,15 @@ def _seed_range(text: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
+def _hidden_sizes(text: str) -> list[tuple[int, ...]]:
+    """``"64x64,32"`` as ``[(64, 64), (32,)]``."""
+    return [tuple(int(units) for units in net.split("x")) for net in text.split(",")]
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=_seed_range, default=range(1, 5))
+    parser.add_argument("--hidden-sizes", type=_hidden_sizes)
     parser.add_argument("--batch-sizes", type=lambda s: [int(v) for v in s.split(",")])
     parser.add_argument("--lrs", type=lambda s: [float(v) for v in s.split(",")])
     args = parser.parse_args(argv)
@@ -135,21 +146,22 @@ def main(argv=None) -> None:
     labels = grade(test, test.label)
     print(f"the labels themselves: mean regret {labels['mean regret']:.3f}, "
           f"max {labels['max']:.3f}")
-    if args.batch_sizes is None and args.lrs is None:
+    if args.hidden_sizes is None and args.batch_sizes is None and args.lrs is None:
         row, seconds = medians(args.seeds, test)
         print("\n| " + " | ".join(COLUMNS) + " |")
         print("|" + "---|" * len(COLUMNS))
         print(f"| {_format(row)} |")
         return
     default = TrainConfig()
-    print("\n| batch | lr | " + " | ".join(COLUMNS) + " | train |")
-    print("|" + "---|" * (len(COLUMNS) + 3))
-    for batch_size in args.batch_sizes or [default.batch_size]:
-        for lr in args.lrs or [default.learning_rate]:
-            row, seconds = medians(args.seeds, test, batch_size=batch_size,
-                                   learning_rate=lr)
-            print(f"| {batch_size} | {lr:g} | {_format(row)} | {1000 * seconds:.0f} ms |",
-                  flush=True)
+    print("\n| hidden | batch | lr | " + " | ".join(COLUMNS) + " | train |")
+    print("|" + "---|" * (len(COLUMNS) + 4))
+    for hidden in args.hidden_sizes or [default.hidden_sizes]:
+        for batch_size in args.batch_sizes or [default.batch_size]:
+            for lr in args.lrs or [default.learning_rate]:
+                row, seconds = medians(args.seeds, test, hidden_sizes=hidden,
+                                       batch_size=batch_size, learning_rate=lr)
+                print(f"| {'x'.join(map(str, hidden))} | {batch_size} | {lr:g} | "
+                      f"{_format(row)} | {1000 * seconds:.0f} ms |", flush=True)
 
 
 if __name__ == "__main__":

@@ -198,7 +198,11 @@ class GridQualitySource:
         clamped = np.minimum(np.maximum(velocities, slowest), fastest)
         if splits is not None:
             return picks[np.searchsorted(splits, clamped, side="right")]
-        velocity_gap = np.abs(grid_velocities - clamped[:, None])
+        # A grid at the clamped velocity itself is at gap 0, also at inf,
+        # where the difference would be NaN.
+        at = grid_velocities == clamped[:, None]
+        velocity_gap = np.abs(np.subtract(grid_velocities, clamped[:, None],
+                                          out=np.zeros(at.shape), where=~at))
         return nearest[velocity_gap.argmin(axis=1)]
 
     def __call__(self, mode: VideoMode, bitrate_bps: float, velocity_degps: float) -> float:

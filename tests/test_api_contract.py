@@ -232,6 +232,15 @@ def test_a_tiny_rate_looks_up_every_grid_without_a_warning():
     assert q[0].tobytes() == make_synthetic_grid(2e6, 5.0).q.tobytes()
 
 
+def test_an_infinite_grid_queried_at_inf_is_looked_up_without_a_warning():
+    grids = [make_synthetic_grid(2e6, v) for v in (5.0, math.inf)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = GridQualitySource(grids).surface(DEFAULT_LADDER, 2e6, [math.inf, 1e300])
+    # The grid at inf is at gap 0 from inf; 1e300 is nearer 5 deg/s than inf.
+    assert q.tobytes() == grids[1].q.tobytes() + grids[0].q.tobytes()
+
+
 def test_a_refused_window_leaves_the_estimator_unchanged():
     estimator = VelocityEstimator()
     estimator.update(1.0, 0.0)

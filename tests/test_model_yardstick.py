@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "demos"))
+import model_yardstick  # noqa: E402
 from model_yardstick import PIXELS, grade, labeled_rows, regrets  # noqa: E402
 
 from adastream.labeler import DEFAULT_MARGIN_JOD  # noqa: E402
@@ -36,7 +37,7 @@ def test_the_best_modes_regret_is_zero(rows):
 def test_a_pick_equal_to_its_label_has_a_pixel_ratio_of_one(rows):
     graded = grade(rows, rows.label)
     assert graded[PIXELS] == 1.0
-    assert graded["frame-rate error"] == 0.0
+    assert graded["frame-rate error"] == graded["resolution error"] == 0.0
 
 
 def test_a_pick_below_its_label_regrets_its_lost_quality(rows):
@@ -46,3 +47,17 @@ def test_a_pick_below_its_label_regrets_its_lost_quality(rows):
     assert np.array_equal(regrets(rows, pick),
                           rows.q.max(axis=(1, 2)) - rows.q[:, 0, 0])
     assert grade(rows, pick)[PIXELS] <= 1.0
+
+
+def test_hidden_sizes_parse_as_one_net_per_comma():
+    assert model_yardstick._hidden_sizes("64x64,32x32,8") == [(64, 64), (32, 32), (8,)]
+
+
+def test_the_table_has_one_row_per_hidden_size(rows, monkeypatch, capsys):
+    monkeypatch.setattr(model_yardstick, "labeled_rows", lambda *args: rows)
+    monkeypatch.setattr(model_yardstick, "TRAIN_CLIPS", 10)
+    model_yardstick.main(["--seeds", "1", "--hidden-sizes", "4,3x3", "--lrs", "1e-2"])
+    table = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("| ") and "hidden" not in line]
+    assert [line.split(" | ")[:3] for line in table] == [["| 4", "128", "0.01"],
+                                                          ["| 3x3", "128", "0.01"]]

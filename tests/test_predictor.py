@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from adastream.errors import ArgumentError, SchemaError
 from adastream.features import FeatureVector
 from adastream.ladder import DEFAULT_LADDER, Ladder
-from adastream.predictor import (TRAINING_CSV_HEADER, PredictorModel, TrainConfig,
-                                 TrainingSet,
+from adastream.predictor import (DEFAULT_HIDDEN_SIZES, TRAINING_CSV_HEADER,
+                                 PredictorModel, TrainConfig, TrainingSet,
                                  forward, forward_batch, load_model,
                                  loss_and_gradients, new_model, predict_classes,
                                  read_training_csv, save_model, train,
@@ -210,7 +210,8 @@ def _same_bits(got, want):
 
 
 @pytest.mark.parametrize("ladder", [DEFAULT_LADDER, LADDER_4X2], ids=["10x5", "4x2"])
-@pytest.mark.parametrize("hidden", [(8,), (64, 64), (16, 16, 16)])
+# (64, 64) is the default before (32, 32), the default
+@pytest.mark.parametrize("hidden", [(8,), (64, 64), (16, 16, 16), (32, 32)])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 80))
 @example(seed=0, k=1)
@@ -307,6 +308,12 @@ def test_train_arrays_validation():
 def test_train_config_refuses_a_bad_count_by_name(field, value, message):
     with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
         TrainConfig(**{field: value})
+
+
+def test_new_model_and_train_config_share_the_lightweight_default():
+    model = new_model()
+    assert TrainConfig().hidden_sizes == DEFAULT_HIDDEN_SIZES == tuple(model.layer_sizes[1:-1])
+    assert sum((w.shape[0] + 1) * w.shape[1] for w in model.weights) == 1807
 
 
 def test_train_config_takes_numpy_integers():

@@ -1070,7 +1070,7 @@ def test_split_point_lookup_matches_the_scan(seed):
         source = GridQualitySource(grids)
         queries = _lookup_queries(velocities, rng)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the scan's inf - inf
+            warnings.simplefilter("error")  # also where a grid at inf is queried at inf
             surface = source.surface(DEFAULT_LADDER, 3e6, queries)
             cells = [source(mode, 3e6, v) for v in queries.tolist()]
         assert (source._candidates_at(3e6)[4] is None) == scanned
